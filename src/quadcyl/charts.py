@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .errors import (
     FormNotSmoothError,
-    HyperplaneWitnessError,
     InputFormatError,
     OutOfDomainError,
     RankTooLowError,
@@ -31,21 +30,16 @@ from .projective import (
     CoordChange,
     ProjPoint,
     QuadForm,
-    dot,
     identity_mat,
     is_zero_vec,
     mat,
     mat_eq,
-    mat_vec,
     nullspace,
     quadform_from_terms,
-    rank_of,
     transpose,
     unit_vec,
-    vec,
     vec_add,
     vec_scale,
-    zero_vec,
 )
 from .tower import ONE, ZERO, as_scalar, try_sqrt
 
@@ -150,13 +144,6 @@ class Chart:
         for j, x in zip(self.trans, tv):
             u[j] = x
         return ProjPoint(self.change.to_ambient(u))
-
-    def contains(self, p: ProjPoint) -> bool:
-        try:
-            self.forward(p)
-            return True
-        except OutOfDomainError:
-            return False
 
     def move(self, p: ProjPoint, target) -> ProjPoint:
         """Fiber move: keep t, set the transverse block to target."""
@@ -434,26 +421,14 @@ def standard_cylinders(q: QuadForm, frame: HyperbolicFrame) -> list:
     return charts
 
 
-def cone_lift(chart: Chart, split: ConeSplit, ambient: QuadForm,
-              witness=None) -> Chart:
+def cone_lift(chart: Chart, split: ConeSplit, ambient: QuadForm) -> Chart:
     """Lift a chart on the smooth base of a cone splitting to the full
-    ambient space.  The witness is a linear form on the base whose
-    pullback to the chart must cut out exactly the distinguished
-    hyperplane; by default the distinguished functional itself."""
+    ambient space: the vertex coordinates become extra transverse
+    coordinates on which sigma vanishes."""
     base_n = chart.form.size
     vd = ambient.size - base_n
     if vd < 0:
         raise InputFormatError("ambient form smaller than the chart's")
-    if witness is None:
-        witness = chart.change.inverse_matrix()[chart.dist]
-    else:
-        witness = vec(witness)
-    row = tuple(dot(witness, col)
-                for col in transpose(chart.change.matrix))
-    if row[chart.dist].is_zero() or \
-            any(not c.is_zero() for j, c in enumerate(row) if j != chart.dist):
-        raise HyperplaneWitnessError(
-            "witness does not cut the distinguished hyperplane")
     if vd == 0 and mat_eq(split.change.matrix, identity_mat(base_n)):
         return chart
     n = ambient.size

@@ -13,6 +13,7 @@ past its height limit.
 import argparse
 import json
 import random
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -25,7 +26,7 @@ from .pencils import (
     find_line_through, pencil_smoothness, polar_degree_audit, verify_on_X,
 )
 from .projective import ProjPoint, vec
-from .tower import Tower, deepest_tower, parse_rational, scalar_to_obj
+from .tower import Tower, parse_rational, tower_to_obj
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
@@ -89,8 +90,7 @@ def _parse_point(text: str, base: Tower, limit: int):
 
 
 def _radicand_note(tower: Tower) -> str:
-    rads = [scalar_to_obj(d) for d in tower.radicands()]
-    return "radicands: %s" % json.dumps(rads, sort_keys=True)
+    return "radicands: %s" % json.dumps(tower_to_obj(tower), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -109,34 +109,21 @@ def cmd_normalize(args) -> int:
             raise SystemExitCode(EXIT_INPUT, "--ctsq needs --point")
         point, tower = _parse_point(args.point, tower, args.tower_limit)
         frame = ctsq_normalize(form, point)
-        obj = {
-            "kind": "frame",
-            "style": "ctsq",
-            "size": form.size,
-            "rank": frame.rank,
-            "radicands": [scalar_to_obj(d) for d in tower.radicands()],
-            "witness": [scalar_to_obj(c) for row in frame.change.matrix
-                        for c in row],
-            "result": [scalar_to_obj(c)
-                       for row in form.transform(frame.change.matrix).matrix
-                       for c in row],
-        }
     else:
         frame, tower = hyperbolic_normalize(form, tower)
-        obj = {
-            "kind": "frame",
-            "style": "hyperbolic",
-            "size": form.size,
-            "rank": frame.rank,
-            "pairs": frame.pairs,
-            "has_z": frame.has_z,
-            "radicands": [scalar_to_obj(d) for d in tower.radicands()],
-            "witness": [scalar_to_obj(c) for row in frame.change.matrix
-                        for c in row],
-            "result": [scalar_to_obj(c)
-                       for row in form.transform(frame.change.matrix).matrix
-                       for c in row],
-        }
+    obj = {
+        "kind": "frame",
+        "style": "ctsq" if args.ctsq else "hyperbolic",
+        "size": form.size,
+        "rank": frame.rank,
+        "radicands": tower_to_obj(tower),
+        "witness": ser.matrix_to_flat(frame.change.matrix),
+        "result": ser.matrix_to_flat(
+            form.transform(frame.change.matrix).matrix),
+    }
+    if not args.ctsq:
+        obj["pairs"] = frame.pairs
+        obj["has_z"] = frame.has_z
     _emit(args, ser.dumps(obj))
     _note(_radicand_note(tower))
     return EXIT_VALID
@@ -171,7 +158,6 @@ def cmd_connect(args) -> int:
     form, tower = _load_form(args.form, limit)
     p, tower = _parse_point(args.from_point, tower, limit)
     q, tower = _parse_point(args.to_point, tower, limit)
-    tower = deepest_tower(p.coords + q.coords, tower)
     if args.target == "complement":
         path = connect_complement(form, p, q, tower=tower, seed=args.seed)
     else:
@@ -330,8 +316,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "quadrics and intersections of two quadrics")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("normalize", parents=[shared],
-                       help="bring a quadratic form to a standard shape")
+    def command(name, summary):
+        p = sub.add_parser(name, parents=[shared], help=summary)
+        # no option starts with a dash and a digit, so a value such as
+        # "-3/2,1,0" after --from is a value, not an unknown flag
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
+        return p
+
+    p = command("normalize", "bring a quadratic form to a standard shape")
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument("--hyperbolic", action="store_true",
                       help="split into hyperbolic pairs")
@@ -341,8 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("form", help="form document")
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("connect", parents=[shared],
-                       help="produce a move certificate between two points")
+    p = command("connect", "produce a move certificate between two points")
     p.add_argument("target", choices=("complement", "quadric", "ci"),
                    help="which space the points live in")
     p.add_argument("--form", help="form document (complement/quadric)")
@@ -355,8 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help='end point: "1,2,3" or @file')
     p.set_defaults(func=cmd_connect)
 
-    p = sub.add_parser("verify", parents=[shared],
-                       help="replay certificates independently")
+    p = command("verify", "replay certificates independently")
     p.add_argument("certificate", nargs="+", help="certificate documents")
     p.add_argument("--form", help="the ambient form document")
     p.add_argument("--pencil", help="the ambient pencil document")
@@ -364,22 +354,19 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="verify this many certificates in parallel")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("audit", parents=[shared],
-                       help="check a line chart: rank, degrees, round trips")
+    p = command("audit", "check a line chart: rank, degrees, round trips")
     p.add_argument("--pencil", required=True, help="pencil document")
     p.add_argument("--line", required=True, help="line document")
     p.add_argument("--samples", type=int, default=25,
                    help="round-trip sample count (default 25)")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("eacx-build", parents=[shared],
-                       help="build the diagonal pencil for given parameters")
+    p = command("eacx-build", "build the diagonal pencil for given parameters")
     p.add_argument("--lambdas", required=True,
                    help='comma-separated values, e.g. "0,1,2,3,4,5"')
     p.set_defaults(func=cmd_eacx_build)
 
-    p = sub.add_parser("find-line", parents=[shared],
-                       help="find a line inside the intersection")
+    p = command("find-line", "find a line inside the intersection")
     p.add_argument("--pencil", required=True, help="pencil document")
     p.add_argument("--point", help="require the line to pass through here")
     p.set_defaults(func=cmd_find_line)

@@ -26,9 +26,11 @@ class TowerLimitError(TowerError):
 class ZeroDivisorError(TowerError):
     """Division by a nonzero element of zero conjugate norm.
 
-    Happens only when a radicand is secretly a perfect square lower in
-    the tower, which the shallow square detection does not rule out for
-    user-supplied radicand lists.
+    Happens when a radicand is secretly a perfect square lower in the
+    tower.  The square detection in sqrt_if_present is shallow, so this
+    is not limited to user-supplied radicand lists: over Q(sqrt2),
+    try_sqrt(3 + 2*sqrt2) adjoins a new radicand although 1 + sqrt2 is
+    already a square root of it.
     """
 
 
@@ -50,11 +52,6 @@ class SingularPointError(QuadcylError):
 
 class OutOfDomainError(QuadcylError):
     """A point is outside the domain of the chart being applied."""
-
-
-class HyperplaneWitnessError(QuadcylError):
-    """The linear form supplied to a cone lift does not cut the base
-    chart's distinguished hyperplane."""
 
 
 class EndpointError(QuadcylError):

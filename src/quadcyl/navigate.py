@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import (
     EndpointError,
@@ -61,22 +61,18 @@ class MovePath:
 
 @dataclass
 class VerifyReport:
+    """The outcome of replaying one certificate.  index names the first
+    broken step (segment, for problem "ci") and count is the number of
+    steps (segments) in the certificate."""
     valid: bool
     reason: str | None
-    step_index: int | None
-    step_count: int
+    index: int | None
+    count: int
     problem: str
-    radicand_count: int = 0
+    radicand_count: int
 
     def to_obj(self) -> dict:
-        return {
-            "valid": self.valid,
-            "reason": self.reason,
-            "step_index": self.step_index,
-            "step_count": self.step_count,
-            "problem": self.problem,
-            "radicand_count": self.radicand_count,
-        }
+        return asdict(self)
 
 
 class _Trail:
@@ -104,9 +100,6 @@ class _Trail:
 
     def steps(self):
         return tuple(step for _, step in self.recs)
-
-    def last_point(self, default):
-        return self.recs[-1][1].exit if self.recs else default
 
 
 def _canonicalize_complement(bundle: ChartBundle, p: ProjPoint, tower):
@@ -331,27 +324,6 @@ def connect_on_quadric(form: QuadForm, p, q, *, tower=None, seed=None,
     end = trail.move(chart2, mid, tvq)
     assert end == q
     return done(trail.steps())
-
-
-def expand_to_unipotent_steps(form: QuadForm, path: MovePath) -> MovePath:
-    """Rewrite a path so each step changes exactly one transverse
-    coordinate; no-op coordinates are dropped."""
-    cache = {}
-    out = []
-    cur = path.start
-    for step in path.steps:
-        chart = _chart_cached(form, step.chart, cache)
-        t, tv = chart.forward(step.entry)
-        work = list(tv)
-        for pos in range(len(work)):
-            if work[pos] == step.target[pos]:
-                continue
-            work[pos] = step.target[pos]
-            exit_p = chart.backward(t, tuple(work))
-            out.append(MoveStep(step.chart, cur, tuple(work), exit_p))
-            cur = exit_p
-    return MovePath(path.problem, path.form, path.start, path.end,
-                    tuple(out), path.tower, path.seed)
 
 
 def _descriptor_key(desc: dict) -> str:

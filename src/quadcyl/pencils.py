@@ -32,10 +32,9 @@ from .errors import (
     TowerLimitError,
 )
 from .charts import _complete_basis, complement_cylinder
-from .navigate import MovePath, connect_complement, verify_path
+from .navigate import MovePath, VerifyReport, connect_complement, verify_path
 from .projective import (
     CoordChange,
-    LinearSubspace,
     ProjPoint,
     QuadForm,
     congruent_diagonalize,
@@ -45,8 +44,10 @@ from .projective import (
     is_zero_vec,
     mat_eq,
     mat_vec,
+    nullspace,
     point_on_quadric,
     rank_of,
+    roots_on_line,
     transpose,
     unit_vec,
     vec,
@@ -60,7 +61,7 @@ from .tower import (
     Tower,
     as_scalar,
     deepest_tower,
-    sqrt_if_present,
+    try_sqrt,
 )
 
 MIN_PENCIL_SIZE = 6
@@ -245,10 +246,6 @@ class Line:
             raise LineNotInXError("the line is not inside the intersection")
         return cls(va, vb)
 
-    def contains(self, x) -> bool:
-        v = x.coords if isinstance(x, ProjPoint) else vec(x)
-        return rank_of((self.v1, self.v2, v)) == 2
-
 
 class LineChart:
     """The birational projection of X away from a line inside it.
@@ -354,49 +351,6 @@ def chart_from_line(pencil: Pencil, line: Line) -> LineChart:
     return LineChart(pencil, line)
 
 
-def dl_quadric(chart: LineChart) -> QuadForm:
-    return chart.degeneracy_form()
-
-
-def _roots_on_line(form: QuadForm, z, w, tower, extend=True):
-    """Points where the form vanishes on the line through z and w, as
-    coordinate tuples; may extend the tower by one radicand.  With
-    extend=False an adjunction is never paid and the list may be empty."""
-    fz = form(z)
-    fzw = form.bilinear(z, w)
-    fw = form(w)
-    zc = z.coords if isinstance(z, ProjPoint) else vec(z)
-    wc = w.coords if isinstance(w, ProjPoint) else vec(w)
-    if fz.is_zero() and fzw.is_zero() and fw.is_zero():
-        return [zc, wc, vec_add(zc, wc)], tower
-    if fz.is_zero():
-        out = [zc]
-        if not fzw.is_zero():
-            out.append(vec_add(vec_scale(zc, fw), vec_scale(wc, -2 * fzw)))
-        return out, tower
-    if fw.is_zero():
-        out = [wc]
-        if not fzw.is_zero():
-            out.append(vec_add(vec_scale(wc, fz), vec_scale(zc, -2 * fzw)))
-        return out, tower
-    disc = fzw * fzw - fz * fw
-    root = sqrt_if_present(tower, disc)
-    if root is None:
-        if not extend:
-            return [], tower
-        try:
-            tower = tower.extend(disc)
-        except TowerLimitError:
-            return [], tower
-        root = tower.generator(tower.height)
-    inv = 1 / fz
-    out = []
-    for r in (root, -root):
-        s = (-fzw + r) * inv
-        out.append(vec_add(vec_scale(zc, s), wc))
-    return out, tower
-
-
 def _point_on_two_quadrics(f: QuadForm, g: QuadForm, rng, tower,
                            predicate=None, retry_limit=64):
     """A common zero of two forms on at least four coordinates: a line
@@ -410,12 +364,12 @@ def _point_on_two_quadrics(f: QuadForm, g: QuadForm, rng, tower,
                 f, rng=rng, tower=tower, retry_limit=8,
                 predicate=f.is_smooth_at)
             w, t2 = point_on_quadric(
-                f, subspace=f.tangent_space(z), rng=rng, tower=t2,
+                f, basis=f.tangent_space(z), rng=rng, tower=t2,
                 retry_limit=8,
                 predicate=lambda y: rank_of((z.coords, y.coords)) == 2)
         except (RetryLimitError, TowerLimitError):
             continue
-        cands, t3 = _roots_on_line(g, z, w, t2, extend=extend)
+        cands, t3 = roots_on_line(g, z, w, t2, extend=extend)
         for cand in cands:
             if is_zero_vec(cand):
                 continue
@@ -457,14 +411,10 @@ def _conic_lines(conic: QuadForm, tower):
         return [(change.to_ambient((ZERO, ONE, ZERO)),
                  change.to_ambient((ZERO, ZERO, ONE)))], tower
     if len(nonzero) == 2:
-        ratio = -(nonzero[1] / nonzero[0])
-        s = sqrt_if_present(tower, ratio)
-        if s is None:
-            try:
-                tower = tower.extend(ratio)
-            except TowerLimitError:
-                return [], tower
-            s = tower.generator(tower.height)
+        try:
+            s, tower = try_sqrt(tower, -(nonzero[1] / nonzero[0]))
+        except TowerLimitError:
+            return [], tower
         lines = []
         for root in (s, -s):
             lines.append((change.to_ambient((root, ONE, ZERO)),
@@ -507,11 +457,10 @@ def find_line_through(pencil: Pencil, p, rng=None, tower=None,
     if tower is None:
         tower = Tower.rationals()
     tower = deepest_tower(p.coords, tower)
-    tangent = LinearSubspace.from_equations(
-        [pencil.beta.gradient(p), pencil.gamma.gradient(p)])
+    tangent = nullspace((pencil.beta.gradient(p), pencil.gamma.gradient(p)))
     reps = []
     rows = [p.coords]
-    for cand in tangent.span_basis():
+    for cand in tangent:
         if rank_of(tuple(rows) + (cand,)) == len(rows) + 1:
             rows.append(cand)
             reps.append(cand)
@@ -549,7 +498,7 @@ def find_line_through(pencil: Pencil, p, rng=None, tower=None,
         other = gq if s != 0 else bq
         lines, tower = _conic_lines(QuadForm(rows), tower)
         for a, b in lines:
-            cands, tower = _roots_on_line(other, a, b, tower)
+            cands, tower = roots_on_line(other, a, b, tower)
             for cand in cands:
                 if is_zero_vec(cand):
                     continue
@@ -587,14 +536,10 @@ def _diagonal_line(pencil: Pencil, tower):
             return None, tw
         coords = [ZERO] * n
         for pos, val in zip(idx, c):
-            s = sqrt_if_present(tw, val)
-            if s is None:
-                try:
-                    tw = tw.extend(val)
-                except TowerLimitError:
-                    return None, tw
-                s = tw.generator(tw.height)
-            coords[pos] = s
+            try:
+                coords[pos], tw = try_sqrt(tw, val)
+            except TowerLimitError:
+                return None, tw
         return tuple(coords), tw
 
     triples = [((0, 1, 2), (3, 4, 5)), ((0, 1, 3), (2, 4, 5)),
@@ -765,30 +710,16 @@ def _midpoint_for(pencil, c1, c2, p, q, rng):
     return None
 
 
-@dataclass
-class XVerifyReport:
-    valid: bool
-    reason: str | None
-    segment_index: int | None
-    segment_count: int
-
-    def to_obj(self):
-        return {
-            "valid": self.valid,
-            "reason": self.reason,
-            "segment_index": self.segment_index,
-            "segment_count": self.segment_count,
-        }
-
-
-def verify_on_X(pencil: Pencil, path: XPath) -> XVerifyReport:
+def verify_on_X(pencil: Pencil, path: XPath) -> VerifyReport:
     """Replay an intersection certificate.  Rebuilds every line chart from
     the pencil and the stored line alone, checks the projection of the
     segment endpoints both ways, and verifies the inner certificates
     against the recomputed image quadrics."""
 
+    rc = path.tower.height
+
     def bad(reason, k=None):
-        return XVerifyReport(False, reason, k, len(path.segments))
+        return VerifyReport(False, reason, k, len(path.segments), "ci", rc)
 
     if not mat_eq(path.pencil.beta.matrix, pencil.beta.matrix) or \
             not mat_eq(path.pencil.gamma.matrix, pencil.gamma.matrix):
@@ -801,7 +732,7 @@ def verify_on_X(pencil: Pencil, path: XPath) -> XVerifyReport:
     if not path.segments:
         if path.start != path.end:
             return bad("endpoints differ but the path is empty")
-        return XVerifyReport(True, None, None, 0)
+        return VerifyReport(True, None, None, 0, "ci", rc)
     cur = path.start
     for k, seg in enumerate(path.segments):
         if seg.start != cur:
@@ -841,7 +772,7 @@ def verify_on_X(pencil: Pencil, path: XPath) -> XVerifyReport:
     if cur != path.end:
         return bad("path does not reach the stated endpoint",
                    len(path.segments) - 1)
-    return XVerifyReport(True, None, None, len(path.segments))
+    return VerifyReport(True, None, None, len(path.segments), "ci", rc)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from .errors import (
     TowerError,
     TowerLimitError,
 )
-from .tower import ZERO, ONE, as_scalar
+from .tower import ONE, ZERO, Tower, as_scalar, sqrt_if_present
 
 Vec = tuple
 Mat = tuple
@@ -53,10 +53,6 @@ def identity_mat(n) -> Mat:
 
 def vec_add(u, v) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(u, c) -> Vec:
@@ -215,13 +211,6 @@ class ProjPoint:
                 self._canon = tuple(c * inv for c in self.coords)
         return self._canon
 
-    def canonical(self) -> "ProjPoint":
-        return ProjPoint(self.canonical_coords())
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
-
     def __len__(self):
         return len(self.coords)
 
@@ -236,10 +225,6 @@ class ProjPoint:
         return all(
             a == b
             for a, b in zip(self.canonical_coords(), other.canonical_coords()))
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __hash__(self):
         return hash(tuple(self.canonical_coords()))
@@ -273,11 +258,6 @@ class QuadForm:
     def size(self) -> int:
         return len(self.matrix)
 
-    @property
-    def dim(self) -> int:
-        """Dimension of the ambient projective space."""
-        return self.size - 1
-
     @staticmethod
     def _coords(x):
         return x.coords if isinstance(x, ProjPoint) else vec(x)
@@ -301,28 +281,23 @@ class QuadForm:
     def radical_basis(self) -> tuple:
         return nullspace(self.matrix)
 
-    def is_smooth_quadric(self) -> bool:
-        return self.rank() == self.size
-
     def transform(self, m) -> "QuadForm":
         """The form of f composed with the substitution x = M u."""
         mm = mat(m)
         return QuadForm(mat_mul(transpose(mm), mat_mul(self.matrix, mm)))
 
-    def contains(self, x) -> bool:
-        return self(x).is_zero()
-
     def is_smooth_at(self, x) -> bool:
         return not is_zero_vec(self.gradient(x))
 
-    def tangent_space(self, x) -> "LinearSubspace":
-        """Tangent hyperplane at a smooth point of the quadric."""
+    def tangent_space(self, x) -> tuple:
+        """A basis of the tangent hyperplane at a smooth point of the
+        quadric."""
         g = self.gradient(x)
         if not self(x).is_zero():
             raise PointNotOnQuadricError("point is not on the quadric")
         if is_zero_vec(g):
             raise SingularPointError("quadric is singular at the point")
-        return LinearSubspace.from_equations([g], self.size)
+        return nullspace((g,))
 
     def __eq__(self, other):
         if not isinstance(other, QuadForm):
@@ -374,81 +349,10 @@ class CoordChange:
     def from_ambient(self, x) -> Vec:
         return mat_vec(self.inverse_matrix(), x)
 
-    def then(self, outer) -> "CoordChange":
-        """First apply self's substitution, then outer's: x = M_outer M_self u."""
-        inv = None
-        if self._inverse is not None and outer._inverse is not None:
-            inv = mat_mul(self._inverse, outer._inverse)
-        return CoordChange(mat_mul(outer.matrix, self.matrix), inv)
-
     def __eq__(self, other):
         if not isinstance(other, CoordChange):
             return NotImplemented
         return mat_eq(self.matrix, other.matrix)
-
-
-class LinearSubspace:
-    """A linear subspace, stored as a spanning basis and/or equations."""
-
-    __slots__ = ("ambient", "_span", "_eqs")
-
-    def __init__(self, ambient, span=None, eqs=None):
-        self.ambient = ambient
-        self._span = span
-        self._eqs = eqs
-
-    @classmethod
-    def from_span(cls, vectors, ambient=None):
-        vs = [v.coords if isinstance(v, ProjPoint) else vec(v) for v in vectors]
-        if ambient is None:
-            if not vs:
-                raise TowerError("empty span needs an explicit ambient size")
-            ambient = len(vs[0])
-        red, _ = rref(vs) if vs else ((), [])
-        return cls(ambient, span=tuple(red))
-
-    @classmethod
-    def from_equations(cls, forms, ambient=None):
-        fs = [vec(f) for f in forms]
-        if ambient is None:
-            if not fs:
-                raise TowerError("no equations needs an explicit ambient size")
-            ambient = len(fs[0])
-        red, _ = rref(fs) if fs else ((), [])
-        return cls(ambient, eqs=tuple(red))
-
-    @classmethod
-    def full(cls, ambient):
-        return cls(ambient, span=identity_mat(ambient), eqs=())
-
-    def span_basis(self) -> tuple:
-        if self._span is None:
-            self._span = nullspace(self._eqs) if self._eqs else identity_mat(self.ambient)
-        return self._span
-
-    def equations(self) -> tuple:
-        if self._eqs is None:
-            self._eqs = nullspace(self.span_basis()) if self.span_basis() else \
-                identity_mat(self.ambient)
-        return self._eqs
-
-    def linear_dim(self) -> int:
-        return len(self.span_basis())
-
-    def proj_dim(self) -> int:
-        return self.linear_dim() - 1
-
-    def contains(self, x) -> bool:
-        v = x.coords if isinstance(x, ProjPoint) else vec(x)
-        return all(dot(f, v).is_zero() for f in self.equations())
-
-    def intersect(self, other) -> "LinearSubspace":
-        eqs = list(self.equations()) + list(other.equations())
-        return LinearSubspace.from_equations(eqs, self.ambient)
-
-    def __repr__(self):
-        return "LinearSubspace(ambient=%d, dim=%d)" % (
-            self.ambient, self.linear_dim())
 
 
 def congruent_diagonalize(q: QuadForm):
@@ -516,12 +420,6 @@ def congruent_diagonalize(q: QuadForm):
     return change, tuple(diag[i] for i in order)
 
 
-def max_linear_on_quadric(n: int, r: int) -> int:
-    """Largest projective dimension of a linear space inside a rank-r
-    quadric in P^n."""
-    return n - (r + 1) // 2
-
-
 def _random_combo(basis, rng, bound):
     while True:
         cs = [rng.randint(-bound, bound) for _ in basis]
@@ -534,24 +432,64 @@ def _random_combo(basis, rng, bound):
                 return v
 
 
-def point_on_quadric(q: QuadForm, subspace=None, rng=None, tower=None,
+def roots_on_line(form: QuadForm, z, w, tower, extend=True):
+    """Points where the form vanishes on the line through z and w, as
+    coordinate tuples; may extend the tower by one radicand.  With
+    extend=False an adjunction is never paid and the list may be empty."""
+    fz = form(z)
+    fzw = form.bilinear(z, w)
+    fw = form(w)
+    zc = z.coords if isinstance(z, ProjPoint) else vec(z)
+    wc = w.coords if isinstance(w, ProjPoint) else vec(w)
+    if fz.is_zero() and fzw.is_zero() and fw.is_zero():
+        return [zc, wc, vec_add(zc, wc)], tower
+    if fz.is_zero():
+        out = [zc]
+        if not fzw.is_zero():
+            # f(s z + t w) = t (2 s fzw + t fw); second root
+            out.append(vec_add(vec_scale(zc, fw), vec_scale(wc, -2 * fzw)))
+        return out, tower
+    if fw.is_zero():
+        out = [wc]
+        if not fzw.is_zero():
+            out.append(vec_add(vec_scale(wc, fz), vec_scale(zc, -2 * fzw)))
+        return out, tower
+    disc = fzw * fzw - fz * fw
+    root = sqrt_if_present(tower, disc)
+    if root is None:
+        if not extend:
+            return [], tower
+        try:
+            tower = tower.extend(disc)
+        except TowerLimitError:
+            return [], tower
+        root = tower.generator(tower.height)
+    inv = 1 / fz
+    out = []
+    for r in (root, -root):
+        s = (-fzw + r) * inv
+        out.append(vec_add(vec_scale(zc, s), wc))
+    return out, tower
+
+
+def point_on_quadric(q: QuadForm, basis=None, rng=None, tower=None,
                      predicate=None, retry_limit=64):
-    """A point of V(q) inside the subspace, found by seeded random line
-    sections.  Returns (ProjPoint, tower).
+    """A point of V(q) inside the span of basis (default: everywhere),
+    found by seeded random line sections.  Returns (ProjPoint, tower).
 
-    Each attempt draws a random line in the subspace, solves the restricted
-    quadratic exactly, and offers the roots to the predicate.  Attempts
-    whose discriminant is already a square in the tower are free; paying an
-    adjunction happens on a child tower, so the returned tower carries at
-    most one new radicand (the one used by the returned point).
+    Each attempt draws a random line in the span, solves the restricted
+    quadratic exactly, and offers the roots to the predicate.  Early
+    attempts hold out for a discriminant that is already a square in the
+    tower; paying an adjunction happens on a child tower, so the returned
+    tower carries at most one new radicand (the one used by the returned
+    point).
     """
-    from .tower import Tower, sqrt_if_present
-
     if rng is None:
         rng = random.Random(0)
     if tower is None:
         tower = Tower.rationals()
-    basis = subspace.span_basis() if subspace is not None else identity_mat(q.size)
+    if basis is None:
+        basis = identity_mat(q.size)
     if not basis:
         raise RetryLimitError("empty subspace has no points")
 
@@ -575,38 +513,8 @@ def point_on_quadric(q: QuadForm, subspace=None, rng=None, tower=None,
         bound = 10 + 5 * (attempt // 8)
         u = _random_combo(basis, rng, bound)
         v = _random_combo(basis, rng, bound)
-        fu = q(u)
-        fuv = dot(u, mat_vec(q.matrix, v))
-        fv = q(v)
-        candidates = []
-        work = tower
-        if fu.is_zero() and fuv.is_zero() and fv.is_zero():
-            # the whole line is on the quadric
-            candidates = [u, v, vec_add(u, v)]
-        elif fu.is_zero():
-            candidates = [u]
-            if not fuv.is_zero():
-                # f(su + tv) = t (2 s fuv + t fv); second root
-                candidates.append(vec_add(vec_scale(u, fv), vec_scale(v, -2 * fuv)))
-        elif fv.is_zero():
-            candidates = [v]
-            if not fuv.is_zero():
-                candidates.append(vec_add(vec_scale(v, fu), vec_scale(u, -2 * fuv)))
-        else:
-            disc = fuv * fuv - fu * fv
-            root = sqrt_if_present(tower, disc)
-            if root is None:
-                if 2 * (attempt + 1) <= retry_limit:
-                    continue  # early attempts hold out for a square disc
-                try:
-                    work = tower.extend(disc)
-                except TowerLimitError:
-                    continue  # keep hunting for adjunction-free lines
-                root = work.generator(work.height)
-            inv = 1 / fu
-            for r in (root, -root):
-                s = (-fuv + r) * inv
-                candidates.append(vec_add(vec_scale(u, s), v))
+        candidates, work = roots_on_line(
+            q, u, v, tower, extend=2 * (attempt + 1) > retry_limit)
         for cand in candidates:
             got = offer(cand, work)
             if got:

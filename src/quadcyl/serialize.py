@@ -17,8 +17,8 @@ import json
 
 from .errors import InputFormatError, TowerError
 from .navigate import MovePath, MoveStep
-from .pencils import Line, LineChart, Pencil, XPath, XSegment
-from .projective import LinearSubspace, ProjPoint, QuadForm, mat_eq, vec
+from .pencils import Line, Pencil, XPath, XSegment
+from .projective import ProjPoint, QuadForm, vec
 from .tower import (
     DEFAULT_TOWER_LIMIT, Tower, scalar_from_obj, scalar_to_obj,
     tower_from_obj, tower_to_obj,
@@ -92,7 +92,7 @@ def _point_from_obj(objs, tower, size, what) -> ProjPoint:
         raise InputFormatError("%s is the zero vector" % what) from None
 
 
-def _matrix_to_flat(rows) -> list:
+def matrix_to_flat(rows) -> list:
     return [scalar_to_obj(c) for row in rows for c in row]
 
 
@@ -105,7 +105,7 @@ def _matrix_from_flat(objs, tower, size, what):
 
 
 # ---------------------------------------------------------------------------
-# forms, points, subspaces
+# forms and points
 
 
 def form_to_obj(form: QuadForm, tower: Tower) -> dict:
@@ -113,7 +113,7 @@ def form_to_obj(form: QuadForm, tower: Tower) -> dict:
         "kind": "form",
         "size": form.size,
         "radicands": tower_to_obj(tower),
-        "matrix": _matrix_to_flat(form.matrix),
+        "matrix": matrix_to_flat(form.matrix),
     }
 
 
@@ -150,46 +150,6 @@ def point_from_obj(obj, base: Tower | None = None,
     return pt, tower
 
 
-def subspace_to_obj(sub: LinearSubspace, tower: Tower,
-                    style: str = "span") -> dict:
-    obj = {
-        "kind": "subspace",
-        "size": sub.ambient,
-        "radicands": tower_to_obj(tower),
-    }
-    if style == "span":
-        obj["span"] = [_coords_to_obj(v) for v in sub.span_basis()]
-    elif style == "equations":
-        obj["equations"] = [_coords_to_obj(v) for v in sub.equations()]
-    else:
-        raise InputFormatError("subspace style must be span or equations")
-    return obj
-
-
-def subspace_from_obj(obj, base: Tower | None = None,
-                      limit: int = DEFAULT_TOWER_LIMIT):
-    _check_kind(obj, "subspace")
-    size = _size_of(obj, "subspace")
-    tower = _tower_of(obj, "subspace", base, limit)
-    has_span = "span" in obj
-    has_eqs = "equations" in obj
-    if has_span == has_eqs:
-        raise InputFormatError(
-            "subspace needs exactly one of span or equations")
-    rows = obj["span"] if has_span else obj["equations"]
-    if not isinstance(rows, list) or not rows:
-        raise InputFormatError("subspace block must be a nonempty list")
-    vecs = []
-    for r in rows:
-        v = _coords_from_obj(r, tower, "subspace row")
-        if len(v) != size:
-            raise InputFormatError("subspace row has the wrong length")
-        vecs.append(v)
-    if has_span:
-        return LinearSubspace.from_span(vecs, size), tower
-    return LinearSubspace.from_equations(vecs, size), tower
-
-
 # ---------------------------------------------------------------------------
 # pencils and lines
 
@@ -199,8 +159,8 @@ def pencil_to_obj(p: Pencil, tower: Tower) -> dict:
         "kind": "pencil",
         "size": p.size,
         "radicands": tower_to_obj(tower),
-        "beta": _matrix_to_flat(p.beta.matrix),
-        "gamma": _matrix_to_flat(p.gamma.matrix),
+        "beta": matrix_to_flat(p.beta.matrix),
+        "gamma": matrix_to_flat(p.gamma.matrix),
     }
 
 
@@ -256,7 +216,7 @@ _PROBLEMS = ("complement", "quadric")
 def _descriptor_to_obj(desc: dict) -> dict:
     out = dict(desc)
     rows = desc["matrix"]
-    out["matrix"] = _matrix_to_flat(rows)
+    out["matrix"] = matrix_to_flat(rows)
     out["size"] = len(rows)
     return out
 
@@ -294,22 +254,22 @@ def _step_from_obj(obj, tower, size) -> MoveStep:
                     tuple(scalar_from_obj(c, tower) for c in target), exit_p)
 
 
-def path_to_obj(path: MovePath) -> dict:
+def _header_to_obj(path, problem: str, size: int) -> dict:
+    """The fields every certificate shares; path is a MovePath or XPath."""
     return {
         "kind": "certificate",
         "version": FORMAT_VERSION,
-        "problem": path.problem,
-        "size": path.form.size,
+        "problem": problem,
+        "size": size,
         "radicands": tower_to_obj(path.tower),
         "seed": path.seed,
-        "form": _matrix_to_flat(path.form.matrix),
         "from": _point_to_obj(path.start),
         "to": _point_to_obj(path.end),
-        "steps": [_step_to_obj(s) for s in path.steps],
     }
 
 
-def _cert_header(obj, problems):
+def _header_from_obj(obj, problems, base, limit):
+    """(problem, size, tower, seed, start, end) of a certificate."""
     _check_kind(obj, "certificate")
     version = _require(obj, "version", "certificate")
     if version != FORMAT_VERSION:
@@ -318,7 +278,30 @@ def _cert_header(obj, problems):
     problem = _require(obj, "problem", "certificate")
     if problem not in problems:
         raise InputFormatError("unknown problem kind %r" % problem)
-    return problem, _size_of(obj, "certificate")
+    size = _size_of(obj, "certificate")
+    tower = _tower_of(obj, "certificate", base, limit)
+    seed = obj.get("seed")
+    if seed is not None and not isinstance(seed, int):
+        raise InputFormatError("certificate seed must be an integer")
+    start = _point_from_obj(_require(obj, "from", "certificate"),
+                            tower, size, "start point")
+    end = _point_from_obj(_require(obj, "to", "certificate"),
+                          tower, size, "end point")
+    return problem, size, tower, seed, start, end
+
+
+def _list_of(obj, key):
+    items = _require(obj, key, "certificate")
+    if not isinstance(items, list):
+        raise InputFormatError("certificate %s must be a list" % key)
+    return items
+
+
+def path_to_obj(path: MovePath) -> dict:
+    obj = _header_to_obj(path, path.problem, path.form.size)
+    obj["form"] = matrix_to_flat(path.form.matrix)
+    obj["steps"] = [_step_to_obj(s) for s in path.steps]
+    return obj
 
 
 def path_from_obj(obj, base: Tower | None = None,
@@ -327,41 +310,30 @@ def path_from_obj(obj, base: Tower | None = None,
     tower named by the radicand header, which must extend base when one is
     given; nothing about the moves themselves is checked here, that is
     verify_path's job."""
-    problem, size = _cert_header(obj, _PROBLEMS)
-    tower = _tower_of(obj, "certificate", base, limit)
+    problem, size, tower, seed, start, end = _header_from_obj(
+        obj, _PROBLEMS, base, limit)
     rows = _matrix_from_flat(_require(obj, "form", "certificate"),
                              tower, size, "certificate form")
     try:
         form = QuadForm(rows)
     except TowerError as exc:
         raise InputFormatError("bad certificate form: %s" % exc) from None
-    start = _point_from_obj(_require(obj, "from", "certificate"),
-                            tower, size, "start point")
-    end = _point_from_obj(_require(obj, "to", "certificate"),
-                          tower, size, "end point")
-    steps = _require(obj, "steps", "certificate")
-    if not isinstance(steps, list):
-        raise InputFormatError("certificate steps must be a list")
-    seed = obj.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise InputFormatError("certificate seed must be an integer")
-    parsed = tuple(_step_from_obj(s, tower, size) for s in steps)
-    return MovePath(problem, form, start, end, parsed, tower, seed)
+    steps = tuple(_step_from_obj(s, tower, size)
+                  for s in _list_of(obj, "steps"))
+    return MovePath(problem, form, start, end, steps, tower, seed)
 
 
 # ---------------------------------------------------------------------------
-# intersection certificates: the same format plus a chart wrapper per leg
+# intersection certificates: the same header, the pencil, and one line plus
+# an inner complement certificate per leg
 
 
-def _segment_to_obj(seg: XSegment, pencil: Pencil) -> dict:
-    chart = LineChart(pencil, seg.line)
+def _segment_to_obj(seg: XSegment) -> dict:
     return {
         "line": {
             "v1": _coords_to_obj(seg.line.v1),
             "v2": _coords_to_obj(seg.line.v2),
         },
-        "change": _matrix_to_flat(chart.change.matrix),
-        "image": _matrix_to_flat(chart.image.matrix),
         "from": _point_to_obj(seg.start),
         "to": _point_to_obj(seg.end),
         "inner": path_to_obj(seg.inner),
@@ -387,40 +359,21 @@ def _segment_from_obj(obj, tower, size, base, limit) -> XSegment:
     if inner.form.size != size - 2:
         raise InputFormatError("segment inner certificate has size %d, "
                                "expected %d" % (inner.form.size, size - 2))
-    # the wrapper repeats the adapted change and the image quadric so a
-    # reader can audit the file without rebuilding the chart; they must at
-    # least agree with the inner certificate internally
-    _matrix_from_flat(_require(obj, "change", "segment"), tower, size,
-                      "segment change")
-    image = _matrix_from_flat(_require(obj, "image", "segment"), tower,
-                              size - 2, "segment image")
-    if not mat_eq(image, inner.form.matrix):
-        raise InputFormatError(
-            "segment image quadric disagrees with the inner form")
     return XSegment(Line(v1.coords, v2.coords), start, end, inner)
 
 
 def xpath_to_obj(path: XPath) -> dict:
-    return {
-        "kind": "certificate",
-        "version": FORMAT_VERSION,
-        "problem": "ci",
-        "size": path.pencil.size,
-        "radicands": tower_to_obj(path.tower),
-        "seed": path.seed,
-        "beta": _matrix_to_flat(path.pencil.beta.matrix),
-        "gamma": _matrix_to_flat(path.pencil.gamma.matrix),
-        "from": _point_to_obj(path.start),
-        "to": _point_to_obj(path.end),
-        "segments": [_segment_to_obj(s, path.pencil)
-                     for s in path.segments],
-    }
+    obj = _header_to_obj(path, "ci", path.pencil.size)
+    obj["beta"] = matrix_to_flat(path.pencil.beta.matrix)
+    obj["gamma"] = matrix_to_flat(path.pencil.gamma.matrix)
+    obj["segments"] = [_segment_to_obj(s) for s in path.segments]
+    return obj
 
 
 def xpath_from_obj(obj, base: Tower | None = None,
                    limit: int = DEFAULT_TOWER_LIMIT) -> XPath:
-    _, size = _cert_header(obj, ("ci",))
-    tower = _tower_of(obj, "certificate", base, limit)
+    _, size, tower, seed, start, end = _header_from_obj(
+        obj, ("ci",), base, limit)
     b = _matrix_from_flat(_require(obj, "beta", "certificate"),
                           tower, size, "first pencil matrix")
     g = _matrix_from_flat(_require(obj, "gamma", "certificate"),
@@ -429,19 +382,9 @@ def xpath_from_obj(obj, base: Tower | None = None,
         pencil = Pencil(QuadForm(b), QuadForm(g))
     except (TowerError, InputFormatError) as exc:
         raise InputFormatError("bad certificate pencil: %s" % exc) from None
-    start = _point_from_obj(_require(obj, "from", "certificate"),
-                            tower, size, "start point")
-    end = _point_from_obj(_require(obj, "to", "certificate"),
-                          tower, size, "end point")
-    segs = _require(obj, "segments", "certificate")
-    if not isinstance(segs, list):
-        raise InputFormatError("certificate segments must be a list")
-    seed = obj.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise InputFormatError("certificate seed must be an integer")
-    parsed = tuple(_segment_from_obj(s, tower, size, base, limit)
-                   for s in segs)
-    return XPath(pencil, start, end, parsed, tower, seed)
+    segments = tuple(_segment_from_obj(s, tower, size, base, limit)
+                     for s in _list_of(obj, "segments"))
+    return XPath(pencil, start, end, segments, tower, seed)
 
 
 def certificate_from_obj(obj, base: Tower | None = None,

@@ -115,10 +115,6 @@ class TowerScalar:
             return NotImplemented
         return _eq(self, other)
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def __hash__(self):
         if self.level == 0:
             return hash(self.rat)
@@ -465,32 +461,6 @@ def deepest_tower(scalars, base: Tower) -> Tower:
         elif not _chain_compatible(best, tw):
             raise TowerError("scalars belong to unrelated towers")
     return best
-
-
-def arith(x, y, op: str) -> TowerScalar:
-    """Four-function dispatcher; ops are '+', '-', '*', '/'."""
-    a, b = as_scalar(x), as_scalar(y)
-    if op == "+":
-        return _add(a, b)
-    if op == "-":
-        return _add(a, _neg(b))
-    if op == "*":
-        return _mul(a, b)
-    if op == "/":
-        return _div(a, b)
-    raise TowerError("unknown operation %r" % op)
-
-
-def canonicalize(x) -> TowerScalar:
-    """Rebuild a scalar bottom-up through the canonical constructors.
-
-    Public values are always canonical already; this exists so tests can
-    state idempotence and so hand-built trees can be normalized.
-    """
-    s = as_scalar(x)
-    if s.level == 0:
-        return _rational(s.rat)
-    return _node(s.tower, canonicalize(s.a), canonicalize(s.b))
 
 
 def rational_string(q) -> str:

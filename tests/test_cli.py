@@ -6,7 +6,8 @@ import pytest
 
 from quadcyl.cli import main
 from quadcyl.pencils import Line, Pencil
-from quadcyl.projective import ProjPoint, QuadForm, quadform_from_terms, vec
+from quadcyl.projective import ProjPoint, QuadForm, quadform_from_terms, \
+    rank_of, vec
 from quadcyl.serialize import (
     dumps, form_to_obj, line_from_obj, loads, pencil_from_obj,
     pencil_to_obj,
@@ -147,6 +148,35 @@ class TestConnect:
                    "--tower-limit", 0) == 4
 
 
+class TestDashLeadingValues:
+    """Values such as "-3/2,1,0,1" may follow their flag as a separate
+    argument, not only as --flag=value."""
+
+    def test_connect_from_and_to(self, docs, tmp_path):
+        a, b = tmp_path / "a.cert", tmp_path / "b.cert"
+        assert run("connect", "complement", "--form", docs / "split.qf",
+                   "--from", "-3/2,1,0,1", "--to", "-1,3,1,5",
+                   "--out", a) == 0
+        assert run("connect", "complement", "--form", docs / "split.qf",
+                   "--from=-3/2,1,0,1", "--to=-1,3,1,5", "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert run("verify", a, "--form", docs / "split.qf",
+                   "--out", tmp_path / "v.json") == 0
+
+    def test_normalize_point(self, docs, tmp_path):
+        assert run("normalize", "--ctsq", "--point", "-1,1,1",
+                   docs / "conic.qf", "--out", tmp_path / "f.json") == 0
+
+    def test_find_line_point(self, docs, tmp_path):
+        assert run("find-line", "--pencil", docs / "hex.pf",
+                   "--point", "-1,0,0,0,0,0",
+                   "--out", tmp_path / "l.lf") == 0
+
+    def test_eacx_lambdas(self, tmp_path):
+        assert run("eacx-build", "--lambdas", "-1,0,1,2,3,4",
+                   "--out", tmp_path / "p.pf") == 0
+
+
 class TestVerify:
 
     def make_cert(self, docs, tmp_path):
@@ -246,7 +276,7 @@ class TestAuditAndBuilders:
         assert run("find-line", "--pencil", docs / "hex.pf",
                    "--point", "1,0,0,0,0,0", "--out", out) == 0
         raw, _ = line_from_obj(loads(out.read_text()))
-        assert raw.contains(ProjPoint(vec([1, 0, 0, 0, 0, 0])))
+        assert rank_of((raw.v1, raw.v2, vec([1, 0, 0, 0, 0, 0]))) == 2
 
     def test_find_line_deterministic(self, docs, tmp_path):
         a, b = tmp_path / "a.lf", tmp_path / "b.lf"

@@ -19,7 +19,6 @@ from quadcyl.navigate import (
     MoveStep,
     connect_complement,
     connect_on_quadric,
-    expand_to_unipotent_steps,
     verify_path,
 )
 from quadcyl.projective import ProjPoint, QuadForm, proj, quadform_from_terms
@@ -187,37 +186,6 @@ class TestConnectOnQuadric:
                                       seed=rng.randint(0, 99))
             rep = verify_path(q, path)
             assert rep.valid, rep.reason
-
-
-class TestExpand:
-    def test_one_coordinate_per_step(self):
-        q, bundle, tw = complement_setup(4, 2, False)
-        path = connect_complement(q, proj([1, 4, 0, 0]), proj([1, 1, 0, 0]),
-                                  tower=tw, bundle=bundle)
-        flat = expand_to_unipotent_steps(q, path)
-        rep = verify_path(q, flat)
-        assert rep.valid, rep.reason
-        cache = {}
-        from quadcyl.navigate import _chart_cached
-        for step in flat.steps:
-            chart = _chart_cached(q, step.chart, cache)
-            _, tv = chart.forward(step.entry)
-            changed = sum(1 for a, b in zip(tv, step.target) if a != b)
-            assert changed == 1
-
-    def test_length_counts_changed_coordinates(self):
-        q, bundle, tw = complement_setup(4, 2, False)
-        path = connect_complement(q, proj([1, 4, 0, 0]), proj([1, 1, 0, 0]),
-                                  tower=tw, bundle=bundle)
-        cache = {}
-        from quadcyl.navigate import _chart_cached
-        expect = 0
-        for step in path.steps:
-            chart = _chart_cached(q, step.chart, cache)
-            _, tv = chart.forward(step.entry)
-            expect += sum(1 for a, b in zip(tv, step.target) if a != b)
-        flat = expand_to_unipotent_steps(q, path)
-        assert len(flat.steps) == expect
 
 
 class TestVerifyRejections:

@@ -13,9 +13,7 @@ from quadcyl.errors import (
 )
 from quadcyl.tower import (
     Tower,
-    arith,
     as_scalar,
-    canonicalize,
     parse_rational,
     scalar,
     scalar_from_obj,
@@ -142,6 +140,15 @@ class TestTowerStructure:
         with pytest.raises(ZeroDivisorError):
             1 / x
 
+    @pytest.mark.xfail(strict=True, reason="square detection is shallow: "
+                       "it misses squares that are not rational multiples "
+                       "of a radicand, so try_sqrt can build zero divisors")
+    def test_nested_square_found(self):
+        # 3 + 2*sqrt2 = (1 + sqrt2)^2 already has a root in Q(sqrt2)
+        s, tw = sqrt2_setup()
+        root = sqrt_if_present(tw, 3 + 2 * s)
+        assert root in (1 + s, -1 - s)
+
     def test_division_by_zero(self):
         s, _ = sqrt2_setup()
         with pytest.raises(ZeroDivisionError):
@@ -155,12 +162,6 @@ class TestParsing:
         for bad in ("2/4", "1/-2", "1/0", "0.5", "a", "1/2/3"):
             with pytest.raises(InputFormatError):
                 parse_rational(bad)
-
-    def test_arith_dispatcher(self):
-        assert arith("1/2", "1/3", "+") == scalar(Fraction(5, 6))
-        assert arith(2, 3, "*") == 6
-        assert arith(1, 3, "/") == scalar(Fraction(1, 3))
-        assert arith(1, 3, "-") == -2
 
 
 class TestSerialization:
@@ -235,14 +236,6 @@ def test_field_inverse(xv):
     x, _ = xv
     if not x.is_zero():
         assert x * (1 / x) == 1
-
-
-@given(tower_values())
-def test_canonicalize_idempotent(xv):
-    x, _ = xv
-    c = canonicalize(x)
-    assert c == x
-    assert canonicalize(c) == c
 
 
 @given(tower_values())
