@@ -7,7 +7,8 @@ byte-identical output files.
 
 Exit codes: 0 everything valid, 1 a verification or audit failure,
 2 unusable input, 3 a search ran out of retries, 4 a tower would grow
-past its height limit.
+past its height limit, 5 an internal error (a defect of quadcyl, not of
+the input).
 """
 
 import argparse
@@ -33,6 +34,7 @@ EXIT_INVALID = 1
 EXIT_INPUT = 2
 EXIT_SEARCH = 3
 EXIT_TOWER = 4
+EXIT_INTERNAL = 5
 
 
 class SystemExitCode(Exception):
@@ -146,7 +148,7 @@ def cmd_connect(args) -> int:
                           seed=args.seed, retry_limit=args.retry_limit)
         _emit(args, ser.dumps(ser.xpath_to_obj(xp)))
         _note("segments: %d, steps: %d" % (
-            len(xp.segments), sum(len(s.inner.steps) for s in xp.segments)))
+            len(xp.segments), sum(len(s.steps) for s in xp.segments)))
         _note(_radicand_note(xp.tower))
         return EXIT_VALID
     if args.form is None:
@@ -226,9 +228,9 @@ def _verify_star(payload):
 
 def cmd_audit(args) -> int:
     limit = args.tower_limit
-    pencil, tower = _load_pencil(args.pencil, limit)
+    pencil, pencil_tower = _load_pencil(args.pencil, limit)
     smooth = pencil_smoothness(pencil)
-    raw, tower = ser.line_from_obj(_read_doc(args.line), base=tower,
+    raw, tower = ser.line_from_obj(_read_doc(args.line), base=pencil_tower,
                                    limit=limit)
     line = Line.through(pencil, raw.v1, raw.v2)
     chart = chart_from_line(pencil, line)
@@ -252,6 +254,7 @@ def cmd_audit(args) -> int:
               and 3 <= chart.image.rank() <= 4)
     obj = {
         "kind": "audit-report",
+        "radicands": tower_to_obj(pencil_tower),
         "smooth": smooth.smooth,
         "smoothness": smooth.to_obj(),
         "image_rank": chart.image.rank(),
@@ -391,6 +394,9 @@ def main(argv=None) -> int:
     except (QuadcylError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print("error: internal error: %r" % (exc,), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

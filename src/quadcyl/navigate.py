@@ -33,7 +33,7 @@ from .charts import Chart, ChartBundle, build_complement_charts, \
     chart_from_descriptor, quadric_chart
 from .projective import ProjPoint, QuadForm, mat_eq, point_on_quadric
 from .tower import Tower, ZERO, as_scalar, deepest_tower, scalar_to_obj, \
-    sqrt_if_present, try_sqrt
+    sqrt_if_present, tower_to_obj, try_sqrt
 
 
 @dataclass(frozen=True)
@@ -338,8 +338,11 @@ def _descriptor_key(desc: dict) -> str:
     return json.dumps(enc(desc), sort_keys=True)
 
 
-def _chart_cached(form: QuadForm, desc: dict, cache: dict) -> Chart:
-    key = _descriptor_key(desc)
+def _chart_cached(form: QuadForm, desc: dict, cache: dict,
+                  radicands: str) -> Chart:
+    # scalars name their radicand only by level, so the key carries the
+    # radicands too: one cache may serve paths over different towers
+    key = (radicands, _descriptor_key(desc))
     chart = cache.get(key)
     if chart is None:
         chart = chart_from_descriptor(form, desc)
@@ -374,12 +377,13 @@ def verify_path(form: QuadForm, path: MovePath, cache=None) -> VerifyReport:
         return VerifyReport(True, None, None, 0, path.problem, rc)
     if cache is None:
         cache = {}
+    radicands = json.dumps(tower_to_obj(path.tower) if path.tower else [])
     cur = path.start
     for k, step in enumerate(path.steps):
         if step.entry != cur:
             return bad("chain break at step %d" % k, k)
         try:
-            chart = _chart_cached(form, step.chart, cache)
+            chart = _chart_cached(form, step.chart, cache, radicands)
         except InputFormatError as exc:
             return bad("invalid chart descriptor at step %d: %s" % (k, exc), k)
         if chart.on_quadric != on_q:

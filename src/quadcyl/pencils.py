@@ -9,9 +9,10 @@ degeneracy form).  Off that locus the projection restricts to an exact
 isomorphism onto the complement of the image quadric, which lets the
 complement connector run inside X.
 
-The certificates produced here wrap an inner complement certificate
-together with the line; verification rebuilds the whole chart from the
-line and the pencil file alone.
+A certificate produced here holds, per segment, the line and the fiber
+moves made in the complement of its image quadric.  Verification rebuilds
+the chart, the image quadric and the projected endpoints from the line and
+the pencil file alone, and lifts each segment's last move back to X.
 """
 
 from __future__ import annotations
@@ -595,12 +596,11 @@ def find_line(pencil: Pencil, rng=None, tower=None, retry_limit=64):
 
 @dataclass(frozen=True)
 class XSegment:
-    """One leg of an intersection certificate: a line chart and an inner
-    complement certificate between the projected endpoints."""
+    """One leg of an intersection certificate: a line inside X and the
+    complement fiber moves, in the image of its chart, from the projection
+    of the leg's start to the projection of its end."""
     line: Line
-    start: ProjPoint
-    end: ProjPoint
-    inner: MovePath
+    steps: tuple
 
 
 @dataclass
@@ -636,9 +636,9 @@ def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, seed=None,
         return XPath(pencil, p, q, (), tower, seed)
 
     def segment(chart, a, b, tw):
-        ia, ib = chart.forward(a), chart.forward(b)
-        inner = connect_complement(chart.image, ia, ib, tower=tw)
-        return XSegment(chart.line, a, b, inner), inner.tower
+        inner = connect_complement(chart.image, chart.forward(a),
+                                   chart.forward(b), tower=tw)
+        return XSegment(chart.line, inner.steps), inner.tower
 
     tried = 0
     half_charts = []  # charts good for exactly one endpoint
@@ -711,10 +711,10 @@ def _midpoint_for(pencil, c1, c2, p, q, rng):
 
 
 def verify_on_X(pencil: Pencil, path: XPath) -> VerifyReport:
-    """Replay an intersection certificate.  Rebuilds every line chart from
-    the pencil and the stored line alone, checks the projection of the
-    segment endpoints both ways, and verifies the inner certificates
-    against the recomputed image quadrics."""
+    """Replay an intersection certificate.  Each segment rebuilds its line
+    chart from the pencil and the stored line alone, projects the current
+    point, replays the moves against the recomputed image quadric, and
+    lifts the last exit back to X, where the next segment starts."""
 
     rc = path.tower.height
 
@@ -735,8 +735,6 @@ def verify_on_X(pencil: Pencil, path: XPath) -> VerifyReport:
         return VerifyReport(True, None, None, 0, "ci", rc)
     cur = path.start
     for k, seg in enumerate(path.segments):
-        if seg.start != cur:
-            return bad("chain break at segment %d" % k, k)
         try:
             line = Line.through(pencil, seg.line.v1, seg.line.v2)
         except (InputFormatError, LineNotInXError) as exc:
@@ -745,30 +743,23 @@ def verify_on_X(pencil: Pencil, path: XPath) -> VerifyReport:
             chart = chart_from_line(pencil, line)
         except RankTooLowError as exc:
             return bad("bad chart at segment %d: %s" % (k, exc), k)
-        dform = chart.degeneracy_form()
-        for which, pt in (("start", seg.start), ("end", seg.end)):
-            if dform(pt).is_zero():
-                return bad("segment %d %s point is on the degeneracy locus"
-                           % (k, which), k)
-        if seg.inner.problem != "complement":
-            return bad("inner certificate has the wrong kind at segment %d"
-                       % k, k)
-        if not mat_eq(seg.inner.form.matrix, chart.image.matrix):
-            return bad("inner form mismatch at segment %d" % k, k)
+        if not seg.steps:
+            return bad("segment %d has no steps" % k, k)
+        exit_p = seg.steps[-1].exit
         try:
-            fs, fe = chart.forward(seg.start), chart.forward(seg.end)
-        except OutOfDomainError:
-            return bad("segment %d endpoint lies on the line" % k, k)
-        if fs != seg.inner.start or fe != seg.inner.end:
-            return bad("segment %d endpoints do not project to the inner "
-                       "path" % k, k)
-        if chart.inverse(fs) != seg.start or chart.inverse(fe) != seg.end:
-            return bad("segment %d endpoints do not lift back" % k, k)
-        inner_rep = verify_path(chart.image, seg.inner)
+            fs = chart.forward(cur)
+            lifts_back = chart.inverse(fs) == cur
+            cur = chart.inverse(exit_p)
+        except OutOfDomainError as exc:
+            return bad("segment %d leaves the line chart: %s" % (k, exc), k)
+        if not lifts_back:
+            return bad("segment %d start does not lift back" % k, k)
+        inner = MovePath("complement", chart.image, fs, exit_p, seg.steps,
+                         path.tower)
+        inner_rep = verify_path(chart.image, inner)
         if not inner_rep.valid:
             return bad("segment %d inner certificate: %s"
                        % (k, inner_rep.reason), k)
-        cur = seg.end
     if cur != path.end:
         return bad("path does not reach the stated endpoint",
                    len(path.segments) - 1)

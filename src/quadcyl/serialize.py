@@ -1,8 +1,10 @@
 """Text formats for forms, points, lines, pencils, and certificates.
 
 Everything is UTF-8 JSON built from exact scalar serializations: rationals
-as "p/q" strings, extension elements as nested {a, b, rad} objects, and a
-radicand list in adjunction order as the context header of every document.
+as "p/q" strings, extension elements a + b*sqrt(d_k) as nested
+{"a", "b", "level": k} objects, and a radicand list d_1, ..., d_h in
+adjunction order as the context header of every document; a node names
+its radicand only by its level in that list.
 Writers emit canonical text (sorted keys, fixed indentation) so identical
 inputs give byte-identical files; parsers reject anything that would not
 round-trip, which is what makes certificates auditable by diff.
@@ -24,7 +26,7 @@ from .tower import (
     tower_from_obj, tower_to_obj,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def dumps(obj) -> str:
@@ -37,6 +39,8 @@ def loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError("not valid JSON: %s" % exc) from None
+    except RecursionError:
+        raise InputFormatError("document is nested too deeply") from None
 
 
 def _require(obj, key, kind):
@@ -179,14 +183,21 @@ def pencil_from_obj(obj, base: Tower | None = None,
         raise InputFormatError("bad pencil: %s" % exc) from None
 
 
+def _span_to_obj(line: Line) -> dict:
+    return {"v1": _coords_to_obj(line.v1), "v2": _coords_to_obj(line.v2)}
+
+
+def _span_from_obj(obj, tower, size, kind) -> Line:
+    v1 = _point_from_obj(_require(obj, "v1", kind), tower, size,
+                         "first spanning point")
+    v2 = _point_from_obj(_require(obj, "v2", kind), tower, size,
+                         "second spanning point")
+    return Line(v1.coords, v2.coords)
+
+
 def line_to_obj(line: Line, tower: Tower) -> dict:
-    return {
-        "kind": "line",
-        "size": len(line.v1),
-        "radicands": tower_to_obj(tower),
-        "v1": _coords_to_obj(line.v1),
-        "v2": _coords_to_obj(line.v2),
-    }
+    return {"kind": "line", "size": len(line.v1),
+            "radicands": tower_to_obj(tower), **_span_to_obj(line)}
 
 
 def line_from_obj(obj, base: Tower | None = None,
@@ -200,11 +211,7 @@ def line_from_obj(obj, base: Tower | None = None,
     _check_kind(obj, "line")
     size = _size_of(obj, "line")
     tower = _tower_of(obj, "line", base, limit)
-    v1 = _point_from_obj(_require(obj, "v1", "line"), tower, size,
-                         "first spanning point")
-    v2 = _point_from_obj(_require(obj, "v2", "line"), tower, size,
-                         "second spanning point")
-    return Line(v1.coords, v2.coords), tower
+    return _span_from_obj(obj, tower, size, "line"), tower
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +281,8 @@ def _header_from_obj(obj, problems, base, limit):
     version = _require(obj, "version", "certificate")
     if version != FORMAT_VERSION:
         raise InputFormatError(
-            "unsupported certificate version %r" % version)
+            "unsupported certificate version %r; this reader takes "
+            "version %d" % (version, FORMAT_VERSION))
     problem = _require(obj, "problem", "certificate")
     if problem not in problems:
         raise InputFormatError("unknown problem kind %r" % problem)
@@ -290,10 +298,10 @@ def _header_from_obj(obj, problems, base, limit):
     return problem, size, tower, seed, start, end
 
 
-def _list_of(obj, key):
-    items = _require(obj, key, "certificate")
+def _list_of(obj, key, kind="certificate"):
+    items = _require(obj, key, kind)
     if not isinstance(items, list):
-        raise InputFormatError("certificate %s must be a list" % key)
+        raise InputFormatError("%s %s must be a list" % (kind, key))
     return items
 
 
@@ -324,42 +332,24 @@ def path_from_obj(obj, base: Tower | None = None,
 
 
 # ---------------------------------------------------------------------------
-# intersection certificates: the same header, the pencil, and one line plus
-# an inner complement certificate per leg
+# intersection certificates: the same header, the pencil, and per segment a
+# line inside X plus the complement steps made in its chart's image, all in
+# the one tower of the certificate
 
 
 def _segment_to_obj(seg: XSegment) -> dict:
-    return {
-        "line": {
-            "v1": _coords_to_obj(seg.line.v1),
-            "v2": _coords_to_obj(seg.line.v2),
-        },
-        "from": _point_to_obj(seg.start),
-        "to": _point_to_obj(seg.end),
-        "inner": path_to_obj(seg.inner),
-    }
+    return {"line": _span_to_obj(seg.line),
+            "steps": [_step_to_obj(s) for s in seg.steps]}
 
 
-def _segment_from_obj(obj, tower, size, base, limit) -> XSegment:
-    if not isinstance(obj, dict):
-        raise InputFormatError("segment must be an object")
-    line_obj = _require(obj, "line", "segment")
-    v1 = _point_from_obj(_require(line_obj, "v1", "segment line"),
-                         tower, size, "first spanning point")
-    v2 = _point_from_obj(_require(line_obj, "v2", "segment line"),
-                         tower, size, "second spanning point")
-    start = _point_from_obj(_require(obj, "from", "segment"), tower, size,
-                            "segment start")
-    end = _point_from_obj(_require(obj, "to", "segment"), tower, size,
-                          "segment end")
-    inner = path_from_obj(_require(obj, "inner", "segment"), base, limit)
-    if inner.problem != "complement":
-        raise InputFormatError("segment inner certificate has kind %r"
-                               % inner.problem)
-    if inner.form.size != size - 2:
-        raise InputFormatError("segment inner certificate has size %d, "
-                               "expected %d" % (inner.form.size, size - 2))
-    return XSegment(Line(v1.coords, v2.coords), start, end, inner)
+def _segment_from_obj(obj, tower, size) -> XSegment:
+    line = _span_from_obj(_require(obj, "line", "segment"), tower, size,
+                          "segment line")
+    steps = _list_of(obj, "steps", "segment")
+    if not steps:
+        raise InputFormatError("segment steps must not be empty")
+    return XSegment(line,
+                    tuple(_step_from_obj(s, tower, size - 2) for s in steps))
 
 
 def xpath_to_obj(path: XPath) -> dict:
@@ -382,7 +372,7 @@ def xpath_from_obj(obj, base: Tower | None = None,
         pencil = Pencil(QuadForm(b), QuadForm(g))
     except (TowerError, InputFormatError) as exc:
         raise InputFormatError("bad certificate pencil: %s" % exc) from None
-    segments = tuple(_segment_from_obj(s, tower, size, base, limit)
+    segments = tuple(_segment_from_obj(s, tower, size)
                      for s in _list_of(obj, "segments"))
     return XPath(pencil, start, end, segments, tower, seed)
 

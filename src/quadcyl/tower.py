@@ -468,41 +468,47 @@ def rational_string(q) -> str:
 
 
 def scalar_to_obj(x):
-    """Serialize: rationals as "p/q" strings, nodes as nested objects with
-    the radicand spelled out so the level is recoverable."""
+    """Serialize: rationals as "p/q" strings, a + b*sqrt(d_k) as
+    {"a": a, "b": b, "level": k}.  The radicand d_k itself is spelled out
+    once, in the radicand header of the document."""
     s = as_scalar(x)
     if s.level == 0:
         return rational_string(s.rat)
-    return {
-        "a": scalar_to_obj(s.a),
-        "b": scalar_to_obj(s.b),
-        "rad": scalar_to_obj(s.tower.radicand),
-    }
+    return {"a": scalar_to_obj(s.a), "b": scalar_to_obj(s.b),
+            "level": s.level}
 
 
-def scalar_from_obj(obj, tower: Tower) -> TowerScalar:
-    """Parse the scalar_to_obj encoding against a tower.  Rejects
-    non-canonical input (zero radical part, unreduced rationals, unknown
-    radicands) so that serialization round-trips are bit-exact."""
+_NODE_KEYS = frozenset(("a", "b", "level"))
+
+
+def scalar_from_obj(obj, tower: Tower, top=None) -> TowerScalar:
+    """Parse the scalar_to_obj encoding against a tower, with node levels
+    at most top (default: the tower height).  Rejects non-canonical input
+    (zero radical part, unreduced rationals, a level outside the tower or
+    not above both children) so that serialization round-trips are
+    bit-exact.  Each level is checked before its children are read, so the
+    recursion is no deeper than the tower."""
     if isinstance(obj, str):
         return parse_rational(obj)
     if not isinstance(obj, dict):
         raise InputFormatError("scalar must be a string or an object")
-    try:
-        a_obj, b_obj, r_obj = obj["a"], obj["b"], obj["rad"]
-    except KeyError as e:
-        raise InputFormatError("scalar object missing key %s" % e) from None
-    a = scalar_from_obj(a_obj, tower)
-    b = scalar_from_obj(b_obj, tower)
+    if obj.keys() != _NODE_KEYS:
+        raise InputFormatError(
+            "scalar object must have exactly the keys a, b, level")
+    level = obj["level"]
+    if not isinstance(level, int) or isinstance(level, bool):
+        raise InputFormatError("scalar level must be an integer")
+    if top is None:
+        top = tower.height
+    if not 1 <= level <= top:
+        raise InputFormatError(
+            "scalar level %d is outside 1..%d: above the tower, or not "
+            "below its parent node" % (level, top))
+    a = scalar_from_obj(obj["a"], tower, level - 1)
+    b = scalar_from_obj(obj["b"], tower, level - 1)
     if b.is_zero():
         raise InputFormatError("non-canonical scalar: zero radical part")
-    rad = scalar_from_obj(r_obj, tower)
-    floor = max(a.level, b.level)
-    for i in range(floor + 1, tower.height + 1):
-        cand = tower.ancestors[i].radicand
-        if rad.level <= i - 1 and _eq(cand, rad):
-            return _node_unchecked(tower.ancestors[i], a, b)
-    raise InputFormatError("radicand not present in the tower: %r" % (r_obj,))
+    return _node_unchecked(tower.ancestors[level], a, b)
 
 
 def tower_to_obj(tower: Tower) -> list:

@@ -208,6 +208,37 @@ class TestVerify:
         assert run("verify", bad, "--form", docs / "split.qf",
                    "--out", tmp_path / "v.json") == 2
 
+    def test_deeply_nested_document_is_input_error(self, docs, tmp_path,
+                                                   capsys):
+        depth = 100000
+        deep = tmp_path / "deep.json"
+        deep.write_text(
+            '{"kind": "point", "size": 4, "radicands": [], "coords": ['
+            + '{"a": ' * depth + '"1/1"' + ', "b": "1/1", "level": 1}' * depth
+            + ', "0/1", "0/1", "0/1"]}')
+        capsys.readouterr()
+        assert run("verify", deep, "--form", docs / "split.qf",
+                   "--out", tmp_path / "v.json") == 2
+        assert run("connect", "complement", "--form", docs / "split.qf",
+                   "--from", "@%s" % deep, "--to", "1,1,0,0") == 2
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
+
+    def test_unexpected_exception_is_internal_error(self, docs, tmp_path,
+                                                    capsys, monkeypatch):
+        import quadcyl.cli as cli
+
+        def broken(args):
+            raise RuntimeError("simulated\ndefect")
+        monkeypatch.setattr(cli, "cmd_verify", broken)
+        cert = self.make_cert(docs, tmp_path)
+        capsys.readouterr()
+        assert run("verify", cert, "--form", docs / "split.qf") == 5
+        err = capsys.readouterr().err
+        assert err == \
+            "error: internal error: RuntimeError('simulated\\ndefect')\n"
+
     def test_parallel_matches_serial(self, docs, tmp_path):
         cert = self.make_cert(docs, tmp_path)
         one, two = tmp_path / "one.json", tmp_path / "two.json"
@@ -243,6 +274,27 @@ class TestAuditAndBuilders:
         assert obj["image_rank"] in (3, 4)
         assert obj["degrees"]["total_degree"] == 3
         assert obj["round_trip_failures"] == 0
+
+    def test_audit_discriminant_readable(self, tmp_path):
+        # the discriminant of a pencil over Q(sqrt 2) names level 1, so the
+        # report carries the pencil's radicands to read it against
+        from quadcyl.pencils import eacx_build, pencil_smoothness
+        from quadcyl.tower import tower_from_obj
+        tw = Tower.rationals().extend(as_scalar(2))
+        pencil = eacx_build([0, 1, 2, 3, 4, tw.generator(1)])
+        pf, line = tmp_path / "r2.pf", tmp_path / "r2.lf"
+        pf.write_text(dumps(pencil_to_obj(pencil, tw)))
+        assert run("find-line", "--pencil", pf, "--out", line) == 0
+        out = tmp_path / "audit.json"
+        assert run("audit", "--pencil", pf, "--line", line,
+                   "--out", out) == 0
+        obj = loads(out.read_text())
+        assert obj["radicands"] == ["2/1"]
+        rtw = tower_from_obj(obj["radicands"])
+        disc = [scalar_from_obj(c, rtw)
+                for c in obj["smoothness"]["discriminant"]]
+        assert disc == pencil_smoothness(pencil).discriminant
+        assert any(not c.is_rational() for c in disc)
 
     def test_eacx_duplicate_is_input_error(self, tmp_path, capsys):
         assert run("eacx-build", "--lambdas", "0,1,1,3,4,5") == 2

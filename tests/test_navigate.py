@@ -253,3 +253,24 @@ class TestVerifyRejections:
                        path.steps, path.tower)
         rep = verify_path(q, bad)
         assert not rep.valid
+
+
+class TestChartCache:
+    def test_shared_cache_tells_radicands_apart(self):
+        # x^2 + y^2 + z^2 needs sqrt(-1) in its chart matrices; reading the
+        # same certificate with sqrt(-2) at level 1 changes every level-1
+        # scalar, and a shared cache must not hand it the first charts
+        from quadcyl.serialize import path_from_obj, path_to_obj
+        q = quadform_from_terms(3, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
+        path = connect_complement(q, proj([1, 0, 0]), proj([0, 1, 2]))
+        obj = path_to_obj(path)
+        assert obj["radicands"][0] == "-1/1"
+        assert any(isinstance(c, dict)
+                   for step in obj["steps"] for c in step["chart"]["matrix"])
+        original = path_from_obj(obj)
+        obj["radicands"][0] = "-2/1"
+        variant = path_from_obj(obj)
+        fresh = verify_path(q, variant)
+        cache = {}
+        assert verify_path(q, original, cache).valid
+        assert verify_path(q, variant, cache) == fresh

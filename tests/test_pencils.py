@@ -427,23 +427,25 @@ class TestVerifyOnX:
         import dataclasses
         p, path = self.make_path()
         seg = path.segments[0]
-        other = proj((0, 0, 1, 0, 0, 0))
-        bad_seg = dataclasses.replace(seg, start=other)
+        other = proj((0, 0, 1, 0))
+        assert seg.steps[0].entry != other
+        bad_step = dataclasses.replace(seg.steps[0], entry=other)
+        bad_seg = dataclasses.replace(seg, steps=(bad_step,) + seg.steps[1:])
         broken = XPath(p, path.start, path.end, (bad_seg,), path.tower)
         rep = verify_on_X(p, broken)
-        assert not rep.valid and rep.reason == "chain break at segment 0"
+        assert not rep.valid
+        assert rep.reason == \
+            "segment 0 inner certificate: chain break at step 0"
 
     def test_tampered_inner_certificate_rejected(self):
         import dataclasses
         p, path = self.make_path()
         seg = path.segments[0]
-        inner = seg.inner
-        step = inner.steps[1]
+        step = seg.steps[1]
         bumped = tuple(t + 1 for t in step.target)
         bad_step = dataclasses.replace(step, target=bumped)
-        bad_inner = dataclasses.replace(
-            inner, steps=inner.steps[:1] + (bad_step,) + inner.steps[2:])
-        bad_seg = dataclasses.replace(seg, inner=bad_inner)
+        bad_seg = dataclasses.replace(
+            seg, steps=seg.steps[:1] + (bad_step,) + seg.steps[2:])
         broken = XPath(p, path.start, path.end, (bad_seg,), path.tower)
         rep = verify_on_X(p, broken)
         assert not rep.valid and "inner certificate" in rep.reason

@@ -1,7 +1,5 @@
 """Document format tests: bit-exact round trips and strict parsing."""
 
-import json
-
 import pytest
 
 from quadcyl.errors import InputFormatError
@@ -71,6 +69,31 @@ class TestScalarDocuments:
         assert p2 == p
         assert dumps(point_to_obj(p2, tw2)) == text
 
+    def test_point_golden_bytes_one_radical(self):
+        tw = Tower.rationals().extend(as_scalar(2))
+        s2 = tw.generator(1)
+        expected = (
+            '{\n'
+            '  "coords": [\n'
+            '    "1/1",\n'
+            '    {\n'
+            '      "a": "1/2",\n'
+            '      "b": "-3/1",\n'
+            '      "level": 1\n'
+            '    }\n'
+            '  ],\n'
+            '  "kind": "point",\n'
+            '  "radicands": [\n'
+            '    "2/1"\n'
+            '  ],\n'
+            '  "size": 2\n'
+            '}\n'
+        )
+        text = dumps(point_to_obj(pt(2, 1 - 6 * s2), tw))
+        assert text == expected
+        p2, tw2 = point_from_obj(loads(text))
+        assert dumps(point_to_obj(p2, tw2)) == text
+
     def test_points_serialize_canonically(self):
         obj = point_to_obj(pt(0, 3, 5), Tower.rationals())
         assert obj["coords"] == ["0/1", "1/1", "5/3"]
@@ -129,9 +152,10 @@ class TestStrictParsing:
             form_from_obj(obj)
 
     def test_unknown_radicand_rejected(self):
+        # the form's radicand header is empty, so no level 1 exists
         obj = self.form_obj()
-        obj["matrix"][0] = {"a": "0/1", "b": "1/1", "rad": "7/1"}
-        with pytest.raises(InputFormatError, match="radicand"):
+        obj["matrix"][0] = {"a": "0/1", "b": "1/1", "level": 1}
+        with pytest.raises(InputFormatError, match=r"outside 1\.\.0"):
             form_from_obj(obj)
 
     def test_zero_point_rejected(self):
@@ -202,9 +226,12 @@ class TestCertificates:
     def test_bad_version(self):
         _, path = self.sample_path()
         obj = path_to_obj(path)
-        obj["version"] = 99
-        with pytest.raises(InputFormatError, match="version"):
-            path_from_obj(obj)
+        assert obj["version"] == 2
+        for version in (1, 99):
+            obj["version"] = version
+            with pytest.raises(InputFormatError,
+                               match="version %d;" % version):
+                path_from_obj(obj)
 
     def test_unknown_problem(self):
         _, path = self.sample_path()
@@ -250,11 +277,11 @@ class TestIntersectionCertificates:
         back = certificate_from_obj(xpath_to_obj(xp))
         assert verify_on_X(pen, back).valid
 
-    def test_inner_must_be_complement_kind(self):
+    def test_empty_segment_steps_rejected(self):
         _, xp = self.sample()
         obj = xpath_to_obj(xp)
-        obj["segments"][0]["inner"]["problem"] = "quadric"
-        with pytest.raises(InputFormatError, match="inner certificate"):
+        obj["segments"][0]["steps"] = []
+        with pytest.raises(InputFormatError, match="must not be empty"):
             xpath_from_obj(obj)
 
     def test_tampered_line_fails_verification(self):
@@ -271,6 +298,8 @@ class TestIntersectionCertificates:
         _, xp = self.sample()
         obj = xpath_to_obj(xp)
         for seg in obj["segments"]:
-            assert set(seg) == {"line", "from", "to", "inner"}
-            assert seg["inner"]["kind"] == "certificate"
-            assert json.dumps(seg["inner"], sort_keys=True)
+            assert set(seg) == {"line", "steps"}
+            assert seg["steps"]
+            for step in seg["steps"]:
+                assert set(step) == {"chart", "entry", "target", "exit"}
+                assert len(step["entry"]) == xp.pencil.size - 2

@@ -200,12 +200,44 @@ class TestSerialization:
     def test_non_canonical_rejected(self):
         tw = Tower.rationals()
         with pytest.raises(InputFormatError):
-            scalar_from_obj({"a": "1", "b": "1", "rad": "2"}, tw)
+            scalar_from_obj({"a": "1", "b": "1", "level": 1}, tw)
         _, tw2 = try_sqrt(tw, 2)
         with pytest.raises(InputFormatError):
-            scalar_from_obj({"a": "1", "b": "0", "rad": "2"}, tw2)
+            scalar_from_obj({"a": "1", "b": "0", "level": 1}, tw2)
         with pytest.raises(InputFormatError):
-            scalar_from_obj({"a": "1", "b": "2/4", "rad": "2"}, tw2)
+            scalar_from_obj({"a": "1", "b": "2/4", "level": 1}, tw2)
+
+    def test_node_levels_checked(self):
+        s, tw = sqrt2_setup()
+        _, tw = try_sqrt(tw, 3)
+        one = {"a": "0/1", "b": "1/1", "level": 1}
+        assert scalar_from_obj(
+            {"a": one, "b": "1/1", "level": 2}, tw) == s + tw.generator(2)
+        bad = [
+            ({"a": "1/1", "b": "1/1", "level": 3}, r"outside 1\.\.2"),
+            ({"a": "1/1", "b": "1/1", "level": 0}, r"outside 1\.\.2"),
+            ({"a": "1/1", "b": "1/1", "level": True}, "integer"),
+            ({"a": "1/1", "b": "1/1", "level": "1"}, "integer"),
+            ({"a": one, "b": "1/1", "level": 1}, r"outside 1\.\.0"),
+            ({"a": "1/1", "b": {"a": "1/1", "b": "1/1", "level": 2},
+              "level": 1}, r"outside 1\.\.0"),
+            ({"a": "1/1", "b": "1/1", "rad": "2/1"}, "keys a, b, level"),
+            ({"a": "1/1", "b": "1/1", "level": 1, "rad": "2/1"},
+             "keys a, b, level"),
+        ]
+        for obj, message in bad:
+            with pytest.raises(InputFormatError, match=message):
+                scalar_from_obj(obj, tw)
+
+    def test_nesting_depth_bounded_by_height(self):
+        # a hostile chain of nodes stops at the first level that is not
+        # below its parent, however deep the document goes
+        _, tw = sqrt2_setup()
+        obj = "1/1"
+        for _ in range(5000):
+            obj = {"a": obj, "b": "1/1", "level": 1}
+        with pytest.raises(InputFormatError, match=r"outside 1\.\.0"):
+            scalar_from_obj(obj, tw)
 
 
 rats = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
