@@ -70,7 +70,8 @@ def main():
         shown = str(step.exit)
         if len(shown) > 72:
             shown = shown[:69] + "..."
-        print("  %2d. %-22s exit %s" % (k, step.chart["kind"], shown))
+        chart = "dist %d, dep %d" % (step.chart["dist"], step.chart["dep"])
+        print("  %2d. %-16s exit %s" % (k, chart, shown))
     print("verified:", report.valid)
     return 0 if report.valid else 1
 

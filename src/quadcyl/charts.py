@@ -57,13 +57,12 @@ CHART_KINDS = (
 class Chart:
     """One cylinder chart.  See the module docstring for the shape rules."""
 
-    __slots__ = ("kind", "index", "form", "change", "dist", "dep",
+    __slots__ = ("kind", "form", "change", "dist", "dep",
                  "on_quadric", "vertex_dim", "bmat", "trans",
                  "_tpos", "_sigma_terms")
 
     def __init__(self, kind, form: QuadForm, change: CoordChange,
-                 dist: int, dep: int, *, index=None, on_quadric=False,
-                 vertex_dim=0):
+                 dist: int, dep: int, *, on_quadric=False, vertex_dim=0):
         n = form.size
         if kind not in CHART_KINDS:
             raise InputFormatError("unknown chart kind %r" % kind)
@@ -72,7 +71,6 @@ class Chart:
         if not (0 <= dist < n and 0 <= dep < n) or dist == dep:
             raise InputFormatError("bad distinguished/dependent indices")
         self.kind = kind
-        self.index = index
         self.form = form
         self.change = change
         self.dist = dist
@@ -163,43 +161,23 @@ class Chart:
         return tuple(tv)
 
     def descriptor(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "dist": self.dist,
-            "dep": self.dep,
-            "on_quadric": self.on_quadric,
-            "matrix": [list(row) for row in self.change.matrix],
-        }
-        if self.index is not None:
-            d["index"] = self.index
-        if self.vertex_dim:
-            d["cone_lifted"] = True
-            d["vertex_dim"] = self.vertex_dim
-        return d
+        """Everything a replay needs besides the form and the problem:
+        the coordinate change and the distinguished/dependent indices."""
+        return {"dist": self.dist, "dep": self.dep,
+                "matrix": [list(row) for row in self.change.matrix]}
 
     def __repr__(self):
-        name = self.kind if self.index is None else \
-            "%s(%d)" % (self.kind, self.index)
-        if self.vertex_dim:
-            name += "+cone"
+        name = self.kind + ("+cone" if self.vertex_dim else "")
         return "Chart(%s, dist=%d, dep=%d)" % (name, self.dist, self.dep)
 
 
-def chart_from_descriptor(form: QuadForm, desc: dict) -> Chart:
-    """Rebuild a chart from its serialized descriptor, revalidating the
-    shape against the given ambient form.  Raises InputFormatError when
-    the descriptor is corrupt."""
-    try:
-        kind = desc["kind"]
-        dist = desc["dist"]
-        dep = desc["dep"]
-        on_q = desc["on_quadric"]
-        rows = desc["matrix"]
-    except (KeyError, TypeError) as exc:
-        raise InputFormatError("chart descriptor missing %s" % exc) from None
-    if not isinstance(dist, int) or not isinstance(dep, int):
-        raise InputFormatError("chart indices must be integers")
-    m = mat(rows)
+def chart_from_descriptor(form: QuadForm, desc: dict, on_quadric) -> Chart:
+    """Rebuild a chart from its descriptor, revalidating the shape against
+    the given ambient form; on_quadric comes from the certificate's
+    problem, and names the rebuilt chart's kind.  The descriptor's shape
+    (integer indices, a square matrix) is the parser's to check; raises
+    InputFormatError when its values do not make a chart of the form."""
+    m = mat(desc["matrix"])
     if len(m) != form.size or any(len(r) != form.size for r in m):
         raise InputFormatError("chart matrix has the wrong size")
     from .errors import TowerError
@@ -208,9 +186,9 @@ def chart_from_descriptor(form: QuadForm, desc: dict) -> Chart:
         change.inverse_matrix()
     except TowerError:
         raise InputFormatError("chart matrix is singular") from None
-    return Chart(kind, form, change, dist, dep,
-                 index=desc.get("index"), on_quadric=on_q,
-                 vertex_dim=desc.get("vertex_dim", 0))
+    kind = "quadric-chart" if on_quadric else "complement-cylinder"
+    return Chart(kind, form, change, desc["dist"], desc["dep"],
+                 on_quadric=on_quadric)
 
 
 @dataclass(frozen=True)
@@ -404,12 +382,11 @@ def standard_cylinders(q: QuadForm, frame: HyperbolicFrame) -> list:
         raise FormNotSmoothError("standard cylinders need a smooth form")
     charts = []
     for i in range(frame.pairs):
-        charts.append(Chart("standard-u", q, frame.change,
-                            2 * i, 2 * i + 1, index=i + 1))
+        charts.append(Chart("standard-u", q, frame.change, 2 * i, 2 * i + 1))
     if frame.has_z:
         for i in range(frame.pairs):
             charts.append(Chart("standard-v", q, frame.change,
-                                2 * i + 1, 2 * i, index=i + 1))
+                                2 * i + 1, 2 * i))
         zpos = 2 * frame.pairs
         special = [ZERO] * q.size
         special[zpos - 2] = -ONE  # x_m
@@ -441,8 +418,7 @@ def cone_lift(chart: Chart, split: ConeSplit, ambient: QuadForm) -> Chart:
     from .projective import mat_mul
     full = mat_mul(split.change.matrix, mat(block))
     return Chart(chart.kind, ambient, CoordChange(full), chart.dist,
-                 chart.dep, index=chart.index, on_quadric=chart.on_quadric,
-                 vertex_dim=vd)
+                 chart.dep, on_quadric=chart.on_quadric, vertex_dim=vd)
 
 
 class ChartBundle:

@@ -161,7 +161,7 @@ def cmd_connect(args) -> int:
     p, tower = _parse_point(args.from_point, tower, limit)
     q, tower = _parse_point(args.to_point, tower, limit)
     if args.target == "complement":
-        path = connect_complement(form, p, q, tower=tower, seed=args.seed)
+        path = connect_complement(form, p, q, tower=tower)
     else:
         path = connect_on_quadric(form, p, q, tower=tower, seed=args.seed,
                                   retry_limit=args.retry_limit)

@@ -1,11 +1,12 @@
 """Connecting points by fiber moves, and replaying the certificates.
 
 A certificate (MovePath) is a finite list of steps; each step names a
-chart by its full serialized descriptor, an entry point, and a transverse
-target.  The producer also stores the exit point so verification can
-replay every move independently: rebuild the chart from the descriptor
-against the ambient form, check the entry is in the chart's domain, move,
-and compare.  verify_path never trusts producer-side objects and never
+chart by its descriptor {dist, dep, matrix}, an entry point, and a
+transverse target.  The producer also stores the exit point so
+verification can replay every move independently: rebuild the chart from
+the descriptor against the ambient form and the problem's domain (on the
+quadric or off it), check the entry is in the chart's domain, move, and
+compare.  verify_path never trusts producer-side objects and never
 raises on a bad certificate; it returns a report naming the first broken
 step.
 
@@ -17,7 +18,6 @@ rescale gadget (three moves) when their fiber values differ.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass
 
@@ -32,8 +32,8 @@ from .errors import (
 from .charts import Chart, ChartBundle, build_complement_charts, \
     chart_from_descriptor, quadric_chart
 from .projective import ProjPoint, QuadForm, mat_eq, point_on_quadric
-from .tower import Tower, ZERO, as_scalar, deepest_tower, scalar_to_obj, \
-    sqrt_if_present, tower_to_obj, try_sqrt
+from .tower import Tower, ZERO, as_scalar, deepest_tower, sqrt_if_present, \
+    try_sqrt
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ class MovePath:
     end: ProjPoint
     steps: tuple
     tower: Tower
-    seed: int | None = None
 
     def __len__(self):
         return len(self.steps)
@@ -201,8 +200,8 @@ def _rescale_axis(bundle: ChartBundle, cp, cq, lam, mu, tower):
     return trail, tower
 
 
-def connect_complement(form: QuadForm, p, q, *, tower=None, bundle=None,
-                       seed=None) -> MovePath:
+def connect_complement(form: QuadForm, p, q, *, tower=None,
+                       bundle=None) -> MovePath:
     """A verified-replayable path of fiber moves from p to q inside the
     complement of V(form).  Needs rank >= 3; at most 12 moves."""
     p = p if isinstance(p, ProjPoint) else ProjPoint(p)
@@ -215,7 +214,7 @@ def connect_complement(form: QuadForm, p, q, *, tower=None, bundle=None,
         bundle, tower = build_complement_charts(form, tower)
 
     def done(steps):
-        path = MovePath("complement", form, p, q, steps, tower, seed)
+        path = MovePath("complement", form, p, q, steps, tower)
         assert len(path.steps) <= 12
         return path
 
@@ -275,7 +274,7 @@ def connect_on_quadric(form: QuadForm, p, q, *, tower=None, seed=None,
         rng = random.Random(seed if seed is not None else 0)
 
     def done(steps):
-        return MovePath("quadric", form, p, q, steps, tower, seed)
+        return MovePath("quadric", form, p, q, steps, tower)
 
     if p == q:
         return done(())
@@ -326,33 +325,14 @@ def connect_on_quadric(form: QuadForm, p, q, *, tower=None, seed=None,
     return done(trail.steps())
 
 
-def _descriptor_key(desc: dict) -> str:
-    def enc(x):
-        if isinstance(x, dict):
-            return {k: enc(v) for k, v in x.items()}
-        if isinstance(x, (list, tuple)):
-            return [enc(v) for v in x]
-        if isinstance(x, (int, bool, str)) or x is None:
-            return x
-        return scalar_to_obj(x)
-    return json.dumps(enc(desc), sort_keys=True)
-
-
-def _chart_cached(form: QuadForm, desc: dict, cache: dict,
-                  radicands: str) -> Chart:
-    # scalars name their radicand only by level, so the key carries the
-    # radicands too: one cache may serve paths over different towers
-    key = (radicands, _descriptor_key(desc))
-    chart = cache.get(key)
-    if chart is None:
-        chart = chart_from_descriptor(form, desc)
-        cache[key] = chart
-    return chart
-
-
 def verify_path(form: QuadForm, path: MovePath, cache=None) -> VerifyReport:
     """Replay a certificate against the given ambient form.  Trusts only
-    the descriptors, entries, and targets; every exit is recomputed."""
+    the descriptors, entries, and targets; every exit is recomputed.
+
+    cache maps descriptors to rebuilt charts and may be shared by calls
+    with the same form.  Its key holds the matrix scalars themselves;
+    scalar equality compares the radicands of their towers, so a matrix
+    read over another radicand list is another key."""
     rc = path.tower.height if path.tower is not None else 0
 
     def bad(reason, k=None):
@@ -377,17 +357,21 @@ def verify_path(form: QuadForm, path: MovePath, cache=None) -> VerifyReport:
         return VerifyReport(True, None, None, 0, path.problem, rc)
     if cache is None:
         cache = {}
-    radicands = json.dumps(tower_to_obj(path.tower) if path.tower else [])
     cur = path.start
     for k, step in enumerate(path.steps):
         if step.entry != cur:
             return bad("chain break at step %d" % k, k)
-        try:
-            chart = _chart_cached(form, step.chart, cache, radicands)
-        except InputFormatError as exc:
-            return bad("invalid chart descriptor at step %d: %s" % (k, exc), k)
-        if chart.on_quadric != on_q:
-            return bad("chart kind does not match the problem at step %d" % k, k)
+        desc = step.chart
+        key = (on_q, desc["dist"], desc["dep"],
+               tuple(map(tuple, desc["matrix"])))
+        chart = cache.get(key)
+        if chart is None:
+            try:
+                chart = chart_from_descriptor(form, desc, on_q)
+            except InputFormatError as exc:
+                return bad("invalid chart descriptor at step %d: %s"
+                           % (k, exc), k)
+            cache[key] = chart
         if len(step.target) != len(chart.trans):
             return bad("transverse target has the wrong length at step %d" % k, k)
         try:

@@ -611,7 +611,6 @@ class XPath:
     end: ProjPoint
     segments: tuple
     tower: Tower
-    seed: int | None = None
 
 
 def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, seed=None,
@@ -633,7 +632,7 @@ def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, seed=None,
     if rng is None:
         rng = random.Random(seed if seed is not None else 0)
     if p == q:
-        return XPath(pencil, p, q, (), tower, seed)
+        return XPath(pencil, p, q, (), tower)
 
     def segment(chart, a, b, tw):
         inner = connect_complement(chart.image, chart.forward(a),
@@ -669,7 +668,7 @@ def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, seed=None,
         good_q = not dform(q).is_zero()
         if good_p and good_q:
             seg, t2 = segment(chart, p, q, tower)
-            return XPath(pencil, p, q, (seg,), t2, seed)
+            return XPath(pencil, p, q, (seg,), t2)
         if good_p or good_q:
             half_charts.append((chart, good_p))
         # two-segment rescue once we hold charts covering each endpoint
@@ -680,7 +679,7 @@ def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, seed=None,
             if mid is not None:
                 seg1, t2 = segment(cover_p, p, mid, tower)
                 seg2, t3 = segment(cover_q, mid, q, t2)
-                return XPath(pencil, p, q, (seg1, seg2), t3, seed)
+                return XPath(pencil, p, q, (seg1, seg2), t3)
     raise RetryLimitError("no line chart covers the endpoints")
 
 

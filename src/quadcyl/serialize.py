@@ -9,6 +9,13 @@ Writers emit canonical text (sorted keys, fixed indentation) so identical
 inputs give byte-identical files; parsers reject anything that would not
 round-trip, which is what makes certificates auditable by diff.
 
+A certificate (format version 3) is a header {kind, version, problem,
+size, radicands, from, to} plus either {form, steps} or {beta, gamma,
+segments}; a segment is {line: {v1, v2}, steps}, a step is {chart, entry,
+target, exit} and a step chart is {dist, dep, matrix}.  Every one of these
+keys is read and used by the verifier, and the certificate parsers refuse
+any object that has another key or lacks one of them.
+
 A parser takes an optional base tower.  When given, the document's
 radicand list must extend the base's list prefix-exactly, so a point or a
 certificate is always interpreted in a field compatible with the form or
@@ -26,7 +33,7 @@ from .tower import (
     tower_from_obj, tower_to_obj,
 )
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def dumps(obj) -> str:
@@ -57,9 +64,26 @@ def _check_kind(obj, kind):
         raise InputFormatError("expected a %s document, got %r" % (kind, got))
 
 
+def _check_keys(obj, keys, kind):
+    """Refuse an object whose keys are not exactly keys, so a certificate
+    carries no field that the reader skips."""
+    if not isinstance(obj, dict):
+        raise InputFormatError("%s must be an object" % kind)
+    if obj.keys() != keys:
+        missing = keys - obj.keys()
+        if missing:
+            raise InputFormatError("%s is missing %r" % (kind, min(missing)))
+        raise InputFormatError("%s has the unknown key %r"
+                               % (kind, min(obj.keys() - keys)))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _size_of(obj, kind) -> int:
     n = _require(obj, "size", kind)
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputFormatError("%s size must be a positive integer" % kind)
     return n
 
@@ -218,25 +242,31 @@ def line_from_obj(obj, base: Tower | None = None,
 # move certificates
 
 _PROBLEMS = ("complement", "quadric")
+_HEADER_KEYS = frozenset(("kind", "version", "problem", "size", "radicands",
+                          "from", "to"))
+_PATH_KEYS = _HEADER_KEYS | {"form", "steps"}
+_XPATH_KEYS = _HEADER_KEYS | {"beta", "gamma", "segments"}
+_SEGMENT_KEYS = frozenset(("line", "steps"))
+_SPAN_KEYS = frozenset(("v1", "v2"))
+_STEP_KEYS = frozenset(("chart", "entry", "target", "exit"))
+_CHART_KEYS = frozenset(("dist", "dep", "matrix"))
 
 
 def _descriptor_to_obj(desc: dict) -> dict:
-    out = dict(desc)
-    rows = desc["matrix"]
-    out["matrix"] = matrix_to_flat(rows)
-    out["size"] = len(rows)
-    return out
+    return {"dist": desc["dist"], "dep": desc["dep"],
+            "matrix": matrix_to_flat(desc["matrix"])}
 
 
-def _descriptor_from_obj(obj, tower) -> dict:
-    if not isinstance(obj, dict):
-        raise InputFormatError("chart descriptor must be an object")
-    size = _size_of(obj, "chart descriptor")
-    desc = {k: v for k, v in obj.items() if k != "size"}
-    desc["matrix"] = [list(row) for row in _matrix_from_flat(
-        _require(obj, "matrix", "chart descriptor"), tower, size,
-        "chart matrix")]
-    return desc
+def _descriptor_from_obj(obj, tower, size) -> dict:
+    """A step chart {dist, dep, matrix}; the matrix is size x size, size
+    being that of the step's points."""
+    _check_keys(obj, _CHART_KEYS, "step chart")
+    for key in ("dist", "dep"):
+        if not _is_int(obj[key]):
+            raise InputFormatError("step chart %s must be an integer" % key)
+    rows = _matrix_from_flat(obj["matrix"], tower, size, "chart matrix")
+    return {"dist": obj["dist"], "dep": obj["dep"],
+            "matrix": [list(row) for row in rows]}
 
 
 def _step_to_obj(step: MoveStep) -> dict:
@@ -249,12 +279,11 @@ def _step_to_obj(step: MoveStep) -> dict:
 
 
 def _step_from_obj(obj, tower, size) -> MoveStep:
-    chart = _descriptor_from_obj(_require(obj, "chart", "step"), tower)
-    entry = _point_from_obj(_require(obj, "entry", "step"), tower, size,
-                            "step entry")
-    exit_p = _point_from_obj(_require(obj, "exit", "step"), tower, size,
-                             "step exit")
-    target = _require(obj, "target", "step")
+    _check_keys(obj, _STEP_KEYS, "step")
+    chart = _descriptor_from_obj(obj["chart"], tower, size)
+    entry = _point_from_obj(obj["entry"], tower, size, "step entry")
+    exit_p = _point_from_obj(obj["exit"], tower, size, "step exit")
+    target = obj["target"]
     if not isinstance(target, list):
         raise InputFormatError("step target must be a list")
     return MoveStep(chart, entry,
@@ -269,14 +298,14 @@ def _header_to_obj(path, problem: str, size: int) -> dict:
         "problem": problem,
         "size": size,
         "radicands": tower_to_obj(path.tower),
-        "seed": path.seed,
         "from": _point_to_obj(path.start),
         "to": _point_to_obj(path.end),
     }
 
 
-def _header_from_obj(obj, problems, base, limit):
-    """(problem, size, tower, seed, start, end) of a certificate."""
+def _header_from_obj(obj, problems, keys, base, limit):
+    """(problem, size, tower, start, end) of a certificate whose keys must
+    be exactly keys."""
     _check_kind(obj, "certificate")
     version = _require(obj, "version", "certificate")
     if version != FORMAT_VERSION:
@@ -286,16 +315,12 @@ def _header_from_obj(obj, problems, base, limit):
     problem = _require(obj, "problem", "certificate")
     if problem not in problems:
         raise InputFormatError("unknown problem kind %r" % problem)
+    _check_keys(obj, keys, "certificate")
     size = _size_of(obj, "certificate")
     tower = _tower_of(obj, "certificate", base, limit)
-    seed = obj.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise InputFormatError("certificate seed must be an integer")
-    start = _point_from_obj(_require(obj, "from", "certificate"),
-                            tower, size, "start point")
-    end = _point_from_obj(_require(obj, "to", "certificate"),
-                          tower, size, "end point")
-    return problem, size, tower, seed, start, end
+    start = _point_from_obj(obj["from"], tower, size, "start point")
+    end = _point_from_obj(obj["to"], tower, size, "end point")
+    return problem, size, tower, start, end
 
 
 def _list_of(obj, key, kind="certificate"):
@@ -318,17 +343,16 @@ def path_from_obj(obj, base: Tower | None = None,
     tower named by the radicand header, which must extend base when one is
     given; nothing about the moves themselves is checked here, that is
     verify_path's job."""
-    problem, size, tower, seed, start, end = _header_from_obj(
-        obj, _PROBLEMS, base, limit)
-    rows = _matrix_from_flat(_require(obj, "form", "certificate"),
-                             tower, size, "certificate form")
+    problem, size, tower, start, end = _header_from_obj(
+        obj, _PROBLEMS, _PATH_KEYS, base, limit)
+    rows = _matrix_from_flat(obj["form"], tower, size, "certificate form")
     try:
         form = QuadForm(rows)
     except TowerError as exc:
         raise InputFormatError("bad certificate form: %s" % exc) from None
     steps = tuple(_step_from_obj(s, tower, size)
                   for s in _list_of(obj, "steps"))
-    return MovePath(problem, form, start, end, steps, tower, seed)
+    return MovePath(problem, form, start, end, steps, tower)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +367,9 @@ def _segment_to_obj(seg: XSegment) -> dict:
 
 
 def _segment_from_obj(obj, tower, size) -> XSegment:
-    line = _span_from_obj(_require(obj, "line", "segment"), tower, size,
-                          "segment line")
+    _check_keys(obj, _SEGMENT_KEYS, "segment")
+    _check_keys(obj["line"], _SPAN_KEYS, "segment line")
+    line = _span_from_obj(obj["line"], tower, size, "segment line")
     steps = _list_of(obj, "steps", "segment")
     if not steps:
         raise InputFormatError("segment steps must not be empty")
@@ -362,19 +387,17 @@ def xpath_to_obj(path: XPath) -> dict:
 
 def xpath_from_obj(obj, base: Tower | None = None,
                    limit: int = DEFAULT_TOWER_LIMIT) -> XPath:
-    _, size, tower, seed, start, end = _header_from_obj(
-        obj, ("ci",), base, limit)
-    b = _matrix_from_flat(_require(obj, "beta", "certificate"),
-                          tower, size, "first pencil matrix")
-    g = _matrix_from_flat(_require(obj, "gamma", "certificate"),
-                          tower, size, "second pencil matrix")
+    _, size, tower, start, end = _header_from_obj(
+        obj, ("ci",), _XPATH_KEYS, base, limit)
+    b = _matrix_from_flat(obj["beta"], tower, size, "first pencil matrix")
+    g = _matrix_from_flat(obj["gamma"], tower, size, "second pencil matrix")
     try:
         pencil = Pencil(QuadForm(b), QuadForm(g))
     except (TowerError, InputFormatError) as exc:
         raise InputFormatError("bad certificate pencil: %s" % exc) from None
     segments = tuple(_segment_from_obj(s, tower, size)
                      for s in _list_of(obj, "segments"))
-    return XPath(pencil, start, end, segments, tower, seed)
+    return XPath(pencil, start, end, segments, tower)
 
 
 def certificate_from_obj(obj, base: Tower | None = None,

@@ -207,8 +207,8 @@ class TestChartMechanics:
         charts, q = u1_chart(5, 2, True)
         for c in charts:
             desc = c.descriptor()
-            c2 = chart_from_descriptor(q, desc)
-            assert c2.kind == c.kind
+            c2 = chart_from_descriptor(q, desc, c.on_quadric)
+            assert c2.on_quadric == c.on_quadric
             assert c2.dist == c.dist and c2.dep == c.dep
             assert mat_eq(c2.change.matrix, c.change.matrix)
 
@@ -217,7 +217,7 @@ class TestChartMechanics:
         desc = charts[0].descriptor()
         desc["matrix"][0][0] = F(3, 7)  # breaks the block shape
         with pytest.raises(InputFormatError):
-            chart_from_descriptor(q, desc)
+            chart_from_descriptor(q, desc, False)
 
 
 class TestStandardFamily:

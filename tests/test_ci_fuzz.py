@@ -2,7 +2,8 @@
 
 Certificates join seeded rational smooth points of the hexagonal pencil.
 Each mutation bumps one scalar leaf or one node level in the endpoints,
-the segment lines or the segment steps.  A mutated certificate must be
+the segment lines or the segment steps, or one step chart's dist or dep
+index by one.  A mutated certificate must be
 refused by the parser or by verify_on_X; one that is accepted must still
 be a true certificate, so its endpoints lie on X.
 """
@@ -40,7 +41,7 @@ def rational_point(pencil, rng):
 
 def mutation_spots(obj):
     """(container, key, how) for every scalar leaf and node level of the
-    endpoints, the lines and the steps."""
+    endpoints, the lines and the steps, and every step chart index."""
     spots = []
 
     def scalar(node, key):
@@ -66,11 +67,13 @@ def mutation_spots(obj):
             coords(step["exit"])
             coords(step["target"])
             coords(step["chart"]["matrix"])
+            spots.append((step["chart"], "dist", "index"))
+            spots.append((step["chart"], "dep", "index"))
     return spots
 
 
 def bump(node, key, how, rng):
-    if how == "level":
+    if how in ("level", "index"):
         node[key] += rng.choice((-1, 1))
     else:
         p, q = node[key].split("/")
@@ -90,7 +93,7 @@ def test_ci_certificate_corruption_fuzz():
         assert verify_on_X(pencil, xp).valid
         texts.append(dumps(xpath_to_obj(xp)))
     counts = {"parser": 0, "verifier": 0, "accepted": 0}
-    kinds = {"leaf": 0, "level": 0}
+    kinds = {"leaf": 0, "level": 0, "index": 0}
     for _ in range(600):
         obj = loads(texts[rng.randrange(len(texts))])
         node, key, how = rng.choice(mutation_spots(obj))
@@ -108,6 +111,7 @@ def test_ci_certificate_corruption_fuzz():
         assert pencil.on_intersection(mutated.start)
         assert pencil.on_intersection(mutated.end)
     print("ci fuzz: mutations %s, outcomes %s" % (kinds, counts))
-    assert kinds["level"] > 0 and counts["parser"] > 0
+    assert kinds["level"] > 0 and kinds["index"] > 0
+    assert counts["parser"] > 0
     assert counts["verifier"] > 0
     assert time.monotonic() - t0 < 30.0

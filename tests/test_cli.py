@@ -225,6 +225,24 @@ class TestVerify:
         assert "nested too deeply" in err
         assert "Traceback" not in err
 
+    def test_deeply_nested_extra_chart_key_is_input_error(self, docs,
+                                                          tmp_path, capsys):
+        # shallow enough for the JSON parser, even under the test runner's
+        # own stack, so only the exact key set of a step chart keeps the
+        # reader from walking it
+        cert = self.make_cert(docs, tmp_path)
+        obj = loads(cert.read_text())
+        obj["steps"][0]["chart"]["extra"] = "@"
+        depth = 800
+        deep = tmp_path / "deep.cert"
+        deep.write_text(dumps(obj).replace('"@"', "[" * depth + "]" * depth))
+        capsys.readouterr()
+        assert run("verify", deep, "--form", docs / "split.qf",
+                   "--out", tmp_path / "v.json") == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "unknown key 'extra'" in err
+        assert "Traceback" not in err
+
     def test_unexpected_exception_is_internal_error(self, docs, tmp_path,
                                                     capsys, monkeypatch):
         import quadcyl.cli as cli

@@ -119,7 +119,7 @@ class TestConnectComplement:
         # rank 3 on four coordinates: the last coordinate is radical
         q = quadform_from_terms(4, {(0, 1): 1, (2, 2): 1})
         p, r = proj([1, 1, 0, 5]), proj([0, 0, 1, 1])
-        path = connect_complement(q, p, r, seed=3)
+        path = connect_complement(q, p, r)
         rep = verify_path(q, path)
         assert rep.valid, rep.reason
 

@@ -25,6 +25,11 @@ def pt(*cs):
     return ProjPoint(vec(cs))
 
 
+def sample_complement_path():
+    q = quadform_from_terms(4, {(0, 1): 1, (2, 3): 1})
+    return q, connect_complement(q, pt(1, 1, 0, 0), pt(0, 3, 1, 5))
+
+
 class TestScalarDocuments:
 
     def test_form_round_trip_rational(self):
@@ -174,13 +179,36 @@ class TestStrictParsing:
         with pytest.raises(InputFormatError, match="JSON"):
             loads("{nope")
 
+    @pytest.mark.parametrize("key, value", [
+        ("kind", "standard-u"), ("index", 1), ("on_quadric", False),
+        ("cone_lifted", True), ("vertex_dim", 1), ("size", 4), ("seed", 7),
+    ])
+    def test_unread_certificate_key_rejected(self, key, value):
+        # the step chart keys of format v2, and its header seed
+        obj = path_to_obj(sample_complement_path()[1])
+        where = obj if key == "seed" else obj["steps"][0]["chart"]
+        where[key] = value
+        with pytest.raises(InputFormatError, match="unknown key %r" % key):
+            path_from_obj(obj)
+
+    def test_bool_is_not_an_integer(self):
+        obj = point_to_obj(pt(1), Tower.rationals())
+        assert point_from_obj(obj)[0] == pt(1)
+        obj["size"] = True
+        with pytest.raises(InputFormatError, match="size must be"):
+            point_from_obj(obj)
+        for key in ("dist", "dep"):
+            obj = path_to_obj(sample_complement_path()[1])
+            obj["steps"][0]["chart"][key] = True
+            with pytest.raises(InputFormatError,
+                               match="%s must be an integer" % key):
+                path_from_obj(obj)
+
 
 class TestCertificates:
 
     def sample_path(self):
-        q = quadform_from_terms(4, {(0, 1): 1, (2, 3): 1})
-        return q, connect_complement(q, pt(1, 1, 0, 0), pt(0, 3, 1, 5),
-                                      seed=7)
+        return sample_complement_path()
 
     def test_round_trip_bit_exact(self):
         q, path = self.sample_path()
@@ -193,7 +221,7 @@ class TestCertificates:
         # a definite form forces a radical frame, so the certificate
         # carries nontrivial radicand and scalar nodes
         q = quadform_from_terms(3, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
-        path = connect_complement(q, pt(1, 0, 0), pt(0, 1, 2), seed=11)
+        path = connect_complement(q, pt(1, 0, 0), pt(0, 1, 2))
         assert path.tower.height >= 1
         text = dumps(path_to_obj(path))
         back = path_from_obj(loads(text))
@@ -214,7 +242,7 @@ class TestCertificates:
 
     def test_base_tower_prefix_enforced(self):
         q = quadform_from_terms(3, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
-        path = connect_complement(q, pt(1, 0, 0), pt(0, 1, 2), seed=11)
+        path = connect_complement(q, pt(1, 0, 0), pt(0, 1, 2))
         obj = path_to_obj(path)
         good = Tower.rationals()
         assert path_from_obj(obj, base=good).tower.height == \
@@ -226,8 +254,8 @@ class TestCertificates:
     def test_bad_version(self):
         _, path = self.sample_path()
         obj = path_to_obj(path)
-        assert obj["version"] == 2
-        for version in (1, 99):
+        assert obj["version"] == 3
+        for version in (1, 2, 99):
             obj["version"] = version
             with pytest.raises(InputFormatError,
                                match="version %d;" % version):
