@@ -13,6 +13,7 @@ the input).
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -197,10 +198,12 @@ def cmd_verify(args) -> int:
     ref_kind = "pencil" if args.pencil else "form"
     ref_text = _read_text(args.pencil or args.form)
     cert_texts = [_read_text(p) for p in args.certificate]
-    jobs = max(1, args.jobs)
     payloads = [(ref_kind, ref_text, t, args.tower_limit)
                 for t in cert_texts]
-    if jobs > 1 and len(payloads) > 1:
+    # the pool starts all its workers at once, so ask for no more than
+    # there are certificates and CPUs
+    jobs = min(args.jobs, len(payloads), os.cpu_count() or 1)
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_verify_star, payloads))
     else:

@@ -2,11 +2,26 @@
 
 A Tower records an ordered chain of adjoined radicands d_1, ..., d_k,
 each a value of the floor below it, so F_0 = Q and F_{i+1} = F_i(sqrt(d_{i+1})).
-A TowerScalar is an element of some floor: either a plain rational, or a
-node (a, b) meaning a + b*sqrt(d_level) with a and b stored at their own
-strictly lower levels.  Values are canonical: a node never has b = 0, and
-rationals are kept reduced with positive denominator, so every element has
-exactly one representation and equality is structural.
+A TowerScalar is an element of some floor.
+
+Layout.  A rational (level 0) is one reduced Fraction (gmpy2's mpq when it
+is installed).  An element of level k >= 1 is an integer tree T over one
+positive integer denominator D, meaning T/D.  A tree is a Python int, or a
+tuple (j, A, B) meaning A + B*sqrt(d'_j), where A and B are trees of level
+below j and B != 0.  The generators are scaled so that trees multiply to
+trees: level j stores its radicand once in integral form d'_j = E_j*E_j*d_j,
+where E_j is the denominator of d_j in this layout, so d'_j is itself a
+tree and sqrt(d'_j) = E_j*sqrt(d_j).
+
+Values are canonical: D > 0, the gcd of D and all leaves of T is 1, and
+no node has B = 0, so every element has exactly one representation and
+equality is structural.  Arithmetic runs on the trees in plain integers
+and normalizes each result once, instead of reducing a fraction at every
+leaf; an inverse is conj(T)/N(T), recursing on the integer norm N(T).
+
+The sqrt(d_j) basis, a + b*sqrt(d_j) with a and b at lower levels (the
+coefficient on sqrt(d'_j) is b/E_j), appears only at the edges: the
+read-only .a and .b, repr, scalar_to_obj and scalar_from_obj.
 
 Towers are immutable.  extend() returns a child tower sharing the parent
 chain, so scalars built before an extension remain valid in every
@@ -18,6 +33,7 @@ Everything here is exact; no floats ever appear.
 from __future__ import annotations
 
 import math
+from math import gcd
 
 try:
     from gmpy2 import mpq as _Q
@@ -30,9 +46,12 @@ DEFAULT_TOWER_LIMIT = 16
 
 
 class Tower:
-    """A chain of quadratic extensions of Q, identified by its radicands."""
+    """A chain of quadratic extensions of Q, identified by its radicands.
+    scales[j] is E_j and rads[j] the integral radicand d'_j (index 0 is a
+    placeholder for Q)."""
 
-    __slots__ = ("parent", "radicand", "height", "limit", "ancestors")
+    __slots__ = ("parent", "radicand", "height", "limit", "ancestors",
+                 "scales", "rads")
 
     def __init__(self, *, _parent=None, _radicand=None, limit=DEFAULT_TOWER_LIMIT):
         if _parent is None:
@@ -41,12 +60,17 @@ class Tower:
             self.height = 0
             self.limit = limit
             self.ancestors = (self,)
+            self.scales = (1,)
+            self.rads = (None,)
         else:
             self.parent = _parent
             self.radicand = _radicand
             self.height = _parent.height + 1
             self.limit = _parent.limit
             self.ancestors = _parent.ancestors + (self,)
+            t, e = _parts(_radicand)
+            self.scales = _parent.scales + (e,)
+            self.rads = _parent.rads + (_tscale(t, e),)
 
     @classmethod
     def rationals(cls, limit: int = DEFAULT_TOWER_LIMIT) -> "Tower":
@@ -73,7 +97,7 @@ class Tower:
         """sqrt(d_level) as a scalar of this tower (level is 1-based)."""
         if not 1 <= level <= self.height:
             raise TowerError("no generator at level %d" % level)
-        return _node_unchecked(self.ancestors[level], _ZERO, _ONE)
+        return _node(self.ancestors[level], (level, 0, 1), self.scales[level])
 
     def same_chain(self, other: "Tower") -> bool:
         return _same_chain(self, other)
@@ -83,17 +107,34 @@ class Tower:
 
 
 class TowerScalar:
-    """One exact value of some floor of a tower.  Immutable."""
+    """One exact value of some floor of a tower.  Immutable.  A rational
+    has level 0 and its value in .rat; a node has tree/den as described in
+    the module docstring and tower.height == level."""
 
-    __slots__ = ("level", "rat", "a", "b", "tower")
+    __slots__ = ("level", "rat", "tree", "den", "tower")
 
     def __init__(self, value=0):
         s = as_scalar(value)
         self.level = s.level
         self.rat = s.rat
-        self.a = s.a
-        self.b = s.b
+        self.tree = s.tree
+        self.den = s.den
         self.tower = s.tower
+
+    @property
+    def a(self):
+        """a in a + b*sqrt(d_level), at a lower level (None on rationals)."""
+        if self.level == 0:
+            return None
+        return _make(self.tower, self.tree[1], 1, self.den)
+
+    @property
+    def b(self):
+        """b in a + b*sqrt(d_level), at a lower level (None on rationals)."""
+        if self.level == 0:
+            return None
+        return _make(self.tower, self.tree[2], self.tower.scales[self.level],
+                     self.den)
 
     def is_zero(self) -> bool:
         return self.level == 0 and not self.rat
@@ -118,7 +159,7 @@ class TowerScalar:
     def __hash__(self):
         if self.level == 0:
             return hash(self.rat)
-        return hash((self.level, hash(self.a), hash(self.b)))
+        return hash((self.level, self.den, self.tree))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -176,27 +217,21 @@ def _rational(q):
     s = TowerScalar.__new__(TowerScalar)
     s.level = 0
     s.rat = q
-    s.a = None
-    s.b = None
+    s.tree = None
+    s.den = None
     s.tower = None
     return s
 
 
-def _node_unchecked(tower, a, b):
+def _node(tower, t, den):
+    """The node t/den, already canonical, whose top level is tower.height."""
     s = TowerScalar.__new__(TowerScalar)
     s.level = tower.height
     s.rat = None
-    s.a = a
-    s.b = b
+    s.tree = t
+    s.den = den
     s.tower = tower
     return s
-
-
-def _node(tower, a, b):
-    """Canonical node constructor: demote when the radical part is zero."""
-    if b.level == 0 and not b.rat:
-        return a
-    return _node_unchecked(tower, a, b)
 
 
 _ZERO = _rational(_Q(0))
@@ -229,22 +264,24 @@ def scalar(x) -> TowerScalar:
 
 
 def parse_rational(text: str) -> TowerScalar:
-    """Parse "p/q" or "p" with the normal-form requirements: integer parts,
-    positive denominator, lowest terms."""
-    t = text.strip()
-    try:
-        if "/" in t:
-            ns, ds = t.split("/", 1)
-            num = int(ns)
-            den = int(ds)
-        else:
-            num = int(t)
-            den = 1
-    except ValueError:
-        raise InputFormatError("not a rational literal: %r" % text) from None
+    """Parse "p/q" or "p" in normal form: ASCII digits, an optional leading
+    minus, no leading zeros, no negative zero, positive denominator, lowest
+    terms.  Anything accepted is written back as the same text (the bare
+    "p" form as "p/1")."""
+    ns, slash, ds = text.partition("/")
+    digits = ns[1:] if ns[:1] == "-" else ns
+    if not (text.isascii() and digits.isdigit() and
+            (not slash or (ds[1:] if ds[:1] == "-" else ds).isdigit())):
+        raise InputFormatError("not a rational literal: %r" % text)
+    num = int(ns)
+    den = int(ds) if slash else 1
     if den <= 0:
         raise InputFormatError("denominator must be positive: %r" % text)
-    if math.gcd(num, den) != 1:
+    if (len(digits) > 1 and digits[0] == "0") or ds[:1] == "0":
+        raise InputFormatError("leading zero in rational: %r" % text)
+    if ns[0] == "-" and not num:
+        raise InputFormatError("negative zero in rational: %r" % text)
+    if gcd(num, den) != 1:
         raise InputFormatError("rational not in lowest terms: %r" % text)
     return _rational(_Q(num, den))
 
@@ -278,30 +315,133 @@ def _eq(x, y) -> bool:
         return x.rat == y.rat
     if x.tower is not y.tower and not _same_chain(x.tower, y.tower):
         return False
-    return _eq(x.a, y.a) and _eq(x.b, y.b)
+    return x.den == y.den and x.tree == y.tree
 
 
 def _meet(x, y):
-    """The common floor for an operation on x and y: (level, tower)."""
-    lx, ly = x.level, y.level
-    if lx >= ly:
+    """The tower of the common floor for an operation on x and y."""
+    if x.level >= y.level:
         hi, lo = x, y
     else:
         hi, lo = y, x
-    if lo.level == 0:
-        return hi.level, hi.tower
-    if hi.tower is lo.tower:
-        return hi.level, hi.tower
-    anc = hi.tower.ancestors[lo.level] if lo.level <= hi.tower.height else None
-    if anc is not None and (anc is lo.tower or _same_chain(anc, lo.tower)):
-        return hi.level, hi.tower
+    if lo.level == 0 or hi.tower is lo.tower:
+        return hi.tower
+    anc = hi.tower.ancestors[lo.level]
+    if anc is lo.tower or _same_chain(anc, lo.tower):
+        return hi.tower
     raise TowerError("scalars belong to unrelated towers")
 
 
-def _split(x, k):
-    if x.level == k:
-        return x.a, x.b
-    return x, _ZERO
+# ---------------------------------------------------------------------------
+# integer trees: an int, or (j, A, B) meaning A + B*sqrt(d'_j), B != 0;
+# rads[j] is d'_j.  A tree is only ever divided by a common factor of its
+# leaves (_rescale).
+
+
+def _tnode(j, a, b):
+    """A + B*sqrt(d'_j), demoted to A when B is zero."""
+    if b.__class__ is int and not b:
+        return a
+    return (j, a, b)
+
+
+def _tadd(x, y):
+    if x.__class__ is int:
+        if y.__class__ is int:
+            return x + y
+        if not x:
+            return y
+        return (y[0], _tadd(x, y[1]), y[2])
+    if y.__class__ is int:
+        if not y:
+            return x
+        return (x[0], _tadd(x[1], y), x[2])
+    jx = x[0]
+    jy = y[0]
+    if jx == jy:
+        return _tnode(jx, _tadd(x[1], y[1]), _tadd(x[2], y[2]))
+    if jx > jy:
+        return (jx, _tadd(x[1], y), x[2])
+    return (jy, _tadd(x, y[1]), y[2])
+
+
+def _tneg(t):
+    if t.__class__ is int:
+        return -t
+    return (t[0], _tneg(t[1]), _tneg(t[2]))
+
+
+def _tscale(t, c):
+    """t times the integer c."""
+    if c == 1:
+        return t
+    if not c:
+        return 0
+    if t.__class__ is int:
+        return t * c
+    return (t[0], _tscale(t[1], c), _tscale(t[2], c))
+
+
+def _tmul(x, y, rads):
+    if x.__class__ is int:
+        if y.__class__ is int:
+            return x * y
+        return _tscale(y, x)
+    if y.__class__ is int:
+        return _tscale(x, y)
+    jx = x[0]
+    jy = y[0]
+    if jx > jy:
+        return _tnode(jx, _tmul(x[1], y, rads), _tmul(x[2], y, rads))
+    if jy > jx:
+        return _tnode(jy, _tmul(x, y[1], rads), _tmul(x, y[2], rads))
+    xa, xb = x[1], x[2]
+    ya, yb = y[1], y[2]
+    lo = _tadd(_tmul(xa, ya, rads),
+               _tmul(_tmul(xb, yb, rads), rads[jx], rads))
+    hi = _tadd(_tmul(xa, yb, rads), _tmul(xb, ya, rads))
+    return _tnode(jx, lo, hi)
+
+
+def _gcd_leaves(t, g):
+    """gcd of g and every leaf of t, stopping as soon as it is 1."""
+    if t.__class__ is int:
+        return gcd(g, t)
+    g = _gcd_leaves(t[2], g)
+    if g == 1:
+        return 1
+    return _gcd_leaves(t[1], g)
+
+
+def _rescale(t, num, g):
+    """Every leaf of t exactly divided by g, then times num."""
+    if t.__class__ is int:
+        return t // g * num
+    return (t[0], _rescale(t[1], num, g), _rescale(t[2], num, g))
+
+
+def _make(tower, t, num, den):
+    """The canonical scalar t*num/den, for a tree t whose levels tower
+    holds, den > 0 and num != 0."""
+    if t.__class__ is int:
+        return _rational(_Q(t * num, den))
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    g = _gcd_leaves(t, den)
+    if g != 1 or num != 1:
+        t = _rescale(t, num, g)
+        den //= g
+    return _node(tower.ancestors[t[0]], t, den)
+
+
+def _parts(x):
+    """(tree, den) of a scalar, rationals included."""
+    if x.level == 0:
+        q = x.rat
+        return int(q.numerator), int(q.denominator)
+    return x.tree, x.den
 
 
 def _is0(x) -> bool:
@@ -315,23 +455,25 @@ def _add(x, y):
         return y
     if _is0(y):
         return x
-    k, tw = _meet(x, y)
-    xa, xb = _split(x, k)
-    ya, yb = _split(y, k)
-    return _node(tw, _add(xa, ya), _add(xb, yb))
+    tw = _meet(x, y)
+    tx, dx = _parts(x)
+    ty, dy = _parts(y)
+    g = gcd(dx, dy)
+    t = _tadd(_tscale(tx, dy // g), _tscale(ty, dx // g))
+    if t.__class__ is int and not t:
+        return _ZERO
+    return _make(tw, t, 1, dx // g * dy)
 
 
 def _neg(x):
     if x.level == 0:
         return _rational(-x.rat)
-    return _node_unchecked(x.tower, _neg(x.a), _neg(x.b))
+    return _node(x.tower, _tneg(x.tree), x.den)
 
 
 def _scale(x, q):
-    """x times a nonzero rational q; keeps canonical form."""
-    if x.level == 0:
-        return _rational(x.rat * q)
-    return _node_unchecked(x.tower, _scale(x.a, q), _scale(x.b, q))
+    """x (a node) times a nonzero rational q."""
+    return _make(x.tower, x.tree, int(q.numerator), x.den * int(q.denominator))
 
 
 def _mul(x, y):
@@ -349,46 +491,46 @@ def _mul(x, y):
         if y.rat == 1:
             return x
         return _scale(x, y.rat)
-    k, tw = _meet(x, y)
-    xa, xb = _split(x, k)
-    ya, yb = _split(y, k)
-    d = tw.radicand
-    lo = _mul(xa, ya)
-    if not (_is0(xb) or _is0(yb)):
-        lo = _add(lo, _mul(_mul(xb, yb), d))
-    if _is0(xa) or _is0(yb):
-        hi = _ZERO
-    else:
-        hi = _mul(xa, yb)
-    if not (_is0(xb) or _is0(ya)):
-        hi = _add(hi, _mul(xb, ya))
-    return _node(tw, lo, hi)
+    tw = _meet(x, y)
+    t = _tmul(x.tree, y.tree, tw.rads)
+    if t.__class__ is int and not t:
+        return _ZERO
+    return _make(tw, t, 1, x.den * y.den)
 
 
-def _inv(x):
-    if x.level == 0:
-        if not x.rat:
-            raise ZeroDivisionError("division by zero scalar")
-        return _rational(1 / x.rat)
-    a, b = x.a, x.b
-    d = x.tower.radicand
-    n = _add(_mul(a, a), _neg(_mul(_mul(b, b), d)))
-    if _is0(n):
+def _inv_tree(t, rads):
+    """(s, m) with t*s == m for a positive integer m: the product of the
+    conjugates of t down the tower, with the content taken out of each
+    norm on the way."""
+    if t.__class__ is int:
+        return (1, t) if t > 0 else (-1, -t)
+    j, a, b = t
+    n = _tadd(_tmul(a, a, rads), _tneg(_tmul(_tmul(b, b, rads), rads[j], rads)))
+    if n.__class__ is int and not n:
         raise ZeroDivisorError(
-            "zero conjugate norm at level %d; the radicand there is a perfect "
-            "square lower in the tower" % x.level)
-    ni = _inv(n)
-    return _node(x.tower, _mul(a, ni), _neg(_mul(b, ni)))
+            "zero conjugate norm at level %d; the radicand there is a "
+            "perfect square lower in the tower" % j)
+    c = _gcd_leaves(n, 0)
+    if c != 1:
+        n = _rescale(n, 1, c)
+    s, m = _inv_tree(n, rads)
+    return _tmul((j, a, _tneg(b)), s, rads), m * c
 
 
 def _div(x, y):
     if y.level == 0:
         if not y.rat:
             raise ZeroDivisionError("division by zero scalar")
-        if _is0(x):
-            return _ZERO
-        return _scale(x, 1 / y.rat)
-    return _mul(x, _inv(y))
+        return _mul(x, _rational(1 / y.rat))
+    # x/y = x*den(y)*s/m with tree(y)*s = m; the inverse is found even
+    # when x is zero, so a zero divisor y is refused whatever x is
+    tw = _meet(x, y)
+    s, m = _inv_tree(y.tree, tw.rads)
+    tx, dx = _parts(x)
+    t = _tmul(tx, s, tw.rads)
+    if t.__class__ is int and not t:
+        return _ZERO
+    return _make(tw, t, y.den, dx * m)
 
 
 ZERO = _ZERO
@@ -467,6 +609,16 @@ def rational_string(q) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
+def _tree_to_obj(t, num, den, scales):
+    """The sqrt(d_j)-basis encoding of t*num/den."""
+    if t.__class__ is int:
+        return rational_string(_Q(t * num, den))
+    j = t[0]
+    return {"a": _tree_to_obj(t[1], num, den, scales),
+            "b": _tree_to_obj(t[2], num * scales[j], den, scales),
+            "level": j}
+
+
 def scalar_to_obj(x):
     """Serialize: rationals as "p/q" strings, a + b*sqrt(d_k) as
     {"a": a, "b": b, "level": k}.  The radicand d_k itself is spelled out
@@ -474,8 +626,7 @@ def scalar_to_obj(x):
     s = as_scalar(x)
     if s.level == 0:
         return rational_string(s.rat)
-    return {"a": scalar_to_obj(s.a), "b": scalar_to_obj(s.b),
-            "level": s.level}
+    return _tree_to_obj(s.tree, 1, s.den, s.tower.scales)
 
 
 _NODE_KEYS = frozenset(("a", "b", "level"))
@@ -504,11 +655,16 @@ def scalar_from_obj(obj, tower: Tower, top=None) -> TowerScalar:
         raise InputFormatError(
             "scalar level %d is outside 1..%d: above the tower, or not "
             "below its parent node" % (level, top))
-    a = scalar_from_obj(obj["a"], tower, level - 1)
+    ta, da = _parts(scalar_from_obj(obj["a"], tower, level - 1))
     b = scalar_from_obj(obj["b"], tower, level - 1)
     if b.is_zero():
         raise InputFormatError("non-canonical scalar: zero radical part")
-    return _node_unchecked(tower.ancestors[level], a, b)
+    # a + b*sqrt(d_j) = a + (b/E_j)*sqrt(d'_j), over one denominator
+    tb, db = _parts(b)
+    db *= tower.scales[level]
+    g = gcd(da, db)
+    return _make(tower, (level, _tscale(ta, db // g), _tscale(tb, da // g)),
+                 1, da // g * db)
 
 
 def tower_to_obj(tower: Tower) -> list:

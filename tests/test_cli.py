@@ -266,6 +266,37 @@ class TestVerify:
                    "--jobs", 2, "--out", two) == 0
         assert one.read_bytes() == two.read_bytes()
 
+    def test_pool_capped_by_certificates_and_cpus(self, docs, tmp_path,
+                                                  monkeypatch):
+        # a stand-in pool that records its size and maps serially, so no
+        # process is started whatever --jobs asks for
+        from quadcyl import cli
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        cert = self.make_cert(docs, tmp_path)
+        cases = [(8, 64, 3, 3), (8, 2, 3, 2), (2, 64, 3, 2),
+                 (None, 64, 3, None), (8, 64, 1, None), (8, 0, 3, None)]
+        for cpus, jobs, count, expected in cases:
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            assert run("verify", *[cert] * count, "--form",
+                       docs / "split.qf", "--jobs", jobs) == 0
+            assert sizes == ([] if expected is None else [expected])
+
     def test_needs_exactly_one_reference(self, docs, tmp_path):
         cert = self.make_cert(docs, tmp_path)
         assert run("verify", cert) == 2

@@ -1,5 +1,6 @@
 """Tower arithmetic: frozen hand-checked values first, then properties."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,26 @@ class TestParsing:
             with pytest.raises(InputFormatError):
                 parse_rational(bad)
 
+    def test_only_round_tripping_literals(self):
+        # each of these used to parse and be written back as other text
+        for bad in ("1_0/3", "١٢/5", "+3/4", " 3/4 ", "3/4\n",
+                    "-0/1", "-0", "03/4", "3/04", "", "-", "/3", "3/"):
+            with pytest.raises(InputFormatError):
+                parse_rational(bad)
+        for good in ("0/1", "-3/4", "10/3", "7/1"):
+            assert scalar_to_obj(parse_rational(good)) == good
+        assert scalar_to_obj(parse_rational("0")) == "0/1"
+        assert scalar_to_obj(parse_rational("-12")) == "-12/1"
+
+    def test_point_document_refuses_loose_literal(self):
+        from quadcyl.serialize import point_from_obj
+        doc = {"kind": "point", "radicands": [], "size": 2,
+               "coords": ["1/1", "1_0/3"]}
+        with pytest.raises(InputFormatError):
+            point_from_obj(doc)
+        doc["coords"] = ["1/1", "10/3"]
+        point_from_obj(doc)
+
 
 class TestSerialization:
     def test_rational_round_trip(self):
@@ -288,3 +309,148 @@ def test_rational_fast_paths_agree(a, b):
 def test_as_scalar_rejects_floats():
     with pytest.raises(TowerError):
         as_scalar(0.5)
+
+
+class TestNumericOracle:
+    """Nested towers of height up to 6 checked against mpmath at 90
+    digits, with one fixed complex square root per level."""
+
+    HEIGHT = 6
+
+    @staticmethod
+    def random_rational(rng):
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    def random_value(self, rng, tower, level):
+        """A random element of level <= `level`, sparse below the top."""
+        if level == 0 or rng.random() < 0.15:
+            return scalar(self.random_rational(rng))
+        a = self.random_value(rng, tower, level - 1)
+        b = self.random_value(rng, tower, level - 1)
+        if b.is_zero():
+            b = scalar(1)
+        return a + b * tower.generator(level)
+
+    def build(self, seed):
+        """A tower whose radicand k is a random element of level k-1 (the
+        first one 3/5), and the generator it draws the rest from."""
+        rng = random.Random(seed)
+        tw = Tower.rationals()
+        tw = tw.extend(Fraction(3, 5))
+        for k in range(2, self.HEIGHT + 1):
+            tw = tw.extend(self.random_value(rng, tw, k - 1))
+        return rng, tw
+
+    def test_arithmetic_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(90):
+            self.check_against(mpmath)
+
+    def check_against(self, mpmath):
+        tolerance = mpmath.mpf(10) ** -70
+
+        def ev(x):
+            def walk(obj):
+                if isinstance(obj, str):
+                    p, q = obj.split("/")
+                    return mpmath.mpf(int(p)) / int(q)
+                return walk(obj["a"]) + walk(obj["b"]) * roots[obj["level"]]
+            return walk(scalar_to_obj(x))
+
+        def close(got, want, scale):
+            return abs(got - want) <= tolerance * (1 + scale)
+
+        for seed in (1, 2):
+            rng, tw = self.build(seed)
+            roots = [None]
+            for k, d in enumerate(tw.radicands(), start=1):
+                roots.append(mpmath.sqrt(mpmath.mpc(ev(d))))
+                g = tw.generator(k)
+                assert g * g == d
+                assert close(ev(g) ** 2, ev(d), abs(ev(d)))
+            for level in range(1, self.HEIGHT + 1):
+                for _ in range(2):
+                    x = self.random_value(rng, tw, level)
+                    y = self.random_value(rng, tw, rng.randint(0, level))
+                    ex, ey = ev(x), ev(y)
+                    size = abs(ex) * abs(ey) + abs(ex) + abs(ey)
+                    assert close(ev(x + y), ex + ey, size)
+                    assert close(ev(x - y), ex - ey, size)
+                    assert close(ev(x * y), ex * ey, size)
+                    if not y.is_zero():
+                        q = x / y
+                        assert close(ev(q), ex / ey, abs(ex / ey))
+                        assert q * y == x
+                    if not x.is_zero():
+                        inv = 1 / x
+                        assert close(ev(inv), 1 / ex, abs(1 / ex))
+                        assert inv * x == 1
+
+    def test_round_trip_and_hash_across_towers(self):
+        for seed in (3, 4):
+            rng1, tw1 = self.build(seed)
+            rng2, tw2 = self.build(seed)
+            assert tw1 is not tw2 and tw1.same_chain(tw2)
+            for level in range(1, self.HEIGHT + 1):
+                x1 = self.random_value(rng1, tw1, level)
+                x2 = self.random_value(rng2, tw2, level)
+                y1 = self.random_value(rng1, tw1, level)
+                y2 = self.random_value(rng2, tw2, level)
+                for v1, v2 in ((x1, x2), (x1 * y1, x2 * y2),
+                               (x1 - y1 / 7, x2 - y2 / 7)):
+                    assert v1 == v2
+                    assert hash(v1) == hash(v2)
+                    obj = scalar_to_obj(v1)
+                    back = scalar_from_obj(obj, tw2)
+                    assert back == v1 and hash(back) == hash(v1)
+                    assert scalar_to_obj(back) == obj
+
+
+class TestReadSurface:
+    """The attributes and operator bindings that outside readers (the
+    benchmark's scalar encoding and tracer) rely on."""
+
+    def test_rational_and_node_fields(self):
+        from quadcyl import tower
+        assert tower.ONE.rat == 1 and tower.ONE.level == 0
+        assert type(tower._Q(0)) is type(tower.ONE.rat)
+        r = scalar(Fraction(-3, 4))
+        assert r.level == 0 and r.rat == Fraction(-3, 4)
+        _, tw = try_sqrt(Tower.rationals(), Fraction(3, 5))
+        s1 = tw.generator(1)
+        u, tw = try_sqrt(tw, 2 + s1 / 3)
+        x = (Fraction(1, 2) + 7 * s1) + (s1 - Fraction(5, 6)) * u
+        assert x.level == 2
+        assert isinstance(x.a, tower.TowerScalar)
+        assert isinstance(x.b, tower.TowerScalar)
+        assert x.a == Fraction(1, 2) + 7 * s1
+        assert x.b == s1 - Fraction(5, 6)
+        assert x == x.a + x.b * tw.generator(2)
+        for part in (x.a, x.b):
+            assert part.level == 1
+            assert part == part.a + part.b * tw.generator(1)
+            assert part.a.level == 0 and part.b.level == 0
+
+    def test_operators_are_the_only_entry_points(self, monkeypatch):
+        from quadcyl.tower import TowerScalar
+        names = ("__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                 "__add__", "__radd__", "__sub__", "__rsub__")
+        calls = []
+
+        def counting(name, orig):
+            def op(a, b):
+                calls.append(name)
+                return orig(a, b)
+            return op
+
+        s, tw = sqrt2_setup()
+        u, tw = try_sqrt(tw, 1 + s)
+        x = (3 + s) + (s - 5) * u
+        y = (1 - 2 * s) + 4 * u
+        for name in names:
+            monkeypatch.setattr(TowerScalar, name,
+                                counting(name, getattr(TowerScalar, name)))
+        results = [x * y, 2 * x, x / y, 1 / x, x + y, 1 + x, x - y, 1 - x]
+        assert calls == list(names)
+        monkeypatch.undo()
+        assert results[2] * y == x and results[3] * x == 1
