@@ -24,16 +24,22 @@ from .errors import (
     FormNotSmoothError,
     InputFormatError,
     OutOfDomainError,
+    PointNotOnQuadricError,
     RankTooLowError,
+    SingularPointError,
+    TowerError,
 )
 from .projective import (
     CoordChange,
     ProjPoint,
     QuadForm,
+    _eliminate,
+    congruent_diagonalize,
     identity_mat,
     is_zero_vec,
     mat,
     mat_eq,
+    mat_mul,
     nullspace,
     quadform_from_terms,
     transpose,
@@ -180,7 +186,6 @@ def chart_from_descriptor(form: QuadForm, desc: dict, on_quadric) -> Chart:
     m = mat(desc["matrix"])
     if len(m) != form.size or any(len(r) != form.size for r in m):
         raise InputFormatError("chart matrix has the wrong size")
-    from .errors import TowerError
     try:
         change = CoordChange(m)
         change.inverse_matrix()
@@ -228,7 +233,6 @@ def _complete_basis(cols, candidates):
     """Extend the column list to a basis using candidates, in order."""
     n = len(cols[0])
     rows = [list(c) for c in cols]
-    from .projective import _eliminate
     for cand in candidates:
         if len(rows) == n:
             break
@@ -250,11 +254,9 @@ def ctsq_normalize(q: QuadForm, x) -> CtsqFrame:
     p = x if isinstance(x, ProjPoint) else ProjPoint(x)
     fx = q(p)
     if not fx.is_zero():
-        from .errors import PointNotOnQuadricError
         raise PointNotOnQuadricError("base point is not on the quadric")
     w = q.gradient(p)
     if is_zero_vec(w):
-        from .errors import SingularPointError
         raise SingularPointError("base point is singular on the quadric")
     n = q.size
     i0 = next(i for i, c in enumerate(w) if not c.is_zero())
@@ -317,7 +319,6 @@ def hyperbolic_normalize(q: QuadForm, tower):
         frame = HyperbolicFrame(CoordChange(identity_mat(n), identity_mat(n)),
                                 m, has_z, r)
         return frame, tower
-    from .projective import congruent_diagonalize
     change, diag = congruent_diagonalize(q)
     cols = list(transpose(change.matrix))
     new_cols = []
@@ -352,7 +353,6 @@ def cone_decompose(q: QuadForm) -> ConeSplit:
     r = q.rank()
     std = [unit_vec(n, i) for i in range(n)]
     # complement of the radical spanned by standard vectors, then the radical
-    from .projective import _eliminate
     comp = []
     rows = [list(v) for v in rad]
     for cand in std:
@@ -415,7 +415,6 @@ def cone_lift(chart: Chart, split: ConeSplit, ambient: QuadForm) -> Chart:
             block[i][j] = chart.change.matrix[i][j]
     for k in range(base_n, n):
         block[k][k] = ONE
-    from .projective import mat_mul
     full = mat_mul(split.change.matrix, mat(block))
     return Chart(chart.kind, ambient, CoordChange(full), chart.dist,
                  chart.dep, on_quadric=chart.on_quadric, vertex_dim=vd)

@@ -82,14 +82,21 @@ def _load_pencil(path: str, limit: int):
     return ser.pencil_from_obj(_read_doc(path), limit=limit)
 
 
-def _parse_point(text: str, base: Tower, limit: int):
-    """A point argument: either inline comma-separated rationals like
-    "0,1,-2/3", or @file naming a point document."""
+def _parse_point(text: str, size: int, base: Tower, limit: int):
+    """A point argument with size coordinates: either inline
+    comma-separated rationals like "0,1,-2/3", or @file naming a point
+    document."""
     if text.startswith("@"):
-        return ser.point_from_obj(_read_doc(text[1:]), base=base,
-                                  limit=limit)
-    parts = [p.strip() for p in text.split(",")]
-    return ProjPoint(vec(parse_rational(p) for p in parts)), base
+        point, tower = ser.point_from_obj(_read_doc(text[1:]), base=base,
+                                          limit=limit)
+    else:
+        parts = [p.strip() for p in text.split(",")]
+        point, tower = ProjPoint(vec(parse_rational(p) for p in parts)), base
+    if len(point) != size:
+        raise SystemExitCode(
+            EXIT_INPUT, "point %s has %d coordinates, expected %d"
+            % (text, len(point), size))
+    return point, tower
 
 
 def _radicand_note(tower: Tower) -> str:
@@ -110,7 +117,8 @@ def cmd_normalize(args) -> int:
     if args.ctsq:
         if args.point is None:
             raise SystemExitCode(EXIT_INPUT, "--ctsq needs --point")
-        point, tower = _parse_point(args.point, tower, args.tower_limit)
+        point, tower = _parse_point(args.point, form.size, tower,
+                                     args.tower_limit)
         frame = ctsq_normalize(form, point)
     else:
         frame, tower = hyperbolic_normalize(form, tower)
@@ -138,8 +146,8 @@ def cmd_connect(args) -> int:
         if args.pencil is None:
             raise SystemExitCode(EXIT_INPUT, "connect ci needs --pencil")
         pencil, tower = _load_pencil(args.pencil, limit)
-        p, tower = _parse_point(args.from_point, tower, limit)
-        q, tower = _parse_point(args.to_point, tower, limit)
+        p, tower = _parse_point(args.from_point, pencil.size, tower, limit)
+        q, tower = _parse_point(args.to_point, pencil.size, tower, limit)
         lines = []
         for path in args.line or ():
             line, tower = ser.line_from_obj(_read_doc(path), base=tower,
@@ -159,8 +167,8 @@ def cmd_connect(args) -> int:
         raise SystemExitCode(EXIT_INPUT,
                              "--pencil/--line are only for connect ci")
     form, tower = _load_form(args.form, limit)
-    p, tower = _parse_point(args.from_point, tower, limit)
-    q, tower = _parse_point(args.to_point, tower, limit)
+    p, tower = _parse_point(args.from_point, form.size, tower, limit)
+    q, tower = _parse_point(args.to_point, form.size, tower, limit)
     if args.target == "complement":
         path = connect_complement(form, p, q, tower=tower)
     else:
@@ -290,7 +298,7 @@ def cmd_find_line(args) -> int:
     pencil, tower = _load_pencil(args.pencil, limit)
     rng = random.Random(args.seed)
     if args.point is not None:
-        point, tower = _parse_point(args.point, tower, limit)
+        point, tower = _parse_point(args.point, pencil.size, tower, limit)
         line, tower = find_line_through(pencil, point, rng=rng, tower=tower,
                                         retry_limit=args.retry_limit)
     else:

@@ -26,7 +26,6 @@ from .errors import (
     InputFormatError,
     OutOfDomainError,
     RankTooLowError,
-    RetryLimitError,
     SingularPointError,
 )
 from .charts import Chart, ChartBundle, build_complement_charts, \
@@ -257,9 +256,14 @@ def connect_complement(form: QuadForm, p, q, *, tower=None,
 def connect_on_quadric(form: QuadForm, p, q, *, tower=None, seed=None,
                        rng=None, retry_limit=64) -> MovePath:
     """A path of fiber moves between two smooth points inside the quadric
-    V(form) itself.  Usually a single chart jump through a well-paired
-    auxiliary point; falls back to two charts when the search cannot pair
-    both endpoints at once."""
+    V(form) itself: one jump in the quadric chart around an auxiliary
+    smooth point y with beta(y, p) and beta(y, q) both nonzero.  For rank
+    >= 3, V(form) is irreducible and lies in neither tangent hyperplane,
+    so point_on_quadric finds y unless retry_limit candidates all miss
+    (RetryLimitError).  y is projected from point_on_quadric's base
+    point, so once the base lies in the tower, as it does for free when a
+    coordinate vector is a smooth zero of the form, the connection pays
+    no radicand."""
     p = p if isinstance(p, ProjPoint) else ProjPoint(p)
     q = q if isinstance(q, ProjPoint) else ProjPoint(q)
     if form.rank() < 3:
@@ -279,48 +283,16 @@ def connect_on_quadric(form: QuadForm, p, q, *, tower=None, seed=None,
     if p == q:
         return done(())
 
-    def paired_with(*pts):
-        def ok(y):
-            if not form.is_smooth_at(y):
-                return False
-            return all(not form.bilinear(y, x).is_zero() for x in pts)
-        return ok
+    def paired(y):
+        return form.is_smooth_at(y) and not form.bilinear(y, p).is_zero() \
+            and not form.bilinear(y, q).is_zero()
 
-    try:
-        y, tower = point_on_quadric(form, rng=rng, tower=tower,
-                                    predicate=paired_with(p, q),
-                                    retry_limit=retry_limit)
-        chart = quadric_chart(form, y)
-        _, tvq = chart.forward(q)
-        trail = _Trail()
-        end = trail.move(chart, p, tvq)
-        assert end == q
-        return done(trail.steps())
-    except RetryLimitError:
-        pass
-    # two-chart fallback: hop through a midpoint
-    y1, tower = point_on_quadric(form, rng=rng, tower=tower,
-                                 predicate=paired_with(p),
-                                 retry_limit=retry_limit)
-    chart1 = quadric_chart(form, y1)
-    mid = None
-    for cand in _w_escape_candidates(chart1):
-        z = chart1.backward(ZERO, cand)
-        if z != p and z != q and form.is_smooth_at(z):
-            mid = z
-            break
-    if mid is None:  # pragma: no cover
-        raise RetryLimitError("no usable midpoint in the fallback chart")
-    y2, tower = point_on_quadric(form, rng=rng, tower=tower,
-                                 predicate=paired_with(mid, q),
-                                 retry_limit=retry_limit)
-    chart2 = quadric_chart(form, y2)
+    y, tower = point_on_quadric(form, rng=rng, tower=tower, predicate=paired,
+                                retry_limit=retry_limit)
+    chart = quadric_chart(form, y)
+    _, tvq = chart.forward(q)
     trail = _Trail()
-    _, tv_mid = chart1.forward(mid)
-    got = trail.move(chart1, p, tv_mid)
-    assert got == mid
-    _, tvq = chart2.forward(q)
-    end = trail.move(chart2, mid, tvq)
+    end = trail.move(chart, p, tvq)
     assert end == q
     return done(trail.steps())
 

@@ -62,6 +62,7 @@ from .tower import (
     Tower,
     as_scalar,
     deepest_tower,
+    scalar_to_obj,
     try_sqrt,
 )
 
@@ -179,7 +180,6 @@ class SmoothnessReport:
     discriminant: list
 
     def to_obj(self):
-        from .tower import scalar_to_obj
         return {
             "smooth": self.smooth,
             "squarefree": self.squarefree,
@@ -793,21 +793,12 @@ def polar_degree_audit(chart: LineChart, inner_chart=None,
     quadric to degree 2, three in total, and the quadric part must
     vanish on the projection line."""
     if inner_chart is None:
-        # one cylinder chart on the image complement suffices, and the
-        # adapted-coordinates construction never grows the tower, which
-        # matters when the image quadric already carries radicals
-        if tower is None:
-            tower = Tower.rationals()
+        # one cylinder chart on the image complement suffices; its base
+        # point costs no radicand when a coordinate vector is a smooth
+        # zero, which matters when the image quadric carries radicals
         img = chart.image
-        base = None
-        for i in range(img.size):
-            row = img.matrix[i]
-            if img.matrix[i][i].is_zero() and not is_zero_vec(row):
-                base = ProjPoint(unit_vec(img.size, i))
-                break
-        if base is None:
-            base, tower = point_on_quadric(img, rng=random.Random(0),
-                                           tower=tower)
+        base, _ = point_on_quadric(img, rng=random.Random(0), tower=tower,
+                                   predicate=img.is_smooth_at)
         inner_chart = complement_cylinder(img, base)
     h = inner_chart.change.inverse_matrix()[inner_chart.dist]
     pi = chart.change.inverse_matrix()[2:]

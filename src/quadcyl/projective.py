@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from .errors import (
     PointNotOnQuadricError,
@@ -420,16 +421,11 @@ def congruent_diagonalize(q: QuadForm):
     return change, tuple(diag[i] for i in order)
 
 
-def _random_combo(basis, rng, bound):
+def _random_coeffs(k, rng):
     while True:
-        cs = [rng.randint(-bound, bound) for _ in basis]
+        cs = [rng.randint(-10, 10) for _ in range(k)]
         if any(cs):
-            v = zero_vec(len(basis[0]))
-            for c, b in zip(cs, basis):
-                if c:
-                    v = vec_add(v, vec_scale(b, as_scalar(c)))
-            if not is_zero_vec(v):
-                return v
+            return vec(cs)
 
 
 def roots_on_line(form: QuadForm, z, w, tower, extend=True):
@@ -472,52 +468,74 @@ def roots_on_line(form: QuadForm, z, w, tower, extend=True):
     return out, tower
 
 
+def _base_point(g: QuadForm, tower):
+    """(c, tower): a zero of g at which g is smooth, or (None, tower) when
+    g has rank <= 1 (or every smooth zero tried needs a radicand the
+    tower cannot take).  A coordinate vector e_i with g(e_i) = 0 and a
+    nonzero row costs nothing.  Otherwise the base is the first smooth
+    root on a line through two coordinate vectors; it pays at most one
+    radicand, and none on a tower that already holds that root."""
+    k = g.size
+    for i in range(k):
+        e = unit_vec(k, i)
+        if g.matrix[i][i].is_zero() and g.is_smooth_at(e):
+            return e, tower
+    for i, j in combinations(range(k), 2):
+        roots, work = roots_on_line(g, unit_vec(k, i), unit_vec(k, j), tower)
+        for r in roots:
+            if g.is_smooth_at(r):
+                return r, work
+    return None, tower
+
+
 def point_on_quadric(q: QuadForm, basis=None, rng=None, tower=None,
                      predicate=None, retry_limit=64):
     """A point of V(q) inside the span of basis (default: everywhere),
-    found by seeded random line sections.  Returns (ProjPoint, tower).
+    accepted by the predicate.  Returns (ProjPoint, tower).
 
-    Each attempt draws a random line in the span, solves the restricted
-    quadratic exactly, and offers the roots to the predicate.  Early
-    attempts hold out for a discriminant that is already a square in the
-    tower; paying an adjunction happens on a child tower, so the returned
-    tower carries at most one new radicand (the one used by the returned
-    point).
+    The search projects from one base point, a zero of q on the span at
+    which q restricted to the span is smooth (see _base_point): every
+    line through the base meets V(q) once more, at
+    q(v)*base - 2*beta(base, v)*v, in the base's own field.  Finding the
+    base pays at most one radicand, and none when a basis vector is such
+    a zero or the tower already holds the base; the retry_limit
+    candidates offered to the predicate, one per random v, never pay
+    one.  When q has rank <= 1 on the span, V(q) there is the radical of
+    the restricted form and the candidates are random points of it.
     """
     if rng is None:
         rng = random.Random(0)
     if tower is None:
         tower = Tower.rationals()
     if basis is None:
-        basis = identity_mat(q.size)
-    if not basis:
+        g, lift = q, vec
+    elif not basis:
         raise RetryLimitError("empty subspace has no points")
+    else:
+        # q restricted to the span, in the coordinates c of sum c_k basis_k
+        grads = [q.gradient(b) for b in basis]
+        g = QuadForm([[dot(a, gb) for gb in grads] for a in basis])
+        cols = transpose(basis)
+        lift = lambda c: mat_vec(cols, c)
 
-    def offer(coords, tw):
-        if is_zero_vec(coords):
-            return None
-        p = ProjPoint(coords)
-        if predicate is not None and not predicate(p):
-            return None
-        return p, tw
+    base, tower = _base_point(g, tower)
+    if base is not None:
+        def draw():
+            v = _random_coeffs(g.size, rng)
+            return vec_add(vec_scale(base, g(v)),
+                           vec_scale(v, -2 * g.bilinear(base, v)))
+    else:
+        rad = transpose(g.radical_basis())
+        if not rad:
+            raise RetryLimitError("no point on the quadric in the subspace")
+        draw = lambda: mat_vec(rad, _random_coeffs(len(rad[0]), rng))
 
-    if len(basis) == 1:
-        p = ProjPoint(basis[0])
-        if q(p).is_zero():
-            got = offer(basis[0], tower)
-            if got:
-                return got
-        raise RetryLimitError("no acceptable point on the quadric in the subspace")
-
-    for attempt in range(retry_limit):
-        bound = 10 + 5 * (attempt // 8)
-        u = _random_combo(basis, rng, bound)
-        v = _random_combo(basis, rng, bound)
-        candidates, work = roots_on_line(
-            q, u, v, tower, extend=2 * (attempt + 1) > retry_limit)
-        for cand in candidates:
-            got = offer(cand, work)
-            if got:
-                return got
+    for _ in range(retry_limit):
+        c = draw()
+        if is_zero_vec(c):
+            continue
+        p = ProjPoint(lift(c))
+        if predicate is None or predicate(p):
+            return p, tower
     raise RetryLimitError(
         "no acceptable point on the quadric after %d attempts" % retry_limit)

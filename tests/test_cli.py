@@ -10,7 +10,7 @@ from quadcyl.projective import ProjPoint, QuadForm, quadform_from_terms, \
     rank_of, vec
 from quadcyl.serialize import (
     dumps, form_to_obj, line_from_obj, loads, pencil_from_obj,
-    pencil_to_obj,
+    pencil_to_obj, point_to_obj,
 )
 from quadcyl.tower import Tower, as_scalar, scalar_from_obj
 
@@ -175,6 +175,35 @@ class TestDashLeadingValues:
     def test_eacx_lambdas(self, tmp_path):
         assert run("eacx-build", "--lambdas", "-1,0,1,2,3,4",
                    "--out", tmp_path / "p.pf") == 0
+
+
+class TestPointLength:
+    """A point whose coordinate count differs from the form's or the
+    pencil's size is an input error, inline or from a point document."""
+
+    @pytest.mark.parametrize("argv", [
+        ("connect", "complement", "--form", "{docs}/split.qf",
+         "--from", "1,2", "--to", "0,3,1,5"),
+        ("connect", "quadric", "--form", "{docs}/split.qf",
+         "--from", "1,0,0,0", "--to", "0,0,1,0,0"),
+        ("connect", "ci", "--pencil", "{docs}/hex.pf",
+         "--from", "1,0,0,0,0,0,9", "--to", "0,0,0,0,1,0"),
+        ("normalize", "--ctsq", "--point", "1,0", "{docs}/conic.qf"),
+        ("find-line", "--pencil", "{docs}/hex.pf",
+         "--point", "1,0,0,0,0,0,9"),
+        ("connect", "complement", "--form", "{docs}/split.qf",
+         "--from", "@{tmp}/short.pt", "--to", "0,3,1,5"),
+    ], ids=["complement", "quadric", "ci", "normalize", "find-line",
+            "point-document"])
+    def test_wrong_length_is_input_error(self, docs, tmp_path, capsys,
+                                         argv):
+        (tmp_path / "short.pt").write_text(dumps(point_to_obj(
+            ProjPoint(vec([1, 1, 0])), Tower.rationals())))
+        argv = [a.format(docs=docs, tmp=tmp_path) for a in argv]
+        assert run(*argv, "--out", tmp_path / "out.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: point ")
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestVerify:

@@ -187,6 +187,24 @@ class TestConnectOnQuadric:
             rep = verify_path(q, path)
             assert rep.valid, rep.reason
 
+    def test_grid_forms_pay_no_radicand(self):
+        # seeded rational smooth points (x0 != 0, x1 solved) on every
+        # hyperbolic_target form of the acceptance grid
+        rng = random.Random(9)
+        for size in range(3, 9):
+            for rank in range(3, size + 1):
+                q = hyperbolic_target(size, rank // 2, bool(rank % 2))
+                for _ in range(3):
+                    ends = []
+                    for _ in range(2):
+                        x = [F(rng.randint(-9, 9)) for _ in range(size)]
+                        x[0], x[1] = F(rng.choice([-3, -1, 1, 2])), F(0)
+                        x[1] = -q(proj(x)).rat / x[0]
+                        ends.append(proj(x))
+                    path = connect_on_quadric(q, *ends, seed=rng.randint(0, 99))
+                    assert path.tower.height == 0
+                    assert verify_path(q, path).valid
+
 
 class TestVerifyRejections:
     def _path(self):

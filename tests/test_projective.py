@@ -203,6 +203,50 @@ class TestPointSearch:
         assert q(p).is_zero()
         assert tw2.height <= tw.height + 1
 
+    def test_rational_base_on_grid_forms(self):
+        # every form of the acceptance grid has a smooth isotropic
+        # coordinate vector, so sampling from the rationals stays there
+        rng = random.Random(7)
+        for size in range(3, 9):
+            for rank in range(3, size + 1):
+                q = hyperbolic_form(size, rank // 2, bool(rank % 2))
+                for _ in range(3):
+                    p, tw = point_on_quadric(q, rng=rng,
+                                             tower=Tower.rationals(),
+                                             predicate=q.is_smooth_at)
+                    assert q(p).is_zero() and q.is_smooth_at(p)
+                    assert tw.height == 0
+
+    def test_irrational_base_paid_once(self):
+        # the base point of x0^2 + x1^2 - 3 x2^2 needs a radicand; calls
+        # on the tower that holds it find the same base and pay no more
+        q = quadform_from_terms(3, {(0, 0): 1, (1, 1): 1, (2, 2): -3})
+        rng = random.Random(11)
+        p, tw = point_on_quadric(q, rng=rng, tower=Tower.rationals())
+        assert tw.height == 1
+        for _ in range(5):
+            r, tw2 = point_on_quadric(q, rng=rng, tower=tw,
+                                      predicate=q.is_smooth_at)
+            assert q(r).is_zero() and q.is_smooth_at(r)
+            assert tw2.height == 1
+
+    def test_rank_one_returns_radical_point(self):
+        q = quadform_from_terms(3, {(0, 0): 1})
+        p, tw = point_on_quadric(q, rng=random.Random(2))
+        assert p[0].is_zero()
+        assert tw.height == 0
+
+    def test_singular_isotropic_vector_never_chosen(self):
+        # e_3 is the only isotropic coordinate vector, and it is the vertex
+        q = quadform_from_terms(4, {(0, 0): 1, (1, 1): 1, (2, 2): -3})
+        vertex = proj([0, 0, 0, 1])
+        for seed in range(5):
+            p, tw = point_on_quadric(q, rng=random.Random(seed),
+                                     predicate=q.is_smooth_at)
+            assert q(p).is_zero() and q.is_smooth_at(p)
+            assert p != vertex
+            assert tw.height <= 1
+
     def test_exhaustion_on_pointless_instance(self):
         # single point (1:1) of P^1 not on x0 x1
         q = hyperbolic_form(2, 1)
