@@ -33,7 +33,6 @@ from .projective import (
     CoordChange,
     ProjPoint,
     QuadForm,
-    _eliminate,
     congruent_diagonalize,
     identity_mat,
     is_zero_vec,
@@ -230,20 +229,39 @@ class ConeSplit:
 
 
 def _complete_basis(cols, candidates):
-    """Extend the column list to a basis using candidates, in order."""
+    """Extend the independent column list to a basis using candidates, in
+    order: a candidate is kept when it is independent of the columns kept
+    so far.  Each kept vector is stored reduced against the earlier ones,
+    with a 1 at its own pivot, so one pass over them decides the next."""
     n = len(cols[0])
-    rows = [list(c) for c in cols]
+    reduced = []  # (pivot, row): row[pivot] == 1, row zero at earlier pivots
+    out = []
+
+    def keep(v):
+        v = list(v)
+        for p, row in reduced:
+            f = v[p]
+            if not f.is_zero():
+                v = [x - f * y for x, y in zip(v, row)]
+        p = next((i for i, x in enumerate(v) if not x.is_zero()), None)
+        if p is None:
+            return False
+        inv = 1 / v[p]
+        reduced.append((p, [x * inv for x in v]))
+        return True
+
+    for c in cols:
+        if not keep(c):
+            raise InputFormatError("starting columns are dependent")
+        out.append(tuple(c))
     for cand in candidates:
-        if len(rows) == n:
+        if len(out) == n:
             break
-        trial = rows + [list(cand)]
-        work = [r[:] for r in trial]
-        if len(_eliminate(work)) == len(trial):
-            rows = trial
-            cols = cols + [tuple(cand)]
-    if len(cols) != n:
+        if keep(cand):
+            out.append(tuple(cand))
+    if len(out) != n:
         raise InputFormatError("could not complete to a basis")
-    return cols
+    return out
 
 
 def ctsq_normalize(q: QuadForm, x) -> CtsqFrame:
@@ -351,19 +369,9 @@ def cone_decompose(q: QuadForm) -> ConeSplit:
         return ConeSplit(CoordChange(identity_mat(n), identity_mat(n)), q,
                          q.rank())
     r = q.rank()
-    std = [unit_vec(n, i) for i in range(n)]
     # complement of the radical spanned by standard vectors, then the radical
-    comp = []
-    rows = [list(v) for v in rad]
-    for cand in std:
-        if len(comp) == r:
-            break
-        work = [x[:] for x in rows] + [list(cand)]
-        if len(_eliminate(work)) == len(rows) + 1:
-            comp.append(cand)
-            rows.append(list(cand))
-    cols = comp + [tuple(v) for v in rad]
-    mch = transpose(cols)
+    cols = _complete_basis(rad, [unit_vec(n, i) for i in range(n)])
+    mch = transpose(cols[len(rad):] + cols[:len(rad)])
     b = q.transform(mch).matrix
     base = QuadForm(tuple(row[:r] for row in b[:r]))
     assert base.rank() == r

@@ -27,7 +27,7 @@ from .pencils import (
     Line, chart_from_line, connect_on_X, eacx_build, find_line,
     find_line_through, pencil_smoothness, polar_degree_audit, verify_on_X,
 )
-from .projective import ProjPoint, vec
+from .projective import ProjPoint, is_zero_vec, vec
 from .tower import Tower, parse_rational, tower_to_obj
 
 EXIT_VALID = 0
@@ -249,8 +249,10 @@ def cmd_audit(args) -> int:
     rng = random.Random(args.seed)
     trips = failures = 0
     while trips < args.samples:
-        u = ProjPoint(vec(rng.randint(-9, 9)
-                          for _ in range(pencil.size - 2)))
+        u = vec(rng.randint(-9, 9) for _ in range(pencil.size - 2))
+        if is_zero_vec(u):
+            continue
+        u = ProjPoint(u)
         if chart.image(u).is_zero():
             continue
         trips += 1

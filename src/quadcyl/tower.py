@@ -19,6 +19,14 @@ equality is structural.  Arithmetic runs on the trees in plain integers
 and normalizes each result once, instead of reducing a fraction at every
 leaf; an inverse is conj(T)/N(T), recursing on the integer norm N(T).
 
+Products.  Two nodes of the same level j multiply as
+(A + B*r)(C + D*r) = (AC + BD*d'_j) + ((A+B)(C+D) - AC - BD)*r, with
+r = sqrt(d'_j): three products one level down instead of four
+(Karatsuba-Ofman).  When any of A, B, C, D is a plain int its products
+are integer scalings, cheaper than the extra additions, so there the
+four-product form AC + BD*d'_j + (AD + BC)*r is kept as the base case.
+A node times a node of a lower level multiplies both halves.
+
 The sqrt(d_j) basis, a + b*sqrt(d_j) with a and b at lower levels (the
 coefficient on sqrt(d'_j) is b/E_j), appears only at the edges: the
 read-only .a and .b, repr, scalar_to_obj and scalar_from_obj.
@@ -397,10 +405,15 @@ def _tmul(x, y, rads):
         return _tnode(jy, _tmul(x, y[1], rads), _tmul(x, y[2], rads))
     xa, xb = x[1], x[2]
     ya, yb = y[1], y[2]
-    lo = _tadd(_tmul(xa, ya, rads),
-               _tmul(_tmul(xb, yb, rads), rads[jx], rads))
-    hi = _tadd(_tmul(xa, yb, rads), _tmul(xb, ya, rads))
-    return _tnode(jx, lo, hi)
+    ac = _tmul(xa, ya, rads)
+    bd = _tmul(xb, yb, rads)
+    if (xa.__class__ is int or xb.__class__ is int or
+            ya.__class__ is int or yb.__class__ is int):
+        hi = _tadd(_tmul(xa, yb, rads), _tmul(xb, ya, rads))
+    else:
+        hi = _tadd(_tmul(_tadd(xa, xb), _tadd(ya, yb), rads),
+                   _tneg(_tadd(ac, bd)))
+    return _tnode(jx, _tadd(ac, _tmul(bd, rads[jx], rads)), hi)
 
 
 def _gcd_leaves(t, g):

@@ -17,6 +17,7 @@ from quadcyl.errors import (
 from quadcyl.charts import (
     Chart,
     ChartBundle,
+    _complete_basis,
     build_complement_charts,
     chart_from_descriptor,
     complement_cylinder,
@@ -33,9 +34,11 @@ from quadcyl.projective import (
     ProjPoint,
     QuadForm,
     identity_mat,
+    mat,
     mat_eq,
     proj,
     quadform_from_terms,
+    transpose,
 )
 from quadcyl.tower import Tower, scalar
 
@@ -293,3 +296,137 @@ def test_fiber_moves_random_charts(seed):
     moved = chart.move(p, target)
     t3, tv3 = chart.forward(moved)
     assert t3 == t and tv3 == target
+
+
+def frac_rank(vectors):
+    """Rank of rational vectors, by Fraction elimination from scratch."""
+    rows = [[F(x) for x in v] for v in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_completion(cols, candidates):
+    """Keep each candidate that raises the rank, until there are n."""
+    n = len(cols[0])
+    kept = list(cols)
+    for cand in candidates:
+        if len(kept) == n:
+            break
+        if frac_rank(kept + [cand]) == len(kept) + 1:
+            kept.append(cand)
+    return kept
+
+
+def svec(v):
+    return tuple(scalar(x) for x in v)
+
+
+def as_fractions(v):
+    return [x.as_rational() for x in v]
+
+
+class TestCompleteBasis:
+    """charts._complete_basis against a from-scratch rank check."""
+
+    @staticmethod
+    def draw(rng, n):
+        """Independent starting columns and a candidate list with zero,
+        repeated and dependent vectors, ending in the standard basis."""
+        while True:
+            cols = [[F(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(n)] for _ in range(rng.randint(1, 2))]
+            if frac_rank(cols) == len(cols):
+                break
+        cands = []
+        for _ in range(2 * n):
+            kind = rng.random()
+            pool = cols + cands
+            if kind < 0.15:
+                cands.append([F(0)] * n)
+            elif kind < 0.5:
+                u, w = rng.choice(pool), rng.choice(pool)
+                a, b = rng.randint(-3, 3), F(rng.randint(-3, 3), 2)
+                cands.append([a * x + b * y for x, y in zip(u, w)])
+            else:
+                cands.append([F(rng.randint(-2, 2)) for _ in range(n)])
+        cands += [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        return cols, cands
+
+    def test_matches_rank_check(self):
+        rng = random.Random(5)
+        for trial in range(60):
+            n = 3 + trial % 5
+            cols, cands = self.draw(rng, n)
+            got = _complete_basis([svec(c) for c in cols],
+                                  [svec(c) for c in cands])
+            want = reference_completion(cols, cands)
+            assert [as_fractions(c) for c in got] == want
+            assert frac_rank(want) == n
+
+    def test_span_too_small(self):
+        v, w = [1, 2, 0], [0, 1, 1]
+        cands = [[0, 0, 0], [2, 4, 0], [1, 3, 1]]
+        with pytest.raises(InputFormatError, match="complete"):
+            _complete_basis([svec(v), svec(w)], [svec(c) for c in cands])
+
+    @pytest.mark.parametrize("cols", [
+        [[1, 2, 3], [2, 4, 6]],
+        [[1, 0, 0], [0, 0, 0]],
+        [[1, 0, 0], [0, 1, 0], [1, -1, 0]],
+    ], ids=["multiple", "zero", "full-count"])
+    def test_dependent_starting_columns(self, cols):
+        with pytest.raises(InputFormatError, match="dependent"):
+            _complete_basis([svec(c) for c in cols],
+                            [svec([int(i == j) for j in range(3)])
+                             for i in range(3)])
+
+
+def reference_cone_matrix(q):
+    """cone_decompose's coordinate change by the from-scratch rank check:
+    standard vectors completing the radical, then the radical."""
+    n = q.size
+    rad = [as_fractions(v) for v in q.radical_basis()]
+    if not rad:
+        return identity_mat(n)
+    comp = []
+    for i in range(n):
+        e = [F(int(i == j)) for j in range(n)]
+        if len(comp) + len(rad) == n:
+            break
+        if frac_rank(rad + comp + [e]) == len(rad) + len(comp) + 1:
+            comp.append(e)
+    return transpose(mat(comp + rad))
+
+
+def test_cone_decompose_matches_rank_check():
+    # forms drawn as acceptance test_01 draws them (seed 101, sizes 3-9),
+    # each also pulled back along a map that collapses k coordinates
+    rng = random.Random(101)
+    for i in range(14):
+        n = 3 + i % 7
+        rows = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                c = F(rng.randint(-9, 9), rng.randint(1, 5))
+                rows[a][b] = rows[b][a] = c
+        q = QuadForm(mat(rows))
+        k = rng.randint(1, n - 1)
+        cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - k)]
+        for _ in range(k):
+            u, w = rng.choice(cols), rng.choice(cols)
+            cols.append([x - 2 * y for x, y in zip(u, w)])
+        rng.shuffle(cols)
+        for form in (q, q.transform(transpose(mat(cols)))):
+            split = cone_decompose(form)
+            assert mat_eq(split.change.matrix, reference_cone_matrix(form))
+            assert split.rank == form.rank()

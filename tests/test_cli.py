@@ -353,6 +353,21 @@ class TestAuditAndBuilders:
         assert obj["degrees"]["total_degree"] == 3
         assert obj["round_trip_failures"] == 0
 
+    @pytest.mark.parametrize("seed", [3030, 73529])
+    def test_audit_redraws_zero_image_point(self, tmp_path, seed):
+        # these seeds draw the all-zero image vector among their samples
+        pf = tmp_path / "diag.pf"
+        assert run("eacx-build", "--lambdas", "0,1,2,3,4,5",
+                   "--out", pf) == 0
+        line = tmp_path / "diag.lf"
+        assert run("find-line", "--pencil", pf, "--out", line) == 0
+        out = tmp_path / "audit.json"
+        assert run("audit", "--pencil", pf, "--line", line,
+                   "--seed", seed, "--out", out) == 0
+        obj = loads(out.read_text())
+        assert obj["round_trips"] == 25
+        assert obj["round_trip_failures"] == 0
+
     def test_audit_discriminant_readable(self, tmp_path):
         # the discriminant of a pencil over Q(sqrt 2) names level 1, so the
         # report carries the pencil's radicands to read it against

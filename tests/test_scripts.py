@@ -14,6 +14,7 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 @pytest.mark.parametrize("argv", [
     ["scripts/connect_demo.py", "--size", "5", "--seed", "7"],
     ["scripts/pencil_audit_demo.py", "--seed", "3"],
+    ["scripts/kernel_bench.py", "--heights", "1,2,3", "--repeat", "1"],
 ])
 def test_demo_succeeds(argv):
     env = dict(os.environ)

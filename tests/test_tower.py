@@ -454,3 +454,141 @@ class TestReadSurface:
         assert calls == list(names)
         monkeypatch.undo()
         assert results[2] * y == x and results[3] * x == 1
+
+
+def ref_level(t):
+    return 0 if isinstance(t, int) else t[0]
+
+
+def ref_node(j, a, b):
+    return a if b == 0 else (j, a, b)
+
+
+def ref_add(x, y):
+    jx, jy = ref_level(x), ref_level(y)
+    if jx == jy == 0:
+        return x + y
+    if jx == jy:
+        return ref_node(jx, ref_add(x[1], y[1]), ref_add(x[2], y[2]))
+    if jx > jy:
+        return (jx, ref_add(x[1], y), x[2])
+    return (jy, ref_add(x, y[1]), y[2])
+
+
+def ref_mul(x, y, rads):
+    """The four-product integer-tree product: (A + B*r)(C + D*r) =
+    (AC + BD*d'_j) + (AD + BC)*r at every same-level node."""
+    jx, jy = ref_level(x), ref_level(y)
+    if jx == jy == 0:
+        return x * y
+    if jx > jy:
+        return ref_node(jx, ref_mul(x[1], y, rads), ref_mul(x[2], y, rads))
+    if jy > jx:
+        return ref_node(jy, ref_mul(x, y[1], rads), ref_mul(x, y[2], rads))
+    a, b, c, d = x[1], x[2], y[1], y[2]
+    lo = ref_add(ref_mul(a, c, rads),
+                 ref_mul(ref_mul(b, d, rads), rads[jx], rads))
+    hi = ref_add(ref_mul(a, d, rads), ref_mul(b, c, rads))
+    return ref_node(jx, lo, hi)
+
+
+def scalar_from_tree(t, tw):
+    """The value of an integer tree of tw, summed from its nodes."""
+    if isinstance(t, int):
+        return scalar(t)
+    j = t[0]
+    r = tw.generator(j) * tw.scales[j]
+    return scalar_from_tree(t[1], tw) + scalar_from_tree(t[2], tw) * r
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+class TestKernelOracle:
+    """tower._tmul (three products per same-level node whose halves are
+    all trees) against the four-product reference above, on the raw
+    integer trees, in seeded towers of height 1-8."""
+
+    @staticmethod
+    def prime_tower(h):
+        tw = Tower.rationals()
+        for p in PRIMES[:h]:
+            tw = tw.extend(p)
+        return tw
+
+    @staticmethod
+    def nested_tower(h, seed):
+        """Radicand k is an integer-coefficient element of level k-1,
+        every one of whose coefficients is nonzero."""
+        rng = random.Random(seed)
+        tw = Tower.rationals().extend(rng.choice((3, 5, 7, 11)))
+        for _ in range(1, h):
+            tw = tw.extend(TestKernelOracle.value(rng, tw, tw.height, 1.0))
+        return tw
+
+    @staticmethod
+    def value(rng, tw, level, density):
+        """An element of level <= `level` whose sqrt-basis coefficients
+        are nonzero with probability `density` (the top one always)."""
+        if level == 0:
+            return scalar(rng.choice((-1, 1)) * rng.randint(1, 9))
+        a = (TestKernelOracle.value(rng, tw, level - 1, density)
+             if rng.random() < density else scalar(0))
+        b = TestKernelOracle.value(rng, tw, level - 1, density)
+        return a + b * tw.generator(level)
+
+    def towers(self):
+        for h in range(1, 9):
+            yield self.prime_tower(h)
+            yield self.nested_tower(min(h, 5), 100 + h)
+
+    def check(self, x, y, tw):
+        from quadcyl.tower import _parts, _tmul
+        (tx, dx), (ty, dy) = _parts(x), _parts(y)
+        got = _tmul(tx, ty, tw.rads)
+        assert got == ref_mul(tx, ty, tw.rads)
+        assert x * y == y * x
+        assert (x * y) * (dx * dy) == scalar_from_tree(got, tw)
+
+    def test_products_match_four_product_reference(self):
+        rng = random.Random(7)
+        for tw in self.towers():
+            h = tw.height
+            for density in (1.0, 0.5, 0.0):
+                for _ in range(3):
+                    x = self.value(rng, tw, h, density)
+                    y = self.value(rng, tw, rng.randint(0, h), density)
+                    self.check(x, y, tw)
+                    self.check(x, x, tw)
+                    # zero A part, and an int half against tree halves
+                    g = tw.generator(h)
+                    self.check(x.b * g, y, tw)
+                    self.check(x, (y.b if y.level else y) * g + 3, tw)
+                    self.check(x / 7, y - Fraction(1, 3), tw)
+
+    def test_conjugate_products_drop_to_the_lower_level(self):
+        rng = random.Random(11)
+        for tw in self.towers():
+            h = tw.height
+            if h < 2:
+                continue
+            g = tw.generator(h)
+            d = tw.radicands()[-1]
+            for density in (1.0, 0.5):
+                a = self.value(rng, tw, h - 1, density)
+                b = self.value(rng, tw, h - 1, density)
+                x, xbar = a + b * g, a - b * g
+                self.check(x, xbar, tw)
+                low = a * a - b * b * d
+                prod = x * xbar
+                assert prod == low and hash(prod) == hash(low)
+                assert prod.level == low.level < h
+
+    def test_inverse_of_dense_height_eight(self):
+        rng = random.Random(13)
+        tw = self.prime_tower(8)
+        for _ in range(2):
+            x = self.value(rng, tw, 8, 1.0)
+            inv = 1 / x
+            assert x * inv == 1 and inv * x == 1
+            assert (x * x) / x == x
