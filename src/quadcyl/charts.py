@@ -228,36 +228,38 @@ class ConeSplit:
         return self.change.size - self.rank
 
 
+def _keep_independent(reduced, v):
+    """Is v independent of the rows in `reduced`?  If so, append it there.
+    Rows are (pivot, row) pairs, 1 at their own pivot and 0 at earlier
+    ones, so one pass over them decides v without a full row reduction."""
+    v = list(v)
+    for p, row in reduced:
+        f = v[p]
+        if not f.is_zero():
+            v = [x - f * y for x, y in zip(v, row)]
+    p = next((i for i, x in enumerate(v) if not x.is_zero()), None)
+    if p is None:
+        return False
+    inv = 1 / v[p]
+    reduced.append((p, [x * inv for x in v]))
+    return True
+
+
 def _complete_basis(cols, candidates):
     """Extend the independent column list to a basis using candidates, in
     order: a candidate is kept when it is independent of the columns kept
-    so far.  Each kept vector is stored reduced against the earlier ones,
-    with a 1 at its own pivot, so one pass over them decides the next."""
+    so far."""
     n = len(cols[0])
-    reduced = []  # (pivot, row): row[pivot] == 1, row zero at earlier pivots
+    reduced = []
     out = []
-
-    def keep(v):
-        v = list(v)
-        for p, row in reduced:
-            f = v[p]
-            if not f.is_zero():
-                v = [x - f * y for x, y in zip(v, row)]
-        p = next((i for i, x in enumerate(v) if not x.is_zero()), None)
-        if p is None:
-            return False
-        inv = 1 / v[p]
-        reduced.append((p, [x * inv for x in v]))
-        return True
-
     for c in cols:
-        if not keep(c):
+        if not _keep_independent(reduced, c):
             raise InputFormatError("starting columns are dependent")
         out.append(tuple(c))
     for cand in candidates:
         if len(out) == n:
             break
-        if keep(cand):
+        if _keep_independent(reduced, cand):
             out.append(tuple(cand))
     if len(out) != n:
         raise InputFormatError("could not complete to a basis")
@@ -429,16 +431,14 @@ def cone_lift(chart: Chart, split: ConeSplit, ambient: QuadForm) -> Chart:
 
 
 class ChartBundle:
-    """The standard complement charts of one form, grouped for reuse:
-    cone splitting, hyperbolic frame on the base, and the lifted charts."""
+    """The standard complement charts of one form, grouped for reuse: the
+    lifted charts, and the rank and hyperbolic shape of the form."""
 
-    __slots__ = ("form", "split", "frame", "u_charts", "v_charts", "w_chart",
-                 "pairs", "has_z", "rank")
+    __slots__ = ("form", "u_charts", "v_charts", "w_chart", "pairs", "has_z",
+                 "rank")
 
     def __init__(self, form, split, frame, u_charts, v_charts, w_chart):
         self.form = form
-        self.split = split
-        self.frame = frame
         self.u_charts = u_charts
         self.v_charts = v_charts
         self.w_chart = w_chart

@@ -32,7 +32,7 @@ from .errors import (
     SingularPointError,
     TowerLimitError,
 )
-from .charts import _complete_basis, complement_cylinder
+from .charts import _complete_basis, _keep_independent, complement_cylinder
 from .navigate import MovePath, VerifyReport, connect_complement, verify_path
 from .projective import (
     CoordChange,
@@ -324,25 +324,22 @@ class LineChart:
                          vec_scale(uvec, cross[2]))
         return ProjPoint(coords)
 
+    def points(self, rng, attempts):
+        """`inverse` of up to `attempts` random integer image points in
+        [-9, 9]^(n-2), skipping zero and the image quadric, where it is
+        undefined: points of X over the field of the chart."""
+        m = self.image_size
+        for _ in range(attempts):
+            u = tuple(as_scalar(rng.randint(-9, 9)) for _ in range(m))
+            if is_zero_vec(u) or self.image(u).is_zero():
+                continue
+            yield self.inverse(u)
+
     def degeneracy_form(self) -> QuadForm:
         """The quadratic form on the ambient space cutting out the locus
         where the projection fails to be an isomorphism: the pullback of
-        the image quadric.  It vanishes on the line."""
-        pi = self.change.inverse_matrix()[2:]
-        qm = self.image.matrix
-        m = self.image_size
-        n = self.pencil.size
-        rows = [[ZERO] * n for _ in range(n)]
-        # pi^T qm pi, computed row by row
-        qpi = [mat_vec(qm, tuple(pi[k][j] for k in range(m)))
-               for j in range(n)]
-        for i in range(n):
-            col_i = tuple(pi[k][i] for k in range(m))
-            for j in range(i, n):
-                val = dot(col_i, qpi[j])
-                rows[i][j] = val
-                rows[j][i] = val
-        return QuadForm(rows)
+        the image quadric along the projection.  It vanishes on the line."""
+        return self.image.transform(self.change.inverse_matrix()[2:])
 
     def descriptor(self) -> dict:
         return {"v1": list(self.line.v1), "v2": list(self.line.v2)}
@@ -383,8 +380,12 @@ def _point_on_two_quadrics(f: QuadForm, g: QuadForm, rng, tower,
 
 def point_on_intersection(pencil: Pencil, rng=None, tower=None,
                           predicate=None, retry_limit=64):
-    """A smooth point of X: take a line inside the first quadric through
-    random points, then cut it with the second quadric."""
+    """(Smooth point of X passing the predicate, tower).  The chart of the
+    first cheap line that gives one pulls back random image points
+    (`LineChart.points`), each on X over the line's field; `retry_limit`
+    counts the image points.  Without such a line, lines of the first
+    quadric through random points are cut with the second, `retry_limit`
+    times."""
     if rng is None:
         rng = random.Random(0)
     if tower is None:
@@ -395,6 +396,16 @@ def point_on_intersection(pencil: Pencil, rng=None, tower=None,
             return False
         return predicate is None or predicate(pt)
 
+    cheap, tower = _cheap_lines(pencil, tower)
+    for line in cheap:
+        try:
+            chart = LineChart(pencil, line)
+        except RankTooLowError:
+            continue
+        for z in chart.points(rng, retry_limit):
+            if ok(z):
+                return z, tower
+        raise RetryLimitError("no smooth point of the intersection found")
     try:
         return _point_on_two_quadrics(pencil.beta, pencil.gamma, rng, tower,
                                       predicate=ok, retry_limit=retry_limit)
@@ -459,12 +470,9 @@ def find_line_through(pencil: Pencil, p, rng=None, tower=None,
         tower = Tower.rationals()
     tower = deepest_tower(p.coords, tower)
     tangent = nullspace((pencil.beta.gradient(p), pencil.gamma.gradient(p)))
-    reps = []
-    rows = [p.coords]
-    for cand in tangent:
-        if rank_of(tuple(rows) + (cand,)) == len(rows) + 1:
-            rows.append(cand)
-            reps.append(cand)
+    reduced = []
+    _keep_independent(reduced, p.coords)
+    reps = [cand for cand in tangent if _keep_independent(reduced, cand)]
     m = len(reps)
     bq = QuadForm([[pencil.beta.bilinear(a, b) for b in reps] for a in reps])
     gq = QuadForm([[pencil.gamma.bilinear(a, b) for b in reps] for a in reps])
@@ -687,18 +695,7 @@ def _midpoint_for(pencil, c1, c2, p, q, rng):
     """A smooth point of X usable by both charts, found by pulling back
     random image points of the first chart."""
     d1, d2 = c1.degeneracy_form(), c2.degeneracy_form()
-    m = c1.image_size
-    for _ in range(64):
-        u = [as_scalar(rng.randint(-9, 9)) for _ in range(m)]
-        if is_zero_vec(tuple(u)):
-            continue
-        up = ProjPoint(u)
-        if c1.image(up).is_zero():
-            continue
-        try:
-            z = c1.inverse(up)
-        except OutOfDomainError:
-            continue
+    for z in c1.points(rng, 64):
         if z == p or z == q:
             continue
         if d1(z).is_zero() or d2(z).is_zero():
@@ -785,21 +782,19 @@ class AuditReport:
         }
 
 
-def polar_degree_audit(chart: LineChart, inner_chart=None,
-                       tower=None) -> AuditReport:
+def polar_degree_audit(chart: LineChart, tower=None) -> AuditReport:
     """Pull one inner cylinder of the image complement back to the
     ambient space of X and account for the degrees of its boundary:
     the distinguished hyperplane pulls back to degree 1 and the image
     quadric to degree 2, three in total, and the quadric part must
     vanish on the projection line."""
-    if inner_chart is None:
-        # one cylinder chart on the image complement suffices; its base
-        # point costs no radicand when a coordinate vector is a smooth
-        # zero, which matters when the image quadric carries radicals
-        img = chart.image
-        base, _ = point_on_quadric(img, rng=random.Random(0), tower=tower,
-                                   predicate=img.is_smooth_at)
-        inner_chart = complement_cylinder(img, base)
+    # one cylinder chart on the image complement suffices; its base point
+    # costs no radicand when a coordinate vector is a smooth zero, which
+    # matters when the image quadric carries radicals
+    img = chart.image
+    base, _ = point_on_quadric(img, rng=random.Random(0), tower=tower,
+                               predicate=img.is_smooth_at)
+    inner_chart = complement_cylinder(img, base)
     h = inner_chart.change.inverse_matrix()[inner_chart.dist]
     pi = chart.change.inverse_matrix()[2:]
     pulled = tuple(dot(h, tuple(pi[k][j] for k in range(len(pi))))

@@ -20,11 +20,14 @@ from quadcyl.errors import (
     RetryLimitError,
     SingularPointError,
 )
+from quadcyl import pencils
 from quadcyl.pencils import (
     Line,
     Pencil,
     XPath,
+    _cheap_lines,
     _interpolate,
+    _is_diagonal,
     _poly_deriv,
     _poly_gcd,
     chart_from_line,
@@ -41,6 +44,7 @@ from quadcyl.pencils import (
 from quadcyl.projective import (
     ProjPoint,
     QuadForm,
+    nullspace,
     proj,
     quadform_from_terms,
     rank_of,
@@ -500,3 +504,138 @@ class TestDiagonalPencil:
             y = chart.inverse(uu)
             assert p.on_intersection(y)
             assert chart.forward(y) == ProjPoint(uu)
+
+
+def hexagonal_under_m():
+    """The hexagonal forms under the substitution x = M y, where M has rows
+    e_i + e_(i+1) for i < 5 and 2 e_0 + e_5: no coordinate pair spans a
+    line of X, and neither form is diagonal."""
+    m = [[0] * 6 for _ in range(6)]
+    for i in range(5):
+        m[i][i] = m[i][i + 1] = 1
+    m[5][0], m[5][5] = 2, 1
+    h = hexagonal_pencil()
+    return Pencil(h.beta.transform(m), h.gamma.transform(m))
+
+
+class TestLineChartPoints:
+    def test_points_on_X_and_off_image_quadric(self):
+        for pencil, chart in (fixture_chart(),
+                              (eacx_build([0, 1, 2, 3, 4, 5]), None)):
+            if chart is None:
+                chart = chart_from_line(pencil, find_line(pencil)[0])
+            got = list(chart.points(random.Random(5), 30))
+            assert len(got) >= 20
+            for z in got:
+                assert pencil.on_intersection(z)
+                assert not chart.image(chart.forward(z)).is_zero()
+
+    def test_inverse_refuses_exactly_on_image_quadric(self):
+        # small coordinates so that both outcomes occur often
+        _, chart = fixture_chart()
+        rng = random.Random(8)
+        seen = set()
+        for _ in range(300):
+            u = tuple(rng.randint(-2, 2) for _ in range(4))
+            if all(c == 0 for c in u):
+                continue
+            try:
+                chart.inverse(u)
+                refused = False
+            except OutOfDomainError:
+                refused = True
+            assert refused == chart.image(u).is_zero(), u
+            seen.add(refused)
+        assert seen == {False, True}
+
+    def test_degeneracy_form_is_pulled_back_image_quadric(self):
+        # the split-support line lives over Q(sqrt(-2))
+        p = eacx_build([0, 1, 2, 3, 4, 5])
+        chart = chart_from_line(p, find_line(p)[0])
+        d = chart.degeneracy_form()
+        rng = random.Random(6)
+        for _ in range(20):
+            x = vec(tuple(rng.randint(-5, 5) for _ in range(6)))
+            u = chart.change.from_ambient(x)[2:]
+            assert d(x) == chart.image(u)
+
+
+class TestPointHeights:
+    def test_diagonal_points_no_deeper_than_line(self):
+        p = eacx_build([0, 1, 2, 3, 4, 5])
+        _, line_tw = find_line(p)
+        assert line_tw.height == 1
+        for seed in range(4):
+            x, tw = point_on_intersection(p, rng=random.Random(seed))
+            assert p.smooth_at(x)
+            assert tw.height <= line_tw.height
+
+    def test_hexagonal_points_rational_and_accepted(self):
+        p = hexagonal_pencil()
+        rng = random.Random(9)
+        tw = Tower.rationals()
+        found = []
+        for _ in range(6):
+            x, tw = point_on_intersection(
+                p, rng=rng, tower=tw, predicate=lambda y: y not in found)
+            assert p.smooth_at(x)
+            assert x not in found
+            found.append(x)
+        assert tw.height == 0
+        assert all(c.is_rational() for x in found for c in x.coords)
+
+    def test_cheap_line_path_draws_no_random_lines(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("line-free search reached")
+        monkeypatch.setattr(pencils, "_point_on_two_quadrics", refuse)
+        p = hexagonal_pencil()
+        x, _ = point_on_intersection(p, rng=random.Random(2))
+        assert p.smooth_at(x)
+
+
+class TestNoCheapLine:
+    def test_pencil_shape(self):
+        p = hexagonal_under_m()
+        assert not _is_diagonal(p)
+        assert _cheap_lines(p, Tower.rationals())[0] == []
+
+    def test_find_line_by_random_fallback(self):
+        p = hexagonal_under_m()
+        line, tw = find_line(p)
+        assert span_in_X(p, [line.v1, line.v2])
+        assert tw.height <= 3
+
+    def test_point_by_line_free_path(self, monkeypatch):
+        calls = []
+        real = pencils._point_on_two_quadrics
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(pencils, "_point_on_two_quadrics", counted)
+        p = hexagonal_under_m()
+        x, _ = point_on_intersection(p)
+        assert p.smooth_at(x)
+        assert calls == [1]
+
+
+class TestFindLineThroughQuotientFour:
+    """A seven-coordinate pencil, so the tangent quotient at a point has
+    dimension four and the random two-quadric search runs there."""
+
+    def pencil(self):
+        b = quadform_from_terms(7, {(0, 1): 1, (2, 3): 1, (4, 5): 1})
+        g = quadform_from_terms(7, {(0, 5): 1, (1, 2): 1, (3, 4): 1,
+                                    (6, 6): 1})
+        return Pencil(b, g)
+
+    def test_lines_through_basis_points(self):
+        p = self.pencil()
+        for i in (0, 1, 3):
+            x = proj(e(i, 7))
+            tangent = nullspace((p.beta.gradient(x), p.gamma.gradient(x)))
+            assert len(tangent) - 1 == 4
+            line, tw = find_line_through(p, x, rng=random.Random(i))
+            assert on_line(line, x)
+            assert span_in_X(p, [line.v1, line.v2])
+            assert tw.height == 0
