@@ -12,6 +12,7 @@ the input).
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -315,7 +316,10 @@ def cmd_find_line(args) -> int:
 # wiring
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused; each
+    parse starts from the defaults again."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0,
                         help="seed for every randomized search (default 0)")
@@ -347,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="adapt coordinates to a point of the quadric")
     p.add_argument("--point", help="base point for --ctsq")
     p.add_argument("form", help="form document")
-    p.set_defaults(func=cmd_normalize)
 
     p = command("connect", "produce a move certificate between two points")
     p.add_argument("target", choices=("complement", "quadric", "ci"),
@@ -360,7 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help='start point: "1,2,3" or @file')
     p.add_argument("--to", dest="to_point", required=True,
                    help='end point: "1,2,3" or @file')
-    p.set_defaults(func=cmd_connect)
 
     p = command("verify", "replay certificates independently")
     p.add_argument("certificate", nargs="+", help="certificate documents")
@@ -368,32 +370,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pencil", help="the ambient pencil document")
     p.add_argument("--jobs", type=int, default=1,
                    help="verify this many certificates in parallel")
-    p.set_defaults(func=cmd_verify)
 
     p = command("audit", "check a line chart: rank, degrees, round trips")
     p.add_argument("--pencil", required=True, help="pencil document")
     p.add_argument("--line", required=True, help="line document")
     p.add_argument("--samples", type=int, default=25,
                    help="round-trip sample count (default 25)")
-    p.set_defaults(func=cmd_audit)
 
     p = command("eacx-build", "build the diagonal pencil for given parameters")
     p.add_argument("--lambdas", required=True,
                    help='comma-separated values, e.g. "0,1,2,3,4,5"')
-    p.set_defaults(func=cmd_eacx_build)
 
     p = command("find-line", "find a line inside the intersection")
     p.add_argument("--pencil", required=True, help="pencil document")
     p.add_argument("--point", help="require the line to pass through here")
-    p.set_defaults(func=cmd_find_line)
 
     return top
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # looked up at call time, so the handlers may be replaced
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except SystemExitCode as exc:
         if str(exc):
             print("error: %s" % exc, file=sys.stderr)

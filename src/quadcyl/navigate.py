@@ -74,10 +74,11 @@ class VerifyReport:
 
 
 class _Trail:
-    """Producer-side accumulator pairing live charts with their steps."""
+    """Producer-side accumulator of steps.  Each keeps its entry's
+    transverse tuple, so reversing it needs no second chart.forward."""
 
     def __init__(self):
-        self.recs = []  # (chart, MoveStep)
+        self.recs = []  # (MoveStep, its entry's transverse tuple)
 
     def move(self, chart: Chart, entry: ProjPoint, target) -> ProjPoint:
         t, tv = chart.forward(entry)
@@ -86,18 +87,17 @@ class _Trail:
             return entry  # no-op, skip
         exit_p = chart.backward(t, target)
         self.recs.append(
-            (chart, MoveStep(chart.descriptor(), entry, target, exit_p)))
+            (MoveStep(chart.descriptor(), entry, target, exit_p), tuple(tv)))
         return exit_p
 
     def extend_reversed(self, other: "_Trail"):
-        for chart, step in reversed(other.recs):
-            _, back_tv = chart.forward(step.entry)
+        for step, entry_tv in reversed(other.recs):
             self.recs.append(
-                (chart, MoveStep(chart.descriptor(), step.exit,
-                                 tuple(back_tv), step.entry)))
+                (MoveStep(step.chart, step.exit, entry_tv, step.entry),
+                 step.target))
 
     def steps(self):
-        return tuple(step for _, step in self.recs)
+        return tuple(step for step, _ in self.recs)
 
 
 def _canonicalize_complement(bundle: ChartBundle, p: ProjPoint, tower):
@@ -239,12 +239,12 @@ def connect_complement(form: QuadForm, p, q, *, tower=None,
     full.recs.extend(trail_p.recs)
     if cp != cq:
         u1 = bundle.u_charts[0]
-        t_p, _ = u1.forward(cp)
-        t_q, _ = u1.forward(cq)
+        t_p, tv_p = u1.forward(cp)
+        t_q, tv_q = u1.forward(cq)
         if bundle.has_z:
             zslot = 2 * bundle.pairs
-            lam = u1.transverse_value(u1.forward(cp)[1], zslot)
-            mu = u1.transverse_value(u1.forward(cq)[1], zslot)
+            lam = u1.transverse_value(tv_p, zslot)
+            mu = u1.transverse_value(tv_q, zslot)
             gadget, tower = _rescale_axis(bundle, cp, cq, lam, mu, tower)
         else:
             gadget, tower = _rescale_pairs(bundle, cp, cq, t_p, t_q, tower)

@@ -4,14 +4,15 @@ A Tower records an ordered chain of adjoined radicands d_1, ..., d_k,
 each a value of the floor below it, so F_0 = Q and F_{i+1} = F_i(sqrt(d_{i+1})).
 A TowerScalar is an element of some floor.
 
-Layout.  A rational (level 0) is one reduced Fraction (gmpy2's mpq when it
-is installed).  An element of level k >= 1 is an integer tree T over one
-positive integer denominator D, meaning T/D.  A tree is a Python int, or a
-tuple (j, A, B) meaning A + B*sqrt(d'_j), where A and B are trees of level
-below j and B != 0.  The generators are scaled so that trees multiply to
-trees: level j stores its radicand once in integral form d'_j = E_j*E_j*d_j,
-where E_j is the denominator of d_j in this layout, so d'_j is itself a
-tree and sqrt(d'_j) = E_j*sqrt(d_j).
+Layout.  Every element is an integer tree T over one positive integer
+denominator D, meaning T/D.  A tree is a Python int, or a tuple (j, A, B)
+meaning A + B*sqrt(d'_j), where A and B are trees of level below j and
+B != 0.  A rational (level 0) is therefore a plain int over D, in lowest
+terms; its sums and products reduce by Henrici's cross gcds (Knuth, TAOCP
+vol. 2, 4.5.1), and no Fraction is built on the way.  The generators are
+scaled so that trees multiply to trees: level j stores its radicand once in
+integral form d'_j = E_j*E_j*d_j, where E_j is the denominator of d_j, so
+d'_j is itself a tree and sqrt(d'_j) = E_j*sqrt(d_j).
 
 Values are canonical: D > 0, the gcd of D and all leaves of T is 1, and
 no node has B = 0, so every element has exactly one representation and
@@ -29,7 +30,8 @@ A node times a node of a lower level multiplies both halves.
 
 The sqrt(d_j) basis, a + b*sqrt(d_j) with a and b at lower levels (the
 coefficient on sqrt(d'_j) is b/E_j), appears only at the edges: the
-read-only .a and .b, repr, scalar_to_obj and scalar_from_obj.
+read-only .a and .b, repr, scalar_to_obj and scalar_from_obj.  So does
+Fraction: the read-only .rat and as_rational() of a rational.
 
 Towers are immutable.  extend() returns a child tower sharing the parent
 chain, so scalars built before an extension remain valid in every
@@ -41,12 +43,10 @@ Everything here is exact; no floats ever appear.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
+from fractions import Fraction as _Q
 from math import gcd
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _Q
 
 from .errors import InputFormatError, TowerError, TowerLimitError, ZeroDivisorError
 
@@ -115,19 +115,25 @@ class Tower:
 
 
 class TowerScalar:
-    """One exact value of some floor of a tower.  Immutable.  A rational
-    has level 0 and its value in .rat; a node has tree/den as described in
-    the module docstring and tower.height == level."""
+    """One exact value of some floor of a tower.  Immutable.  Its value is
+    tree/den as described in the module docstring.  A rational has level 0,
+    an int tree and no tower; a node has tower.height == level."""
 
-    __slots__ = ("level", "rat", "tree", "den", "tower")
+    __slots__ = ("level", "tree", "den", "tower")
 
     def __init__(self, value=0):
         s = as_scalar(value)
         self.level = s.level
-        self.rat = s.rat
         self.tree = s.tree
         self.den = s.den
         self.tower = s.tower
+
+    @property
+    def rat(self):
+        """The value as a Fraction (None on nodes)."""
+        if self.level != 0:
+            return None
+        return _Q(self.tree, self.den)
 
     @property
     def a(self):
@@ -145,7 +151,7 @@ class TowerScalar:
                      self.den)
 
     def is_zero(self) -> bool:
-        return self.level == 0 and not self.rat
+        return not self.tree
 
     def is_rational(self) -> bool:
         return self.level == 0
@@ -153,10 +159,10 @@ class TowerScalar:
     def as_rational(self):
         if self.level != 0:
             raise TowerError("value is not rational")
-        return self.rat
+        return _Q(self.tree, self.den)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.tree)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -166,7 +172,7 @@ class TowerScalar:
 
     def __hash__(self):
         if self.level == 0:
-            return hash(self.rat)
+            return _hash_rational(self.tree, self.den)
         return hash((self.level, self.den, self.tree))
 
     def __add__(self, other):
@@ -217,48 +223,73 @@ class TowerScalar:
 
     def __repr__(self):
         if self.level == 0:
-            return str(self.rat)
+            if self.den == 1:
+                return str(self.tree)
+            return "%d/%d" % (self.tree, self.den)
         return "(%r + %r*s%d)" % (self.a, self.b, self.level)
 
 
-def _rational(q):
+def _rational(num, den):
+    """The rational num/den, for ints already in lowest terms, den > 0."""
     s = TowerScalar.__new__(TowerScalar)
     s.level = 0
-    s.rat = q
-    s.tree = None
-    s.den = None
+    s.tree = num
+    s.den = den
     s.tower = None
     return s
+
+
+def _ratio(num, den):
+    """The rational num/den, for ints with den > 0."""
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return _rational(num, den)
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _hash_rational(num, den):
+    """hash(Fraction(num, den)), by Python's rule for numeric hashes."""
+    if den == 1:
+        return hash(num)
+    try:
+        h = hash(hash(abs(num)) * pow(den, -1, _HASH_MODULUS))
+    except ValueError:  # the modulus divides den
+        h = sys.hash_info.inf
+    h = h if num >= 0 else -h
+    return -2 if h == -1 else h
 
 
 def _node(tower, t, den):
     """The node t/den, already canonical, whose top level is tower.height."""
     s = TowerScalar.__new__(TowerScalar)
     s.level = tower.height
-    s.rat = None
     s.tree = t
     s.den = den
     s.tower = tower
     return s
 
 
-_ZERO = _rational(_Q(0))
-_ONE = _rational(_Q(1))
+_ZERO = _rational(0, 1)
+_ONE = _rational(1, 1)
 
 
 def _coerce(x):
-    if isinstance(x, TowerScalar):
+    if x.__class__ is TowerScalar:
         return x
-    if isinstance(x, int):
-        return _rational(_Q(x))
-    tp = type(x).__name__
-    if tp in ("Fraction", "mpq", "mpz"):
-        return _rational(_Q(x))
+    if x.__class__ is int:
+        return _rational(x, 1)
+    if isinstance(x, numbers.Rational):
+        return _ratio(int(x.numerator), int(x.denominator))
     return None
 
 
 def as_scalar(x) -> TowerScalar:
-    """Coerce an int, Fraction, mpq, or "p/q" string to a scalar."""
+    """Coerce an int, a Fraction (any numbers.Rational), or a "p/q" string
+    to a scalar."""
     if isinstance(x, str):
         return parse_rational(x)
     s = _coerce(x)
@@ -291,7 +322,7 @@ def parse_rational(text: str) -> TowerScalar:
         raise InputFormatError("negative zero in rational: %r" % text)
     if gcd(num, den) != 1:
         raise InputFormatError("rational not in lowest terms: %r" % text)
-    return _rational(_Q(num, den))
+    return _rational(num, den)
 
 
 def _same_chain(t1: Tower, t2: Tower) -> bool:
@@ -317,13 +348,9 @@ def _chain_compatible(t_high: Tower, t_low: Tower) -> bool:
 def _eq(x, y) -> bool:
     if x is y:
         return True
-    if x.level != y.level:
+    if x.level != y.level or x.den != y.den or x.tree != y.tree:
         return False
-    if x.level == 0:
-        return x.rat == y.rat
-    if x.tower is not y.tower and not _same_chain(x.tower, y.tower):
-        return False
-    return x.den == y.den and x.tree == y.tree
+    return x.level == 0 or x.tower is y.tower or _same_chain(x.tower, y.tower)
 
 
 def _meet(x, y):
@@ -437,7 +464,7 @@ def _make(tower, t, num, den):
     """The canonical scalar t*num/den, for a tree t whose levels tower
     holds, den > 0 and num != 0."""
     if t.__class__ is int:
-        return _rational(_Q(t * num, den))
+        return _ratio(t * num, den)
     g = gcd(num, den)
     if g != 1:
         num //= g
@@ -451,26 +478,28 @@ def _make(tower, t, num, den):
 
 def _parts(x):
     """(tree, den) of a scalar, rationals included."""
-    if x.level == 0:
-        q = x.rat
-        return int(q.numerator), int(q.denominator)
     return x.tree, x.den
 
 
-def _is0(x) -> bool:
-    return x.level == 0 and not x.rat
-
-
 def _add(x, y):
+    tx, dx = x.tree, x.den
+    ty, dy = y.tree, y.den
     if x.level == 0 and y.level == 0:
-        return _rational(x.rat + y.rat)
-    if _is0(x):
+        if dx == dy == 1:
+            return _rational(tx + ty, 1)
+        # Henrici: only the common factor of the denominators can cancel
+        g = gcd(dx, dy)
+        if g == 1:
+            return _rational(tx * dy + ty * dx, dx * dy)
+        dx //= g
+        t = tx * (dy // g) + ty * dx
+        g2 = gcd(t, g)
+        return _rational(t // g2, dx * (dy // g2))
+    if not tx:
         return y
-    if _is0(y):
+    if not ty:
         return x
     tw = _meet(x, y)
-    tx, dx = _parts(x)
-    ty, dy = _parts(y)
     g = gcd(dx, dy)
     t = _tadd(_tscale(tx, dy // g), _tscale(ty, dx // g))
     if t.__class__ is int and not t:
@@ -480,35 +509,43 @@ def _add(x, y):
 
 def _neg(x):
     if x.level == 0:
-        return _rational(-x.rat)
+        return _rational(-x.tree, x.den)
     return _node(x.tower, _tneg(x.tree), x.den)
 
 
-def _scale(x, q):
-    """x (a node) times a nonzero rational q."""
-    return _make(x.tower, x.tree, int(q.numerator), x.den * int(q.denominator))
-
-
 def _mul(x, y):
+    tx, dx = x.tree, x.den
+    ty, dy = y.tree, y.den
     if x.level == 0:
         if y.level == 0:
-            return _rational(x.rat * y.rat)
-        if not x.rat:
+            if dx == dy == 1:
+                return _rational(tx * ty, 1)
+            # Henrici: cancel across before multiplying
+            g = gcd(tx, dy)
+            if g != 1:
+                tx //= g
+                dy //= g
+            g = gcd(ty, dx)
+            if g != 1:
+                ty //= g
+                dx //= g
+            return _rational(tx * ty, dx * dy)
+        if not tx:
             return _ZERO
-        if x.rat == 1:
+        if tx == dx == 1:
             return y
-        return _scale(y, x.rat)
+        return _make(y.tower, ty, tx, dy * dx)
     if y.level == 0:
-        if not y.rat:
+        if not ty:
             return _ZERO
-        if y.rat == 1:
+        if ty == dy == 1:
             return x
-        return _scale(x, y.rat)
+        return _make(x.tower, tx, ty, dx * dy)
     tw = _meet(x, y)
-    t = _tmul(x.tree, y.tree, tw.rads)
+    t = _tmul(tx, ty, tw.rads)
     if t.__class__ is int and not t:
         return _ZERO
-    return _make(tw, t, 1, x.den * y.den)
+    return _make(tw, t, 1, dx * dy)
 
 
 def _inv_tree(t, rads):
@@ -532,35 +569,36 @@ def _inv_tree(t, rads):
 
 def _div(x, y):
     if y.level == 0:
-        if not y.rat:
+        ty, dy = y.tree, y.den
+        if not ty:
             raise ZeroDivisionError("division by zero scalar")
-        return _mul(x, _rational(1 / y.rat))
+        if ty < 0:
+            ty, dy = -ty, -dy
+        # x times dy/ty, with ty > 0
+        return _mul(x, _rational(dy, ty))
     # x/y = x*den(y)*s/m with tree(y)*s = m; the inverse is found even
     # when x is zero, so a zero divisor y is refused whatever x is
     tw = _meet(x, y)
     s, m = _inv_tree(y.tree, tw.rads)
-    tx, dx = _parts(x)
-    t = _tmul(tx, s, tw.rads)
+    t = _tmul(x.tree, s, tw.rads)
     if t.__class__ is int and not t:
         return _ZERO
-    return _make(tw, t, y.den, dx * m)
+    return _make(tw, t, y.den, x.den * m)
 
 
 ZERO = _ZERO
 ONE = _ONE
 
 
-def _sqrt_rational(q):
-    """Exact square root of a positive rational, or None."""
-    num = int(q.numerator)
-    den = int(q.denominator)
-    rn = math.isqrt(num)
-    if rn * rn != num:
+def _sqrt_rational(x):
+    """Exact square root of a positive rational scalar, or None."""
+    rn = math.isqrt(x.tree)
+    if rn * rn != x.tree:
         return None
-    rd = math.isqrt(den)
-    if rd * rd != den:
+    rd = math.isqrt(x.den)
+    if rd * rd != x.den:
         return None
-    return _Q(rn, rd)
+    return _rational(rn, rd)
 
 
 def sqrt_if_present(tower: Tower, value) -> TowerScalar | None:
@@ -571,23 +609,22 @@ def sqrt_if_present(tower: Tower, value) -> TowerScalar | None:
     equations are solved.
     """
     v = as_scalar(value)
-    if v.is_zero():
+    if not v.tree:
         return _ZERO
-    if v.level == 0 and v.rat > 0:
-        r = _sqrt_rational(v.rat)
+    if v.level == 0 and v.tree > 0:
+        r = _sqrt_rational(v)
         if r is not None:
-            return _rational(r)
+            return r
     for i in range(1, tower.height + 1):
         d = tower.ancestors[i].radicand
         try:
             ratio = _div(v, d)
         except (ZeroDivisorError, ZeroDivisionError):
             continue
-        if ratio.level == 0 and ratio.rat > 0:
-            r = _sqrt_rational(ratio.rat)
+        if ratio.level == 0 and ratio.tree > 0:
+            r = _sqrt_rational(ratio)
             if r is not None:
-                gen = tower.generator(i)
-                return gen if r == 1 else _scale(gen, r)
+                return _mul(r, tower.generator(i))
     return None
 
 
@@ -618,14 +655,16 @@ def deepest_tower(scalars, base: Tower) -> Tower:
     return best
 
 
-def rational_string(q) -> str:
-    return "%d/%d" % (q.numerator, q.denominator)
+def rational_string(num, den) -> str:
+    """The "p/q" text of num/den in lowest terms, for ints with den > 0."""
+    g = gcd(num, den)
+    return "%d/%d" % (num // g, den // g)
 
 
 def _tree_to_obj(t, num, den, scales):
     """The sqrt(d_j)-basis encoding of t*num/den."""
     if t.__class__ is int:
-        return rational_string(_Q(t * num, den))
+        return rational_string(t * num, den)
     j = t[0]
     return {"a": _tree_to_obj(t[1], num, den, scales),
             "b": _tree_to_obj(t[2], num * scales[j], den, scales),
@@ -637,9 +676,7 @@ def scalar_to_obj(x):
     {"a": a, "b": b, "level": k}.  The radicand d_k itself is spelled out
     once, in the radicand header of the document."""
     s = as_scalar(x)
-    if s.level == 0:
-        return rational_string(s.rat)
-    return _tree_to_obj(s.tree, 1, s.den, s.tower.scales)
+    return _tree_to_obj(s.tree, 1, s.den, s.tower.scales if s.level else None)
 
 
 _NODE_KEYS = frozenset(("a", "b", "level"))

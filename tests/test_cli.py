@@ -429,3 +429,73 @@ class TestAuditAndBuilders:
             run("find-line", "--pencil", docs / "hex.pf", "--seed", 9,
                 "--out", out)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestRepeatedMain:
+    """main builds its parser once per process, and every call still
+    starts from the defaults."""
+
+    def test_options_do_not_carry_over(self, monkeypatch):
+        import quadcyl.cli as cli
+        seen = []
+
+        def record(args):
+            seen.append(args)
+            return 0
+        monkeypatch.setattr(cli, "cmd_connect", record)
+        monkeypatch.setattr(cli, "cmd_verify", record)
+        assert run("connect", "ci", "--pencil", "p.pf", "--line", "A",
+                   "--from", "1,0", "--to", "0,1", "--seed", 5) == 0
+        assert run("connect", "ci", "--pencil", "p.pf",
+                   "--from", "1,0", "--to", "0,1") == 0
+        assert run("verify", "c.cert", "--form", "f.qf", "--jobs", 3,
+                   "--seed", 7) == 0
+        assert run("verify", "c.cert", "--form", "f.qf") == 0
+        first, second, third, fourth = seen
+        assert first.line == ["A"] and first.seed == 5
+        assert second.line is None and second.seed == 0
+        assert third.jobs == 3 and third.seed == 7
+        assert fourth.jobs == 1 and fourth.seed == 0
+        assert cli._build_parser() is cli._build_parser()
+
+
+class TestRationalHotPath:
+    """Rational work never builds a Fraction: a grid form's connect and
+    verify calls, complement and quadric, construct none."""
+
+    def test_grid_form_connect_and_verify(self, tmp_path, monkeypatch):
+        from fractions import Fraction
+        from quadcyl.charts import hyperbolic_target
+        form = tmp_path / "grid-6-5.qf"  # x0 x1 + x2 x3 + x4^2
+        form.write_text(dumps(form_to_obj(hyperbolic_target(6, 2, True),
+                                          Tower.rationals())))
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        Fraction(1, 3)
+        assert len(built) == 1  # the counter sees constructions
+        built.clear()
+        for target, a, b in (("complement", "1/2,2,3,-1,2,5", "-3,1,0,4,1,-2"),
+                             ("quadric", "2,-2,1,3,1,0", "1/3,-21,-1,2,3,4")):
+            cert = tmp_path / (target + ".cert")
+            assert run("connect", target, "--form", form, "--from", a,
+                       "--to", b, "--out", cert) == 0
+            assert run("verify", cert, "--form", form,
+                       "--out", tmp_path / "report.json") == 0
+        monkeypatch.undo()
+        assert built == []
+
+    def test_tower_imports_no_gmpy2(self):
+        import ast
+        import inspect
+        import quadcyl.tower
+        tree = ast.parse(inspect.getsource(quadcyl.tower))
+        names = [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names]
+        names += [node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module]
+        assert names and not any(n.split(".")[0] == "gmpy2" for n in names)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -592,3 +593,103 @@ class TestKernelOracle:
             inv = 1 / x
             assert x * inv == 1 and inv * x == 1
             assert (x * x) / x == x
+
+
+# rationals of every width: zero, small, and numerators and denominators
+# well past 64 bits; also denominators the numeric hash modulus divides
+HASH_MODULUS = 2 ** 61 - 1
+wide_ints = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
+wide_rats = st.one_of(
+    st.builds(Fraction, wide_ints, st.integers(1, 2 ** 130)),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                     Fraction(1, HASH_MODULUS), Fraction(-3, 2 * HASH_MODULUS)]),
+)
+operands = st.one_of(wide_rats, wide_ints)
+
+
+def value_of(x):
+    """A level-0 scalar as a Fraction, read through its int layout."""
+    assert x.level == 0 and x.tree.__class__ is int and x.den > 0
+    assert gcd(x.tree, x.den) == 1
+    return Fraction(x.tree, x.den)
+
+
+class TestRationalOracle:
+    """Level-0 scalars against fractions.Fraction, operand by operand."""
+
+    @given(wide_rats, operands)
+    def test_arithmetic(self, a, b):
+        x = scalar(a)
+        for got, want in ((x + b, a + b), (b + x, b + a), (x - b, a - b),
+                          (b - x, b - a), (x * b, a * b), (b * x, b * a),
+                          (x + scalar(b), a + b), (x * scalar(b), a * b),
+                          (-x, -a)):
+            assert value_of(got) == want
+            assert got == want and want == got
+        if b:
+            assert value_of(x / b) == a / b
+            assert value_of(x / scalar(b)) == a / b
+        if a:
+            assert value_of(b / x) == b / a
+
+    @given(wide_rats)
+    def test_predicates_text_and_hash(self, a):
+        x = scalar(a)
+        assert bool(x) == bool(a) and x.is_zero() == (a == 0)
+        assert repr(x) == str(a)
+        assert x.as_rational() == a and type(x.as_rational()) is Fraction
+        assert hash(x) == hash(a)
+        assert (x == a + 1) is False and x != a + 1
+        text = scalar_to_obj(x)
+        assert text == "%d/%d" % (a.numerator, a.denominator)
+        back = parse_rational(text)
+        assert back == x and value_of(back) == a
+
+    @given(wide_ints)
+    def test_int_hash_follows_the_numeric_rule(self, n):
+        assert hash(as_scalar(n)) == hash(n) == hash(Fraction(n))
+        assert {as_scalar(n): 1}[Fraction(n)] == 1
+
+    def test_division_by_a_rational_zero(self):
+        s, _ = sqrt2_setup()
+        for x in (scalar(Fraction(5, 7)), scalar(0), 1 + s):
+            for zero in (0, Fraction(0), scalar(0)):
+                with pytest.raises(ZeroDivisionError):
+                    x / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / scalar(0)
+
+    @staticmethod
+    def canonical(t, den):
+        """(t, den) over a positive den with no common factor left: the
+        layout's normal form, computed without the kernel."""
+        def leaves(u):
+            return [u] if isinstance(u, int) else leaves(u[1]) + leaves(u[2])
+
+        def div(u, g):
+            return u // g if isinstance(u, int) else (u[0], div(u[1], g),
+                                                      div(u[2], g))
+        g = gcd(den, *leaves(t))
+        if den < 0:
+            g = -g
+        return div(t, g), den // g
+
+    def test_rational_times_and_into_nodes(self):
+        from quadcyl.tower import _parts
+        rng = random.Random(17)
+        oracle = TestKernelOracle()
+        for tw in oracle.towers():
+            for _ in range(3):
+                x = oracle.value(rng, tw, tw.height, rng.choice((1.0, 0.5)))
+                q = Fraction(rng.randint(-2 ** 70, 2 ** 70) or 1,
+                             rng.randint(1, 2 ** 70))
+                oracle.check(x, scalar(q), tw)
+                oracle.check(scalar(q), x, tw)
+                tx, dx = _parts(x)
+                n, d = q.numerator, q.denominator
+                assert _parts(x * q) == self.canonical(
+                    ref_mul(tx, n, tw.rads), dx * d)
+                assert _parts(q * x) == _parts(x * q)
+                assert _parts(x / q) == self.canonical(
+                    ref_mul(tx, d, tw.rads), dx * n)
+                assert (x / q) * q == x
