@@ -11,8 +11,9 @@ value of the form is then t = u_e + sigma(u_transverse).
 A fiber move fixes t, replaces the transverse block wholesale, and
 recomputes u_e.  Charts with on_quadric=True live inside the quadric
 (t = 0 on the domain); the others live in the complement (t != 0).
-Cone-lifted charts compose F with a cone splitting, which turns the
-vertex coordinates into extra transverse coordinates with zero sigma
+On a cone the standard complement charts share one lifted frame: the
+cone splitting composed with the hyperbolic frame of the smooth base.
+Its vertex coordinates are extra transverse coordinates with zero sigma
 coefficients, so no chart kind needs special replay logic.
 """
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    FormNotSmoothError,
     InputFormatError,
     OutOfDomainError,
     PointNotOnQuadricError,
@@ -383,68 +383,36 @@ def cone_decompose(q: QuadForm) -> ConeSplit:
     return ConeSplit(CoordChange(mch), base, r)
 
 
-def standard_cylinders(q: QuadForm, frame: HyperbolicFrame) -> list:
-    """The standard complement cylinders in hyperbolic coordinates:
-    one chart per pair on the pair's x coordinate; for odd rank also one
-    per pair on the y coordinate plus one extra chart covering the
-    z-axis point."""
-    if q.rank() != q.size:
-        raise FormNotSmoothError("standard cylinders need a smooth form")
-    charts = []
-    for i in range(frame.pairs):
-        charts.append(Chart("standard-u", q, frame.change, 2 * i, 2 * i + 1))
-    if frame.has_z:
-        for i in range(frame.pairs):
-            charts.append(Chart("standard-v", q, frame.change,
-                                2 * i + 1, 2 * i))
-        zpos = 2 * frame.pairs
-        special = [ZERO] * q.size
-        special[zpos - 2] = -ONE  # x_m
-        special[zpos - 1] = ONE   # y_m
-        special[zpos] = ONE       # z
-        x = ProjPoint(frame.change.to_ambient(special))
-        w_frame = ctsq_normalize(q, x)
-        charts.append(Chart("standard-w", q, w_frame.change, 0, 1))
-    return charts
-
-
-def cone_lift(chart: Chart, split: ConeSplit, ambient: QuadForm) -> Chart:
-    """Lift a chart on the smooth base of a cone splitting to the full
-    ambient space: the vertex coordinates become extra transverse
-    coordinates on which sigma vanishes."""
-    base_n = chart.form.size
-    vd = ambient.size - base_n
-    if vd < 0:
-        raise InputFormatError("ambient form smaller than the chart's")
-    if vd == 0 and mat_eq(split.change.matrix, identity_mat(base_n)):
-        return chart
-    n = ambient.size
-    block = [[ZERO] * n for _ in range(n)]
-    for i in range(base_n):
-        for j in range(base_n):
-            block[i][j] = chart.change.matrix[i][j]
-    for k in range(base_n, n):
-        block[k][k] = ONE
-    full = mat_mul(split.change.matrix, mat(block))
-    return Chart(chart.kind, ambient, CoordChange(full), chart.dist,
-                 chart.dep, on_quadric=chart.on_quadric, vertex_dim=vd)
+def _lift(split: ConeSplit, change: CoordChange) -> CoordChange:
+    """The ambient change split.change * diag(change, I): a coordinate
+    change of the smooth base, pulled back along the vertex.  On a smooth
+    form the split is the identity and the change is its own lift."""
+    if not split.vertex_count:
+        return change
+    n, r = split.change.size, split.rank
+    block = [row + (ZERO,) * (n - r) for row in change.matrix]
+    block += [unit_vec(n, k) for k in range(r, n)]
+    return CoordChange(mat_mul(split.change.matrix, block))
 
 
 class ChartBundle:
-    """The standard complement charts of one form, grouped for reuse: the
-    lifted charts, and the rank and hyperbolic shape of the form."""
+    """The standard complement cylinders of one form, and the tower their
+    matrices live in.  The U charts (one per hyperbolic pair, on its x
+    coordinate) and, for odd rank, the V charts (on y) share one lifted
+    frame; the W chart is the only one covering the z-axis point."""
 
-    __slots__ = ("form", "u_charts", "v_charts", "w_chart", "pairs", "has_z",
-                 "rank")
+    __slots__ = ("form", "tower", "u_charts", "v_charts", "w_chart", "pairs",
+                 "has_z", "rank")
 
-    def __init__(self, form, split, frame, u_charts, v_charts, w_chart):
+    def __init__(self, form, tower, u_charts, v_charts, w_chart):
         self.form = form
+        self.tower = tower
         self.u_charts = u_charts
         self.v_charts = v_charts
         self.w_chart = w_chart
-        self.pairs = frame.pairs
-        self.has_z = frame.has_z
-        self.rank = split.rank
+        self.pairs = len(u_charts)
+        self.has_z = w_chart is not None
+        self.rank = 2 * self.pairs + self.has_z
 
     def all_charts(self):
         out = list(self.u_charts) + list(self.v_charts)
@@ -458,14 +426,27 @@ class ChartBundle:
 
 
 def build_complement_charts(q: QuadForm, tower):
-    """(ChartBundle, tower) for the complement of V(q), q of rank >= 3."""
+    """(ChartBundle, tower) for the complement of V(q), q of rank >= 3.
+    Every chart is built once, on q: the U/V frame and the W chart's
+    tangent frame are lifted from the base of the cone split."""
     if q.rank() < 3:
         raise RankTooLowError("form has rank %d, need at least 3" % q.rank())
     split = cone_decompose(q)
     frame, tower = hyperbolic_normalize(split.base, tower)
-    base_charts = standard_cylinders(split.base, frame)
-    lifted = [cone_lift(c, split, q) for c in base_charts]
-    u_charts = [c for c in lifted if c.kind == "standard-u"]
-    v_charts = [c for c in lifted if c.kind == "standard-v"]
-    w = next((c for c in lifted if c.kind == "standard-w"), None)
-    return ChartBundle(q, split, frame, u_charts, v_charts, w), tower
+    m, vd = frame.pairs, split.vertex_count
+    change = _lift(split, frame.change)
+    u_charts = [Chart("standard-u", q, change, 2 * i, 2 * i + 1,
+                      vertex_dim=vd) for i in range(m)]
+    v_charts, w = [], None
+    if frame.has_z:
+        v_charts = [Chart("standard-v", q, change, 2 * i + 1, 2 * i,
+                          vertex_dim=vd) for i in range(m)]
+        special = [ZERO] * split.rank
+        special[2 * m - 2] = -ONE  # x_m
+        special[2 * m - 1] = ONE   # y_m
+        special[2 * m] = ONE       # z
+        x = ProjPoint(frame.change.to_ambient(special))
+        w_frame = ctsq_normalize(split.base, x)
+        w = Chart("standard-w", q, _lift(split, w_frame.change), 0, 1,
+                  vertex_dim=vd)
+    return ChartBundle(q, tower, u_charts, v_charts, w), tower

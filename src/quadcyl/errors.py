@@ -38,10 +38,6 @@ class RankTooLowError(QuadcylError):
     """The quadratic form has rank below what the operation needs."""
 
 
-class FormNotSmoothError(QuadcylError):
-    """The operation needs a full-rank quadratic form."""
-
-
 class PointNotOnQuadricError(QuadcylError):
     """A point expected to lie on the quadric does not."""
 

@@ -31,8 +31,8 @@ from .errors import (
 from .charts import Chart, ChartBundle, build_complement_charts, \
     chart_from_descriptor, quadric_chart
 from .projective import ProjPoint, QuadForm, mat_eq, point_on_quadric
-from .tower import Tower, ZERO, as_scalar, deepest_tower, sqrt_if_present, \
-    try_sqrt
+from .tower import Tower, ZERO, as_scalar, deeper_tower, deepest_tower, \
+    sqrt_if_present, try_sqrt
 
 
 @dataclass(frozen=True)
@@ -202,9 +202,16 @@ def _rescale_axis(bundle: ChartBundle, cp, cq, lam, mu, tower):
 def connect_complement(form: QuadForm, p, q, *, tower=None,
                        bundle=None) -> MovePath:
     """A verified-replayable path of fiber moves from p to q inside the
-    complement of V(form).  Needs rank >= 3; at most 12 moves."""
+    complement of V(form).  Needs rank >= 3; at most 12 moves.  A given
+    bundle must belong to form; the path starts from its tower, or from
+    the given tower when that one is deeper."""
     p = p if isinstance(p, ProjPoint) else ProjPoint(p)
     q = q if isinstance(q, ProjPoint) else ProjPoint(q)
+    if bundle is not None:
+        if not mat_eq(bundle.form.matrix, form.matrix):
+            raise InputFormatError("the chart bundle belongs to another form")
+        tower = bundle.tower if tower is None \
+            else deeper_tower(tower, bundle.tower)
     tower = deepest_tower(p.coords + q.coords,
                           tower if tower is not None else Tower.rationals())
     if form(p).is_zero() or form(q).is_zero():

@@ -638,20 +638,21 @@ def try_sqrt(tower: Tower, value):
     return t2.generator(t2.height), t2
 
 
+def deeper_tower(t1: Tower, t2: Tower) -> Tower:
+    """The deeper of two towers on one chain (t1 on a tie)."""
+    high, low = (t1, t2) if t1.height >= t2.height else (t2, t1)
+    if not _chain_compatible(high, low):
+        raise TowerError("scalars belong to unrelated towers")
+    return high
+
+
 def deepest_tower(scalars, base: Tower) -> Tower:
     """The deepest tower among base and the scalars' own towers, after
     checking they all sit on one chain."""
     best = base
     for s in scalars:
-        if s.level == 0:
-            continue
-        tw = s.tower
-        if tw.height > best.height:
-            if not _chain_compatible(tw, best):
-                raise TowerError("scalars belong to unrelated towers")
-            best = tw
-        elif not _chain_compatible(best, tw):
-            raise TowerError("scalars belong to unrelated towers")
+        if s.level:
+            best = deeper_tower(best, s.tower)
     return best
 
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quadcyl.errors import (
-    FormNotSmoothError,
     InputFormatError,
     OutOfDomainError,
     PointNotOnQuadricError,
@@ -16,19 +15,17 @@ from quadcyl.errors import (
 )
 from quadcyl.charts import (
     Chart,
-    ChartBundle,
     _complete_basis,
     build_complement_charts,
     chart_from_descriptor,
     complement_cylinder,
     cone_decompose,
-    cone_lift,
     ctsq_normalize,
     hyperbolic_normalize,
     hyperbolic_target,
     quadric_chart,
-    standard_cylinders,
 )
+from quadcyl.navigate import connect_complement, verify_path
 from quadcyl.projective import (
     CoordChange,
     ProjPoint,
@@ -147,8 +144,8 @@ class TestCone:
 
 def u1_chart(n, pairs, z):
     q = hyperbolic_target(n, pairs, z)
-    frame, _ = hyperbolic_normalize(q, Tower.rationals())
-    return standard_cylinders(q, frame), q
+    bundle, _ = build_complement_charts(q, Tower.rationals())
+    return bundle.all_charts(), q
 
 
 class TestChartMechanics:
@@ -242,13 +239,6 @@ class TestStandardFamily:
             with pytest.raises(OutOfDomainError):
                 c.forward(zpt)
 
-    def test_needs_smooth_form(self):
-        q = quadform_from_terms(4, {(0, 1): 1, (2, 2): 1})
-        frame, _ = hyperbolic_normalize(
-            cone_decompose(q).base, Tower.rationals())
-        with pytest.raises(FormNotSmoothError):
-            standard_cylinders(q, frame)
-
 
 class TestConeLift:
     def test_lifted_chart_mechanics(self):
@@ -271,11 +261,78 @@ class TestConeLift:
         t2, tv2 = u1.forward(moved)
         assert t2 == t
         assert tv2[-1] == 9 and tv2[-2] == -1
-        # a trivial split returns the chart itself
-        q = form_xy_z2()
+
+    def test_smooth_form_uses_the_frame_itself(self):
+        # on a smooth form the U/V change is the hyperbolic frame's own
+        # change: x0^2 - x1^2 + x2^2 - x3^2 needs no radicand
+        q = quadform_from_terms(4, {(0, 0): 1, (1, 1): -1, (2, 2): 1,
+                                    (3, 3): -1})
+        bundle, tw = build_complement_charts(q, Tower.rationals())
         frame, _ = hyperbolic_normalize(q, Tower.rationals())
-        charts = standard_cylinders(q, frame)
-        assert cone_lift(charts[0], cone_decompose(q), q) is charts[0]
+        assert tw.height == 0
+        assert not mat_eq(frame.change.matrix, identity_mat(4))
+        change = bundle.u_charts[0].change
+        assert mat_eq(change.matrix, frame.change.matrix)
+        assert all(c.change is change for c in bundle.u_charts)
+        assert all(c.vertex_dim == 0 for c in bundle.all_charts())
+
+
+def tilted_cone(rng, n, rank):
+    """h(M u) for h = hyperbolic_target of the given rank < n and a seeded
+    invertible integer M, so no coordinate vector spans the radical."""
+    while True:
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if frac_rank(m) == n:
+            break
+    h = hyperbolic_target(n, rank // 2, bool(rank % 2))
+    return h.transform(mat(m))
+
+
+TILTED = [(n, r) for n in (4, 5, 6) for r in range(3, n)]
+
+
+class TestSharedFrame:
+    """The bundle of a cone whose radical is not a coordinate subspace."""
+
+    @pytest.mark.parametrize("n,rank", TILTED)
+    def test_one_lifted_frame(self, n, rank):
+        rng = random.Random(1000 * n + rank)
+        q = tilted_cone(rng, n, rank)
+        rad = [as_fractions(v) for v in q.radical_basis()]
+        assert len(rad) == n - rank
+        units = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        assert not [e for e in units if frac_rank(rad + [e]) == len(rad)]
+        bundle, tw = build_complement_charts(q, Tower.rationals())
+        change = bundle.u_charts[0].change
+        assert all(c.change is change
+                   for c in bundle.u_charts + bundle.v_charts)
+        assert bundle.tower is tw and bundle.rank == rank
+        vertex = [as_fractions(col) for col in transpose(change.matrix)[rank:]]
+        assert frac_rank(vertex) == n - rank
+        assert frac_rank(vertex + rad) == n - rank
+        for chart in bundle.all_charts():
+            assert chart.vertex_dim == n - rank
+            t = scalar(rng.randint(1, 9))
+            tv = tuple(scalar(rng.randint(-4, 4)) for _ in chart.trans)
+            assert chart.forward(chart.backward(t, tv)) == (t, tv)
+
+    @pytest.mark.parametrize("n,rank", TILTED)
+    def test_connect_verifies(self, n, rank):
+        rng = random.Random(1000 * n + rank)
+        q = tilted_cone(rng, n, rank)
+        bundle, tw = build_complement_charts(q, Tower.rationals())
+        for _ in range(5):
+            a, b = off_quadric(q, rng), off_quadric(q, rng)
+            path = connect_complement(q, a, b, bundle=bundle)
+            rep = verify_path(q, path)
+            assert rep.valid, rep.reason
+
+
+def off_quadric(q, rng):
+    while True:
+        c = [rng.randint(-5, 5) for _ in range(q.size)]
+        if any(c) and not q(proj(c)).is_zero():
+            return proj(c)
 
 
 @given(st.integers(0, 10_000))

@@ -2,6 +2,12 @@
 
 Every module-level import in `src/quadcyl/*.py` must be used in its
 module.  `__init__.py` is skipped: it imports names to re-export them.
+
+Every module-level function and class in `src/quadcyl/*.py` must be named
+outside its own definition: in the package (a bare name, or an attribute
+read such as `mod.name`), in `scripts/` or `bench/`, or in
+`quadcyl.__all__`.  So no API is kept alive only by its own tests.
+`cli.cmd_*` are exempt: `cli.main` looks them up by name.
 """
 
 import ast
@@ -9,7 +15,11 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src", "quadcyl")
+import quadcyl
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SRC = os.path.join(ROOT, "src", "quadcyl")
+OUTSIDE = ("scripts", "bench")
 MODULES = sorted(name for name in os.listdir(SRC)
                  if name.endswith(".py") and name != "__init__.py")
 
@@ -64,3 +74,74 @@ def test_check_catches_an_unused_import():
     used = used_names(tree)
     unused = [bound for bound, _ in imported_names(tree) if bound not in used]
     assert unused == ["os", "sqrt"]
+
+
+def read_names(node):
+    """Names read in the tree: bare names, attribute names and the names
+    `used_names` finds in `__all__` and string annotations."""
+    names = used_names(node)
+    names.update(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+    return names
+
+
+def unnamed_definitions(modules, outside):
+    """(module, name) of each module-level function or class of the
+    {module: tree} dict that nothing names outside its own definition,
+    counting the names in the `outside` set as named."""
+    per_stmt = {mod: [read_names(stmt) for stmt in tree.body]
+                for mod, tree in modules.items()}
+    whole = {mod: set().union(*names) for mod, names in per_stmt.items()}
+    out = []
+    for mod, tree in modules.items():
+        elsewhere = set(outside)
+        for other, names in whole.items():
+            if other != mod:
+                elsewhere |= names
+        for k, stmt in enumerate(tree.body):
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if mod == "cli.py" and stmt.name.startswith("cmd_"):
+                continue
+            if stmt.name in elsewhere or any(
+                    stmt.name in names
+                    for j, names in enumerate(per_stmt[mod]) if j != k):
+                continue
+            out.append((mod, stmt.name))
+    return out
+
+
+def parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def outside_names():
+    """Names read in scripts/ and bench/, plus quadcyl.__all__."""
+    names = set()
+    for top in OUTSIDE:
+        for dirpath, _dirs, files in os.walk(os.path.join(ROOT, top)):
+            for f in files:
+                if f.endswith(".py"):
+                    names |= read_names(parse(os.path.join(dirpath, f)))
+    return names | set(quadcyl.__all__)
+
+
+def test_no_definition_named_only_by_tests():
+    modules = {name: parse(os.path.join(SRC, name)) for name in MODULES}
+    unnamed = unnamed_definitions(modules, outside_names())
+    assert not unnamed, "named nowhere outside tests: %s" % ", ".join(
+        "%s:%s" % pair for pair in unnamed)
+
+
+def test_check_catches_a_definition_named_only_by_itself():
+    modules = {
+        "a.py": ast.parse("def used():\n    return helper()\n"
+                          "def helper():\n    return 1\n"
+                          "def lonely(n):\n    return lonely(n - 1)\n"
+                          "class Spare:\n    pass\n"),
+        "b.py": ast.parse("import a\nX = a.used\n"
+                          "def cmd_go(args):\n    return 0\n"),
+        "cli.py": ast.parse("def cmd_go(args):\n    return 0\n"),
+    }
+    unnamed = unnamed_definitions(modules, {"Spare"})
+    assert unnamed == [("a.py", "lonely"), ("b.py", "cmd_go")]

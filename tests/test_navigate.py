@@ -12,7 +12,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from quadcyl.errors import EndpointError, SingularPointError
+from quadcyl.errors import (
+    EndpointError,
+    InputFormatError,
+    SingularPointError,
+    TowerError,
+)
 from quadcyl.charts import build_complement_charts, hyperbolic_target
 from quadcyl.navigate import (
     MovePath,
@@ -143,6 +148,45 @@ class TestConnectComplement:
                     rep = verify_path(q, path)
                     assert rep.valid, (n, r, rep.reason)
                     assert len(path.steps) <= 12
+
+
+    def test_bundle_carries_its_tower(self):
+        # the frames of sums of squares need sqrt(-1); a bundle passed
+        # without its tower must still connect
+        q = quadform_from_terms(3, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
+        bundle, tw = build_complement_charts(q, Tower.rationals())
+        assert tw.height >= 1 and bundle.tower is tw
+        path = connect_complement(q, proj([1, 2, 3]), proj([2, -1, 5]),
+                                  bundle=bundle)
+        rep = verify_path(q, path)
+        assert rep.valid, rep.reason
+        q = quadform_from_terms(4, {(i, i): 1 for i in range(4)})
+        bundle, _ = build_complement_charts(q, Tower.rationals())
+        rng = random.Random(7)
+        for _ in range(20):
+            a, b = _random_off_quadric(q, rng), _random_off_quadric(q, rng)
+            rep = verify_path(q, connect_complement(q, a, b, bundle=bundle))
+            assert rep.valid, (a, b, rep.reason)
+
+    def test_bundle_and_tower_on_one_chain(self):
+        q = quadform_from_terms(3, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
+        bundle, tw = build_complement_charts(q, Tower.rationals())
+        p, r = proj([1, 2, 3]), proj([2, -1, 5])
+        deeper = tw.extend(scalar(2))
+        path = connect_complement(q, p, r, tower=deeper, bundle=bundle)
+        assert path.tower.ancestors[deeper.height] is deeper
+        assert verify_path(q, path).valid
+        other = Tower.rationals().extend(scalar(3))
+        with pytest.raises(TowerError):
+            connect_complement(q, p, r, tower=other, bundle=bundle)
+
+    def test_bundle_of_another_form_refused(self):
+        q = hyperbolic_target(4, 2, False)
+        other = quadform_from_terms(4, {(0, 1): 1, (2, 3): 2})
+        bundle, tw = build_complement_charts(other, Tower.rationals())
+        with pytest.raises(InputFormatError, match="another form"):
+            connect_complement(q, proj([1, 4, 0, 0]), proj([1, 1, 1, 1]),
+                               tower=tw, bundle=bundle)
 
 
 def _random_off_quadric(q, rng):
