@@ -11,10 +11,10 @@ value of the form is then t = u_e + sigma(u_transverse).
 A fiber move fixes t, replaces the transverse block wholesale, and
 recomputes u_e.  Charts with on_quadric=True live inside the quadric
 (t = 0 on the domain); the others live in the complement (t != 0).
-On a cone the standard complement charts share one lifted frame: the
-cone splitting composed with the hyperbolic frame of the smooth base.
-Its vertex coordinates are extra transverse coordinates with zero sigma
-coefficients, so no chart kind needs special replay logic.
+The standard complement charts are built on the form itself, cones
+included: its hyperbolic frame puts the radical in the last coordinates,
+which are extra transverse coordinates with zero sigma coefficients, so
+no chart kind needs special replay logic.
 """
 
 from __future__ import annotations
@@ -38,11 +38,9 @@ from .projective import (
     is_zero_vec,
     mat,
     mat_eq,
-    mat_mul,
     nullspace,
     quadform_from_terms,
     transpose,
-    unit_vec,
     vec_add,
     vec_scale,
 )
@@ -176,20 +174,26 @@ class Chart:
         return "Chart(%s, dist=%d, dep=%d)" % (name, self.dist, self.dep)
 
 
-def chart_from_descriptor(form: QuadForm, desc: dict, on_quadric) -> Chart:
+def chart_from_descriptor(form: QuadForm, desc: dict, on_quadric,
+                          changes) -> Chart:
     """Rebuild a chart from its descriptor, revalidating the shape against
     the given ambient form; on_quadric comes from the certificate's
-    problem, and names the rebuilt chart's kind.  The descriptor's shape
-    (integer indices, a square matrix) is the parser's to check; raises
-    InputFormatError when its values do not make a chart of the form."""
-    m = mat(desc["matrix"])
-    if len(m) != form.size or any(len(r) != form.size for r in m):
-        raise InputFormatError("chart matrix has the wrong size")
-    try:
-        change = CoordChange(m)
-        change.inverse_matrix()
-    except TowerError:
-        raise InputFormatError("chart matrix is singular") from None
+    problem, and names the rebuilt chart's kind.  changes maps the rows of
+    each matrix rebuilt so far to its inverted CoordChange, which charts
+    sharing the matrix share.  The descriptor's shape is the parser's to
+    check; InputFormatError means its values make no chart of the form."""
+    rows = tuple(map(tuple, desc["matrix"]))
+    change = changes.get(rows)
+    if change is None:
+        m = mat(rows)
+        if len(m) != form.size or any(len(r) != form.size for r in m):
+            raise InputFormatError("chart matrix has the wrong size")
+        try:
+            change = CoordChange(m)
+            change.inverse_matrix()
+        except TowerError:
+            raise InputFormatError("chart matrix is singular") from None
+        changes[rows] = change
     kind = "quadric-chart" if on_quadric else "complement-cylinder"
     return Chart(kind, form, change, desc["dist"], desc["dep"],
                  on_quadric=on_quadric)
@@ -207,25 +211,12 @@ class CtsqFrame:
 
 @dataclass(frozen=True)
 class HyperbolicFrame:
-    """Coordinates splitting a smooth form into hyperbolic pairs
-    x_1 y_1 + ... + x_m y_m, plus one square z^2 when the rank is odd."""
+    """Coordinates splitting a form into hyperbolic pairs x_1 y_1 + ... +
+    x_m y_m, plus z^2 for odd rank; a cone's radical takes the rest."""
     change: CoordChange
     pairs: int
     has_z: bool
     rank: int
-
-
-@dataclass(frozen=True)
-class ConeSplit:
-    """Coordinates separating a degenerate form into a smooth base block
-    (first `rank` coordinates) and the radical (the rest)."""
-    change: CoordChange
-    base: QuadForm
-    rank: int
-
-    @property
-    def vertex_count(self) -> int:
-        return self.change.size - self.rank
 
 
 def _keep_independent(reduced, v):
@@ -329,8 +320,8 @@ def hyperbolic_target(n: int, pairs: int, has_z: bool) -> QuadForm:
 
 def hyperbolic_normalize(q: QuadForm, tower):
     """(HyperbolicFrame, tower): exact coordinates in which q becomes the
-    standard sum of hyperbolic pairs (plus z^2 for odd rank).  May adjoin
-    at most two square roots per pair and one for the odd tail."""
+    standard sum of hyperbolic pairs (plus z^2 for odd rank), the radical
+    last.  Adjoins at most two square roots per pair, one for the tail."""
     n = q.size
     r = q.rank()
     m, has_z = r // 2, bool(r % 2)
@@ -362,44 +353,11 @@ def hyperbolic_normalize(q: QuadForm, tower):
     return HyperbolicFrame(CoordChange(mch), m, has_z, r), tower
 
 
-def cone_decompose(q: QuadForm) -> ConeSplit:
-    """Split off the radical: in the new coordinates the form is a smooth
-    form on the first rank(q) coordinates and ignores the rest."""
-    n = q.size
-    rad = q.radical_basis()
-    if not rad:
-        return ConeSplit(CoordChange(identity_mat(n), identity_mat(n)), q,
-                         q.rank())
-    r = q.rank()
-    # complement of the radical spanned by standard vectors, then the radical
-    cols = _complete_basis(rad, [unit_vec(n, i) for i in range(n)])
-    mch = transpose(cols[len(rad):] + cols[:len(rad)])
-    b = q.transform(mch).matrix
-    base = QuadForm(tuple(row[:r] for row in b[:r]))
-    assert base.rank() == r
-    for i in range(n):
-        for j in range(r, n):
-            assert b[i][j].is_zero() and b[j][i].is_zero()
-    return ConeSplit(CoordChange(mch), base, r)
-
-
-def _lift(split: ConeSplit, change: CoordChange) -> CoordChange:
-    """The ambient change split.change * diag(change, I): a coordinate
-    change of the smooth base, pulled back along the vertex.  On a smooth
-    form the split is the identity and the change is its own lift."""
-    if not split.vertex_count:
-        return change
-    n, r = split.change.size, split.rank
-    block = [row + (ZERO,) * (n - r) for row in change.matrix]
-    block += [unit_vec(n, k) for k in range(r, n)]
-    return CoordChange(mat_mul(split.change.matrix, block))
-
-
 class ChartBundle:
     """The standard complement cylinders of one form, and the tower their
     matrices live in.  The U charts (one per hyperbolic pair, on its x
-    coordinate) and, for odd rank, the V charts (on y) share one lifted
-    frame; the W chart is the only one covering the z-axis point."""
+    coordinate) and, for odd rank, the V charts (on y) share one frame;
+    the W chart is the only one covering the z-axis point."""
 
     __slots__ = ("form", "tower", "u_charts", "v_charts", "w_chart", "pairs",
                  "has_z", "rank")
@@ -427,26 +385,24 @@ class ChartBundle:
 
 def build_complement_charts(q: QuadForm, tower):
     """(ChartBundle, tower) for the complement of V(q), q of rank >= 3.
-    Every chart is built once, on q: the U/V frame and the W chart's
-    tangent frame are lifted from the base of the cone split."""
+    Every chart is built once, on q itself: U/V on q's hyperbolic frame,
+    W on q's tangent frame at (x_m = -1, y_m = z = 1) of that frame."""
     if q.rank() < 3:
         raise RankTooLowError("form has rank %d, need at least 3" % q.rank())
-    split = cone_decompose(q)
-    frame, tower = hyperbolic_normalize(split.base, tower)
-    m, vd = frame.pairs, split.vertex_count
-    change = _lift(split, frame.change)
+    frame, tower = hyperbolic_normalize(q, tower)
+    m, vd = frame.pairs, q.size - frame.rank
+    change = frame.change
     u_charts = [Chart("standard-u", q, change, 2 * i, 2 * i + 1,
                       vertex_dim=vd) for i in range(m)]
     v_charts, w = [], None
     if frame.has_z:
         v_charts = [Chart("standard-v", q, change, 2 * i + 1, 2 * i,
                           vertex_dim=vd) for i in range(m)]
-        special = [ZERO] * split.rank
+        special = [ZERO] * q.size
         special[2 * m - 2] = -ONE  # x_m
         special[2 * m - 1] = ONE   # y_m
         special[2 * m] = ONE       # z
-        x = ProjPoint(frame.change.to_ambient(special))
-        w_frame = ctsq_normalize(split.base, x)
-        w = Chart("standard-w", q, _lift(split, w_frame.change), 0, 1,
+        x = ProjPoint(change.to_ambient(special))
+        w = Chart("standard-w", q, ctsq_normalize(q, x).change, 0, 1,
                   vertex_dim=vd)
     return ChartBundle(q, tower, u_charts, v_charts, w), tower

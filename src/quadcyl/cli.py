@@ -155,7 +155,8 @@ def cmd_connect(args) -> int:
                                             limit=limit)
             lines.append(Line.through(pencil, line.v1, line.v2))
         xp = connect_on_X(pencil, p, q, lines=lines or None, tower=tower,
-                          seed=args.seed, retry_limit=args.retry_limit)
+                          rng=random.Random(args.seed),
+                          retry_limit=args.retry_limit)
         _emit(args, ser.dumps(ser.xpath_to_obj(xp)))
         _note("segments: %d, steps: %d" % (
             len(xp.segments), sum(len(s.steps) for s in xp.segments)))
@@ -173,7 +174,8 @@ def cmd_connect(args) -> int:
     if args.target == "complement":
         path = connect_complement(form, p, q, tower=tower)
     else:
-        path = connect_on_quadric(form, p, q, tower=tower, seed=args.seed,
+        path = connect_on_quadric(form, p, q, tower=tower,
+                                  rng=random.Random(args.seed),
                                   retry_limit=args.retry_limit)
     _emit(args, ser.dumps(ser.path_to_obj(path)))
     _note("steps: %d" % len(path.steps))

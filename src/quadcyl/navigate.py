@@ -260,8 +260,8 @@ def connect_complement(form: QuadForm, p, q, *, tower=None,
     return done(full.steps())
 
 
-def connect_on_quadric(form: QuadForm, p, q, *, tower=None, seed=None,
-                       rng=None, retry_limit=64) -> MovePath:
+def connect_on_quadric(form: QuadForm, p, q, *, tower=None, rng=None,
+                       retry_limit=64) -> MovePath:
     """A path of fiber moves between two smooth points inside the quadric
     V(form) itself: one jump in the quadric chart around an auxiliary
     smooth point y with beta(y, p) and beta(y, q) both nonzero.  For rank
@@ -282,7 +282,7 @@ def connect_on_quadric(form: QuadForm, p, q, *, tower=None, seed=None,
     tower = deepest_tower(p.coords + q.coords,
                           tower if tower is not None else Tower.rationals())
     if rng is None:
-        rng = random.Random(seed if seed is not None else 0)
+        rng = random.Random(0)
 
     def done(steps):
         return MovePath("quadric", form, p, q, steps, tower)
@@ -336,6 +336,7 @@ def verify_path(form: QuadForm, path: MovePath, cache=None) -> VerifyReport:
         return VerifyReport(True, None, None, 0, path.problem, rc)
     if cache is None:
         cache = {}
+    changes = {}
     cur = path.start
     for k, step in enumerate(path.steps):
         if step.entry != cur:
@@ -346,7 +347,7 @@ def verify_path(form: QuadForm, path: MovePath, cache=None) -> VerifyReport:
         chart = cache.get(key)
         if chart is None:
             try:
-                chart = chart_from_descriptor(form, desc, on_q)
+                chart = chart_from_descriptor(form, desc, on_q, changes)
             except InputFormatError as exc:
                 return bad("invalid chart descriptor at step %d: %s"
                            % (k, exc), k)

@@ -621,8 +621,8 @@ class XPath:
     tower: Tower
 
 
-def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, seed=None,
-                 rng=None, retry_limit=64) -> XPath:
+def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, rng=None,
+                 retry_limit=64) -> XPath:
     """Connect two smooth points of the intersection X.  Searches for a
     line chart whose degeneracy quadric misses both endpoints, then runs
     the complement connector in the image; falls back to two segments
@@ -638,7 +638,7 @@ def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, seed=None,
     tower = deepest_tower(p.coords + q.coords,
                           tower if tower is not None else Tower.rationals())
     if rng is None:
-        rng = random.Random(seed if seed is not None else 0)
+        rng = random.Random(0)
     if p == q:
         return XPath(pencil, p, q, (), tower)
 

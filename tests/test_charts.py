@@ -19,7 +19,6 @@ from quadcyl.charts import (
     build_complement_charts,
     chart_from_descriptor,
     complement_cylinder,
-    cone_decompose,
     ctsq_normalize,
     hyperbolic_normalize,
     hyperbolic_target,
@@ -122,26 +121,6 @@ class TestHyperbolic:
                           target.matrix)
 
 
-class TestCone:
-    def test_smooth_is_trivial(self):
-        q = form_xy_z2()
-        split = cone_decompose(q)
-        assert split.vertex_count == 0
-        assert mat_eq(split.change.matrix, identity_mat(3))
-        assert split.base is q or mat_eq(split.base.matrix, q.matrix)
-
-    def test_rank3_on_p4(self):
-        q = quadform_from_terms(5, {(0, 1): 1, (2, 2): 1})
-        split = cone_decompose(q)
-        assert split.rank == 3
-        assert split.vertex_count == 2
-        assert split.base.rank() == 3
-        b = q.transform(split.change.matrix).matrix
-        for i in range(5):
-            for j in range(3, 5):
-                assert b[i][j].is_zero()
-
-
 def u1_chart(n, pairs, z):
     q = hyperbolic_target(n, pairs, z)
     bundle, _ = build_complement_charts(q, Tower.rationals())
@@ -207,7 +186,7 @@ class TestChartMechanics:
         charts, q = u1_chart(5, 2, True)
         for c in charts:
             desc = c.descriptor()
-            c2 = chart_from_descriptor(q, desc, c.on_quadric)
+            c2 = chart_from_descriptor(q, desc, c.on_quadric, {})
             assert c2.on_quadric == c.on_quadric
             assert c2.dist == c.dist and c2.dep == c.dep
             assert mat_eq(c2.change.matrix, c.change.matrix)
@@ -217,7 +196,7 @@ class TestChartMechanics:
         desc = charts[0].descriptor()
         desc["matrix"][0][0] = F(3, 7)  # breaks the block shape
         with pytest.raises(InputFormatError):
-            chart_from_descriptor(q, desc, False)
+            chart_from_descriptor(q, desc, False, {})
 
 
 class TestStandardFamily:
@@ -246,8 +225,8 @@ class TestConeLift:
         q = quadform_from_terms(5, {(0, 1): 1, (2, 2): 1})
         bundle, tw = build_complement_charts(q, Tower.rationals())
         assert bundle.rank == 3
-        lifted = bundle.all_charts()
-        assert all(c.vertex_dim == 2 for c in lifted)
+        charts = bundle.all_charts()
+        assert all(c.vertex_dim == 2 for c in charts)
         p = proj([1, 3, 1, 5, -2])  # f = 3 + 1 = 4
         u1 = bundle.u_charts[0]
         t, tv = u1.forward(p)
@@ -326,6 +305,37 @@ class TestSharedFrame:
             path = connect_complement(q, a, b, bundle=bundle)
             rep = verify_path(q, path)
             assert rep.valid, rep.reason
+
+
+GRID_CONES = [(n, r) for n in range(4, 9) for r in range(3, n)]
+
+
+class TestFrameOnTheForm:
+    """A cone's bundle is normalized on the form itself: the U/V charts
+    share q's own hyperbolic frame, and the W chart is q's own tangent
+    frame at the special point of that frame."""
+
+    @staticmethod
+    def check(q):
+        bundle, _ = build_complement_charts(q, Tower.rationals())
+        frame, _ = hyperbolic_normalize(q, Tower.rationals())
+        assert mat_eq(bundle.u_charts[0].change.matrix, frame.change.matrix)
+        assert bundle.has_z == frame.has_z
+        if frame.has_z:
+            m = frame.pairs
+            special = [0] * q.size
+            special[2 * m - 2], special[2 * m - 1], special[2 * m] = -1, 1, 1
+            x = ProjPoint(frame.change.to_ambient(svec(special)))
+            assert mat_eq(bundle.w_chart.change.matrix,
+                          ctsq_normalize(q, x).change.matrix)
+
+    @pytest.mark.parametrize("n,rank", TILTED)
+    def test_tilted_cone(self, n, rank):
+        self.check(tilted_cone(random.Random(1000 * n + rank), n, rank))
+
+    @pytest.mark.parametrize("n,rank", GRID_CONES)
+    def test_grid_cone(self, n, rank):
+        self.check(hyperbolic_target(n, rank // 2, bool(rank % 2)))
 
 
 def off_quadric(q, rng):
@@ -446,44 +456,3 @@ class TestCompleteBasis:
             _complete_basis([svec(c) for c in cols],
                             [svec([int(i == j) for j in range(3)])
                              for i in range(3)])
-
-
-def reference_cone_matrix(q):
-    """cone_decompose's coordinate change by the from-scratch rank check:
-    standard vectors completing the radical, then the radical."""
-    n = q.size
-    rad = [as_fractions(v) for v in q.radical_basis()]
-    if not rad:
-        return identity_mat(n)
-    comp = []
-    for i in range(n):
-        e = [F(int(i == j)) for j in range(n)]
-        if len(comp) + len(rad) == n:
-            break
-        if frac_rank(rad + comp + [e]) == len(rad) + len(comp) + 1:
-            comp.append(e)
-    return transpose(mat(comp + rad))
-
-
-def test_cone_decompose_matches_rank_check():
-    # forms drawn as acceptance test_01 draws them (seed 101, sizes 3-9),
-    # each also pulled back along a map that collapses k coordinates
-    rng = random.Random(101)
-    for i in range(14):
-        n = 3 + i % 7
-        rows = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                c = F(rng.randint(-9, 9), rng.randint(1, 5))
-                rows[a][b] = rows[b][a] = c
-        q = QuadForm(mat(rows))
-        k = rng.randint(1, n - 1)
-        cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - k)]
-        for _ in range(k):
-            u, w = rng.choice(cols), rng.choice(cols)
-            cols.append([x - 2 * y for x, y in zip(u, w)])
-        rng.shuffle(cols)
-        for form in (q, q.transform(transpose(mat(cols)))):
-            split = cone_decompose(form)
-            assert mat_eq(split.change.matrix, reference_cone_matrix(form))
-            assert split.rank == form.rank()

@@ -89,7 +89,8 @@ def test_ci_certificate_corruption_fuzz():
         a, b = rational_point(pencil, rng), rational_point(pencil, rng)
         if a == b:
             continue
-        xp = connect_on_X(pencil, a, b, seed=rng.randrange(10 ** 6))
+        xp = connect_on_X(pencil, a, b,
+                          rng=random.Random(rng.randrange(10 ** 6)))
         assert verify_on_X(pencil, xp).valid
         texts.append(dumps(xpath_to_obj(xp)))
     counts = {"parser": 0, "verifier": 0, "accepted": 0}

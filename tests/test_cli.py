@@ -1,5 +1,6 @@
 """End-to-end command line tests: exit codes and byte-exact outputs."""
 
+import hashlib
 import json
 
 import pytest
@@ -97,6 +98,22 @@ class TestConnect:
                 "--from", "1,1,0,0", "--to", "0,3,1,5", "--seed", 7,
                 "--out", out)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_grid_cone_certificate_golden(self, tmp_path):
+        # x0 x1 + x2 x3 + x4^2 on P^5, a cone with one vertex coordinate;
+        # (0:0:0:0:1:3) lies in no U or V chart, so the path starts in the
+        # W chart.  The bytes pin the frame every complement chart uses.
+        from quadcyl.charts import hyperbolic_target
+        form, cert = tmp_path / "grid-6-5.qf", tmp_path / "c.cert"
+        form.write_text(dumps(form_to_obj(hyperbolic_target(6, 2, True),
+                                          Tower.rationals())))
+        assert run("connect", "complement", "--form", form,
+                   "--from", "0,0,0,0,1,3", "--to", "1,2,0,0,1,0",
+                   "--out", cert) == 0
+        data = cert.read_bytes()
+        assert len(loads(data.decode())["steps"]) == 6
+        assert hashlib.sha256(data).hexdigest() == (
+            "5f9e87aaea61ae651c52660ec7877bd247e6b0a83413d1ff2d46e5ca9288c67a")
 
     def test_equal_endpoints_zero_steps(self, docs, tmp_path):
         cert = tmp_path / "c.cert"

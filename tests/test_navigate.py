@@ -203,7 +203,7 @@ class TestConnectOnQuadric:
         q = hyperbolic_target(4, 2, False)
         p = proj([1, 0, 0, 0])
         r = proj([0, 0, 1, 0])
-        path = connect_on_quadric(q, p, r, seed=1)
+        path = connect_on_quadric(q, p, r, rng=random.Random(1))
         rep = verify_path(q, path)
         assert rep.valid, rep.reason
         assert path.problem == "quadric"
@@ -227,7 +227,7 @@ class TestConnectOnQuadric:
             r, tw = point_on_quadric(q, rng=rng, tower=tw,
                                      predicate=lambda x: q.is_smooth_at(x))
             path = connect_on_quadric(q, p, r, tower=tw,
-                                      seed=rng.randint(0, 99))
+                                      rng=random.Random(rng.randint(0, 99)))
             rep = verify_path(q, path)
             assert rep.valid, rep.reason
 
@@ -245,7 +245,8 @@ class TestConnectOnQuadric:
                         x[0], x[1] = F(rng.choice([-3, -1, 1, 2])), F(0)
                         x[1] = -q(proj(x)).rat / x[0]
                         ends.append(proj(x))
-                    path = connect_on_quadric(q, *ends, seed=rng.randint(0, 99))
+                    path = connect_on_quadric(
+                        q, *ends, rng=random.Random(rng.randint(0, 99)))
                     assert path.tower.height == 0
                     assert verify_path(q, path).valid
 
@@ -318,6 +319,24 @@ class TestVerifyRejections:
 
 
 class TestChartCache:
+    def test_one_inverse_per_matrix(self, monkeypatch):
+        # the axis gadget (1:0:1) -> (1:0:4) moves in u1, v1, u1: two
+        # charts on one matrix, which a replay inverts once
+        import quadcyl.projective as projective
+        q = hyperbolic_target(3, 1, True)
+        path = connect_complement(q, proj([1, 0, 1]), proj([1, 0, 4]))
+        assert [(s.chart["dist"], s.chart["dep"]) for s in path.steps] == \
+            [(0, 1), (1, 0), (0, 1)]
+        inverted = []
+        real = projective.mat_inverse
+
+        def counting(m):
+            inverted.append(m)
+            return real(m)
+        monkeypatch.setattr(projective, "mat_inverse", counting)
+        assert verify_path(q, path).valid
+        assert len(inverted) == 1
+
     def test_shared_cache_tells_radicands_apart(self):
         # x^2 + y^2 + z^2 needs sqrt(-1) in its chart matrices; reading the
         # same certificate with sqrt(-2) at level 1 changes every level-1

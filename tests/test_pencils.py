@@ -360,7 +360,7 @@ class TestConnectOnX:
         a, tw = point_on_intersection(p, rng=rng)
         b, tw = point_on_intersection(p, rng=rng, tower=tw,
                                       predicate=lambda y: y != a)
-        path = connect_on_X(p, a, b, tower=tw, seed=seed, rng=rng)
+        path = connect_on_X(p, a, b, tower=tw, rng=rng)
         return p, path
 
     def test_seeded_pairs_verify(self):
