@@ -1,4 +1,5 @@
-"""Time tower products, sums and inverses on dense elements, by height.
+"""Time tower products, sums and inverses on dense elements, by height,
+then matrix inverses and form pullbacks on sparse matrices.
 
 The tower of height h adjoins the square roots of the first h primes; each
 operand has all 2**h coefficients nonzero (seeded integers in [-9, 9]).  At
@@ -8,8 +9,19 @@ x+y and an inverse 1/x, each the best of --repeat timings of a batch of
 4**(5-h) operations on as many operand pairs (one at heights 5 and up),
 and checks x*(1/x) == 1.
 
+The L1 rows time, for each height of --l1-heights, size n in L1_SIZES and
+zero share z in L1_ZEROS, one mat_inverse(M) and one QuadForm(A).transform(M)
+(M^T A M), each the best of --repeat.  M and the symmetric A are n x n and
+seeded per (height, n, z): round(z*n*n) entries of M are zero, never on a
+random permutation that keeps M invertible, and each entry of A's upper
+triangle is zero with probability z.  A nonzero entry is r + s*sqrt(p_k)
+for seeded integers r, s in [-9, 9], s != 0, and a seeded level k, like
+the entries of chart matrices; at height 0 it is p/q with 0 < |p|, q <= 9.
+It checks M * M^-1 == I.
+
     python3 scripts/kernel_bench.py
     python3 scripts/kernel_bench.py --heights 0,6,7,8 --repeat 5
+    python3 scripts/kernel_bench.py --heights 0 --l1-heights 0,4 --repeat 5
 """
 
 import argparse
@@ -18,9 +30,19 @@ import sys
 import time
 from fractions import Fraction
 
-from quadcyl.tower import ONE, Tower, as_scalar
+from quadcyl.projective import QuadForm, identity_mat, mat_inverse, mat_mul
+from quadcyl.tower import ONE, ZERO, Tower, as_scalar
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+L1_SIZES = (6, 8)
+L1_ZEROS = (0.0, 0.5, 0.8)
+
+
+def tower_of(h):
+    tower = Tower.rationals()
+    for p in PRIMES[:h]:
+        tower = tower.extend(p)
+    return tower
 
 
 def dense(tower, rng):
@@ -34,6 +56,66 @@ def dense(tower, rng):
     for level in range(1, tower.height + 1):
         x = x + dense(tower.ancestors[level - 1], rng) * tower.generator(level)
     return x
+
+
+def light(tower, rng):
+    """A nonzero r + s*sqrt(p_k), k a seeded level of the tower and r, s
+    seeded integers in [-9, 9]; a rational p/q with 0 < |p|, q <= 9 when
+    the tower is Q itself."""
+    if tower.height == 0:
+        return as_scalar(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                  rng.randint(1, 9)))
+    r = rng.randint(-9, 9)
+    s = rng.choice((-1, 1)) * rng.randint(1, 9)
+    return r + s * tower.generator(rng.randint(1, tower.height))
+
+
+def sparse_pair(tower, n, zeros, rng):
+    """(M, A): an invertible n x n matrix with round(zeros*n*n) zero
+    entries and a symmetric one whose upper-triangle entries are zero with
+    probability zeros; nonzero entries as `light` draws them."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    free = [(i, j) for i in range(n) for j in range(n) if j != perm[i]]
+    zero_cells = set(rng.sample(free, min(round(zeros * n * n), len(free))))
+    m = [[ZERO if (i, j) in zero_cells else light(tower, rng)
+          for j in range(n)] for i in range(n)]
+    a = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() >= zeros:
+                a[i][j] = a[j][i] = light(tower, rng)
+    return tuple(map(tuple, m)), QuadForm(a)
+
+
+def best_of(fn, repeat):
+    """(seconds of the fastest of `repeat` calls of fn, its result)."""
+    best = None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = fn()
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best, out
+
+
+def l1_rows(heights, repeat, seed):
+    print("L1 height  size  zeros  mat_inverse_s  transform_s")
+    for h in heights:
+        tower = tower_of(h)
+        for n in L1_SIZES:
+            for z in L1_ZEROS:
+                rng = random.Random("%d-%d-%d-%g" % (seed, h, n, z))
+                m, a = sparse_pair(tower, n, z, rng)
+                inv_s, inv = best_of(lambda: mat_inverse(m), repeat)
+                tr_s, _ = best_of(lambda: a.transform(m), repeat)
+                if mat_mul(m, inv) != identity_mat(n):
+                    print("error: M * M^-1 != I at height %d, size %d"
+                          % (h, n), file=sys.stderr)
+                    return 1
+                print("L1 %-7d %-5d %-6g %-14.3g %.3g"
+                      % (h, n, z, inv_s, tr_s))
+    return 0
 
 
 def per_op(fn, pairs, repeat):
@@ -53,19 +135,21 @@ def main(argv=None) -> int:
     ap.add_argument("--heights", default="0,4,5,6,7,8",
                     help="comma-separated tower heights (at most %d)"
                     % len(PRIMES))
+    ap.add_argument("--l1-heights", default="0,4",
+                    help="comma-separated tower heights of the L1 rows")
     ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     heights = [int(h) for h in args.heights.split(",")]
-    if any(not 0 <= h <= len(PRIMES) for h in heights) or args.repeat < 1:
+    l1_heights = [int(h) for h in args.l1_heights.split(",")]
+    if (any(not 0 <= h <= len(PRIMES) for h in heights + l1_heights)
+            or args.repeat < 1):
         ap.error("heights must lie in 0..%d and --repeat be positive"
                  % len(PRIMES))
     rng = random.Random(args.seed)
     print("height  mul_s      add_s      inverse_s")
     for h in heights:
-        tower = Tower.rationals()
-        for p in PRIMES[:h]:
-            tower = tower.extend(p)
+        tower = tower_of(h)
         pairs = [(dense(tower, rng), dense(tower, rng))
                  for _ in range(4 ** max(5 - h, 0))]
         mul_s = per_op(lambda x, y: x * y, pairs, args.repeat)
@@ -75,7 +159,7 @@ def main(argv=None) -> int:
             print("error: x*(1/x) != 1 at height %d" % h, file=sys.stderr)
             return 1
         print("%-7d %-10.3g %-10.3g %.3g" % (h, mul_s, add_s, inv_s))
-    return 0
+    return l1_rows(l1_heights, args.repeat, args.seed)
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from .projective import (
     ProjPoint,
     QuadForm,
     congruent_diagonalize,
+    dot,
     identity_mat,
     is_zero_vec,
     mat,
@@ -80,7 +81,7 @@ class Chart:
         self.dep = dep
         self.on_quadric = bool(on_quadric)
         self.vertex_dim = vertex_dim
-        b = form.transform(change.matrix).matrix
+        b = change.pullback(form).matrix
         self.bmat = b
         d, e = dist, dep
         if not b[d][d].is_zero() or not b[e][e].is_zero() or b[d][e] != HALF:
@@ -274,23 +275,23 @@ def ctsq_normalize(q: QuadForm, x) -> CtsqFrame:
     b0 = tuple((1 / (2 * w[i0])) if j == i0 else ZERO for j in range(n))
     tangent = nullspace((w,))
     cols = _complete_basis([b0, p.coords], tangent)
-    m1 = transpose(cols)
-    b = q.transform(m1).matrix
-    # shear u_1 to absorb the linear-in-u_0 part:
-    # column 0 loses b[0][0] * x, column j >= 2 loses 2 b[0][j] * x
+    # shear u_1 to absorb the linear-in-u_0 part, which only row 0 of the
+    # form in these columns holds: b0j = beta(c_0, c_j).  Column 0 loses
+    # b00 * x, column j >= 2 loses 2 b0j * x
+    g0 = q.gradient(cols[0])
     new_cols = list(cols)
-    if not b[0][0].is_zero():
-        new_cols[0] = vec_add(new_cols[0], vec_scale(p.coords, -b[0][0]))
-    for j in range(2, n):
-        if not b[0][j].is_zero():
-            new_cols[j] = vec_add(new_cols[j], vec_scale(p.coords, -2 * b[0][j]))
-    m2 = transpose(new_cols)
-    b2 = q.transform(m2).matrix
+    for j in range(n):
+        b0j = dot(g0, cols[j]) if j != 1 else ZERO
+        if b0j:
+            f = b0j if j == 0 else 2 * b0j
+            new_cols[j] = vec_add(cols[j], vec_scale(p.coords, -f))
+    change = CoordChange(transpose(new_cols))
+    b2 = change.pullback(q).matrix
     assert b2[0][0].is_zero() and b2[1][1].is_zero() and b2[0][1] == HALF
     assert all(b2[0][j].is_zero() and b2[1][j].is_zero() for j in range(2, n))
     residual = QuadForm(tuple(row[2:] for row in b2[2:]))
     assert residual.rank() == q.rank() - 2
-    return CtsqFrame(CoordChange(m2), residual, q.rank())
+    return CtsqFrame(change, residual, q.rank())
 
 
 def quadric_chart(q: QuadForm, x) -> Chart:
@@ -348,9 +349,9 @@ def hyperbolic_normalize(q: QuadForm, tower):
         new_cols.append(vec_scale(cols[i], 1 / sa))
         i += 1
     new_cols.extend(cols[r:])
-    mch = transpose(new_cols)
-    assert mat_eq(q.transform(mch).matrix, target.matrix)
-    return HyperbolicFrame(CoordChange(mch), m, has_z, r), tower
+    change = CoordChange(transpose(new_cols))
+    assert mat_eq(change.pullback(q).matrix, target.matrix)
+    return HyperbolicFrame(change, m, has_z, r), tower
 
 
 class ChartBundle:

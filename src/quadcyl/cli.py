@@ -130,8 +130,7 @@ def cmd_normalize(args) -> int:
         "rank": frame.rank,
         "radicands": tower_to_obj(tower),
         "witness": ser.matrix_to_flat(frame.change.matrix),
-        "result": ser.matrix_to_flat(
-            form.transform(frame.change.matrix).matrix),
+        "result": ser.matrix_to_flat(frame.change.pullback(form).matrix),
     }
     if not args.ctsq:
         obj["pairs"] = frame.pairs

@@ -1,8 +1,11 @@
 """Projective points, quadratic forms, and exact linear algebra over towers.
 
 Vectors are tuples of TowerScalar.  Matrices are tuples of row tuples.
-Everything is exact; rank and kernels are computed by fraction-free-ish
-Gauss elimination over the tower field (which is exact anyway).
+Everything is exact.  Rank, inverse, rref and kernels come from plain
+Gauss-Jordan elimination over the tower field, and det from forward
+elimination.  The matrices met here are mostly zeros, so the kernels skip
+them: products walk each row's list of nonzero entries, found once per
+row, and an elimination step touches only the pivot row's nonzero columns.
 
 Conventions used throughout the package:
   - a quadratic form is a symmetric matrix A with f(x) = x^T A x, so the
@@ -63,19 +66,42 @@ def vec_scale(u, c) -> Vec:
 def dot(u, v):
     acc = ZERO
     for a, b in zip(u, v):
-        if a.is_zero() or b.is_zero():
-            continue
-        acc = acc + a * b
+        if a and b:
+            acc = acc + a * b
     return acc
 
 
+def _support(v):
+    """The (index, entry) pairs of the nonzero entries of v."""
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
 def mat_vec(m, v) -> Vec:
-    return tuple(dot(row, v) for row in m)
+    sv = _support(v)
+    out = []
+    for row in m:
+        acc = ZERO
+        for i, x in sv:
+            y = row[i]
+            if y:
+                acc = acc + y * x
+        out.append(acc)
+    return tuple(out)
 
 
 def mat_mul(a, b) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    """Row i of a*b is the sum of a[i][k] times row k of b, over the
+    nonzero a[i][k] and the nonzero entries of row k."""
+    ncols = len(b[0]) if b else 0
+    brows = [_support(row) for row in b]
+    out = []
+    for row in a:
+        acc = [ZERO] * ncols
+        for k, x in _support(row):
+            for j, y in brows[k]:
+                acc[j] = acc[j] + x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def transpose(m) -> Mat:
@@ -92,27 +118,45 @@ def is_zero_vec(v) -> bool:
     return all(x.is_zero() for x in v)
 
 
+def _pivot_row(rows, r, c):
+    """The first row index >= r with a nonzero entry in column c, or None."""
+    return next((i for i in range(r, len(rows)) if rows[i][c]), None)
+
+
+def _pivot(rows, r, c, start):
+    """Scale row r to 1 at column c, then clear column c in every other
+    row from start on.  Only the pivot row's nonzero columns right of c
+    are touched: left of c it is zero already."""
+    prow = rows[r]
+    inv = 1 / prow[c]
+    nz = []
+    for j in range(c + 1, len(prow)):
+        if prow[j]:
+            prow[j] = y = prow[j] * inv
+            nz.append((j, y))
+    prow[c] = ONE
+    for i in range(start, len(rows)):
+        row = rows[i]
+        f = row[c]
+        if f and i != r:
+            for j, y in nz:
+                row[j] = row[j] - f * y
+            row[c] = ZERO
+
+
 def _eliminate(rows):
-    """Row-reduce in place; returns the pivot column list."""
+    """Row-reduce the list rows (lists) in place to reduced row echelon
+    form; returns the pivot column list."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
+        pr = _pivot_row(rows, r, c)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        _pivot(rows, r, c, 0)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -166,22 +210,14 @@ def det(m):
     sign = 1
     acc = ONE
     for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
+        pr = _pivot_row(rows, c, c)
         if pr is None:
             return ZERO
         if pr != c:
             rows[c], rows[pr] = rows[pr], rows[c]
             sign = -sign
         acc = acc * rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if not rows[i][c].is_zero():
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+        _pivot(rows, c, c, c + 1)
     return acc if sign == 1 else -acc
 
 
@@ -327,13 +363,18 @@ def quadform_from_terms(n, terms) -> QuadForm:
 
 class CoordChange:
     """An invertible substitution x = M u between ambient coordinates x
-    and chart coordinates u."""
+    and chart coordinates u.
 
-    __slots__ = ("matrix", "_inverse")
+    pullback(form) is the form in chart coordinates, M^T A M.  The change
+    keeps the last one it computed, with the form it belongs to, so every
+    chart built on this change over that form shares one product."""
+
+    __slots__ = ("matrix", "_inverse", "_pulled")
 
     def __init__(self, matrix, inverse=None):
         self.matrix = mat(matrix)
         self._inverse = mat(inverse) if inverse is not None else None
+        self._pulled = None
 
     @property
     def size(self):
@@ -343,6 +384,12 @@ class CoordChange:
         if self._inverse is None:
             self._inverse = mat_inverse(self.matrix)
         return self._inverse
+
+    def pullback(self, form: QuadForm) -> QuadForm:
+        """form composed with x = M u, as a form in u: M^T A M."""
+        if self._pulled is None or self._pulled[0] is not form:
+            self._pulled = (form, form.transform(self.matrix))
+        return self._pulled[1]
 
     def to_ambient(self, u) -> Vec:
         return mat_vec(self.matrix, u)

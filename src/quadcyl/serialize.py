@@ -29,8 +29,8 @@ from .navigate import MovePath, MoveStep
 from .pencils import Line, Pencil, XPath, XSegment
 from .projective import ProjPoint, QuadForm, vec
 from .tower import (
-    DEFAULT_TOWER_LIMIT, Tower, scalar_from_obj, scalar_to_obj,
-    tower_from_obj, tower_to_obj,
+    DEFAULT_TOWER_LIMIT, Tower, parse_rational, scalar_from_obj,
+    scalar_to_obj, tower_from_obj, tower_to_obj,
 )
 
 FORMAT_VERSION = 3
@@ -95,22 +95,42 @@ def _tower_of(obj, kind, base, limit) -> Tower:
     return tower_from_obj(rads, limit, base=base)
 
 
+def _reader(tower):
+    """The scalar parser of one document, over its tower.  Step matrices
+    repeat a few rational scalars ("0/1", "1/1") thousands of times, so
+    each distinct one is parsed once per document, and the first sight of
+    a literal still validates it; the memo lives as long as the parse that
+    made the reader.  The rational parts inside nodes are not kept: they
+    are only intermediate values, and keeping them would raise the parse's
+    memory peak."""
+    rationals = {}
+
+    def read(obj):
+        if obj.__class__ is not str:
+            return scalar_from_obj(obj, tower)
+        s = rationals.get(obj)
+        if s is None:
+            s = rationals[obj] = parse_rational(obj)
+        return s
+    return read
+
+
 def _coords_to_obj(coords) -> list:
     return [scalar_to_obj(c) for c in coords]
 
 
-def _coords_from_obj(objs, tower, what):
+def _coords_from_obj(objs, read, what):
     if not isinstance(objs, list) or not objs:
         raise InputFormatError("%s must be a nonempty list" % what)
-    return vec(scalar_from_obj(c, tower) for c in objs)
+    return vec(read(c) for c in objs)
 
 
 def _point_to_obj(p: ProjPoint) -> list:
     return _coords_to_obj(p.canonical_coords())
 
 
-def _point_from_obj(objs, tower, size, what) -> ProjPoint:
-    cs = _coords_from_obj(objs, tower, what)
+def _point_from_obj(objs, read, size, what) -> ProjPoint:
+    cs = _coords_from_obj(objs, read, what)
     if len(cs) != size:
         raise InputFormatError(
             "%s has %d coordinates, expected %d" % (what, len(cs), size))
@@ -124,11 +144,11 @@ def matrix_to_flat(rows) -> list:
     return [scalar_to_obj(c) for row in rows for c in row]
 
 
-def _matrix_from_flat(objs, tower, size, what):
+def _matrix_from_flat(objs, read, size, what):
     if not isinstance(objs, list) or len(objs) != size * size:
         raise InputFormatError(
             "%s must hold %d row-major entries" % (what, size * size))
-    cells = [scalar_from_obj(c, tower) for c in objs]
+    cells = [read(c) for c in objs]
     return tuple(tuple(cells[i * size:(i + 1) * size]) for i in range(size))
 
 
@@ -152,7 +172,7 @@ def form_from_obj(obj, base: Tower | None = None,
     size = _size_of(obj, "form")
     tower = _tower_of(obj, "form", base, limit)
     rows = _matrix_from_flat(_require(obj, "matrix", "form"),
-                             tower, size, "form matrix")
+                             _reader(tower), size, "form matrix")
     try:
         return QuadForm(rows), tower
     except TowerError as exc:
@@ -174,7 +194,7 @@ def point_from_obj(obj, base: Tower | None = None,
     size = _size_of(obj, "point")
     tower = _tower_of(obj, "point", base, limit)
     pt = _point_from_obj(_require(obj, "coords", "point"),
-                         tower, size, "point")
+                         _reader(tower), size, "point")
     return pt, tower
 
 
@@ -197,10 +217,11 @@ def pencil_from_obj(obj, base: Tower | None = None,
     _check_kind(obj, "pencil")
     size = _size_of(obj, "pencil")
     tower = _tower_of(obj, "pencil", base, limit)
+    read = _reader(tower)
     b = _matrix_from_flat(_require(obj, "beta", "pencil"),
-                          tower, size, "first pencil matrix")
+                          read, size, "first pencil matrix")
     g = _matrix_from_flat(_require(obj, "gamma", "pencil"),
-                          tower, size, "second pencil matrix")
+                          read, size, "second pencil matrix")
     try:
         return Pencil(QuadForm(b), QuadForm(g)), tower
     except (TowerError, InputFormatError) as exc:
@@ -211,10 +232,10 @@ def _span_to_obj(line: Line) -> dict:
     return {"v1": _coords_to_obj(line.v1), "v2": _coords_to_obj(line.v2)}
 
 
-def _span_from_obj(obj, tower, size, kind) -> Line:
-    v1 = _point_from_obj(_require(obj, "v1", kind), tower, size,
+def _span_from_obj(obj, read, size, kind) -> Line:
+    v1 = _point_from_obj(_require(obj, "v1", kind), read, size,
                          "first spanning point")
-    v2 = _point_from_obj(_require(obj, "v2", kind), tower, size,
+    v2 = _point_from_obj(_require(obj, "v2", kind), read, size,
                          "second spanning point")
     return Line(v1.coords, v2.coords)
 
@@ -235,7 +256,7 @@ def line_from_obj(obj, base: Tower | None = None,
     _check_kind(obj, "line")
     size = _size_of(obj, "line")
     tower = _tower_of(obj, "line", base, limit)
-    return _span_from_obj(obj, tower, size, "line"), tower
+    return _span_from_obj(obj, _reader(tower), size, "line"), tower
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +278,14 @@ def _descriptor_to_obj(desc: dict) -> dict:
             "matrix": matrix_to_flat(desc["matrix"])}
 
 
-def _descriptor_from_obj(obj, tower, size) -> dict:
+def _descriptor_from_obj(obj, read, size) -> dict:
     """A step chart {dist, dep, matrix}; the matrix is size x size, size
     being that of the step's points."""
     _check_keys(obj, _CHART_KEYS, "step chart")
     for key in ("dist", "dep"):
         if not _is_int(obj[key]):
             raise InputFormatError("step chart %s must be an integer" % key)
-    rows = _matrix_from_flat(obj["matrix"], tower, size, "chart matrix")
+    rows = _matrix_from_flat(obj["matrix"], read, size, "chart matrix")
     return {"dist": obj["dist"], "dep": obj["dep"],
             "matrix": [list(row) for row in rows]}
 
@@ -278,16 +299,15 @@ def _step_to_obj(step: MoveStep) -> dict:
     }
 
 
-def _step_from_obj(obj, tower, size) -> MoveStep:
+def _step_from_obj(obj, read, size) -> MoveStep:
     _check_keys(obj, _STEP_KEYS, "step")
-    chart = _descriptor_from_obj(obj["chart"], tower, size)
-    entry = _point_from_obj(obj["entry"], tower, size, "step entry")
-    exit_p = _point_from_obj(obj["exit"], tower, size, "step exit")
+    chart = _descriptor_from_obj(obj["chart"], read, size)
+    entry = _point_from_obj(obj["entry"], read, size, "step entry")
+    exit_p = _point_from_obj(obj["exit"], read, size, "step exit")
     target = obj["target"]
     if not isinstance(target, list):
         raise InputFormatError("step target must be a list")
-    return MoveStep(chart, entry,
-                    tuple(scalar_from_obj(c, tower) for c in target), exit_p)
+    return MoveStep(chart, entry, tuple(read(c) for c in target), exit_p)
 
 
 def _header_to_obj(path, problem: str, size: int) -> dict:
@@ -304,8 +324,8 @@ def _header_to_obj(path, problem: str, size: int) -> dict:
 
 
 def _header_from_obj(obj, problems, keys, base, limit):
-    """(problem, size, tower, start, end) of a certificate whose keys must
-    be exactly keys."""
+    """(problem, size, tower, read, start, end) of a certificate whose keys
+    must be exactly keys; read is the certificate's scalar reader."""
     _check_kind(obj, "certificate")
     version = _require(obj, "version", "certificate")
     if version != FORMAT_VERSION:
@@ -318,9 +338,10 @@ def _header_from_obj(obj, problems, keys, base, limit):
     _check_keys(obj, keys, "certificate")
     size = _size_of(obj, "certificate")
     tower = _tower_of(obj, "certificate", base, limit)
-    start = _point_from_obj(obj["from"], tower, size, "start point")
-    end = _point_from_obj(obj["to"], tower, size, "end point")
-    return problem, size, tower, start, end
+    read = _reader(tower)
+    start = _point_from_obj(obj["from"], read, size, "start point")
+    end = _point_from_obj(obj["to"], read, size, "end point")
+    return problem, size, tower, read, start, end
 
 
 def _list_of(obj, key, kind="certificate"):
@@ -343,14 +364,14 @@ def path_from_obj(obj, base: Tower | None = None,
     tower named by the radicand header, which must extend base when one is
     given; nothing about the moves themselves is checked here, that is
     verify_path's job."""
-    problem, size, tower, start, end = _header_from_obj(
+    problem, size, tower, read, start, end = _header_from_obj(
         obj, _PROBLEMS, _PATH_KEYS, base, limit)
-    rows = _matrix_from_flat(obj["form"], tower, size, "certificate form")
+    rows = _matrix_from_flat(obj["form"], read, size, "certificate form")
     try:
         form = QuadForm(rows)
     except TowerError as exc:
         raise InputFormatError("bad certificate form: %s" % exc) from None
-    steps = tuple(_step_from_obj(s, tower, size)
+    steps = tuple(_step_from_obj(s, read, size)
                   for s in _list_of(obj, "steps"))
     return MovePath(problem, form, start, end, steps, tower)
 
@@ -366,15 +387,15 @@ def _segment_to_obj(seg: XSegment) -> dict:
             "steps": [_step_to_obj(s) for s in seg.steps]}
 
 
-def _segment_from_obj(obj, tower, size) -> XSegment:
+def _segment_from_obj(obj, read, size) -> XSegment:
     _check_keys(obj, _SEGMENT_KEYS, "segment")
     _check_keys(obj["line"], _SPAN_KEYS, "segment line")
-    line = _span_from_obj(obj["line"], tower, size, "segment line")
+    line = _span_from_obj(obj["line"], read, size, "segment line")
     steps = _list_of(obj, "steps", "segment")
     if not steps:
         raise InputFormatError("segment steps must not be empty")
     return XSegment(line,
-                    tuple(_step_from_obj(s, tower, size - 2) for s in steps))
+                    tuple(_step_from_obj(s, read, size - 2) for s in steps))
 
 
 def xpath_to_obj(path: XPath) -> dict:
@@ -387,15 +408,15 @@ def xpath_to_obj(path: XPath) -> dict:
 
 def xpath_from_obj(obj, base: Tower | None = None,
                    limit: int = DEFAULT_TOWER_LIMIT) -> XPath:
-    _, size, tower, start, end = _header_from_obj(
+    _, size, tower, read, start, end = _header_from_obj(
         obj, ("ci",), _XPATH_KEYS, base, limit)
-    b = _matrix_from_flat(obj["beta"], tower, size, "first pencil matrix")
-    g = _matrix_from_flat(obj["gamma"], tower, size, "second pencil matrix")
+    b = _matrix_from_flat(obj["beta"], read, size, "first pencil matrix")
+    g = _matrix_from_flat(obj["gamma"], read, size, "second pencil matrix")
     try:
         pencil = Pencil(QuadForm(b), QuadForm(g))
     except (TowerError, InputFormatError) as exc:
         raise InputFormatError("bad certificate pencil: %s" % exc) from None
-    segments = tuple(_segment_from_obj(s, tower, size)
+    segments = tuple(_segment_from_obj(s, read, size)
                      for s in _list_of(obj, "segments"))
     return XPath(pencil, start, end, segments, tower)
 

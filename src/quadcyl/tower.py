@@ -224,8 +224,8 @@ class TowerScalar:
     def __repr__(self):
         if self.level == 0:
             if self.den == 1:
-                return str(self.tree)
-            return "%d/%d" % (self.tree, self.den)
+                return _int_text(self.tree)
+            return rational_string(self.tree, self.den)
         return "(%r + %r*s%d)" % (self.a, self.b, self.level)
 
 
@@ -289,7 +289,9 @@ def _coerce(x):
 
 def as_scalar(x) -> TowerScalar:
     """Coerce an int, a Fraction (any numbers.Rational), or a "p/q" string
-    to a scalar."""
+    to a scalar; a scalar is returned as it is."""
+    if x.__class__ is TowerScalar:
+        return x
     if isinstance(x, str):
         return parse_rational(x)
     s = _coerce(x)
@@ -302,18 +304,63 @@ def scalar(x) -> TowerScalar:
     return as_scalar(x)
 
 
+# Decimal text of ints of any size.  Python refuses int <-> str conversions
+# above sys.get_int_max_str_digits() digits (4300 by default, never less
+# than 640 unless 0, meaning no limit); longer numbers go through pieces
+# of _PIECE digits, so no process-wide setting is read or changed.
+_PIECE = 600
+_PIECE_BASE = 10 ** _PIECE
+
+# The most digits, numerator and denominator together, that one rational
+# literal of a document may carry; reading refuses longer ones before
+# converting them.  The longest literal of three valid certificates on a
+# pencil with no rational coordinate line (height 8, ROADMAP.md Baseline)
+# has 19046 digits; the cap leaves a margin of about five times that.
+MAX_LITERAL_DIGITS = 100_000
+
+
+def _int_text(n: int) -> str:
+    """str(n), for an int of any size."""
+    if -_PIECE_BASE < n < _PIECE_BASE:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    pieces = []
+    while n:
+        n, r = divmod(n, _PIECE_BASE)
+        pieces.append(r)
+    return str(pieces[-1]) + "".join("%0*d" % (_PIECE, r)
+                                     for r in reversed(pieces[:-1]))
+
+
+def _text_int(digits: str) -> int:
+    """int(digits), for ASCII digits of any length after an optional
+    minus."""
+    if digits[:1] == "-":
+        return -_text_int(digits[1:])
+    n = 0
+    for i in range(0, len(digits), _PIECE):
+        piece = digits[i:i + _PIECE]
+        n = n * 10 ** len(piece) + int(piece)
+    return n
+
+
 def parse_rational(text: str) -> TowerScalar:
     """Parse "p/q" or "p" in normal form: ASCII digits, an optional leading
     minus, no leading zeros, no negative zero, positive denominator, lowest
-    terms.  Anything accepted is written back as the same text (the bare
-    "p" form as "p/1")."""
+    terms, at most MAX_LITERAL_DIGITS digits.  Anything accepted is written
+    back as the same text (the bare "p" form as "p/1")."""
     ns, slash, ds = text.partition("/")
     digits = ns[1:] if ns[:1] == "-" else ns
     if not (text.isascii() and digits.isdigit() and
             (not slash or (ds[1:] if ds[:1] == "-" else ds).isdigit())):
         raise InputFormatError("not a rational literal: %r" % text)
-    num = int(ns)
-    den = int(ds) if slash else 1
+    if len(digits) + len(ds) > MAX_LITERAL_DIGITS:
+        raise InputFormatError(
+            "rational literal has %d digits, above the cap of %d"
+            % (len(digits) + len(ds), MAX_LITERAL_DIGITS))
+    num = _text_int(ns)
+    den = _text_int(ds) if slash else 1
     if den <= 0:
         raise InputFormatError("denominator must be positive: %r" % text)
     if (len(digits) > 1 and digits[0] == "0") or ds[:1] == "0":
@@ -659,7 +706,7 @@ def deepest_tower(scalars, base: Tower) -> Tower:
 def rational_string(num, den) -> str:
     """The "p/q" text of num/den in lowest terms, for ints with den > 0."""
     g = gcd(num, den)
-    return "%d/%d" % (num // g, den // g)
+    return _int_text(num // g) + "/" + _int_text(den // g)
 
 
 def _tree_to_obj(t, num, den, scales):

@@ -456,3 +456,52 @@ class TestCompleteBasis:
             _complete_basis([svec(c) for c in cols],
                             [svec([int(i == j) for j in range(3)])
                              for i in range(3)])
+
+
+class TestOnePullback:
+    """Every chart built on one coordinate change over one form shares a
+    single M^T A M, counted at QuadForm.transform."""
+
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        calls = []
+        real = QuadForm.transform
+
+        def counted(form, m):
+            calls.append(form)
+            return real(form, m)
+        monkeypatch.setattr(QuadForm, "transform", counted)
+        return calls
+
+    @pytest.mark.parametrize("q", [
+        hyperbolic_target(5, 2, True),        # standard: identity frame
+        quadform_from_terms(3, {(0, 0): 1, (1, 1): 2, (2, 2): 3}),
+        hyperbolic_target(6, 2, True),        # a cone
+    ])
+    def test_odd_rank_bundle_pulls_back_twice(self, q, transforms):
+        bundle, _ = build_complement_charts(q, Tower.rationals())
+        assert bundle.has_z and len(bundle.all_charts()) == 2 * bundle.pairs + 1
+        # once for the U/V frame, once for the W frame
+        assert len(transforms) == 2
+
+    def test_verify_pulls_back_once_per_matrix(self, transforms):
+        from quadcyl.serialize import dumps, loads, path_from_obj, path_to_obj
+        q = hyperbolic_target(5, 2, True)
+        rng = random.Random(3)
+        for _ in range(20):
+            a, b = (proj([rng.randint(-5, 5) for _ in range(5)])
+                    for _ in range(2))
+            if q(a).is_zero() or q(b).is_zero():
+                continue
+            path = path_from_obj(loads(dumps(path_to_obj(
+                connect_complement(q, a, b)))))
+            keys = {(s.chart["dist"], s.chart["dep"],
+                     tuple(map(tuple, s.chart["matrix"]))) for s in path.steps}
+            matrices = {k[2] for k in keys}
+            if len(keys) > len(matrices):
+                break
+        else:
+            pytest.fail("no path with two charts on one matrix")
+        del transforms[:]
+        assert verify_path(q, path).valid
+        assert len(transforms) == len(matrices)

@@ -516,3 +516,21 @@ class TestRationalHotPath:
         names += [node.module for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom) and node.module]
         assert names and not any(n.split(".")[0] == "gmpy2" for n in names)
+
+
+class TestLongCoefficients:
+
+    def test_5000_digit_entry_connects_and_verifies(self, tmp_path):
+        # 10**5000 + 1: past Python's 4300-digit int/str conversion limit
+        big = "1" + "0" * 4999 + "1/1"
+        doc = {"kind": "form", "size": 3, "radicands": [],
+               "matrix": ["1/1", "0/1", "0/1", "0/1", "-1/1", "0/1",
+                          "0/1", "0/1", big]}
+        form, cert = tmp_path / "big.qf", tmp_path / "c.cert"
+        form.write_text(dumps(doc))
+        assert run("connect", "complement", "--form", form,
+                   "--from", "1,0,0", "--to", "0,0,1", "--out", cert) == 0
+        obj = loads(cert.read_text())
+        assert big in obj["form"] and big in obj["radicands"]
+        assert run("verify", cert, "--form", form,
+                   "--out", tmp_path / "v.json") == 0

@@ -10,6 +10,7 @@ from quadcyl.errors import (
     PointNotOnQuadricError,
     RetryLimitError,
     SingularPointError,
+    TowerError,
 )
 from quadcyl.projective import (
     QuadForm,
@@ -255,3 +256,179 @@ class TestPointSearch:
             point_on_quadric(q, basis=basis, rng=random.Random(1),
                              retry_limit=8)
 
+
+
+def _dense_mul(a, b):
+    """Schoolbook a*b, visiting every term, zeros included."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = scalar(0)
+            for k in range(len(b)):
+                acc = acc + row[k] * b[k][j]
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def _dense_rref(m):
+    """(rows, pivot columns) by Gauss-Jordan on whole rows."""
+    rows = [list(r) for r in m]
+    pivots, r = [], 0
+    for c in range(len(rows[0])):
+        pr = next((i for i in range(r, len(rows))
+                   if not rows[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _dense_nullspace(m):
+    rows, pivots = _dense_rref(m)
+    ncols = len(m[0])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [scalar(0)] * ncols
+        v[fc] = scalar(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = -rows[ri][fc]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _dense_inverse(m):
+    n = len(m)
+    rows, pivots = _dense_rref(
+        [list(r) + [scalar(int(i == j)) for j in range(n)]
+         for i, r in enumerate(m)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(r[n:]) for r in rows)
+
+
+def _cofactor_det(m):
+    """Laplace expansion along the first row: no elimination at all."""
+    if len(m) == 1:
+        return m[0][0]
+    acc = scalar(0)
+    for j, x in enumerate(m[0]):
+        if x.is_zero():
+            continue
+        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
+        term = x * _cofactor_det(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def _height_two_entry(tower, rng):
+    """a + b sqrt2 + c sqrt3 + d sqrt6 with small coefficients, some zero."""
+    r2, r3 = tower.generator(1), tower.generator(2)
+    a, b, c, d = (F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
+    x = scalar(a) + scalar(b) * r2 + scalar(c) * r3 + scalar(d) * r2 * r3
+    return x if not x.is_zero() else scalar(1)
+
+
+def _rational_entry(rng):
+    return scalar(F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)))
+
+
+def _sparse(rng, nrows, ncols, density, entry):
+    return tuple(tuple(scalar(0) if rng.random() < density else entry(rng)
+                       for _ in range(ncols)) for _ in range(nrows))
+
+
+DENSITIES = (0.0, 0.3, 0.5, 0.7, 0.9)
+
+
+class TestSparseKernelOracle:
+    """The zero-skipping kernels against dense references, over Q and over
+    Q(sqrt2, sqrt3), at zero densities from 0 to 0.9: square, singular and
+    non-square matrices."""
+
+    def fields(self):
+        tw = Tower.rationals().extend(2).extend(3)
+        return (("Q", _rational_entry),
+                ("Q(sqrt2,sqrt3)", lambda rng: _height_two_entry(tw, rng)))
+
+    def cases(self, seed, entry, square=False):
+        rng = random.Random(seed)
+        for density in DENSITIES:
+            for _ in range(6):
+                n = rng.randint(1, 5)
+                k = n if square else rng.randint(1, 5)
+                yield rng, density, _sparse(rng, n, k, density, entry)
+
+    def test_products(self):
+        for name, entry in self.fields():
+            for rng, density, a in self.cases(11, entry):
+                b = _sparse(rng, len(a[0]), rng.randint(1, 5), density, entry)
+                assert mat_mul(a, b) == _dense_mul(a, b), (name, density)
+                v = _sparse(rng, len(a[0]), 1, density, entry)
+                got = mat_vec(a, tuple(r[0] for r in v))
+                assert got == tuple(r[0] for r in _dense_mul(a, v))
+
+    def test_rank_and_nullspace(self):
+        for name, entry in self.fields():
+            for _, density, m in self.cases(12, entry):
+                rows, pivots = _dense_rref(m)
+                assert rank_of(m) == len(pivots), (name, density)
+                ns = nullspace(m)
+                assert ns == _dense_nullspace(m)
+                assert len(ns) == len(m[0]) - len(pivots)
+                for v in ns:
+                    assert all(x.is_zero() for x in mat_vec(m, v))
+
+    def test_inverse_and_det(self):
+        seen_singular = seen_regular = False
+        for name, entry in self.fields():
+            for _, density, m in self.cases(13, entry, square=True):
+                want = _dense_inverse(m)
+                assert det(m) == _cofactor_det(m), (name, density)
+                if want is None:
+                    seen_singular = True
+                    assert det(m).is_zero()
+                    with pytest.raises(TowerError):
+                        mat_inverse(m)
+                else:
+                    seen_regular = True
+                    assert mat_inverse(m) == want
+                    assert mat_mul(m, want) == identity_mat(len(m))
+        assert seen_singular and seen_regular
+
+    def test_sympy_oracle_over_q(self):
+        sympy = pytest.importorskip("sympy")
+
+        def to_sympy(m):
+            return sympy.Matrix([[sympy.Rational(x.as_rational().numerator,
+                                                 x.as_rational().denominator)
+                                  for x in row] for row in m])
+
+        def from_sympy(x):
+            return scalar(F(int(x.p), int(x.q)))
+
+        for square in (False, True):
+            for _, density, m in self.cases(14, _rational_entry, square):
+                sm = to_sympy(m)
+                assert rank_of(m) == sm.rank(), density
+                assert nullspace(m) == tuple(
+                    tuple(from_sympy(x) for x in v) for v in sm.nullspace())
+                if not square:
+                    continue
+                assert det(m) == from_sympy(sm.det())
+                if sm.det() != 0:
+                    inv = sm.inv()
+                    assert mat_inverse(m) == tuple(
+                        tuple(from_sympy(inv[i, j]) for j in range(len(m)))
+                        for i in range(len(m)))

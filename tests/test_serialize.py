@@ -14,7 +14,7 @@ from quadcyl.serialize import (
     line_to_obj, loads, path_from_obj, path_to_obj, pencil_from_obj,
     pencil_to_obj, point_from_obj, point_to_obj, xpath_from_obj, xpath_to_obj,
 )
-from quadcyl.tower import Tower, as_scalar
+from quadcyl.tower import Tower, as_scalar, scalar_from_obj, scalar_to_obj
 
 
 def hexagonal_pencil():
@@ -334,3 +334,119 @@ class TestIntersectionCertificates:
             for step in seg["steps"]:
                 assert set(step) == {"chart", "entry", "target", "exit"}
                 assert len(step["entry"]) == xp.pencil.size - 2
+
+
+def _cells(obj, out, in_list=False):
+    """The rational literals that stand as whole scalars (list entries,
+    not parts of a node) outside the radicand header, with repeats."""
+    if isinstance(obj, str):
+        if in_list:
+            out.append(obj)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            if key != "radicands":
+                _cells(value, out)
+    elif isinstance(obj, list):
+        for value in obj:
+            _cells(value, out, True)
+    return out
+
+
+class TestLiteralMemo:
+    """One certificate parse reads each distinct rational scalar once, and
+    keeps nothing after it returns."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        import quadcyl.serialize as ser_mod
+        texts = []
+        real = ser_mod.parse_rational
+
+        def counted(text):
+            texts.append(text)
+            return real(text)
+        monkeypatch.setattr(ser_mod, "parse_rational", counted)
+        return texts
+
+    def test_each_literal_parsed_once_per_call(self, parsed):
+        q = quadform_from_terms(4, {(0, 1): 1, (2, 3): 1})
+        path = connect_complement(q, pt(1, 1, 0, 0), pt(0, 3, 1, 4))
+        assert path.tower.height == 0
+        obj = path_to_obj(path)
+        literals = _cells(obj, [])
+        assert len(literals) > 2 * len(set(literals))
+        back = path_from_obj(obj)
+        assert sorted(parsed) == sorted(set(literals))
+        # the memo did not outlive the call: a second parse reads them all
+        # again, into new scalars
+        del parsed[:]
+        again = path_from_obj(obj)
+        assert sorted(parsed) == sorted(set(literals))
+        assert again.start.coords[0] is not back.start.coords[0]
+        assert dumps(path_to_obj(again)) == dumps(path_to_obj(back))
+
+    def test_xpath_scalars_parsed_once(self, parsed):
+        p = hexagonal_pencil()
+        a, b = pt(1, 0, 0, 0, 0, 0), pt(0, 0, 1, 0, 0, 0)
+        obj = xpath_to_obj(connect_on_X(p, a, b, rng=random.Random(1)))
+        literals = _cells(obj, [])
+        assert len(literals) > 2 * len(set(literals))
+        back = xpath_from_obj(obj)
+        assert sorted(parsed) == sorted(set(literals))
+        assert dumps(xpath_to_obj(back)) == dumps(obj)
+
+    def test_repeated_bad_literal_same_error(self):
+        _, path = sample_complement_path()
+        messages = []
+        for spots in ((0,), (0, 5)):
+            obj = path_to_obj(path)
+            for i in spots:
+                obj["steps"][0]["chart"]["matrix"][i] = "2/4"
+            with pytest.raises(InputFormatError) as exc:
+                path_from_obj(obj)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert "lowest terms" in messages[0]
+
+
+class TestLongLiterals:
+    """Integers past Python's int/str conversion limit (4300 digits by
+    default) are written and read without touching that limit."""
+
+    def test_5000_digit_rational_round_trip(self):
+        import sys
+        limit = sys.get_int_max_str_digits()
+        num = 7 ** 5917          # 5001 digits
+        den = 2 ** 16000 + 1     # 4817 digits
+        x = as_scalar(num) / as_scalar(den)
+        obj = scalar_to_obj(x)
+        assert len(obj) > 9800 and "/" in obj
+        text = dumps({"x": obj})
+        back = scalar_from_obj(loads(text)["x"], Tower.rationals())
+        assert back == x
+        assert scalar_to_obj(-back) == "-" + obj
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_long_node_coefficient(self):
+        tw = Tower.rationals().extend(2)
+        x = as_scalar(3 ** 10000) + as_scalar(5) * tw.generator(1)
+        obj = scalar_to_obj(x)
+        assert scalar_from_obj(loads(dumps(obj)), tw) == x
+
+    def test_digit_cap(self):
+        from quadcyl.tower import MAX_LITERAL_DIGITS, parse_rational
+        at_cap = "1" + "0" * (MAX_LITERAL_DIGITS - 2) + "/3"
+        assert parse_rational(at_cap).den == 3
+        over = "1" + "0" * (MAX_LITERAL_DIGITS - 1) + "/3"
+        with pytest.raises(InputFormatError, match=str(MAX_LITERAL_DIGITS)):
+            parse_rational(over)
+
+    @pytest.mark.parametrize("text,reason", [
+        ("1/-" + "0" * 599 + "7" * 601, "denominator must be positive"),
+        ("0" + "7" * 5000 + "/3", "leading zero"),
+        ("7" * 5000 + "/" + "7" * 4000, "lowest terms"),
+        ("-" + "0" * 5000 + "/1", "leading zero"),
+    ], ids=["negative-denominator", "leading-zero", "unreduced", "minus-zeros"])
+    def test_long_literals_refused_like_short_ones(self, text, reason):
+        with pytest.raises(InputFormatError, match=reason):
+            scalar_from_obj(text, Tower.rationals())
