@@ -9,7 +9,7 @@ x+y and an inverse 1/x, each the best of --repeat timings of a batch of
 4**(5-h) operations on as many operand pairs (one at heights 5 and up),
 and checks x*(1/x) == 1.
 
-The L1 rows time, for each height of --l1-heights, size n in L1_SIZES and
+The L1 rows time, for each height in L1_HEIGHTS, size n in L1_SIZES and
 zero share z in L1_ZEROS, one mat_inverse(M) and one QuadForm(A).transform(M)
 (M^T A M), each the best of --repeat.  M and the symmetric A are n x n and
 seeded per (height, n, z): round(z*n*n) entries of M are zero, never on a
@@ -21,7 +21,6 @@ It checks M * M^-1 == I.
 
     python3 scripts/kernel_bench.py
     python3 scripts/kernel_bench.py --heights 0,6,7,8 --repeat 5
-    python3 scripts/kernel_bench.py --heights 0 --l1-heights 0,4 --repeat 5
 """
 
 import argparse
@@ -34,6 +33,7 @@ from quadcyl.projective import QuadForm, identity_mat, mat_inverse, mat_mul
 from quadcyl.tower import ONE, ZERO, Tower, as_scalar
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+L1_HEIGHTS = (0, 4)
 L1_SIZES = (6, 8)
 L1_ZEROS = (0.0, 0.5, 0.8)
 
@@ -99,9 +99,9 @@ def best_of(fn, repeat):
     return best, out
 
 
-def l1_rows(heights, repeat, seed):
+def l1_rows(repeat, seed):
     print("L1 height  size  zeros  mat_inverse_s  transform_s")
-    for h in heights:
+    for h in L1_HEIGHTS:
         tower = tower_of(h)
         for n in L1_SIZES:
             for z in L1_ZEROS:
@@ -135,15 +135,11 @@ def main(argv=None) -> int:
     ap.add_argument("--heights", default="0,4,5,6,7,8",
                     help="comma-separated tower heights (at most %d)"
                     % len(PRIMES))
-    ap.add_argument("--l1-heights", default="0,4",
-                    help="comma-separated tower heights of the L1 rows")
     ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     heights = [int(h) for h in args.heights.split(",")]
-    l1_heights = [int(h) for h in args.l1_heights.split(",")]
-    if (any(not 0 <= h <= len(PRIMES) for h in heights + l1_heights)
-            or args.repeat < 1):
+    if any(not 0 <= h <= len(PRIMES) for h in heights) or args.repeat < 1:
         ap.error("heights must lie in 0..%d and --repeat be positive"
                  % len(PRIMES))
     rng = random.Random(args.seed)
@@ -159,7 +155,7 @@ def main(argv=None) -> int:
             print("error: x*(1/x) != 1 at height %d" % h, file=sys.stderr)
             return 1
         print("%-7d %-10.3g %-10.3g %.3g" % (h, mul_s, add_s, inv_s))
-    return l1_rows(l1_heights, args.repeat, args.seed)
+    return l1_rows(args.repeat, args.seed)
 
 
 if __name__ == "__main__":
