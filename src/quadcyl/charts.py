@@ -9,12 +9,14 @@ and rows d, e vanish elsewhere.  For a point with u_d scaled to 1 the
 value of the form is then t = u_e + sigma(u_transverse).
 
 A fiber move fixes t, replaces the transverse block wholesale, and
-recomputes u_e.  Charts with on_quadric=True live inside the quadric
-(t = 0 on the domain); the others live in the complement (t != 0).
+recomputes u_e.  Quadric charts live inside the quadric (t = 0 on the
+domain); the other kinds live in the complement (t != 0).
 The standard complement charts are built on the form itself, cones
 included: its hyperbolic frame puts the radical in the last coordinates,
 which are extra transverse coordinates with zero sigma coefficients, so
-no chart kind needs special replay logic.
+no chart kind needs special replay logic.  on_quadric and vertex_dim
+are derived, not passed: on_quadric from the chart's kind, vertex_dim
+(the dimension of a cone's vertex) as size - rank of its form.
 """
 
 from __future__ import annotations
@@ -61,12 +63,11 @@ CHART_KINDS = (
 class Chart:
     """One cylinder chart.  See the module docstring for the shape rules."""
 
-    __slots__ = ("kind", "form", "change", "dist", "dep",
-                 "on_quadric", "vertex_dim", "bmat", "trans",
-                 "_tpos", "_sigma_terms")
+    __slots__ = ("kind", "form", "change", "dist", "dep", "on_quadric",
+                 "trans", "_tpos", "_sigma_terms")
 
     def __init__(self, kind, form: QuadForm, change: CoordChange,
-                 dist: int, dep: int, *, on_quadric=False, vertex_dim=0):
+                 dist: int, dep: int):
         n = form.size
         if kind not in CHART_KINDS:
             raise InputFormatError("unknown chart kind %r" % kind)
@@ -79,10 +80,8 @@ class Chart:
         self.change = change
         self.dist = dist
         self.dep = dep
-        self.on_quadric = bool(on_quadric)
-        self.vertex_dim = vertex_dim
+        self.on_quadric = kind == "quadric-chart"
         b = change.pullback(form).matrix
-        self.bmat = b
         d, e = dist, dep
         if not b[d][d].is_zero() or not b[e][e].is_zero() or b[d][e] != HALF:
             raise InputFormatError("chart form lacks the u_d u_e block")
@@ -106,6 +105,11 @@ class Chart:
     @property
     def size(self):
         return self.form.size
+
+    @property
+    def vertex_dim(self):
+        """Dimension of the vertex of the chart's form, a cone when > 0."""
+        return self.size - self.form.rank()
 
     def sigma(self, tv):
         """The residual form on a transverse value tuple."""
@@ -179,7 +183,7 @@ def chart_from_descriptor(form: QuadForm, desc: dict, on_quadric,
                           changes) -> Chart:
     """Rebuild a chart from its descriptor, revalidating the shape against
     the given ambient form; on_quadric comes from the certificate's
-    problem, and names the rebuilt chart's kind.  changes maps the rows of
+    problem, and picks the rebuilt chart's kind.  changes maps the rows of
     each matrix rebuilt so far to its inverted CoordChange, which charts
     sharing the matrix share.  The descriptor's shape is the parser's to
     check; InputFormatError means its values make no chart of the form."""
@@ -196,18 +200,15 @@ def chart_from_descriptor(form: QuadForm, desc: dict, on_quadric,
             raise InputFormatError("chart matrix is singular") from None
         changes[rows] = change
     kind = "quadric-chart" if on_quadric else "complement-cylinder"
-    return Chart(kind, form, change, desc["dist"], desc["dep"],
-                 on_quadric=on_quadric)
+    return Chart(kind, form, change, desc["dist"], desc["dep"])
 
 
 @dataclass(frozen=True)
 class CtsqFrame:
     """Coordinates adapted to a smooth point of a quadric: the point goes
     to (0:1:0:...), its tangent hyperplane to {u_0 = 0}, and the form to
-    u_0 u_1 + residual(u_2, ...)."""
+    u_0 u_1 + residual(u_2, ...), a form of rank two less."""
     change: CoordChange
-    residual: QuadForm
-    rank: int
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,6 @@ class HyperbolicFrame:
     change: CoordChange
     pairs: int
     has_z: bool
-    rank: int
 
 
 def _keep_independent(reduced, v):
@@ -289,16 +289,14 @@ def ctsq_normalize(q: QuadForm, x) -> CtsqFrame:
     b2 = change.pullback(q).matrix
     assert b2[0][0].is_zero() and b2[1][1].is_zero() and b2[0][1] == HALF
     assert all(b2[0][j].is_zero() and b2[1][j].is_zero() for j in range(2, n))
-    residual = QuadForm(tuple(row[2:] for row in b2[2:]))
-    assert residual.rank() == q.rank() - 2
-    return CtsqFrame(change, residual, q.rank())
+    return CtsqFrame(change)
 
 
 def quadric_chart(q: QuadForm, x) -> Chart:
     """The chart inside V(q) around a smooth point x: domain is the
     complement of x's tangent hyperplane within the quadric."""
     frame = ctsq_normalize(q, x)
-    return Chart("quadric-chart", q, frame.change, 0, 1, on_quadric=True)
+    return Chart("quadric-chart", q, frame.change, 0, 1)
 
 
 def complement_cylinder(q: QuadForm, x) -> Chart:
@@ -306,8 +304,7 @@ def complement_cylinder(q: QuadForm, x) -> Chart:
     of the quadric: same adapted coordinates, domain off the quadric and
     off the tangent hyperplane."""
     frame = ctsq_normalize(q, x)
-    return Chart("complement-cylinder", q, frame.change, 0, 1,
-                 on_quadric=False)
+    return Chart("complement-cylinder", q, frame.change, 0, 1)
 
 
 def hyperbolic_target(n: int, pairs: int, has_z: bool) -> QuadForm:
@@ -329,7 +326,7 @@ def hyperbolic_normalize(q: QuadForm, tower):
     target = hyperbolic_target(n, m, has_z)
     if mat_eq(q.matrix, target.matrix):
         frame = HyperbolicFrame(CoordChange(identity_mat(n), identity_mat(n)),
-                                m, has_z, r)
+                                m, has_z)
         return frame, tower
     change, diag = congruent_diagonalize(q)
     cols = list(transpose(change.matrix))
@@ -351,7 +348,7 @@ def hyperbolic_normalize(q: QuadForm, tower):
     new_cols.extend(cols[r:])
     change = CoordChange(transpose(new_cols))
     assert mat_eq(change.pullback(q).matrix, target.matrix)
-    return HyperbolicFrame(change, m, has_z, r), tower
+    return HyperbolicFrame(change, m, has_z), tower
 
 
 class ChartBundle:
@@ -391,19 +388,17 @@ def build_complement_charts(q: QuadForm, tower):
     if q.rank() < 3:
         raise RankTooLowError("form has rank %d, need at least 3" % q.rank())
     frame, tower = hyperbolic_normalize(q, tower)
-    m, vd = frame.pairs, q.size - frame.rank
-    change = frame.change
-    u_charts = [Chart("standard-u", q, change, 2 * i, 2 * i + 1,
-                      vertex_dim=vd) for i in range(m)]
+    m, change = frame.pairs, frame.change
+    u_charts = [Chart("standard-u", q, change, 2 * i, 2 * i + 1)
+                for i in range(m)]
     v_charts, w = [], None
     if frame.has_z:
-        v_charts = [Chart("standard-v", q, change, 2 * i + 1, 2 * i,
-                          vertex_dim=vd) for i in range(m)]
+        v_charts = [Chart("standard-v", q, change, 2 * i + 1, 2 * i)
+                    for i in range(m)]
         special = [ZERO] * q.size
         special[2 * m - 2] = -ONE  # x_m
         special[2 * m - 1] = ONE   # y_m
         special[2 * m] = ONE       # z
         x = ProjPoint(change.to_ambient(special))
-        w = Chart("standard-w", q, ctsq_normalize(q, x).change, 0, 1,
-                  vertex_dim=vd)
+        w = Chart("standard-w", q, ctsq_normalize(q, x).change, 0, 1)
     return ChartBundle(q, tower, u_charts, v_charts, w), tower

@@ -75,21 +75,12 @@ def _note(message: str):
     print(message, file=sys.stderr)
 
 
-def _load_form(path: str, limit: int):
-    return ser.form_from_obj(_read_doc(path), limit=limit)
-
-
-def _load_pencil(path: str, limit: int):
-    return ser.pencil_from_obj(_read_doc(path), limit=limit)
-
-
-def _parse_point(text: str, size: int, base: Tower, limit: int):
+def _parse_point(text: str, size: int, base: Tower):
     """A point argument with size coordinates: either inline
     comma-separated rationals like "0,1,-2/3", or @file naming a point
-    document."""
+    document read against base."""
     if text.startswith("@"):
-        point, tower = ser.point_from_obj(_read_doc(text[1:]), base=base,
-                                          limit=limit)
+        point, tower = ser.point_from_obj(_read_doc(text[1:]), base)
     else:
         parts = [p.strip() for p in text.split(",")]
         point, tower = ProjPoint(vec(parse_rational(p) for p in parts)), base
@@ -109,7 +100,8 @@ def _radicand_note(tower: Tower) -> str:
 
 
 def cmd_normalize(args) -> int:
-    form, tower = _load_form(args.form, args.tower_limit)
+    form, tower = ser.form_from_obj(_read_doc(args.form),
+                                    Tower.rationals(args.tower_limit))
     if form.rank() < 3:
         raise SystemExitCode(
             EXIT_INPUT, "form has rank %d, need at least 3" % form.rank())
@@ -118,8 +110,7 @@ def cmd_normalize(args) -> int:
     if args.ctsq:
         if args.point is None:
             raise SystemExitCode(EXIT_INPUT, "--ctsq needs --point")
-        point, tower = _parse_point(args.point, form.size, tower,
-                                     args.tower_limit)
+        point, tower = _parse_point(args.point, form.size, tower)
         frame = ctsq_normalize(form, point)
     else:
         frame, tower = hyperbolic_normalize(form, tower)
@@ -127,7 +118,7 @@ def cmd_normalize(args) -> int:
         "kind": "frame",
         "style": "ctsq" if args.ctsq else "hyperbolic",
         "size": form.size,
-        "rank": frame.rank,
+        "rank": form.rank(),
         "radicands": tower_to_obj(tower),
         "witness": ser.matrix_to_flat(frame.change.matrix),
         "result": ser.matrix_to_flat(frame.change.pullback(form).matrix),
@@ -141,17 +132,16 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_connect(args) -> int:
-    limit = args.tower_limit
+    root = Tower.rationals(args.tower_limit)
     if args.target == "ci":
         if args.pencil is None:
             raise SystemExitCode(EXIT_INPUT, "connect ci needs --pencil")
-        pencil, tower = _load_pencil(args.pencil, limit)
-        p, tower = _parse_point(args.from_point, pencil.size, tower, limit)
-        q, tower = _parse_point(args.to_point, pencil.size, tower, limit)
+        pencil, tower = ser.pencil_from_obj(_read_doc(args.pencil), root)
+        p, tower = _parse_point(args.from_point, pencil.size, tower)
+        q, tower = _parse_point(args.to_point, pencil.size, tower)
         lines = []
         for path in args.line or ():
-            line, tower = ser.line_from_obj(_read_doc(path), base=tower,
-                                            limit=limit)
+            line, tower = ser.line_from_obj(_read_doc(path), tower)
             lines.append(Line.through(pencil, line.v1, line.v2))
         xp = connect_on_X(pencil, p, q, lines=lines or None, tower=tower,
                           rng=random.Random(args.seed),
@@ -167,9 +157,9 @@ def cmd_connect(args) -> int:
     if args.pencil or args.line:
         raise SystemExitCode(EXIT_INPUT,
                              "--pencil/--line are only for connect ci")
-    form, tower = _load_form(args.form, limit)
-    p, tower = _parse_point(args.from_point, form.size, tower, limit)
-    q, tower = _parse_point(args.to_point, form.size, tower, limit)
+    form, tower = ser.form_from_obj(_read_doc(args.form), root)
+    p, tower = _parse_point(args.from_point, form.size, tower)
+    q, tower = _parse_point(args.to_point, form.size, tower)
     if args.target == "complement":
         path = connect_complement(form, p, q, tower=tower)
     else:
@@ -183,21 +173,22 @@ def cmd_connect(args) -> int:
 
 
 def _verify_one(ref_kind: str, ref_text: str, cert_text: str, limit: int):
-    """Parse and check one certificate; runs in a worker process when
-    --jobs asks for it, so everything crosses as plain text."""
+    """Parse and check one certificate: (report object, None), or (None,
+    (exit code, message)).  Runs in a worker process when --jobs asks for
+    it, so everything crosses as plain data."""
+    root = Tower.rationals(limit)
     try:
         cert_obj = ser.loads(cert_text)
         if ref_kind == "pencil":
-            pencil, tower = ser.pencil_from_obj(ser.loads(ref_text),
-                                                limit=limit)
-            xp = ser.xpath_from_obj(cert_obj, base=tower, limit=limit)
-            report = verify_on_X(pencil, xp)
+            pencil, tower = ser.pencil_from_obj(ser.loads(ref_text), root)
+            report = verify_on_X(pencil, ser.xpath_from_obj(cert_obj, tower))
         else:
-            form, tower = ser.form_from_obj(ser.loads(ref_text), limit=limit)
-            path = ser.path_from_obj(cert_obj, base=tower, limit=limit)
-            report = verify_path(form, path)
+            form, tower = ser.form_from_obj(ser.loads(ref_text), root)
+            report = verify_path(form, ser.path_from_obj(cert_obj, tower))
+    except TowerLimitError as exc:
+        return None, (EXIT_TOWER, str(exc))
     except QuadcylError as exc:
-        return None, str(exc)
+        return None, (EXIT_INPUT, str(exc))
     return report.to_obj(), None
 
 
@@ -223,15 +214,16 @@ def cmd_verify(args) -> int:
     all_valid = True
     for path, (report, err) in zip(args.certificate, outcomes):
         if err is not None:
-            bad_input = "%s: %s" % (path, err)
-            results.append({"file": path, "valid": False, "error": err})
+            code, message = err
+            bad_input = code, "%s: %s" % (path, message)
+            results.append({"file": path, "valid": False, "error": message})
             all_valid = False
         else:
             results.append({"file": path, **report})
             all_valid = all_valid and report["valid"]
     _emit(args, ser.dumps({"kind": "verify-report", "results": results}))
     if bad_input is not None:
-        raise SystemExitCode(EXIT_INPUT, bad_input)
+        raise SystemExitCode(*bad_input)
     return EXIT_VALID if all_valid else EXIT_INVALID
 
 
@@ -240,11 +232,10 @@ def _verify_star(payload):
 
 
 def cmd_audit(args) -> int:
-    limit = args.tower_limit
-    pencil, pencil_tower = _load_pencil(args.pencil, limit)
+    pencil, pencil_tower = ser.pencil_from_obj(
+        _read_doc(args.pencil), Tower.rationals(args.tower_limit))
     smooth = pencil_smoothness(pencil)
-    raw, tower = ser.line_from_obj(_read_doc(args.line), base=pencil_tower,
-                                   limit=limit)
+    raw, tower = ser.line_from_obj(_read_doc(args.line), pencil_tower)
     line = Line.through(pencil, raw.v1, raw.v2)
     chart = chart_from_line(pencil, line)
     degrees = polar_degree_audit(chart, tower=tower)
@@ -298,11 +289,11 @@ def cmd_eacx_build(args) -> int:
 
 
 def cmd_find_line(args) -> int:
-    limit = args.tower_limit
-    pencil, tower = _load_pencil(args.pencil, limit)
+    pencil, tower = ser.pencil_from_obj(_read_doc(args.pencil),
+                                        Tower.rationals(args.tower_limit))
     rng = random.Random(args.seed)
     if args.point is not None:
-        point, tower = _parse_point(args.point, pencil.size, tower, limit)
+        point, tower = _parse_point(args.point, pencil.size, tower)
         line, tower = find_line_through(pencil, point, rng=rng, tower=tower,
                                         retry_limit=args.retry_limit)
     else:

@@ -133,7 +133,11 @@ def _canonicalize_complement(bundle: ChartBundle, p: ProjPoint, tower):
                 if not bundle.read_hyperbolic(exit_p)[0].is_zero():
                     target = cand
                     break
-            else:  # pragma: no cover - impossible, see ledger
+            else:  # pragma: no cover - unreachable: were x_1 zero at all
+                # exits, a + b(t - s_jj k^2) + c_j k = 0 for k = 0..3 and
+                # every j gives x_1 = b(u_1 - t u_0) and every s_jj = 0; but
+                # b, x_1 at the special point, is 0 for m >= 2, and for
+                # m = 1 sigma has rank 1, so some s_jj is nonzero
                 raise RuntimeError("no escape target found")
         if chart is None:
             raise EndpointError("point has no nonzero pair coordinate")

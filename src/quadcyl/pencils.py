@@ -341,9 +341,6 @@ class LineChart:
         the image quadric along the projection.  It vanishes on the line."""
         return self.image.transform(self.change.inverse_matrix()[2:])
 
-    def descriptor(self) -> dict:
-        return {"v1": list(self.line.v1), "v2": list(self.line.v2)}
-
 
 def chart_from_line(pencil: Pencil, line: Line) -> LineChart:
     return LineChart(pencil, line)

@@ -16,10 +16,11 @@ target, exit} and a step chart is {dist, dep, matrix}.  Every one of these
 keys is read and used by the verifier, and the certificate parsers refuse
 any object that has another key or lacks one of them.
 
-A parser takes an optional base tower.  When given, the document's
-radicand list must extend the base's list prefix-exactly, so a point or a
-certificate is always interpreted in a field compatible with the form or
-pencil file it accompanies.
+A parser takes an optional base tower (default: Tower.rationals()).  The
+document's radicand list must extend the base's list prefix-exactly, so a
+point or a certificate is always interpreted in a field compatible with
+the form or pencil file it accompanies, and the base's height limit bounds
+the document's tower.
 """
 
 import json
@@ -29,8 +30,8 @@ from .navigate import MovePath, MoveStep
 from .pencils import Line, Pencil, XPath, XSegment
 from .projective import ProjPoint, QuadForm, vec
 from .tower import (
-    DEFAULT_TOWER_LIMIT, Tower, parse_rational, scalar_from_obj,
-    scalar_to_obj, tower_from_obj, tower_to_obj,
+    Tower, parse_rational, scalar_from_obj, scalar_to_obj, tower_from_obj,
+    tower_to_obj,
 )
 
 FORMAT_VERSION = 3
@@ -88,11 +89,11 @@ def _size_of(obj, kind) -> int:
     return n
 
 
-def _tower_of(obj, kind, base, limit) -> Tower:
+def _tower_of(obj, kind, base) -> Tower:
     rads = obj.get("radicands", [])
     if not isinstance(rads, list):
         raise InputFormatError("%s radicand header must be a list" % kind)
-    return tower_from_obj(rads, limit, base=base)
+    return tower_from_obj(rads, base)
 
 
 def _reader(tower):
@@ -165,12 +166,11 @@ def form_to_obj(form: QuadForm, tower: Tower) -> dict:
     }
 
 
-def form_from_obj(obj, base: Tower | None = None,
-                  limit: int = DEFAULT_TOWER_LIMIT):
+def form_from_obj(obj, base: Tower | None = None):
     """Parse a form document into (QuadForm, tower)."""
     _check_kind(obj, "form")
     size = _size_of(obj, "form")
-    tower = _tower_of(obj, "form", base, limit)
+    tower = _tower_of(obj, "form", base)
     rows = _matrix_from_flat(_require(obj, "matrix", "form"),
                              _reader(tower), size, "form matrix")
     try:
@@ -188,11 +188,10 @@ def point_to_obj(p: ProjPoint, tower: Tower) -> dict:
     }
 
 
-def point_from_obj(obj, base: Tower | None = None,
-                   limit: int = DEFAULT_TOWER_LIMIT):
+def point_from_obj(obj, base: Tower | None = None):
     _check_kind(obj, "point")
     size = _size_of(obj, "point")
-    tower = _tower_of(obj, "point", base, limit)
+    tower = _tower_of(obj, "point", base)
     pt = _point_from_obj(_require(obj, "coords", "point"),
                          _reader(tower), size, "point")
     return pt, tower
@@ -212,11 +211,10 @@ def pencil_to_obj(p: Pencil, tower: Tower) -> dict:
     }
 
 
-def pencil_from_obj(obj, base: Tower | None = None,
-                    limit: int = DEFAULT_TOWER_LIMIT):
+def pencil_from_obj(obj, base: Tower | None = None):
     _check_kind(obj, "pencil")
     size = _size_of(obj, "pencil")
-    tower = _tower_of(obj, "pencil", base, limit)
+    tower = _tower_of(obj, "pencil", base)
     read = _reader(tower)
     b = _matrix_from_flat(_require(obj, "beta", "pencil"),
                           read, size, "first pencil matrix")
@@ -245,8 +243,7 @@ def line_to_obj(line: Line, tower: Tower) -> dict:
             "radicands": tower_to_obj(tower), **_span_to_obj(line)}
 
 
-def line_from_obj(obj, base: Tower | None = None,
-                  limit: int = DEFAULT_TOWER_LIMIT):
+def line_from_obj(obj, base: Tower | None = None):
     """Parse a line document into (Line, tower).
 
     Only the text format is checked here; whether the span really lies
@@ -255,7 +252,7 @@ def line_from_obj(obj, base: Tower | None = None,
     """
     _check_kind(obj, "line")
     size = _size_of(obj, "line")
-    tower = _tower_of(obj, "line", base, limit)
+    tower = _tower_of(obj, "line", base)
     return _span_from_obj(obj, _reader(tower), size, "line"), tower
 
 
@@ -323,7 +320,7 @@ def _header_to_obj(path, problem: str, size: int) -> dict:
     }
 
 
-def _header_from_obj(obj, problems, keys, base, limit):
+def _header_from_obj(obj, problems, keys, base):
     """(problem, size, tower, read, start, end) of a certificate whose keys
     must be exactly keys; read is the certificate's scalar reader."""
     _check_kind(obj, "certificate")
@@ -337,7 +334,7 @@ def _header_from_obj(obj, problems, keys, base, limit):
         raise InputFormatError("unknown problem kind %r" % problem)
     _check_keys(obj, keys, "certificate")
     size = _size_of(obj, "certificate")
-    tower = _tower_of(obj, "certificate", base, limit)
+    tower = _tower_of(obj, "certificate", base)
     read = _reader(tower)
     start = _point_from_obj(obj["from"], read, size, "start point")
     end = _point_from_obj(obj["to"], read, size, "end point")
@@ -358,14 +355,13 @@ def path_to_obj(path: MovePath) -> dict:
     return obj
 
 
-def path_from_obj(obj, base: Tower | None = None,
-                  limit: int = DEFAULT_TOWER_LIMIT) -> MovePath:
+def path_from_obj(obj, base: Tower | None = None) -> MovePath:
     """Parse a fiber-move certificate.  The scalars are interpreted in the
-    tower named by the radicand header, which must extend base when one is
-    given; nothing about the moves themselves is checked here, that is
-    verify_path's job."""
+    tower named by the radicand header, which must extend base; nothing
+    about the moves themselves is checked here, that is verify_path's
+    job."""
     problem, size, tower, read, start, end = _header_from_obj(
-        obj, _PROBLEMS, _PATH_KEYS, base, limit)
+        obj, _PROBLEMS, _PATH_KEYS, base)
     rows = _matrix_from_flat(obj["form"], read, size, "certificate form")
     try:
         form = QuadForm(rows)
@@ -406,10 +402,9 @@ def xpath_to_obj(path: XPath) -> dict:
     return obj
 
 
-def xpath_from_obj(obj, base: Tower | None = None,
-                   limit: int = DEFAULT_TOWER_LIMIT) -> XPath:
+def xpath_from_obj(obj, base: Tower | None = None) -> XPath:
     _, size, tower, read, start, end = _header_from_obj(
-        obj, ("ci",), _XPATH_KEYS, base, limit)
+        obj, ("ci",), _XPATH_KEYS, base)
     b = _matrix_from_flat(obj["beta"], read, size, "first pencil matrix")
     g = _matrix_from_flat(obj["gamma"], read, size, "second pencil matrix")
     try:
@@ -421,10 +416,9 @@ def xpath_from_obj(obj, base: Tower | None = None,
     return XPath(pencil, start, end, segments, tower)
 
 
-def certificate_from_obj(obj, base: Tower | None = None,
-                         limit: int = DEFAULT_TOWER_LIMIT):
+def certificate_from_obj(obj, base: Tower | None = None):
     """Parse either certificate flavor, dispatching on the problem kind."""
     problem = _require(obj, "problem", "certificate")
     if problem == "ci":
-        return xpath_from_obj(obj, base, limit)
-    return path_from_obj(obj, base, limit)
+        return xpath_from_obj(obj, base)
+    return path_from_obj(obj, base)

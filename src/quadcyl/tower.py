@@ -31,7 +31,7 @@ A node times a node of a lower level multiplies both halves.
 The sqrt(d_j) basis, a + b*sqrt(d_j) with a and b at lower levels (the
 coefficient on sqrt(d'_j) is b/E_j), appears only at the edges: the
 read-only .a and .b, repr, scalar_to_obj and scalar_from_obj.  So does
-Fraction: the read-only .rat and as_rational() of a rational.
+Fraction: the read-only .rat of a rational.
 
 Towers are immutable.  extend() returns a child tower sharing the parent
 chain, so scalars built before an extension remain valid in every
@@ -58,12 +58,10 @@ class Tower:
     scales[j] is E_j and rads[j] the integral radicand d'_j (index 0 is a
     placeholder for Q)."""
 
-    __slots__ = ("parent", "radicand", "height", "limit", "ancestors",
-                 "scales", "rads")
+    __slots__ = ("radicand", "height", "limit", "ancestors", "scales", "rads")
 
     def __init__(self, *, _parent=None, _radicand=None, limit=DEFAULT_TOWER_LIMIT):
         if _parent is None:
-            self.parent = None
             self.radicand = None
             self.height = 0
             self.limit = limit
@@ -71,7 +69,6 @@ class Tower:
             self.scales = (1,)
             self.rads = (None,)
         else:
-            self.parent = _parent
             self.radicand = _radicand
             self.height = _parent.height + 1
             self.limit = _parent.limit
@@ -106,9 +103,6 @@ class Tower:
         if not 1 <= level <= self.height:
             raise TowerError("no generator at level %d" % level)
         return _node(self.ancestors[level], (level, 0, 1), self.scales[level])
-
-    def same_chain(self, other: "Tower") -> bool:
-        return _same_chain(self, other)
 
     def __repr__(self):
         return "Tower(height=%d, limit=%d)" % (self.height, self.limit)
@@ -152,14 +146,6 @@ class TowerScalar:
 
     def is_zero(self) -> bool:
         return not self.tree
-
-    def is_rational(self) -> bool:
-        return self.level == 0
-
-    def as_rational(self):
-        if self.level != 0:
-            raise TowerError("value is not rational")
-        return _Q(self.tree, self.den)
 
     def __bool__(self):
         return bool(self.tree)
@@ -345,6 +331,14 @@ def _text_int(digits: str) -> int:
     return n
 
 
+def _quoted(text: str) -> str:
+    """text for an error message: quoted, but past 40 characters only its
+    head, then its length, so a refused literal gives a short message."""
+    if len(text) <= 40:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:40], len(text))
+
+
 def parse_rational(text: str) -> TowerScalar:
     """Parse "p/q" or "p" in normal form: ASCII digits, an optional leading
     minus, no leading zeros, no negative zero, positive denominator, lowest
@@ -354,7 +348,8 @@ def parse_rational(text: str) -> TowerScalar:
     digits = ns[1:] if ns[:1] == "-" else ns
     if not (text.isascii() and digits.isdigit() and
             (not slash or (ds[1:] if ds[:1] == "-" else ds).isdigit())):
-        raise InputFormatError("not a rational literal: %r" % text)
+        raise InputFormatError(
+            "not a rational literal: %s" % _quoted(text))
     if len(digits) + len(ds) > MAX_LITERAL_DIGITS:
         raise InputFormatError(
             "rational literal has %d digits, above the cap of %d"
@@ -362,13 +357,17 @@ def parse_rational(text: str) -> TowerScalar:
     num = _text_int(ns)
     den = _text_int(ds) if slash else 1
     if den <= 0:
-        raise InputFormatError("denominator must be positive: %r" % text)
+        raise InputFormatError(
+            "denominator must be positive: %s" % _quoted(text))
     if (len(digits) > 1 and digits[0] == "0") or ds[:1] == "0":
-        raise InputFormatError("leading zero in rational: %r" % text)
+        raise InputFormatError(
+            "leading zero in rational: %s" % _quoted(text))
     if ns[0] == "-" and not num:
-        raise InputFormatError("negative zero in rational: %r" % text)
+        raise InputFormatError(
+            "negative zero in rational: %s" % _quoted(text))
     if gcd(num, den) != 1:
-        raise InputFormatError("rational not in lowest terms: %r" % text)
+        raise InputFormatError(
+            "rational not in lowest terms: %s" % _quoted(text))
     return _rational(num, den)
 
 
@@ -769,21 +768,18 @@ def tower_to_obj(tower: Tower) -> list:
     return [scalar_to_obj(d) for d in tower.radicands()]
 
 
-def tower_from_obj(objs, limit: int = DEFAULT_TOWER_LIMIT,
-                   base: Tower | None = None) -> Tower:
-    """Rebuild a tower from its radicand list.  When base is given, the
-    list must extend base's radicands (prefix match, checked exactly)."""
-    if base is None:
-        tw = Tower.rationals(limit)
-    else:
-        tw = base
-        if len(objs) < tw.height:
-            raise InputFormatError("radicand list shorter than the base tower")
-        for i in range(1, tw.height + 1):
-            d = scalar_from_obj(objs[i - 1], tw.ancestors[i - 1])
-            if not _eq(d, tw.ancestors[i].radicand):
-                raise InputFormatError(
-                    "radicand %d does not match the base tower" % i)
+def tower_from_obj(objs, base: Tower | None = None) -> Tower:
+    """Rebuild a tower from its radicand list, which must extend base's
+    radicands (prefix match, checked exactly).  base defaults to
+    Tower.rationals(); its height limit bounds the rebuilt tower."""
+    tw = Tower.rationals() if base is None else base
+    if len(objs) < tw.height:
+        raise InputFormatError("radicand list shorter than the base tower")
+    for i in range(1, tw.height + 1):
+        d = scalar_from_obj(objs[i - 1], tw.ancestors[i - 1])
+        if not _eq(d, tw.ancestors[i].radicand):
+            raise InputFormatError(
+                "radicand %d does not match the base tower" % i)
     for obj in objs[tw.height:]:
         d = scalar_from_obj(obj, tw)
         tw = tw.extend(d)

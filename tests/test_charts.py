@@ -32,6 +32,7 @@ from quadcyl.projective import (
     identity_mat,
     mat,
     mat_eq,
+    point_on_quadric,
     proj,
     quadform_from_terms,
     transpose,
@@ -57,13 +58,21 @@ def random_symmetric(rng, n, rank_at_least=3):
             return q
 
 
+def residual_of(q, frame):
+    """The form on u_2, ... that the adapted frame leaves beside u_0 u_1."""
+    b = q.transform(frame.change.matrix).matrix
+    return QuadForm(tuple(row[2:] for row in b[2:]))
+
+
 class TestCtsq:
     def test_identity_fixture(self):
         # the adapted frame at (0:1:0) of x0 x1 + x2^2 is the identity
-        frame = ctsq_normalize(form_xy_z2(), proj([0, 1, 0]))
+        q = form_xy_z2()
+        frame = ctsq_normalize(q, proj([0, 1, 0]))
         assert mat_eq(frame.change.matrix, identity_mat(3))
-        assert frame.residual.matrix == ((scalar(1),),)
-        assert frame.rank == 3
+        residual = residual_of(q, frame)
+        assert residual.matrix == ((scalar(1),),)
+        assert residual.rank() + 2 == q.rank() == 3
 
     def test_block_shape_random(self):
         rng = random.Random(20)
@@ -79,7 +88,7 @@ class TestCtsq:
             assert b[0][1] == scalar(F(1, 2))
             for j in range(2, n):
                 assert b[0][j].is_zero() and b[1][j].is_zero()
-            assert frame.residual.rank() == q.rank() - 2
+            assert residual_of(q, frame).rank() == q.rank() - 2
 
     def test_rejects_bad_points(self):
         q = form_xy_z2()
@@ -338,6 +347,32 @@ class TestFrameOnTheForm:
         self.check(hyperbolic_target(n, rank // 2, bool(rank % 2)))
 
 
+class TestDerivedChartFields:
+    """on_quadric follows from a chart's kind and vertex_dim from its
+    form, so every way of building a chart on one cone agrees on both."""
+
+    @staticmethod
+    def check(q):
+        bundle, _ = build_complement_charts(q, Tower.rationals())
+        x, _ = point_on_quadric(q, rng=random.Random(0),
+                                predicate=q.is_smooth_at)
+        built = bundle.all_charts() + [quadric_chart(q, x),
+                                       complement_cylinder(q, x)]
+        rebuilt = [chart_from_descriptor(q, c.descriptor(), on_q, {})
+                   for c in built for on_q in (False, True)]
+        for chart in built + rebuilt:
+            assert chart.vertex_dim == q.size - q.rank()
+            assert chart.on_quadric == (chart.kind == "quadric-chart")
+
+    @pytest.mark.parametrize("n,rank", TILTED)
+    def test_tilted_cone(self, n, rank):
+        self.check(tilted_cone(random.Random(1000 * n + rank), n, rank))
+
+    @pytest.mark.parametrize("n,rank", GRID_CONES)
+    def test_grid_cone(self, n, rank):
+        self.check(hyperbolic_target(n, rank // 2, bool(rank % 2)))
+
+
 def off_quadric(q, rng):
     while True:
         c = [rng.randint(-5, 5) for _ in range(q.size)]
@@ -399,7 +434,7 @@ def svec(v):
 
 
 def as_fractions(v):
-    return [x.as_rational() for x in v]
+    return [x.rat for x in v]
 
 
 class TestCompleteBasis:

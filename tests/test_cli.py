@@ -248,6 +248,21 @@ class TestVerify:
         assert run("verify", cert, "--form", docs / "definite.qf",
                    "--out", tmp_path / "v.json") == 1
 
+    def test_tower_limit_overflow_exits_4(self, docs, tmp_path, capsys):
+        # a certificate deeper than --tower-limit exits 4, as connect does
+        cert = tmp_path / "deep.cert"
+        assert run("connect", "complement", "--form", docs / "definite.qf",
+                   "--from", "1,2,3", "--to", "2,-1,5", "--out", cert) == 0
+        assert len(loads(cert.read_text())["radicands"]) == 4
+        capsys.readouterr()
+        out = tmp_path / "v.json"
+        assert run("verify", cert, "--form", docs / "definite.qf",
+                   "--tower-limit", 1, "--out", out) == 4
+        assert capsys.readouterr().err == \
+            "error: %s: tower height limit 1 exceeded\n" % cert
+        rep = loads(out.read_text())["results"][0]
+        assert rep["valid"] is False and "limit 1" in rep["error"]
+
     def test_malformed_json_is_input_error(self, docs, tmp_path):
         bad = tmp_path / "broken.cert"
         bad.write_text("{nope")
@@ -404,7 +419,7 @@ class TestAuditAndBuilders:
         disc = [scalar_from_obj(c, rtw)
                 for c in obj["smoothness"]["discriminant"]]
         assert disc == pencil_smoothness(pencil).discriminant
-        assert any(not c.is_rational() for c in disc)
+        assert any(c.level != 0 for c in disc)
 
     def test_eacx_duplicate_is_input_error(self, tmp_path, capsys):
         assert run("eacx-build", "--lambdas", "0,1,1,3,4,5") == 2
@@ -519,6 +534,13 @@ class TestRationalHotPath:
 
 
 class TestLongCoefficients:
+
+    def test_refused_literal_gives_a_short_error(self, docs, capsys):
+        literal = "1" + "0" * 99990 + "/2"
+        assert run("connect", "complement", "--form", docs / "definite.qf",
+                   "--from", literal + ",1,1", "--to", "1,2,3") == 2
+        err = capsys.readouterr().err
+        assert "not in lowest terms" in err and len(err.encode()) < 200
 
     def test_5000_digit_entry_connects_and_verifies(self, tmp_path):
         # 10**5000 + 1: past Python's 4300-digit int/str conversion limit

@@ -8,6 +8,12 @@ outside its own definition: in the package (a bare name, or an attribute
 read such as `mod.name`), in `scripts/` or `bench/`, or in
 `quadcyl.__all__`.  So no API is kept alive only by its own tests.
 `cli.cmd_*` are exempt: `cli.main` looks them up by name.
+
+Every non-dunder method and every attribute a method sets on `self`, of
+a class in `src/quadcyl/*.py`, must be read as an attribute outside the
+tests: in the package, in `scripts/` or `bench/`, or in the frozen
+`tests/test_acceptance.py`.  Dataclass fields are exempt: `asdict` and
+`to_obj` read them.
 """
 
 import ast
@@ -20,6 +26,7 @@ import quadcyl
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SRC = os.path.join(ROOT, "src", "quadcyl")
 OUTSIDE = ("scripts", "bench")
+ACCEPTANCE = os.path.join(ROOT, "tests", "test_acceptance.py")
 MODULES = sorted(name for name in os.listdir(SRC)
                  if name.endswith(".py") and name != "__init__.py")
 
@@ -115,15 +122,21 @@ def parse(path):
         return ast.parse(fh.read(), filename=path)
 
 
-def outside_names():
-    """Names read in scripts/ and bench/, plus quadcyl.__all__."""
-    names = set()
+def outside_trees():
+    """The parsed Python files of scripts/ and bench/."""
     for top in OUTSIDE:
         for dirpath, _dirs, files in os.walk(os.path.join(ROOT, top)):
             for f in files:
                 if f.endswith(".py"):
-                    names |= read_names(parse(os.path.join(dirpath, f)))
-    return names | set(quadcyl.__all__)
+                    yield parse(os.path.join(dirpath, f))
+
+
+def outside_names():
+    """Names read in scripts/ and bench/, plus quadcyl.__all__."""
+    names = set(quadcyl.__all__)
+    for tree in outside_trees():
+        names |= read_names(tree)
+    return names
 
 
 def test_no_definition_named_only_by_tests():
@@ -145,3 +158,69 @@ def test_check_catches_a_definition_named_only_by_itself():
     }
     unnamed = unnamed_definitions(modules, {"Spare"})
     assert unnamed == [("a.py", "lonely"), ("b.py", "cmd_go")]
+
+
+def is_dataclass(cls):
+    return any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+
+
+def class_members(cls):
+    """Non-dunder method names of the class, and the attributes its
+    methods set on self, in order of appearance."""
+    out = {}
+    for fn in cls.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if not (fn.name.startswith("__") and fn.name.endswith("__")):
+            out[fn.name] = None
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                out[node.attr] = None
+    if is_dataclass(cls):
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign):
+                out.pop(stmt.target.id, None)
+    return list(out)
+
+
+def unread_members(modules, readers):
+    """(module, "Class.member") of each class member of the {module: tree}
+    dict that no tree in readers reads as an attribute."""
+    read = {n.attr for tree in readers for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [(mod, "%s.%s" % (cls.name, name))
+            for mod, tree in modules.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for name in class_members(cls) if name not in read]
+
+
+def test_no_class_member_read_only_by_tests():
+    modules = {name: parse(os.path.join(SRC, name))
+               for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
+    readers = [*modules.values(), parse(ACCEPTANCE), *outside_trees()]
+    unread = unread_members(modules, readers)
+    assert not unread, "read nowhere outside tests: %s" % ", ".join(
+        "%s:%s" % pair for pair in unread)
+
+
+def test_check_catches_a_member_read_only_by_tests():
+    modules = {"a.py": ast.parse(
+        "from dataclasses import dataclass\n"
+        "class K:\n"
+        "    def __init__(self):\n"
+        "        self.kept, self.spare = 1, 2\n"
+        "    def used(self):\n"
+        "        return self.kept\n"
+        "    def unused(self):\n"
+        "        self.spare = 3\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    field: int\n"
+        "    def helper(self):\n"
+        "        return 1\n")}
+    readers = list(modules.values()) + [ast.parse("K().used()\n")]
+    assert unread_members(modules, readers) == [
+        ("a.py", "K.spare"), ("a.py", "K.unused"), ("a.py", "D.helper")]

@@ -249,12 +249,12 @@ class TestDiscriminant:
             rep = pencil_smoothness(pencil)
             mat = sympy.Matrix(
                 6, 6,
-                lambda i, j: s * sympy.Rational(str(pencil.beta.matrix[i][j].as_rational()))
-                + sympy.Rational(str(pencil.gamma.matrix[i][j].as_rational())))
+                lambda i, j: s * sympy.Rational(str(pencil.beta.matrix[i][j].rat))
+                + sympy.Rational(str(pencil.gamma.matrix[i][j].rat)))
             expr = sympy.expand(mat.det())
             coeffs = sympy.Poly(expr, s).all_coeffs() if expr != 0 else []
             coeffs = [sympy.Rational(c) for c in reversed(coeffs)]
-            got = [F(str(c.as_rational())) for c in rep.discriminant]
+            got = [F(str(c.rat)) for c in rep.discriminant]
             assert got == [F(int(c.p), int(c.q)) for c in coeffs]
 
     def test_proportional_flag(self):
@@ -344,7 +344,7 @@ class TestFindLine:
         line, _ = find_line(p)
         assert span_in_X(p, [line.v1, line.v2])
         # the coordinate-pair scan should fire, giving a rational line
-        assert all(c.is_rational() for c in line.v1 + line.v2)
+        assert all(c.level == 0 for c in line.v1 + line.v2)
 
     def test_auto_line_on_diagonal(self):
         p = eacx_build([0, 1, 2, 3, 4, 5])
@@ -582,7 +582,7 @@ class TestPointHeights:
             assert x not in found
             found.append(x)
         assert tw.height == 0
-        assert all(c.is_rational() for x in found for c in x.coords)
+        assert all(c.level == 0 for x in found for c in x.coords)
 
     def test_cheap_line_path_draws_no_random_lines(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -411,8 +411,8 @@ class TestSparseKernelOracle:
         sympy = pytest.importorskip("sympy")
 
         def to_sympy(m):
-            return sympy.Matrix([[sympy.Rational(x.as_rational().numerator,
-                                                 x.as_rational().denominator)
+            return sympy.Matrix([[sympy.Rational(x.rat.numerator,
+                                                 x.rat.denominator)
                                   for x in row] for row in m])
 
         def from_sympy(x):

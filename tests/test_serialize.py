@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quadcyl.errors import InputFormatError
+from quadcyl.errors import InputFormatError, TowerLimitError
 from quadcyl.navigate import connect_complement, connect_on_quadric, \
     verify_path
 from quadcyl.pencils import Pencil, connect_on_X, find_line, verify_on_X
@@ -254,6 +254,15 @@ class TestCertificates:
         with pytest.raises(InputFormatError, match="does not match the base"):
             path_from_obj(obj, base=wrong)
 
+    def test_base_tower_fixes_the_limit(self):
+        q = quadform_from_terms(3, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
+        obj = path_to_obj(connect_complement(q, pt(1, 0, 0), pt(0, 1, 2)))
+        assert len(obj["radicands"]) == 3
+        assert path_from_obj(obj, base=Tower.rationals(3)).tower.height == 3
+        for parse in (path_from_obj, certificate_from_obj):
+            with pytest.raises(TowerLimitError, match="limit 2"):
+                parse(obj, base=Tower.rationals(2))
+
     def test_bad_version(self):
         _, path = self.sample_path()
         obj = path_to_obj(path)
@@ -446,7 +455,14 @@ class TestLongLiterals:
         ("0" + "7" * 5000 + "/3", "leading zero"),
         ("7" * 5000 + "/" + "7" * 4000, "lowest terms"),
         ("-" + "0" * 5000 + "/1", "leading zero"),
-    ], ids=["negative-denominator", "leading-zero", "unreduced", "minus-zeros"])
+        ("7" * 5000 + ".5", "not a rational literal"),
+        ("-0/" + "7" * 5000, "negative zero"),
+    ], ids=["negative-denominator", "leading-zero", "unreduced", "minus-zeros",
+            "not-a-literal", "negative-zero"])
     def test_long_literals_refused_like_short_ones(self, text, reason):
-        with pytest.raises(InputFormatError, match=reason):
+        with pytest.raises(InputFormatError, match=reason) as info:
             scalar_from_obj(text, Tower.rationals())
+        # the message quotes a bounded head of the literal and its length
+        message = str(info.value)
+        assert len(message) < 120
+        assert "%r... (%d characters)" % (text[:40], len(text)) in message
