@@ -358,7 +358,7 @@ class ChartBundle:
     the W chart is the only one covering the z-axis point."""
 
     __slots__ = ("form", "tower", "u_charts", "v_charts", "w_chart", "pairs",
-                 "has_z", "rank")
+                 "has_z")
 
     def __init__(self, form, tower, u_charts, v_charts, w_chart):
         self.form = form
@@ -368,7 +368,6 @@ class ChartBundle:
         self.w_chart = w_chart
         self.pairs = len(u_charts)
         self.has_z = w_chart is not None
-        self.rank = 2 * self.pairs + self.has_z
 
     def all_charts(self):
         out = list(self.u_charts) + list(self.v_charts)

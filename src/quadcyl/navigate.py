@@ -6,9 +6,11 @@ transverse target.  The producer also stores the exit point so
 verification can replay every move independently: rebuild the chart from
 the descriptor against the ambient form and the problem's domain (on the
 quadric or off it), check the entry is in the chart's domain, move, and
-compare.  verify_path never trusts producer-side objects and never
-raises on a bad certificate; it returns a report naming the first broken
-step.
+compare.  Entry and exit are kept as the producer computed them, any
+nonzero representative, and compared projectively, without division;
+consecutive moves in one chart are recorded as one step.  verify_path
+never trusts producer-side objects and never raises on a bad
+certificate; it returns a report naming the first broken step.
 
 The complement connector works in the standard cylinders of the form:
 both endpoints are first driven to a canonical point of the first
@@ -74,11 +76,25 @@ class VerifyReport:
 
 
 class _Trail:
-    """Producer-side accumulator of steps.  Each keeps its entry's
-    transverse tuple, so reversing it needs no second chart.forward."""
+    """Producer-side accumulator of steps.  Each keeps its chart and its
+    entry's transverse tuple, so reversing it needs no second
+    chart.forward.  A move keeps the fiber value and replaces the
+    transverse block wholesale, so consecutive moves in one chart (the
+    same object) are recorded as one move from the first entry to the
+    last target, and dropped when that target is the entry's own block."""
 
     def __init__(self):
-        self.recs = []  # (MoveStep, its entry's transverse tuple)
+        self.recs = []  # (chart, MoveStep, its entry's transverse tuple)
+
+    def _append(self, chart, entry, entry_tv, target, exit_p):
+        if self.recs and self.recs[-1][0] is chart:
+            _, last, entry_tv = self.recs.pop()
+            entry = last.entry
+            if entry_tv == target:
+                return
+        self.recs.append(
+            (chart, MoveStep(chart.descriptor(), entry, target, exit_p),
+             entry_tv))
 
     def move(self, chart: Chart, entry: ProjPoint, target) -> ProjPoint:
         t, tv = chart.forward(entry)
@@ -86,18 +102,19 @@ class _Trail:
         if list(tv) == list(target):
             return entry  # no-op, skip
         exit_p = chart.backward(t, target)
-        self.recs.append(
-            (MoveStep(chart.descriptor(), entry, target, exit_p), tuple(tv)))
+        self._append(chart, entry, tuple(tv), target, exit_p)
         return exit_p
 
+    def extend(self, other: "_Trail"):
+        for chart, step, entry_tv in other.recs:
+            self._append(chart, step.entry, entry_tv, step.target, step.exit)
+
     def extend_reversed(self, other: "_Trail"):
-        for step, entry_tv in reversed(other.recs):
-            self.recs.append(
-                (MoveStep(step.chart, step.exit, entry_tv, step.entry),
-                 step.target))
+        for chart, step, entry_tv in reversed(other.recs):
+            self._append(chart, step.exit, step.target, entry_tv, step.entry)
 
     def steps(self):
-        return tuple(step for step, _ in self.recs)
+        return tuple(step for _, step, _ in self.recs)
 
 
 def _canonicalize_complement(bundle: ChartBundle, p: ProjPoint, tower):
@@ -244,10 +261,8 @@ def connect_complement(form: QuadForm, p, q, *, tower=None,
             assert end == q
             return done(trail.steps())
 
-    trail_p, cp, tower = _canonicalize_complement(bundle, p, tower)
+    full, cp, tower = _canonicalize_complement(bundle, p, tower)
     trail_q, cq, tower = _canonicalize_complement(bundle, q, tower)
-    full = _Trail()
-    full.recs.extend(trail_p.recs)
     if cp != cq:
         u1 = bundle.u_charts[0]
         t_p, tv_p = u1.forward(cp)
@@ -259,7 +274,7 @@ def connect_complement(form: QuadForm, p, q, *, tower=None,
             gadget, tower = _rescale_axis(bundle, cp, cq, lam, mu, tower)
         else:
             gadget, tower = _rescale_pairs(bundle, cp, cq, t_p, t_q, tower)
-        full.recs.extend(gadget.recs)
+        full.extend(gadget)
     full.extend_reversed(trail_q)
     return done(full.steps())
 

@@ -224,8 +224,11 @@ def det(m):
 class ProjPoint:
     """A point of projective space, stored as a nonzero coordinate tuple.
 
-    Equality and hashing go through the canonical representative whose
-    first nonzero coordinate is 1.
+    Any nonzero representative is kept as given.  Equality is
+    division-free: equal tuples are equal at once; otherwise both points
+    must have the same first nonzero index i, and x_j * y_i = y_j * x_i
+    for every j.  Hashing and repr go through the canonical
+    representative whose first nonzero coordinate is 1.
     """
 
     __slots__ = ("coords", "_canon")
@@ -257,11 +260,16 @@ class ProjPoint:
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        if len(self.coords) != len(other.coords):
+        xs, ys = self.coords, other.coords
+        if len(xs) != len(ys):
             return False
-        return all(
-            a == b
-            for a, b in zip(self.canonical_coords(), other.canonical_coords()))
+        if xs == ys:
+            return True
+        i = next(j for j, c in enumerate(xs) if not c.is_zero())
+        if ys[i].is_zero() or any(not c.is_zero() for c in ys[:i]):
+            return False
+        xi, yi = xs[i], ys[i]
+        return all(x * yi == y * xi for x, y in zip(xs[i + 1:], ys[i + 1:]))
 
     def __hash__(self):
         return hash(tuple(self.canonical_coords()))

@@ -14,7 +14,11 @@ size, radicands, from, to} plus either {form, steps} or {beta, gamma,
 segments}; a segment is {line: {v1, v2}, steps}, a step is {chart, entry,
 target, exit} and a step chart is {dist, dep, matrix}.  Every one of these
 keys is read and used by the verifier, and the certificate parsers refuse
-any object that has another key or lacks one of them.
+any object that has another key or lacks one of them.  Step entries and
+exits are written as computed, any nonzero representative (an exit is
+F u with u_d = 1, which replays without an inverse); from, to and point
+documents are written canonically, first nonzero coordinate 1.  Parsers
+accept any nonzero representative everywhere.
 
 A parser takes an optional base tower (default: Tower.rationals()).  The
 document's radicand list must extend the base's list prefix-exactly, so a
@@ -290,9 +294,9 @@ def _descriptor_from_obj(obj, read, size) -> dict:
 def _step_to_obj(step: MoveStep) -> dict:
     return {
         "chart": _descriptor_to_obj(step.chart),
-        "entry": _point_to_obj(step.entry),
+        "entry": _coords_to_obj(step.entry.coords),
         "target": _coords_to_obj(step.target),
-        "exit": _point_to_obj(step.exit),
+        "exit": _coords_to_obj(step.exit.coords),
     }
 
 

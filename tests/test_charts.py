@@ -233,7 +233,7 @@ class TestConeLift:
         # rank 3 form on P^4: x0 x1 + x2^2, vertex {e3, e4}
         q = quadform_from_terms(5, {(0, 1): 1, (2, 2): 1})
         bundle, tw = build_complement_charts(q, Tower.rationals())
-        assert bundle.rank == 3
+        assert 2 * bundle.pairs + bundle.has_z == 3
         charts = bundle.all_charts()
         assert all(c.vertex_dim == 2 for c in charts)
         p = proj([1, 3, 1, 5, -2])  # f = 3 + 1 = 4
@@ -294,7 +294,8 @@ class TestSharedFrame:
         change = bundle.u_charts[0].change
         assert all(c.change is change
                    for c in bundle.u_charts + bundle.v_charts)
-        assert bundle.tower is tw and bundle.rank == rank
+        assert bundle.tower is tw
+        assert 2 * bundle.pairs + bundle.has_z == rank
         vertex = [as_fractions(col) for col in transpose(change.matrix)[rank:]]
         assert frac_rank(vertex) == n - rank
         assert frac_rank(vertex + rad) == n - rank

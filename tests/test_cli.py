@@ -111,9 +111,9 @@ class TestConnect:
                    "--from", "0,0,0,0,1,3", "--to", "1,2,0,0,1,0",
                    "--out", cert) == 0
         data = cert.read_bytes()
-        assert len(loads(data.decode())["steps"]) == 6
+        assert len(loads(data.decode())["steps"]) == 4
         assert hashlib.sha256(data).hexdigest() == (
-            "5f9e87aaea61ae651c52660ec7877bd247e6b0a83413d1ff2d46e5ca9288c67a")
+            "b9647fac4a71fff912178b1b1f2bd49a68c745ae59342de392a3e9373c33234c")
 
     def test_equal_endpoints_zero_steps(self, docs, tmp_path):
         cert = tmp_path / "c.cert"
@@ -235,7 +235,9 @@ class TestVerify:
     def test_corrupted_scalar_fails(self, docs, tmp_path):
         cert = self.make_cert(docs, tmp_path)
         bad = tmp_path / "bad.cert"
-        bad.write_text(cert.read_text().replace('"5/3"', '"4/3"', 1))
+        obj = loads(cert.read_text())
+        obj["steps"][0]["target"][-1] = "4/3"
+        bad.write_text(dumps(obj))
         out = tmp_path / "v.json"
         assert run("verify", bad, "--form", docs / "split.qf",
                    "--out", out) == 1

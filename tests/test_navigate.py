@@ -7,6 +7,7 @@ The two rescale fixtures are frozen by hand:
   (1:-3:2) and the middle parameter comes out 1/6.
 """
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -22,6 +23,7 @@ from quadcyl.charts import build_complement_charts, hyperbolic_target
 from quadcyl.navigate import (
     MovePath,
     MoveStep,
+    _Trail,
     connect_complement,
     connect_on_quadric,
     verify_path,
@@ -249,6 +251,60 @@ class TestConnectOnQuadric:
                         q, *ends, rng=random.Random(rng.randint(0, 99)))
                     assert path.tower.height == 0
                     assert verify_path(q, path).valid
+
+
+def _scaled_steps(steps, rng):
+    """The steps with every entry and exit scaled by its own nonzero
+    rational, so no two written representatives agree."""
+    def scale(p):
+        c = scalar(F(rng.choice((-3, -2, 2, 3, 5)), rng.randint(1, 7)))
+        return ProjPoint(tuple(c * x for x in p.coords))
+    return tuple(dataclasses.replace(s, entry=scale(s.entry),
+                                     exit=scale(s.exit)) for s in steps)
+
+
+class TestCertificateSteps:
+    @pytest.mark.parametrize("rank", range(3, 9))
+    def test_one_step_per_chart_run(self, rank):
+        rng = random.Random(rank)
+        for n in range(rank, min(rank + 1, 8) + 1):
+            q = hyperbolic_target(n, rank // 2, rank % 2 == 1)
+            bundle, tw = build_complement_charts(q, Tower.rationals())
+            for _ in range(4):
+                p = _random_off_quadric(q, rng)
+                r = _random_off_quadric(q, rng)
+                path = connect_complement(q, p, r, tower=tw, bundle=bundle)
+                assert verify_path(q, path).valid
+                for a, b in zip(path.steps, path.steps[1:]):
+                    assert a.chart != b.chart, (n, rank, p, r)
+
+    def test_chart_run_merges_and_cancels(self):
+        q, bundle, tw = complement_setup(4, 2, False)
+        u1 = bundle.u_charts[0]
+        p = proj([1, 4, 0, 0])
+        trail = _Trail()
+        a = trail.move(u1, p, u1.target_from({2: 1}))
+        b = trail.move(u1, a, u1.target_from({2: 2, 3: 1}))
+        [step] = trail.steps()
+        assert step.entry is p and step.exit is b
+        assert trail.move(u1, b, u1.target_from({})) == p
+        assert trail.steps() == ()
+
+    def test_scaled_step_points_verify(self):
+        from quadcyl.serialize import dumps, loads, path_from_obj, \
+            path_to_obj
+        rng = random.Random(5)
+        q = quadform_from_terms(5, {(0, 1): 1, (2, 3): 1, (4, 4): 1})
+        for p, r in (([1, 0, 1, 0, 1], [1, 0, 0, 0, 4]),
+                     ([0, 0, 1, 3, 0], [1, 2, 0, 1, 3])):
+            path = connect_complement(q, proj(p), proj(r))
+            scaled = dataclasses.replace(
+                path, steps=_scaled_steps(path.steps, rng))
+            back = path_from_obj(loads(dumps(path_to_obj(scaled))))
+            assert back.steps[0].entry.coords != path.steps[0].entry.coords
+            rep = verify_path(q, back)
+            assert rep.valid, rep.reason
+            assert rep.count == len(path.steps)
 
 
 class TestVerifyRejections:

@@ -370,6 +370,34 @@ class TestConnectOnX:
             assert rep.valid, rep.reason
             assert 1 <= len(path.segments) <= 2
 
+    def test_one_step_per_chart_run(self):
+        pencil, path = self.connect_pair(1)
+        assert verify_on_X(pencil, path).valid
+        for seg in path.segments:
+            for a, b in zip(seg.steps, seg.steps[1:]):
+                assert a.chart != b.chart
+
+    def test_scaled_step_points_verify(self):
+        import dataclasses
+        from quadcyl.serialize import dumps, loads, xpath_from_obj, \
+            xpath_to_obj
+        rng = random.Random(6)
+        pencil, path = self.connect_pair(2)
+
+        def scale(pt):
+            c = scalar(F(rng.choice((-3, -2, 2, 3, 5)), rng.randint(1, 7)))
+            return proj(tuple(c * x for x in pt.coords))
+        segments = tuple(
+            dataclasses.replace(seg, steps=tuple(
+                dataclasses.replace(s, entry=scale(s.entry),
+                                    exit=scale(s.exit))
+                for s in seg.steps))
+            for seg in path.segments)
+        scaled = dataclasses.replace(path, segments=segments)
+        back = xpath_from_obj(loads(dumps(xpath_to_obj(scaled))))
+        rep = verify_on_X(pencil, back)
+        assert rep.valid, rep.reason
+
     def test_same_point_gives_empty_path(self):
         p = hexagonal_pencil()
         x, tw = point_on_intersection(p, rng=random.Random(4))

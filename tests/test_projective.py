@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from quadcyl.errors import (
     PointNotOnQuadricError,
@@ -55,6 +55,65 @@ class TestProjPoint:
 
     def test_hash_consistency(self):
         assert hash(proj([2, 4])) == hash(proj([1, 2]))
+
+    def test_zero_patterns_differ(self):
+        cases = [([0, 1, 2], [1, 1, 2]), ([1, 0, 1], [1, 1, 1]),
+                 ([1, 2, 0], [1, 2, 3]), ([0, 0, 1], [0, 1, 0])]
+        for a, b in cases:
+            assert proj(a) != proj(b) and proj(b) != proj(a)
+            assert proj(a) != proj([5 * x for x in b])
+
+
+def _height2_roots():
+    tw = Tower.rationals()
+    r2, tw = try_sqrt(tw, scalar(2))
+    r3, tw = try_sqrt(tw, scalar(3))
+    return r2, r3
+
+
+R2, R3 = _height2_roots()
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def coordinates(draw, deep):
+    """A scalar that is zero half the time, else rational or of height 2."""
+    if draw(st.booleans()):
+        return scalar(0)
+    if not deep:
+        return scalar(draw(SMALL))
+    a, b, c, d = (scalar(draw(SMALL)) for _ in range(4))
+    return a + b * R2 + c * R3 + d * R2 * R3
+
+
+@st.composite
+def point_pairs(draw):
+    """Two nonzero vectors of one length; the second is often a nonzero
+    multiple of the first, sometimes with one coordinate changed."""
+    deep = draw(st.booleans())
+    n = draw(st.integers(1, 4))
+    x = draw(st.lists(coordinates(deep), min_size=n, max_size=n).filter(any))
+    how = draw(st.sampled_from(("scaled", "changed", "free")))
+    if how == "free":
+        y = draw(st.lists(coordinates(deep), min_size=n, max_size=n))
+    else:
+        c = draw(coordinates(deep).filter(lambda c: not c.is_zero()))
+        y = [c * v for v in x]
+        if how == "changed":
+            y[draw(st.integers(0, n - 1))] = draw(coordinates(deep))
+    assume(any(y))
+    return x, y
+
+
+@given(point_pairs())
+def test_point_equality_agrees_with_canonical_coords(pair):
+    x, y = pair
+    px, py = proj(x), proj(y)
+    same = px.canonical_coords() == py.canonical_coords()
+    assert (px == py) is same and (py == px) is same
+    assert (px != py) is not same
+    if same:
+        assert hash(px) == hash(py)
 
 
 class TestQuadForm:

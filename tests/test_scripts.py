@@ -37,6 +37,7 @@ def test_output_digest_lines():
     assert [line.split()[0] for line in lines] == ["0", "1", "2"]
     for line in lines:
         assert " connect=0 verify=0 sha256=" in line
+        assert " radicands=" in line and " radicands=- " not in line
         assert '"valid": true' in line and "file" not in line
         assert line.endswith(" wrong=1")
 
