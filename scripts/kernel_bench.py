@@ -19,6 +19,13 @@ for seeded integers r, s in [-9, 9], s != 0, and a seeded level k, like
 the entries of chart matrices; at height 0 it is p/q with 0 < |p|, q <= 9.
 It checks M * M^-1 == I.
 
+The SQ rows time sqrt_if_present, for each height h >= 1 of --heights, in
+the tower of height h - 1 above extended by a dense radicand d_h of level
+h - 1: a miss, a dense element of d_h's level (so not a rational multiple
+of any radicand), and a hit, r^2 * d_h for a seeded rational r, each the
+best of --repeat timed batches as above.  It checks that every miss finds
+no root and every hit a root that squares back.
+
     python3 scripts/kernel_bench.py
     python3 scripts/kernel_bench.py --heights 0,6,7,8 --repeat 5
 """
@@ -30,7 +37,7 @@ import time
 from fractions import Fraction
 
 from quadcyl.projective import QuadForm, identity_mat, mat_inverse, mat_mul
-from quadcyl.tower import ONE, ZERO, Tower, as_scalar
+from quadcyl.tower import ONE, ZERO, Tower, as_scalar, sqrt_if_present
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 L1_HEIGHTS = (0, 4)
@@ -130,6 +137,32 @@ def per_op(fn, pairs, repeat):
     return min(times) / len(pairs)
 
 
+def sqrt_rows(heights, repeat, rng):
+    print("SQ height  miss_s     hit_s")
+    for h in heights:
+        if not h:
+            continue
+        below = tower_of(h - 1)
+        tower = below.extend(dense(below, rng))
+        d = tower.radicand
+        count = 4 ** max(5 - h, 0)
+        misses = [(tower, dense(below, rng)) for _ in range(count)]
+        hits = []
+        for _ in range(count):
+            r = as_scalar(Fraction(rng.randint(1, 99), rng.randint(1, 99)))
+            hits.append((tower, r * r * d))
+        miss_s = per_op(sqrt_if_present, misses, repeat)
+        hit_s = per_op(sqrt_if_present, hits, repeat)
+        roots = [sqrt_if_present(tower, v) for _, v in hits]
+        if any(sqrt_if_present(tower, v) is not None for _, v in misses) or \
+                any(r is None or r * r != v for r, (_, v) in zip(roots, hits)):
+            print("error: sqrt_if_present missed a hit or hit a miss at "
+                  "height %d" % h, file=sys.stderr)
+            return 1
+        print("SQ %-7d %-10.3g %.3g" % (h, miss_s, hit_s))
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--heights", default="0,4,5,6,7,8",
@@ -155,7 +188,8 @@ def main(argv=None) -> int:
             print("error: x*(1/x) != 1 at height %d" % h, file=sys.stderr)
             return 1
         print("%-7d %-10.3g %-10.3g %.3g" % (h, mul_s, add_s, inv_s))
-    return l1_rows(args.repeat, args.seed)
+    return sqrt_rows(heights, args.repeat, rng) or \
+        l1_rows(args.repeat, args.seed)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ chart), and a dependent coordinate e (recovered from the fiber value).
 In chart coordinates the form matrix B = F^T A F must have the exact
 shape  u_d u_e + sigma(transverse):  B[d][d] = B[e][e] = 0, B[d][e] = 1/2,
 and rows d, e vanish elsewhere.  For a point with u_d scaled to 1 the
-value of the form is then t = u_e + sigma(u_transverse).
+value of the form is then t = u_e + sigma(u_transverse).  Without
+scaling, a point has (s, n, w) = (u_d, s*u_e + sigma(w), u_transverse),
+and t = n/s^2, so replays compare fibers and targets by
+cross-multiplying (Chart.lift).
 
 A fiber move fixes t, replaces the transverse block wholesale, and
 recomputes u_e.  Quadric charts live inside the quadric (t = 0 on the
@@ -118,25 +121,32 @@ class Chart:
             acc = acc + c * tv[k] * tv[l]
         return acc
 
-    def forward(self, p: ProjPoint):
-        """(fiber value t, transverse tuple) of a point in the domain."""
+    def lift(self, p: ProjPoint):
+        """(s, n, w) of a point in the domain, without dividing: s = u_d,
+        w = u_transverse and n = s*u_e + sigma(w), so that the fiber value
+        is t = n/s^2 and the transverse tuple tv = w/s.  The domain is
+        s != 0, and n = 0 on a quadric chart, n != 0 on the others."""
         u = self.change.from_ambient(p.coords)
         s = u[self.dist]
         if s.is_zero():
             raise OutOfDomainError("distinguished coordinate vanishes")
-        if s == 1:
-            rep = u
-        else:
-            inv = 1 / s
-            rep = tuple(x * inv for x in u)
-        tv = tuple(rep[j] for j in self.trans)
-        t = rep[self.dep] + self.sigma(tv)
+        w = tuple(u[j] for j in self.trans)
+        n = s * u[self.dep] + self.sigma(w)
         if self.on_quadric:
-            if not t.is_zero():
+            if not n.is_zero():
                 raise OutOfDomainError("point is off the quadric")
-        elif t.is_zero():
+        elif n.is_zero():
             raise OutOfDomainError("point lies on the quadric")
-        return t, tv
+        return s, n, w
+
+    def forward(self, p: ProjPoint):
+        """(fiber value t, transverse tuple) of a point in the domain:
+        lift, then its one division."""
+        s, n, w = self.lift(p)
+        if s == 1:
+            return n, w
+        inv = 1 / s
+        return n * inv * inv, tuple(x * inv for x in w)
 
     def backward(self, t, tv) -> ProjPoint:
         """The point with fiber value t and the given transverse block."""

@@ -8,9 +8,10 @@ the descriptor against the ambient form and the problem's domain (on the
 quadric or off it), check the entry is in the chart's domain, move, and
 compare.  Entry and exit are kept as the producer computed them, any
 nonzero representative, and compared projectively, without division;
-consecutive moves in one chart are recorded as one step.  verify_path
-never trusts producer-side objects and never raises on a bad
-certificate; it returns a report naming the first broken step.
+the replay itself divides nowhere either (verify_path).  Consecutive
+moves in one chart are recorded as one step.  verify_path never trusts
+producer-side objects and never raises on a bad certificate; it returns
+a report naming the first broken step.
 
 The complement connector works in the standard cylinders of the form:
 both endpoints are first driven to a canonical point of the first
@@ -33,7 +34,7 @@ from .errors import (
 from .charts import Chart, ChartBundle, build_complement_charts, \
     chart_from_descriptor, quadric_chart
 from .projective import ProjPoint, QuadForm, mat_eq, point_on_quadric
-from .tower import Tower, ZERO, as_scalar, deeper_tower, deepest_tower, \
+from .tower import Tower, as_scalar, deeper_tower, deepest_tower, \
     sqrt_if_present, try_sqrt
 
 
@@ -115,6 +116,14 @@ class _Trail:
 
     def steps(self):
         return tuple(step for _, step, _ in self.recs)
+
+
+def _same_fiber(s1, n1, s2, n2) -> bool:
+    """Do two lifted points (Chart.lift) have one fiber value,
+    n1/s1^2 == n2/s2^2?  Compared by cross-multiplying."""
+    if s1 == s2:
+        return n1 == n2
+    return n1 * s2 * s2 == n2 * s1 * s1
 
 
 def _canonicalize_complement(bundle: ChartBundle, p: ProjPoint, tower):
@@ -199,20 +208,16 @@ def _rescale_axis(bundle: ChartBundle, cp, cq, lam, mu, tower):
     trail = _Trail()
     u1, v1 = bundle.u_charts[0], bundle.v_charts[0]
     zpos = 2 * bundle.pairs
-    nine = as_scalar(9)
-    c = None
-    for sign in (-1, 1):
-        c2 = (1 + sign * 3 * lam / mu) / (nine * lam * lam)
-        if c2.is_zero():
-            c = ZERO
-            break
-        root = sqrt_if_present(tower, c2)
-        if root is not None:
-            c = root
-            break
+    # c^2 = (1 -+ 3 lam/mu) / (9 lam^2) for either sign: a root the tower
+    # already holds, else the minus sign's root, adjoined
+    ratio = 3 * lam / mu
+    nine_lam2 = 9 * lam * lam
+    minus = (1 - ratio) / nine_lam2
+    c = sqrt_if_present(tower, minus)
     if c is None:
-        c2 = (1 - 3 * lam / mu) / (nine * lam * lam)
-        c, tower = try_sqrt(tower, c2)
+        c = sqrt_if_present(tower, (1 + ratio) / nine_lam2)
+    if c is None:
+        c, tower = try_sqrt(tower, minus)
     step1 = trail.move(u1, cp, u1.target_from({zpos: 2 * lam}))
     step2 = trail.move(v1, step1, v1.target_from({zpos: c}))
     step3 = trail.move(u1, step2, u1.target_from({zpos: mu}))
@@ -251,11 +256,12 @@ def connect_complement(form: QuadForm, p, q, *, tower=None,
     # single-move shortcut when both points share a chart and a fiber
     for chart in bundle.all_charts():
         try:
-            tp, _ = chart.forward(p)
-            tq, tvq = chart.forward(q)
+            s_p, n_p, _ = chart.lift(p)
+            s_q, n_q, _ = chart.lift(q)
         except OutOfDomainError:
             continue
-        if tp == tq:
+        if _same_fiber(s_p, n_p, s_q, n_q):
+            _, tvq = chart.forward(q)
             trail = _Trail()
             end = trail.move(chart, p, tvq)
             assert end == q
@@ -325,7 +331,12 @@ def connect_on_quadric(form: QuadForm, p, q, *, tower=None, rng=None,
 
 def verify_path(form: QuadForm, path: MovePath, cache=None) -> VerifyReport:
     """Replay a certificate against the given ambient form.  Trusts only
-    the descriptors, entries, and targets; every exit is recomputed.
+    the descriptors, entries, and targets; every exit is checked.
+
+    Each step lifts its entry and exit (Chart.lift) and compares by
+    cross-multiplying, with no inverse of a scalar: the fiber holds when
+    n_in * s_out^2 == n_out * s_in^2, and the target is met when
+    w_out == s_out * target.
 
     cache maps descriptors to rebuilt charts and may be shared by calls
     with the same form.  Its key holds the matrix scalars themselves;
@@ -374,16 +385,16 @@ def verify_path(form: QuadForm, path: MovePath, cache=None) -> VerifyReport:
         if len(step.target) != len(chart.trans):
             return bad("transverse target has the wrong length at step %d" % k, k)
         try:
-            t_in, _ = chart.forward(step.entry)
+            s_in, n_in, _ = chart.lift(step.entry)
         except OutOfDomainError as exc:
             return bad("entry outside the chart domain at step %d: %s" % (k, exc), k)
         try:
-            t_out, tv_out = chart.forward(step.exit)
+            s_out, n_out, w_out = chart.lift(step.exit)
         except OutOfDomainError as exc:
             return bad("exit outside the chart domain at step %d: %s" % (k, exc), k)
-        if t_out != t_in:
+        if not _same_fiber(s_in, n_in, s_out, n_out):
             return bad("fiber parameter changed at step %d" % k, k)
-        if list(tv_out) != list(step.target):
+        if any(w != s_out * x for w, x in zip(w_out, step.target)):
             return bad("transverse target missed at step %d" % k, k)
         cur = step.exit
     if cur != path.end:

@@ -47,7 +47,7 @@ from .projective import (
     mat_vec,
     nullspace,
     point_on_quadric,
-    rank_of,
+    proportional,
     roots_on_line,
     transpose,
     unit_vec,
@@ -90,7 +90,10 @@ class Pencil:
         return self.beta(x).is_zero() and self.gamma(x).is_zero()
 
     def jacobian_rank(self, x) -> int:
-        return rank_of((self.beta.gradient(x), self.gamma.gradient(x)))
+        gb, gg = self.beta.gradient(x), self.gamma.gradient(x)
+        if not proportional(gb, gg):
+            return 2
+        return 0 if is_zero_vec(gb) and is_zero_vec(gg) else 1
 
     def smooth_at(self, x) -> bool:
         return self.on_intersection(x) and self.jacobian_rank(x) == 2
@@ -199,7 +202,7 @@ def pencil_smoothness(p: Pencil) -> SmoothnessReport:
     n = p.size
     flat_b = [c for row in p.beta.matrix for c in row]
     flat_g = [c for row in p.gamma.matrix for c in row]
-    proportional = rank_of((tuple(flat_b), tuple(flat_g))) <= 1
+    forms_proportional = proportional(flat_b, flat_g)
     xs = [as_scalar(i) for i in range(n + 1)]
     ys = []
     for s in xs:
@@ -213,8 +216,8 @@ def pencil_smoothness(p: Pencil) -> SmoothnessReport:
     if not identically_zero and degree >= n - 1:
         g = _poly_gcd(disc, _poly_deriv(disc))
         squarefree = len(g) == 1
-    smooth = squarefree and not proportional and not identically_zero
-    return SmoothnessReport(smooth, squarefree, proportional,
+    smooth = squarefree and not forms_proportional and not identically_zero
+    return SmoothnessReport(smooth, squarefree, forms_proportional,
                             identically_zero, degree, n, list(disc))
 
 
@@ -241,7 +244,7 @@ class Line:
     def through(cls, pencil: Pencil, a, b) -> "Line":
         va = a.coords if isinstance(a, ProjPoint) else vec(a)
         vb = b.coords if isinstance(b, ProjPoint) else vec(b)
-        if rank_of((va, vb)) != 2:
+        if proportional(va, vb):
             raise InputFormatError("the two points do not span a line")
         if not span_in_X(pencil, [va, vb]):
             raise LineNotInXError("the line is not inside the intersection")
@@ -361,7 +364,7 @@ def _point_on_two_quadrics(f: QuadForm, g: QuadForm, rng, tower,
             w, t2 = point_on_quadric(
                 f, basis=f.tangent_space(z), rng=rng, tower=t2,
                 retry_limit=8,
-                predicate=lambda y: rank_of((z.coords, y.coords)) == 2)
+                predicate=lambda y: not proportional(z.coords, y.coords))
         except (RetryLimitError, TowerLimitError):
             continue
         cands, t3 = roots_on_line(g, z, w, t2, extend=extend)

@@ -221,14 +221,34 @@ def det(m):
     return acc if sign == 1 else -acc
 
 
+def proportional(u, v) -> bool:
+    """Is rank_of((u, v)) <= 1?  Decided without dividing: true when a
+    row is zero, else both rows have the same first nonzero index i and
+    u_j * v_i == v_j * u_i for every later j."""
+    i = next((j for j, x in enumerate(u) if x), None)
+    k = next((j for j, y in enumerate(v) if y), None)
+    if i is None or k is None:
+        return True
+    if i != k:
+        return False
+    ui, vi = u[i], v[i]
+    for x, y in zip(u[i + 1:], v[i + 1:]):
+        if not x:
+            if y:
+                return False
+        elif not y or x * vi != y * ui:
+            return False
+    return True
+
+
 class ProjPoint:
     """A point of projective space, stored as a nonzero coordinate tuple.
 
     Any nonzero representative is kept as given.  Equality is
-    division-free: equal tuples are equal at once; otherwise both points
-    must have the same first nonzero index i, and x_j * y_i = y_j * x_i
-    for every j.  Hashing and repr go through the canonical
-    representative whose first nonzero coordinate is 1.
+    division-free: equal tuples are equal at once, else the coordinate
+    tuples must be proportional (see proportional).  Hashing and repr go
+    through the canonical representative whose first nonzero coordinate
+    is 1.
     """
 
     __slots__ = ("coords", "_canon")
@@ -263,13 +283,7 @@ class ProjPoint:
         xs, ys = self.coords, other.coords
         if len(xs) != len(ys):
             return False
-        if xs == ys:
-            return True
-        i = next(j for j, c in enumerate(xs) if not c.is_zero())
-        if ys[i].is_zero() or any(not c.is_zero() for c in ys[:i]):
-            return False
-        xi, yi = xs[i], ys[i]
-        return all(x * yi == y * xi for x, y in zip(xs[i + 1:], ys[i + 1:]))
+        return xs == ys or proportional(xs, ys)
 
     def __hash__(self):
         return hash(tuple(self.canonical_coords()))

@@ -299,9 +299,9 @@ _PIECE_BASE = 10 ** _PIECE
 
 # The most digits, numerator and denominator together, that one rational
 # literal of a document may carry; reading refuses longer ones before
-# converting them.  The longest literal of three valid certificates on a
+# converting them.  The longest literals of three valid certificates on a
 # pencil with no rational coordinate line (height 8, ROADMAP.md Baseline)
-# has 19046 digits; the cap leaves a margin of about five times that.
+# have 1364 to 1663 digits; the cap leaves a margin of about sixty times.
 MAX_LITERAL_DIGITS = 100_000
 
 
@@ -647,12 +647,32 @@ def _sqrt_rational(x):
     return _rational(rn, rd)
 
 
+def _rational_ratio(x, y):
+    """x/y when it is rational, else None, for nonzero x and y of one
+    level.  Canonical trees are rational multiples of each other exactly
+    when they have one shape and proportional leaves, so the ratio is
+    read off the last leaves (nonzero: the end of the B chain) and the
+    trees are compared cross-multiplied by them: no inverse is computed."""
+    a, b = x.tree, y.tree
+    while a.__class__ is not int:
+        a = a[2]
+    while b.__class__ is not int:
+        b = b[2]
+    if _tscale(x.tree, b) != _tscale(y.tree, a):
+        return None
+    num, den = a * y.den, b * x.den
+    return _ratio(num, den) if den > 0 else _ratio(-num, -den)
+
+
 def sqrt_if_present(tower: Tower, value) -> TowerScalar | None:
     """A square root of value already expressible in the tower, or None.
 
     Detection is deliberately shallow: rational perfect squares, and
     rational-square multiples of an already-adjoined radicand.  No norm
-    equations are solved.
+    equations are solved.  value/d_i can only be rational when value and
+    d_i share a level, and is then found by comparing their integer trees
+    (_rational_ratio), without dividing; value must still lie on the
+    tower's chain (TowerError otherwise).
     """
     v = as_scalar(value)
     if not v.tree:
@@ -663,11 +683,12 @@ def sqrt_if_present(tower: Tower, value) -> TowerScalar | None:
             return r
     for i in range(1, tower.height + 1):
         d = tower.ancestors[i].radicand
-        try:
-            ratio = _div(v, d)
-        except (ZeroDivisorError, ZeroDivisionError):
+        if d.level:
+            _meet(v, d)
+        if d.level != v.level:
             continue
-        if ratio.level == 0 and ratio.tree > 0:
+        ratio = _rational_ratio(v, d)
+        if ratio is not None and ratio.tree > 0:
             r = _sqrt_rational(ratio)
             if r is not None:
                 return _mul(r, tower.generator(i))

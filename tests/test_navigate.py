@@ -19,7 +19,8 @@ from quadcyl.errors import (
     SingularPointError,
     TowerError,
 )
-from quadcyl.charts import build_complement_charts, hyperbolic_target
+from quadcyl.charts import build_complement_charts, chart_from_descriptor, \
+    hyperbolic_target
 from quadcyl.navigate import (
     MovePath,
     MoveStep,
@@ -29,7 +30,7 @@ from quadcyl.navigate import (
     verify_path,
 )
 from quadcyl.projective import ProjPoint, QuadForm, proj, quadform_from_terms
-from quadcyl.tower import Tower, scalar
+from quadcyl.tower import Tower, scalar, try_sqrt
 
 
 def complement_setup(n, pairs, z):
@@ -306,6 +307,36 @@ class TestCertificateSteps:
             assert rep.valid, rep.reason
             assert rep.count == len(path.steps)
 
+    def test_irrationally_scaled_step_points_verify(self):
+        # each entry and exit times its own a + b*sqrt(7), a scalar above
+        # the path's own tower, which the written header then carries
+        from quadcyl.serialize import dumps, loads, path_from_obj, \
+            path_to_obj
+        rng = random.Random(6)
+        q = quadform_from_terms(5, {(0, 1): 1, (2, 3): 1, (4, 4): 1})
+        paths = [connect_complement(q, proj(p), proj(r)) for p, r in
+                 (([1, 0, 1, 0, 1], [1, 0, 0, 0, 4]),
+                  ([0, 0, 1, 3, 0], [1, 2, 0, 1, 3]))]
+        paths.append(connect_on_quadric(q, proj([1, 0, 0, 0, 0]),
+                                         proj([0, 1, 1, -1, 1])))
+        for path in paths:
+            root, tw = try_sqrt(path.tower, 7)
+            assert root.level == tw.height > path.tower.height
+
+            def scale(p):
+                c = rng.choice((-2, 1, 3)) + rng.choice((-1, 1, 2)) * root
+                return ProjPoint(tuple(c * x for x in p.coords))
+            steps = tuple(dataclasses.replace(s, entry=scale(s.entry),
+                                              exit=scale(s.exit))
+                          for s in path.steps)
+            scaled = dataclasses.replace(path, steps=steps, tower=tw)
+            back = path_from_obj(loads(dumps(path_to_obj(scaled))))
+            assert all(max(x.level for x in pt.coords) == tw.height
+                       for st in back.steps for pt in (st.entry, st.exit))
+            rep = verify_path(q, back)
+            assert rep.valid, rep.reason
+            assert rep.count == len(path.steps)
+
 
 class TestVerifyRejections:
     def _path(self):
@@ -344,6 +375,27 @@ class TestVerifyRejections:
         assert not rep.valid
         assert "fiber parameter changed" in rep.reason or \
             "transverse target missed" in rep.reason
+
+    def test_exit_on_another_fiber_with_matching_target(self):
+        # the exit keeps the target but moves to fiber 2t, and carries
+        # the scale 3 on its transverse block, so only the fiber test
+        # can refuse it
+        q, path = self._path()
+        k = len(path.steps) - 1
+        s = path.steps[k]
+        chart = chart_from_descriptor(q, s.chart, False, {})
+        t, tv = chart.forward(s.exit)
+        assert list(tv) == list(s.target)
+        moved = chart.backward(2 * t, s.target)
+        fake = ProjPoint(tuple(3 * x for x in moved.coords))
+        s_out, _, w_out = chart.lift(fake)
+        assert s_out == 3 and list(w_out) == [3 * x for x in s.target]
+        bad = MovePath(path.problem, path.form, path.start, fake,
+                       path.steps[:k] + (dataclasses.replace(s, exit=fake),),
+                       path.tower)
+        rep = verify_path(q, bad)
+        assert not rep.valid and rep.index == k
+        assert rep.reason == "fiber parameter changed at step %d" % k
 
     def test_corrupt_chart_matrix(self):
         q, path = self._path()

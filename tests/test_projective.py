@@ -23,6 +23,7 @@ from quadcyl.projective import (
     nullspace,
     point_on_quadric,
     proj,
+    proportional,
     quadform_from_terms,
     rank_of,
     vec,
@@ -114,6 +115,41 @@ def test_point_equality_agrees_with_canonical_coords(pair):
     assert (px != py) is not same
     if same:
         assert hash(px) == hash(py)
+
+
+@st.composite
+def row_pairs(draw):
+    """Two rows of one length at tower height 0, 1 or 2: a zero row and
+    another, a row and a nonzero multiple of it, that multiple with one
+    entry changed, or two free rows."""
+    height = draw(st.integers(0, 2))
+
+    def entry():
+        if draw(st.booleans()):
+            return scalar(0)
+        a, b, c, d = (scalar(draw(SMALL)) for _ in range(4))
+        return (a, a + b * R2, a + b * R2 + c * R3 + d * R2 * R3)[height]
+    n = draw(st.integers(1, 4))
+    u = [entry() for _ in range(n)]
+    how = draw(st.sampled_from(("zero", "scaled", "changed", "free")))
+    if how == "zero":
+        v = [scalar(0)] * n
+    elif how == "free":
+        v = [entry() for _ in range(n)]
+    else:
+        c = entry()
+        assume(not c.is_zero())
+        v = [c * x for x in u]
+        if how == "changed":
+            v[draw(st.integers(0, n - 1))] = entry()
+    return (u, v) if draw(st.booleans()) else (v, u)
+
+
+@given(row_pairs())
+def test_proportional_agrees_with_rank(rows):
+    u, v = rows
+    want = rank_of((tuple(u), tuple(v))) <= 1
+    assert proportional(u, v) is want and proportional(v, u) is want
 
 
 class TestQuadForm:

@@ -58,3 +58,13 @@ def test_kernel_bench_l1_rows():
         (h, n, z) for h in ("0", "4") for n in ("6", "8")
         for z in ("0", "0.5", "0.8")]
     assert all(float(r[4]) > 0 and float(r[5]) > 0 for r in rows)
+
+
+def test_kernel_bench_sqrt_rows():
+    done = run_script(["scripts/kernel_bench.py", "--heights", "0,2",
+                       "--repeat", "1"])
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()
+            if line.startswith("SQ ") and "height" not in line]
+    assert [r[1] for r in rows] == ["2"]
+    assert all(float(r[2]) > 0 and float(r[3]) > 0 for r in rows)

@@ -1,5 +1,6 @@
 """Tower arithmetic: frozen hand-checked values first, then properties."""
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -693,3 +694,103 @@ class TestRationalOracle:
                 assert _parts(x / q) == self.canonical(
                     ref_mul(tx, d, tw.rads), dx * n)
                 assert (x / q) * q == x
+
+
+def old_sqrt_rule(tower, v):
+    """sqrt_if_present as it was decided before, by dividing: a rational
+    square root of v itself, else of v/d_i for the first radicand d_i
+    with a rational square quotient, skipping a radicand whose inverse
+    hits a zero divisor."""
+    def rational_root(q):
+        if q <= 0:
+            return None
+        rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+        return Fraction(rn, rd) if rn * rn == q.numerator and \
+            rd * rd == q.denominator else None
+
+    if v.is_zero():
+        return scalar(0)
+    if v.level == 0 and rational_root(v.rat) is not None:
+        return scalar(rational_root(v.rat))
+    for i, d in enumerate(tower.radicands(), start=1):
+        try:
+            ratio = v / d
+        except (ZeroDivisorError, ZeroDivisionError):
+            continue
+        if ratio.level == 0 and rational_root(ratio.rat) is not None:
+            return rational_root(ratio.rat) * tower.generator(i)
+    return None
+
+
+SQUARE_TOWERS = [Tower.rationals()] + [
+    make(h) for h in range(1, 5)
+    for make in (TestKernelOracle.prime_tower,
+                 lambda h: TestKernelOracle.nested_tower(h, 100 + h))]
+NONZERO_RATS = st.fractions(min_value=-50, max_value=50,
+                            max_denominator=12).filter(bool)
+
+
+@st.composite
+def square_queries(draw):
+    """(tower of height <= 4, value): r^2 d_i (a hit), r d_i with r not a
+    square, -r^2 d_i, zero, r^2 d_i moved one level up or down, r^2 d_i
+    with one coefficient changed (the integer tree keeps its shape and
+    its first leaf), or a random element of the tower."""
+    tw = draw(st.sampled_from(SQUARE_TOWERS))
+    r = scalar(draw(NONZERO_RATS))
+    case = draw(st.sampled_from(("hit", "non-square", "negative", "zero",
+                                 "above", "below", "changed", "random")))
+    if case == "zero":
+        return tw, scalar(0)
+    if case == "random" or not tw.height:
+        rng = random.Random(draw(st.integers(0, 10 ** 6)))
+        level = draw(st.integers(0, tw.height))
+        return tw, TestKernelOracle.value(rng, tw, level, 0.5) * r
+    i = draw(st.integers(1, tw.height))
+    d = tw.radicands()[i - 1]
+    if case == "hit":
+        return tw, r * r * d
+    if case == "non-square":
+        return tw, draw(st.sampled_from((2, 3, 6, -1, -7))) * r * r * d
+    if case == "negative":
+        return tw, -r * r * d
+    if case == "below" and d.level:
+        return tw, r * r * d.b
+    if case == "changed" and d.level:
+        return tw, r * r * (d + tw.generator(d.level))
+    if d.level < tw.height:
+        return tw, r * r * d + tw.generator(d.level + 1)
+    return tw, r * r * d * tw.generator(d.level)
+
+
+class TestSquareDetection:
+    @given(square_queries())
+    def test_agrees_with_the_division_rule(self, query):
+        tw, v = query
+        got = sqrt_if_present(tw, v)
+        assert got == old_sqrt_rule(tw, v)
+        if got is not None:
+            assert got * got == v
+
+    def test_every_radicand(self):
+        # a hit, and misses that keep the tree's shape: a negative
+        # multiple, and a changed top coefficient whose first leaf ratio
+        # is still the square 9/4
+        for tw in SQUARE_TOWERS:
+            for i, d in enumerate(tw.radicands(), start=1):
+                root = sqrt_if_present(tw, Fraction(9, 4) * d)
+                assert root == Fraction(3, 2) * tw.generator(i)
+                misses = [Fraction(-9, 4) * d]
+                if d.level:
+                    misses.append(
+                        Fraction(9, 4) * (d + tw.generator(d.level)))
+                for v in misses:
+                    assert sqrt_if_present(tw, v) == old_sqrt_rule(tw, v)
+
+    def test_value_off_the_chain_refused(self):
+        # the radicand at level 2 is a node, so a level-1 value of an
+        # unrelated tower is refused as dividing by it was
+        tw = TestKernelOracle.nested_tower(2, 102)
+        stranger = Tower.rationals().extend(101).generator(1)
+        with pytest.raises(TowerError):
+            sqrt_if_present(tw, stranger)
