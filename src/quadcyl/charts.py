@@ -46,6 +46,7 @@ from .projective import (
     mat_eq,
     nullspace,
     quadform_from_terms,
+    rref,
     transpose,
     vec_add,
     vec_scale,
@@ -230,42 +231,18 @@ class HyperbolicFrame:
     has_z: bool
 
 
-def _keep_independent(reduced, v):
-    """Is v independent of the rows in `reduced`?  If so, append it there.
-    Rows are (pivot, row) pairs, 1 at their own pivot and 0 at earlier
-    ones, so one pass over them decides v without a full row reduction."""
-    v = list(v)
-    for p, row in reduced:
-        f = v[p]
-        if not f.is_zero():
-            v = [x - f * y for x, y in zip(v, row)]
-    p = next((i for i, x in enumerate(v) if not x.is_zero()), None)
-    if p is None:
-        return False
-    inv = 1 / v[p]
-    reduced.append((p, [x * inv for x in v]))
-    return True
-
-
 def _complete_basis(cols, candidates):
     """Extend the independent column list to a basis using candidates, in
     order: a candidate is kept when it is independent of the columns kept
-    so far."""
-    n = len(cols[0])
-    reduced = []
-    out = []
-    for c in cols:
-        if not _keep_independent(reduced, c):
-            raise InputFormatError("starting columns are dependent")
-        out.append(tuple(c))
-    for cand in candidates:
-        if len(out) == n:
-            break
-        if _keep_independent(reduced, cand):
-            out.append(tuple(cand))
-    if len(out) != n:
+    so far, which makes the kept vectors the pivot columns of one row
+    reduction."""
+    vecs = list(cols) + list(candidates)
+    _, pivots = rref(transpose(vecs))
+    if pivots[:len(cols)] != list(range(len(cols))):
+        raise InputFormatError("starting columns are dependent")
+    if len(pivots) != len(cols[0]):
         raise InputFormatError("could not complete to a basis")
-    return out
+    return [tuple(vecs[c]) for c in pivots]
 
 
 def ctsq_normalize(q: QuadForm, x) -> CtsqFrame:

@@ -236,8 +236,7 @@ def cmd_audit(args) -> int:
         _read_doc(args.pencil), Tower.rationals(args.tower_limit))
     smooth = pencil_smoothness(pencil)
     raw, tower = ser.line_from_obj(_read_doc(args.line), pencil_tower)
-    line = Line.through(pencil, raw.v1, raw.v2)
-    chart = chart_from_line(pencil, line)
+    chart = chart_from_line(pencil, raw)
     degrees = polar_degree_audit(chart, tower=tower)
     rng = random.Random(args.seed)
     trips = failures = 0

@@ -2,17 +2,21 @@
 
 A pencil is a pair of quadratic forms (beta, gamma) on at least six
 coordinates; X is the intersection of the two quadrics.  A line l inside
-X gives a birational projection: forgetting the two line coordinates of
-an adapted basis maps X away from l to a projective space of dimension
-two lower, and the failure locus is cut out by one quadratic form (the
-degeneracy form).  Off that locus the projection restricts to an exact
-isomorphism onto the complement of the image quadric, which lets the
-complement connector run inside X.
+X gives a birational projection to a projective space of dimension two
+lower: one matrix of the 2x2 minors of l's spanning vectors maps X away
+from l (LineChart), and the failure locus is cut out by one quadratic
+form (the degeneracy form).  Off that locus the projection restricts to
+an exact isomorphism onto the complement of the image quadric, which
+lets the complement connector run inside X.
 
 A certificate produced here holds, per segment, the line and the fiber
 moves made in the complement of its image quadric.  Verification rebuilds
 the chart, the image quadric and the projected endpoints from the line and
-the pencil file alone, and lifts each segment's last move back to X.
+the pencil file alone, and lifts each segment's last move back to X.  A
+line chart projects and lifts with products only; it divides only to
+find its image quadric's rank, by elimination.  The segment's fiber
+moves replay as any complement certificate does (navigate.verify_path),
+which inverts each distinct step matrix once.
 """
 
 from __future__ import annotations
@@ -32,10 +36,9 @@ from .errors import (
     SingularPointError,
     TowerLimitError,
 )
-from .charts import _complete_basis, _keep_independent, complement_cylinder
+from .charts import complement_cylinder
 from .navigate import MovePath, VerifyReport, connect_complement, verify_path
 from .projective import (
-    CoordChange,
     ProjPoint,
     QuadForm,
     congruent_diagonalize,
@@ -49,6 +52,7 @@ from .projective import (
     point_on_quadric,
     proportional,
     roots_on_line,
+    rref,
     transpose,
     unit_vec,
     vec,
@@ -254,30 +258,48 @@ class Line:
 class LineChart:
     """The birational projection of X away from a line inside it.
 
-    Coordinates are adapted: the first two basis vectors span the line and
-    the rest map to the image space.  The image quadric has rank 3 or 4;
-    its complement is exactly where the projection is an isomorphism."""
+    The line's vectors v1, v2 leave out the index pair (i, j) where j is
+    the last index with v1_j or v2_j nonzero and i the last index before
+    j with D = v1_i v2_j - v1_j v2_i nonzero; v1, v2 and the unit vectors
+    e_k of the other, kept indices make a basis.  The projection `proj`
+    has one row per kept k: D at column k, v1_j v2_k - v2_j v1_k at column
+    i and v2_i v1_k - v1_i v2_k at column j, which is D times the e_k
+    coordinate in that basis.  The image quadric has rank 3 or 4; its
+    complement is exactly where the projection is an isomorphism."""
 
-    __slots__ = ("pencil", "line", "change", "image", "_wcols")
+    __slots__ = ("pencil", "line", "kept", "proj", "image")
 
     def __init__(self, pencil: Pencil, line: Line):
-        if not span_in_X(pencil, [line.v1, line.v2]):
+        v1, v2 = line.v1, line.v2
+        n = pencil.size
+        if len(v1) != n or len(v2) != n:
+            raise InputFormatError("line and pencil sizes differ")
+        j = next((k for k in reversed(range(n)) if v1[k] or v2[k]), 0)
+        i = next((h for h in reversed(range(j))
+                  if v1[h] * v2[j] != v1[j] * v2[h]), None)
+        if i is None:
+            raise InputFormatError("the two points do not span a line")
+        minor = v1[i] * v2[j] - v1[j] * v2[i]
+        if not span_in_X(pencil, [v1, v2]):
             raise LineNotInXError("the line is not inside the intersection")
         self.pencil = pencil
         self.line = line
-        n = pencil.size
-        std = [unit_vec(n, i) for i in range(n)]
-        cols = _complete_basis([line.v1, line.v2], std)
-        self.change = CoordChange(transpose(cols))
-        self._wcols = cols[2:]
-        beta, gamma = pencil.beta, pencil.gamma
-        a = [beta.bilinear(line.v1, w) for w in self._wcols]
-        b = [beta.bilinear(line.v2, w) for w in self._wcols]
-        c = [gamma.bilinear(line.v1, w) for w in self._wcols]
-        d = [gamma.bilinear(line.v2, w) for w in self._wcols]
+        self.kept = tuple(k for k in range(n) if k not in (i, j))
+        rows = []
+        for k in self.kept:
+            row = [ZERO] * n
+            row[k] = minor
+            row[i] = v1[j] * v2[k] - v2[j] * v1[k]
+            row[j] = v2[i] * v1[k] - v1[i] * v2[k]
+            rows.append(tuple(row))
+        self.proj = tuple(rows)
+        # the pairings of the line's vectors with the kept e_k
+        a, b, c, d = ([g[k] for k in self.kept] for g in (
+            pencil.beta.gradient(v1), pencil.beta.gradient(v2),
+            pencil.gamma.gradient(v1), pencil.gamma.gradient(v2)))
         m = n - 2
-        rows = [[(a[i] * d[j] + a[j] * d[i] - b[i] * c[j] - b[j] * c[i]) / 2
-                 for j in range(m)] for i in range(m)]
+        rows = [[(a[s] * d[t] + a[t] * d[s] - b[s] * c[t] - b[t] * c[s]) / 2
+                 for t in range(m)] for s in range(m)]
         self.image = QuadForm(rows)
         r = self.image.rank()
         if r < 3:
@@ -292,16 +314,15 @@ class LineChart:
     def forward(self, x) -> ProjPoint:
         """Project a point of X away from the line."""
         p = x if isinstance(x, ProjPoint) else ProjPoint(x)
-        u = self.change.from_ambient(p.coords)[2:]
+        u = mat_vec(self.proj, p.coords)
         if is_zero_vec(u):
             raise OutOfDomainError("point lies on the line")
         return ProjPoint(u)
 
     def _residual_rows(self, u):
-        uvec = zero_vec(self.pencil.size)
-        for c, w in zip(u, self._wcols):
-            if not c.is_zero():
-                uvec = vec_add(uvec, vec_scale(w, c))
+        uvec = [ZERO] * self.pencil.size
+        for c, k in zip(u, self.kept):
+            uvec[k] = c
         out = []
         for form in (self.pencil.beta, self.pencil.gamma):
             img = mat_vec(form.matrix, uvec)
@@ -342,7 +363,7 @@ class LineChart:
         """The quadratic form on the ambient space cutting out the locus
         where the projection fails to be an isomorphism: the pullback of
         the image quadric along the projection.  It vanishes on the line."""
-        return self.image.transform(self.change.inverse_matrix()[2:])
+        return self.image.transform(self.proj)
 
 
 def chart_from_line(pencil: Pencil, line: Line) -> LineChart:
@@ -470,9 +491,9 @@ def find_line_through(pencil: Pencil, p, rng=None, tower=None,
         tower = Tower.rationals()
     tower = deepest_tower(p.coords, tower)
     tangent = nullspace((pencil.beta.gradient(p), pencil.gamma.gradient(p)))
-    reduced = []
-    _keep_independent(reduced, p.coords)
-    reps = [cand for cand in tangent if _keep_independent(reduced, cand)]
+    # the tangent vectors independent of p and of those before them
+    _, pivots = rref(transpose((p.coords,) + tangent))
+    reps = [tangent[c - 1] for c in pivots[1:]]
     m = len(reps)
     bq = QuadForm([[pencil.beta.bilinear(a, b) for b in reps] for a in reps])
     gq = QuadForm([[pencil.gamma.bilinear(a, b) for b in reps] for a in reps])
@@ -732,11 +753,9 @@ def verify_on_X(pencil: Pencil, path: XPath) -> VerifyReport:
     cur = path.start
     for k, seg in enumerate(path.segments):
         try:
-            line = Line.through(pencil, seg.line.v1, seg.line.v2)
+            chart = chart_from_line(pencil, seg.line)
         except (InputFormatError, LineNotInXError) as exc:
             return bad("bad line at segment %d: %s" % (k, exc), k)
-        try:
-            chart = chart_from_line(pencil, line)
         except RankTooLowError as exc:
             return bad("bad chart at segment %d: %s" % (k, exc), k)
         if not seg.steps:
@@ -795,10 +814,12 @@ def polar_degree_audit(chart: LineChart, tower=None) -> AuditReport:
     base, _ = point_on_quadric(img, rng=random.Random(0), tower=tower,
                                predicate=img.is_smooth_at)
     inner_chart = complement_cylinder(img, base)
-    h = inner_chart.change.inverse_matrix()[inner_chart.dist]
-    pi = chart.change.inverse_matrix()[2:]
-    pulled = tuple(dot(h, tuple(pi[k][j] for k in range(len(pi))))
-                   for j in range(chart.pencil.size))
+    # the distinguished coordinate of the inner chart is row dist of F^-1,
+    # which is 2 (A F e_dep)^T: F^T A F has 1/2 at (dep, dist) and row
+    # dep vanishes elsewhere.  Only whether its pullback is zero counts
+    dep_col = tuple(row[inner_chart.dep] for row in inner_chart.change.matrix)
+    h = img.gradient(dep_col)
+    pulled = mat_vec(transpose(chart.proj), h)
     hyper_ok = not is_zero_vec(pulled)
     dform = chart.degeneracy_form()
     v1, v2 = chart.line.v1, chart.line.v2

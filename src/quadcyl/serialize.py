@@ -252,7 +252,8 @@ def line_from_obj(obj, base: Tower | None = None):
 
     Only the text format is checked here; whether the span really lies
     inside a given intersection is a question about a pencil, so callers
-    revalidate with Line.through against the pencil they pair it with.
+    revalidate against the pencil they pair it with, by Line.through or
+    by building the line's chart.
     """
     _check_kind(obj, "line")
     size = _size_of(obj, "line")

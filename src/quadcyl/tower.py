@@ -115,13 +115,6 @@ class TowerScalar:
 
     __slots__ = ("level", "tree", "den", "tower")
 
-    def __init__(self, value=0):
-        s = as_scalar(value)
-        self.level = s.level
-        self.tree = s.tree
-        self.den = s.den
-        self.tower = s.tower
-
     @property
     def rat(self):
         """The value as a Fraction (None on nodes)."""

@@ -423,6 +423,18 @@ class TestAuditAndBuilders:
         assert disc == pencil_smoothness(pencil).discriminant
         assert any(c.level != 0 for c in disc)
 
+    def test_audit_bad_line_is_input_error(self, docs, tmp_path):
+        line = tmp_path / "hex.lf"
+        assert run("find-line", "--pencil", docs / "hex.pf",
+                   "--out", line) == 0
+        obj = loads(line.read_text())
+        short = dict(obj, size=5, v1=obj["v1"][:5], v2=obj["v2"][:5])
+        same = dict(obj, v2=obj["v1"])
+        for bad in (short, same):
+            line.write_text(dumps(bad))
+            assert run("audit", "--pencil", docs / "hex.pf",
+                       "--line", line) == 2
+
     def test_eacx_duplicate_is_input_error(self, tmp_path, capsys):
         assert run("eacx-build", "--lambdas", "0,1,1,3,4,5") == 2
 

@@ -17,6 +17,7 @@ from quadcyl.errors import (
     InputFormatError,
     LineNotInXError,
     OutOfDomainError,
+    RankTooLowError,
     RetryLimitError,
     SingularPointError,
 )
@@ -41,13 +42,20 @@ from quadcyl.pencils import (
     span_in_X,
     verify_on_X,
 )
+from quadcyl.charts import _complete_basis
 from quadcyl.projective import (
     ProjPoint,
     QuadForm,
+    det,
+    mat,
+    mat_inverse,
+    mat_vec,
     nullspace,
     proj,
     quadform_from_terms,
     rank_of,
+    transpose,
+    unit_vec,
     vec,
 )
 from quadcyl.tower import Tower, as_scalar, scalar
@@ -482,6 +490,26 @@ class TestVerifyOnX:
         rep = verify_on_X(p, broken)
         assert not rep.valid and "inner certificate" in rep.reason
 
+    def test_inverses_only_in_chart_rebuilds(self, monkeypatch):
+        # the line charts project by minors; the only matrix inverses of a
+        # replay are chart_from_descriptor's, one per distinct step matrix
+        # of each segment, counted as TestChartCache counts them
+        import sys
+        import quadcyl.projective as projective
+        pencil, path = TestConnectOnX().connect_pair(1)
+        callers = []
+        real = projective.mat_inverse
+
+        def counting(m):
+            callers.append(sys._getframe(2).f_code.co_name)
+            return real(m)
+        monkeypatch.setattr(projective, "mat_inverse", counting)
+        assert verify_on_X(pencil, path).valid
+        distinct = sum(len({tuple(map(tuple, st.chart["matrix"]))
+                            for st in seg.steps}) for seg in path.segments)
+        assert distinct >= 1
+        assert callers == ["chart_from_descriptor"] * distinct
+
     def test_endpoint_off_intersection(self):
         p, path = self.make_path()
         broken = XPath(p, proj((1, 1, 1, 1, 1, 1)), path.end, path.segments,
@@ -584,8 +612,112 @@ class TestLineChartPoints:
         rng = random.Random(6)
         for _ in range(20):
             x = vec(tuple(rng.randint(-5, 5) for _ in range(6)))
-            u = chart.change.from_ambient(x)[2:]
-            assert d(x) == chart.image(u)
+            assert d(x) == chart.image(chart.forward(x))
+
+
+def general_line_charts():
+    """(pencil, chart, points of X) for line charts on general lines.  A
+    random rational change x = M y carries lines of a pencil to lines of
+    the moved pencil, and its points to M^-1 x.  It moves the hexagonal
+    pencil's coordinate-pair lines, whose minor D is 1, to lines with
+    rational D != 1, and the split-support line of a diagonal pencil to
+    one with D != 1 over Q(sqrt(-2)); that line itself has D = 1 and
+    entries over Q(sqrt(-2)), and comes along unmoved."""
+    rng = random.Random(31)
+    while True:
+        m = mat([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)]
+                 for _ in range(6)])
+        if not det(m).is_zero():
+            break
+    minv = mat_inverse(m)
+    hexp, diag = hexagonal_pencil(), eacx_build([0, 1, 2, 3, 4, 5])
+    pts, tw = [], Tower.rationals()
+    for _ in range(8):
+        x, tw = point_on_intersection(hexp, rng=rng, tower=tw,
+                                      predicate=lambda y: y not in pts)
+        pts.append(x)
+    diag_line = find_line(diag)[0]
+    diag_chart = chart_from_line(diag, diag_line)
+    out = [(diag, diag_chart, [])]
+    for pencil, lines, points in ((hexp, _cheap_lines(hexp, tw)[0], pts),
+                                  (diag, [diag_line],
+                                   list(diag_chart.points(rng, 8)))):
+        moved = Pencil(pencil.beta.transform(m), pencil.gamma.transform(m))
+        moved_pts = [proj(mat_vec(minv, x.coords)) for x in points]
+        for line in lines:
+            moved_line = Line.through(moved, mat_vec(minv, line.v1),
+                                      mat_vec(minv, line.v2))
+            try:
+                chart = chart_from_line(moved, moved_line)
+            except RankTooLowError:
+                continue
+            out.append((moved, chart, moved_pts))
+    return out
+
+
+def completed_basis_projection(chart, x):
+    """The projection the long way: the coordinates of x along the kept
+    unit vectors in the basis (v1, v2, e_k for k kept), by an inverse."""
+    n = chart.pencil.size
+    cols = [chart.line.v1, chart.line.v2] + \
+        [unit_vec(n, k) for k in chart.kept]
+    return mat_vec(mat_inverse(transpose(cols))[2:], x)
+
+
+class TestGeneralLines:
+    """Line charts on lines whose minor D is not 1, against the projection
+    through an inverted completed basis."""
+
+    def test_kept_indices_match_greedy_completion(self):
+        for pencil, chart, _ in general_line_charts():
+            n = pencil.size
+            std = [unit_vec(n, k) for k in range(n)]
+            cols = _complete_basis([chart.line.v1, chart.line.v2], std)
+            assert [std.index(c) for c in cols[2:]] == list(chart.kept)
+
+    def test_forward_matches_completed_basis(self):
+        rng = random.Random(4)
+        charts = general_line_charts()
+        minors = [chart.proj[0][chart.kept[0]] for _, chart, _ in charts]
+        assert sum(1 for d in minors if d != 1) >= 4
+        assert any(d != 1 and d.level > 0 for d in minors)
+        for pencil, chart, pts in charts:
+            dform = chart.degeneracy_form()
+            xs = [z.coords for z in pts]
+            xs += [vec(rng.randint(-5, 5) for _ in range(pencil.size))
+                   for _ in range(10)]
+            for x in xs:
+                want = completed_basis_projection(chart, x)
+                assert chart.forward(x) == proj(want)
+                assert dform(x) == chart.image(chart.forward(x))
+
+    def test_inverse_undoes_forward_on_X(self):
+        for pencil, chart, pts in general_line_charts():
+            pts = pts + list(chart.points(random.Random(2), 8))
+            dform = chart.degeneracy_form()
+            checked = 0
+            for x in pts:
+                assert pencil.on_intersection(x)
+                if dform(x).is_zero():
+                    continue
+                assert chart.inverse(chart.forward(x)) == x
+                checked += 1
+            assert checked >= 6
+
+    def test_segments_on_general_lines_verify(self):
+        charts = general_line_charts()
+        for pencil, chart, pts in (charts[1], charts[-1]):
+            path = connect_on_X(pencil, pts[0], pts[1], lines=[chart.line])
+            assert path.segments[0].line == chart.line
+            rep = verify_on_X(pencil, path)
+            assert rep.valid, rep.reason
+
+    def test_proportional_vectors_refused(self):
+        p = hexagonal_pencil()
+        with pytest.raises(InputFormatError, match="span a line"):
+            chart_from_line(p, Line(vec(e(0)), vec((3, 0, 0, 0, 0, 0))))
+        with pytest.raises(InputFormatError, match="span a line"):
+            chart_from_line(p, Line(vec(e(0)), vec((0,) * 6)))
 
 
 class TestPointHeights:
