@@ -26,6 +26,13 @@ of any radicand), and a hit, r^2 * d_h for a seeded rational r, each the
 best of --repeat timed batches as above.  It checks that every miss finds
 no root and every hit a root that squares back.
 
+The L5 rows time, for each height h of --heights, the text of a point
+document with L5_SIZE coordinates: 1 and then dense height-h elements as
+above.  They print its bytes, one serialize.dumps and one parse
+(serialize.loads, then point_from_obj, which reads each coordinate with
+scalar_from_obj), each the best of --repeat, and check that the parse
+gives the same coordinates and re-dumps to the same text.
+
     python3 scripts/kernel_bench.py
     python3 scripts/kernel_bench.py --heights 0,6,7,8 --repeat 5
 """
@@ -36,13 +43,17 @@ import sys
 import time
 from fractions import Fraction
 
-from quadcyl.projective import QuadForm, identity_mat, mat_inverse, mat_mul
+from quadcyl.projective import (
+    ProjPoint, QuadForm, identity_mat, mat_inverse, mat_mul,
+)
+from quadcyl.serialize import dumps, loads, point_from_obj, point_to_obj
 from quadcyl.tower import ONE, ZERO, Tower, as_scalar, sqrt_if_present
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 L1_HEIGHTS = (0, 4)
 L1_SIZES = (6, 8)
 L1_ZEROS = (0.0, 0.5, 0.8)
+L5_SIZE = 6
 
 
 def tower_of(h):
@@ -163,6 +174,24 @@ def sqrt_rows(heights, repeat, rng):
     return 0
 
 
+def l5_rows(heights, repeat, rng):
+    print("L5 height  bytes     dumps_s    parse_s")
+    for h in heights:
+        tower = tower_of(h)
+        coords = (ONE,) + tuple(dense(tower, rng) for _ in range(L5_SIZE - 1))
+        doc = point_to_obj(ProjPoint(coords), tower)
+        dump_s, text = best_of(lambda: dumps(doc), repeat)
+        parse_s, (point, back) = best_of(
+            lambda: point_from_obj(loads(text)), repeat)
+        if point.coords != coords or dumps(point_to_obj(point, back)) != text:
+            print("error: point document does not round-trip at height %d"
+                  % h, file=sys.stderr)
+            return 1
+        print("L5 %-7d %-9d %-10.3g %.3g"
+              % (h, len(text.encode()), dump_s, parse_s))
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--heights", default="0,4,5,6,7,8",
@@ -189,6 +218,7 @@ def main(argv=None) -> int:
             return 1
         print("%-7d %-10.3g %-10.3g %.3g" % (h, mul_s, add_s, inv_s))
     return sqrt_rows(heights, args.repeat, rng) or \
+        l5_rows(heights, args.repeat, rng) or \
         l1_rows(args.repeat, args.seed)
 
 

@@ -6,13 +6,16 @@ For each pair that `bench/run.py` times on the given workload and seed
 height-9 pair s909-p0), it runs `quadcyl connect` and `quadcyl verify`
 in-process through `quadcyl.cli.main` and prints: the pair index, the
 connect and verify exit codes, the certificate's sha256 and byte count,
-the sha256 of its `radicands` header, the verify report without its
-`file` key, and the exit code of verifying the certificate against the
-workload's wrong reference (a sound verifier exits 1).  Run it on both
-commits and diff: no difference means every certificate, report and exit
-code is byte-identical.  A change that alters certificate bytes on
-purpose can still show, by the `radicands=` fields, that every tower is
-unchanged.
+the sha256 of its content (the parsed JSON re-written compactly with
+sorted keys, so the same keys and values in any layout), the sha256 of
+its `radicands` header, the verify report without its `file` key, and
+the exit code of verifying the certificate against the workload's wrong
+reference (a sound verifier exits 1).  Run it on both commits and diff:
+no difference means every certificate, report and exit code is
+byte-identical.  A change that alters certificate bytes on purpose can
+still show, by the `content=` fields, that only whitespace changed, or by
+the `radicands=` fields, that every tower is unchanged.  Both are
+computed here with json alone, not with quadcyl's own writer.
 
     PYTHONPATH=src python3 scripts/output_digest.py --workload quadric-grid --seed 1
     PYTHONPATH=src python3 scripts/output_digest.py --workload ci-deep --seed 1 --pairs 3
@@ -46,12 +49,15 @@ def run(argv):
 def digest(workload, pair):
     connect_rc = run(pair.connect)
     verify_rc = wrong_rc = report = None
-    sha, size, rads = "-", 0, "-"
+    sha, size, content, rads = "-", 0, "-", "-"
     if os.path.exists(pair.cert):
         with open(pair.cert, "rb") as fh:
             data = fh.read()
         sha, size = hashlib.sha256(data).hexdigest(), len(data)
-        header = json.dumps(json.loads(data)["radicands"], sort_keys=True)
+        obj = json.loads(data)
+        content = hashlib.sha256(json.dumps(
+            obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        header = json.dumps(obj["radicands"], sort_keys=True)
         rads = hashlib.sha256(header.encode()).hexdigest()
         verify_rc = run(pair.verify)
         with open(pair.verify[-1]) as fh:
@@ -62,9 +68,9 @@ def digest(workload, pair):
         wrong[1] = workload.wrong_reference(pair)
         wrong_rc = run(wrong)
         os.remove(pair.cert)
-    return ("%d connect=%s verify=%s sha256=%s bytes=%d radicands=%s "
-            "report=%s wrong=%s") % (
-        pair.index, connect_rc, verify_rc, sha, size, rads,
+    return ("%d connect=%s verify=%s sha256=%s bytes=%d content=%s "
+            "radicands=%s report=%s wrong=%s") % (
+        pair.index, connect_rc, verify_rc, sha, size, content, rads,
         json.dumps(report, sort_keys=True), wrong_rc)
 
 

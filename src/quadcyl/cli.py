@@ -19,6 +19,7 @@ import random
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from . import serialize as ser
 from .charts import ctsq_normalize, hyperbolic_normalize
@@ -206,29 +207,38 @@ def cmd_verify(args) -> int:
     jobs = min(args.jobs, len(payloads), os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_verify_star, payloads))
+            futures = [pool.submit(_verify_one, *p) for p in payloads]
+            outcomes = [_outcome(f) for f in futures]
     else:
-        outcomes = [_verify_star(p) for p in payloads]
+        outcomes = [_verify_one(*p) for p in payloads]
     results = []
-    bad_input = None
+    failure = None
     all_valid = True
     for path, (report, err) in zip(args.certificate, outcomes):
         if err is not None:
             code, message = err
-            bad_input = code, "%s: %s" % (path, message)
+            # the last unreadable file names the exit code, unless a
+            # worker died: that is a defect, so its code stays
+            if failure is None or failure[0] != EXIT_INTERNAL:
+                failure = code, "%s: %s" % (path, message)
             results.append({"file": path, "valid": False, "error": message})
             all_valid = False
         else:
             results.append({"file": path, **report})
             all_valid = all_valid and report["valid"]
     _emit(args, ser.dumps({"kind": "verify-report", "results": results}))
-    if bad_input is not None:
-        raise SystemExitCode(*bad_input)
+    if failure is not None:
+        raise SystemExitCode(*failure)
     return EXIT_VALID if all_valid else EXIT_INVALID
 
 
-def _verify_star(payload):
-    return _verify_one(*payload)
+def _outcome(future):
+    """A worker's _verify_one result; a dead worker process is reported
+    for the certificates it left unfinished, and the others keep theirs."""
+    try:
+        return future.result()
+    except BrokenProcessPool:
+        return None, (EXIT_INTERNAL, "internal error: worker process died")
 
 
 def cmd_audit(args) -> int:

@@ -5,9 +5,9 @@ as "p/q" strings, extension elements a + b*sqrt(d_k) as nested
 {"a", "b", "level": k} objects, and a radicand list d_1, ..., d_h in
 adjunction order as the context header of every document; a node names
 its radicand only by its level in that list.
-Writers emit canonical text (sorted keys, fixed indentation) so identical
-inputs give byte-identical files; parsers reject anything that would not
-round-trip, which is what makes certificates auditable by diff.
+Writers emit canonical compact text (sorted keys) so identical inputs give
+byte-identical files; parsers reject anything that would not round-trip,
+so certificates are auditable by diff (of `python -m json.tool` output).
 
 A certificate (format version 3) is a header {kind, version, problem,
 size, radicands, from, to} plus either {form, steps} or {beta, gamma,
@@ -42,8 +42,8 @@ FORMAT_VERSION = 3
 
 
 def dumps(obj) -> str:
-    """Canonical document text: sorted keys, two-space indent, newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical text: compact, sorted keys, newline (json's C encoder)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def loads(text: str):

@@ -10,8 +10,8 @@ from quadcyl.pencils import Line, Pencil
 from quadcyl.projective import ProjPoint, QuadForm, quadform_from_terms, \
     rank_of, vec
 from quadcyl.serialize import (
-    dumps, form_to_obj, line_from_obj, loads, pencil_from_obj,
-    pencil_to_obj, point_to_obj,
+    certificate_from_obj, dumps, form_to_obj, line_from_obj, loads,
+    path_to_obj, pencil_from_obj, pencil_to_obj, point_to_obj, xpath_to_obj,
 )
 from quadcyl.tower import Tower, as_scalar, scalar_from_obj
 
@@ -113,7 +113,7 @@ class TestConnect:
         data = cert.read_bytes()
         assert len(loads(data.decode())["steps"]) == 4
         assert hashlib.sha256(data).hexdigest() == (
-            "b9647fac4a71fff912178b1b1f2bd49a68c745ae59342de392a3e9373c33234c")
+            "a72ef89735771d69d0081227933adbe09eca210aeb60befebba51e8d296c061d")
 
     def test_equal_endpoints_zero_steps(self, docs, tmp_path):
         cert = tmp_path / "c.cert"
@@ -329,16 +329,20 @@ class TestVerify:
                    "--jobs", 2, "--out", two) == 0
         assert one.read_bytes() == two.read_bytes()
 
-    def test_pool_capped_by_certificates_and_cpus(self, docs, tmp_path,
-                                                  monkeypatch):
-        # a stand-in pool that records its size and maps serially, so no
-        # process is started whatever --jobs asks for
+    @staticmethod
+    def fake_pool(monkeypatch, sizes, dies=()):
+        """Install a stand-in pool that records its size and runs each
+        submitted call at once, so no process is started whatever --jobs
+        asks for; the calls numbered in dies fail as if their worker
+        process had died."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
         from quadcyl import cli
-        sizes = []
 
         class FakePool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
+                self.calls = 0
 
             def __enter__(self):
                 return self
@@ -346,10 +350,22 @@ class TestVerify:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = Future()
+                if self.calls in dies:
+                    future.set_exception(BrokenProcessPool("killed"))
+                else:
+                    future.set_result(fn(*args))
+                self.calls += 1
+                return future
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+
+    def test_pool_capped_by_certificates_and_cpus(self, docs, tmp_path,
+                                                  monkeypatch):
+        from quadcyl import cli
+        sizes = []
+        self.fake_pool(monkeypatch, sizes)
         cert = self.make_cert(docs, tmp_path)
         cases = [(8, 64, 3, 3), (8, 2, 3, 2), (2, 64, 3, 2),
                  (None, 64, 3, None), (8, 64, 1, None), (8, 0, 3, None)]
@@ -359,6 +375,54 @@ class TestVerify:
             assert run("verify", *[cert] * count, "--form",
                        docs / "split.qf", "--jobs", jobs) == 0
             assert sizes == ([] if expected is None else [expected])
+
+    def test_dead_worker_is_internal_error(self, docs, tmp_path, capsys,
+                                           monkeypatch):
+        from quadcyl import cli
+        sizes = []
+        self.fake_pool(monkeypatch, sizes, dies=(1,))
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        cert = self.make_cert(docs, tmp_path)
+        bad = tmp_path / "broken.cert"
+        bad.write_text("{nope")
+        out = tmp_path / "v.json"
+        capsys.readouterr()
+        assert run("verify", cert, cert, bad, "--form", docs / "split.qf",
+                   "--jobs", 3, "--out", out) == 5
+        assert sizes == [3]
+        results = loads(out.read_text())["results"]
+        assert [r["valid"] for r in results] == [True, False, False]
+        assert results[1]["error"] == "internal error: worker process died"
+        assert results[2]["error"].startswith("not valid JSON")
+        assert capsys.readouterr().err == (
+            "error: %s: internal error: worker process died\n" % cert)
+
+    @pytest.mark.parametrize("ref, target, ends", [
+        ("split.qf", "complement", ("1,1,0,0", "0,3,1,5")),
+        ("hex.pf", "ci", ("1,0,0,0,0,0", "0,0,0,0,1,0")),
+    ], ids=["form", "pencil"])
+    def test_indented_files_still_verify(self, docs, tmp_path, ref, target,
+                                         ends):
+        # files written with the earlier two-space indent carry the same
+        # keys and values, so format version 3 reads them unchanged
+        flag = "--pencil" if ref.endswith(".pf") else "--form"
+        ref_doc, cert = tmp_path / ref, tmp_path / "c.cert"
+        ref_doc.write_bytes((docs / ref).read_bytes())
+        assert run("connect", target, flag, ref_doc, "--from", ends[0],
+                   "--to", ends[1], "--seed", 3, "--out", cert) == 0
+        compact = cert.read_text()
+        report = tmp_path / "v.json"
+        assert run("verify", cert, flag, ref_doc, "--out", report) == 0
+        compact_report = report.read_bytes()
+        for doc in (ref_doc, cert):
+            doc.write_text(json.dumps(loads(doc.read_text()), sort_keys=True,
+                                      indent=2) + "\n")
+        assert cert.read_text() != compact
+        assert run("verify", cert, flag, ref_doc, "--out", report) == 0
+        assert report.read_bytes() == compact_report
+        back = certificate_from_obj(loads(cert.read_text()))
+        to_obj = xpath_to_obj if target == "ci" else path_to_obj
+        assert dumps(to_obj(back)) == compact
 
     def test_needs_exactly_one_reference(self, docs, tmp_path):
         cert = self.make_cert(docs, tmp_path)

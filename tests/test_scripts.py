@@ -37,6 +37,7 @@ def test_output_digest_lines():
     assert [line.split()[0] for line in lines] == ["0", "1", "2"]
     for line in lines:
         assert " connect=0 verify=0 sha256=" in line
+        assert " content=" in line and " content=- " not in line
         assert " radicands=" in line and " radicands=- " not in line
         assert '"valid": true' in line and "file" not in line
         assert line.endswith(" wrong=1")
@@ -48,23 +49,37 @@ def test_all_names_resolve():
     assert missing == []
 
 
-def test_kernel_bench_l1_rows():
-    done = run_script(["scripts/kernel_bench.py", "--heights", "0",
+@pytest.fixture(scope="module")
+def bench_0_2():
+    """One kernel_bench run at heights 0 and 2, shared by the L1, SQ and
+    L5 row tests."""
+    done = run_script(["scripts/kernel_bench.py", "--heights", "0,2",
                        "--repeat", "1"])
     assert done.returncode == 0, done.stderr
-    rows = [line.split() for line in done.stdout.splitlines()
-            if line.startswith("L1 ") and "height" not in line]
+    return done.stdout
+
+
+def rows_of(stdout, tag):
+    return [line.split() for line in stdout.splitlines()
+            if line.startswith(tag + " ") and "height" not in line]
+
+
+def test_kernel_bench_l1_rows(bench_0_2):
+    rows = rows_of(bench_0_2, "L1")
     assert [(r[1], r[2], r[3]) for r in rows] == [
         (h, n, z) for h in ("0", "4") for n in ("6", "8")
         for z in ("0", "0.5", "0.8")]
     assert all(float(r[4]) > 0 and float(r[5]) > 0 for r in rows)
 
 
-def test_kernel_bench_sqrt_rows():
-    done = run_script(["scripts/kernel_bench.py", "--heights", "0,2",
-                       "--repeat", "1"])
-    assert done.returncode == 0, done.stderr
-    rows = [line.split() for line in done.stdout.splitlines()
-            if line.startswith("SQ ") and "height" not in line]
+def test_kernel_bench_sqrt_rows(bench_0_2):
+    rows = rows_of(bench_0_2, "SQ")
     assert [r[1] for r in rows] == ["2"]
     assert all(float(r[2]) > 0 and float(r[3]) > 0 for r in rows)
+
+
+def test_kernel_bench_l5_rows(bench_0_2):
+    rows = rows_of(bench_0_2, "L5")
+    assert [r[1] for r in rows] == ["0", "2"]
+    assert int(rows[0][2]) < int(rows[1][2])
+    assert all(float(r[3]) > 0 and float(r[4]) > 0 for r in rows)

@@ -1,6 +1,8 @@
 """Document format tests: bit-exact round trips and strict parsing."""
 
+import gc
 import random
+import re
 
 import pytest
 
@@ -54,19 +56,8 @@ class TestScalarDocuments:
 
     def test_form_golden_bytes(self):
         q = quadform_from_terms(2, {(0, 0): 1})
-        expected = (
-            '{\n'
-            '  "kind": "form",\n'
-            '  "matrix": [\n'
-            '    "1/1",\n'
-            '    "0/1",\n'
-            '    "0/1",\n'
-            '    "0/1"\n'
-            '  ],\n'
-            '  "radicands": [],\n'
-            '  "size": 2\n'
-            '}\n'
-        )
+        expected = ('{"kind":"form","matrix":["1/1","0/1","0/1","0/1"],'
+                    '"radicands":[],"size":2}\n')
         assert dumps(form_to_obj(q, Tower.rationals())) == expected
 
     def test_point_round_trip(self):
@@ -79,23 +70,8 @@ class TestScalarDocuments:
     def test_point_golden_bytes_one_radical(self):
         tw = Tower.rationals().extend(as_scalar(2))
         s2 = tw.generator(1)
-        expected = (
-            '{\n'
-            '  "coords": [\n'
-            '    "1/1",\n'
-            '    {\n'
-            '      "a": "1/2",\n'
-            '      "b": "-3/1",\n'
-            '      "level": 1\n'
-            '    }\n'
-            '  ],\n'
-            '  "kind": "point",\n'
-            '  "radicands": [\n'
-            '    "2/1"\n'
-            '  ],\n'
-            '  "size": 2\n'
-            '}\n'
-        )
+        expected = ('{"coords":["1/1",{"a":"1/2","b":"-3/1","level":1}],'
+                    '"kind":"point","radicands":["2/1"],"size":2}\n')
         text = dumps(point_to_obj(pt(2, 1 - 6 * s2), tw))
         assert text == expected
         p2, tw2 = point_from_obj(loads(text))
@@ -333,6 +309,24 @@ class TestIntersectionCertificates:
         rep = verify_on_X(pen, back)
         assert not rep.valid
         assert "bad line" in rep.reason
+
+    def test_written_by_the_c_encoder(self):
+        # json's pure-Python encoder, which any indent selects, leaves
+        # reference cycles of closures behind on every call; the C encoder
+        # leaves none, so an empty collection shows which one ran
+        _, xp = self.sample()
+        obj = xpath_to_obj(xp)
+        gc.collect()
+        gc.disable()
+        try:
+            text = dumps(obj)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        body = text[:-1]
+        assert text.endswith("\n") and not body.endswith("\n")
+        assert not re.search(r"\s", re.sub(r'"(?:[^"\\]|\\.)*"', '""', body))
+        assert dumps(loads(text)) == text
 
     def test_wrapper_fields_present(self):
         _, xp = self.sample()
