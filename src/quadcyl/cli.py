@@ -18,8 +18,6 @@ import os
 import random
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from . import serialize as ser
 from .charts import ctsq_normalize, hyperbolic_normalize
@@ -46,6 +44,20 @@ class SystemExitCode(Exception):
     def __init__(self, code: int, message: str = ""):
         super().__init__(message)
         self.code = code
+
+
+def _failure(exc: Exception):
+    """(exit code, message) for an exception that ended a command; the
+    message is empty when there is nothing to print."""
+    if isinstance(exc, SystemExitCode):
+        return exc.code, str(exc)
+    if isinstance(exc, TowerLimitError):
+        return EXIT_TOWER, str(exc)
+    if isinstance(exc, RetryLimitError):
+        return EXIT_SEARCH, str(exc)
+    if isinstance(exc, (QuadcylError, ValueError)):
+        return EXIT_INPUT, str(exc)
+    return EXIT_INTERNAL, "internal error: %r" % (exc,)
 
 
 def _read_text(path: str) -> str:
@@ -106,9 +118,10 @@ def cmd_normalize(args) -> int:
     if form.rank() < 3:
         raise SystemExitCode(
             EXIT_INPUT, "form has rank %d, need at least 3" % form.rank())
-    if args.point is not None and not args.ctsq:
+    ctsq = args.style == "ctsq"
+    if args.point is not None and not ctsq:
         raise SystemExitCode(EXIT_INPUT, "--point only makes sense with --ctsq")
-    if args.ctsq:
+    if ctsq:
         if args.point is None:
             raise SystemExitCode(EXIT_INPUT, "--ctsq needs --point")
         point, tower = _parse_point(args.point, form.size, tower)
@@ -117,14 +130,14 @@ def cmd_normalize(args) -> int:
         frame, tower = hyperbolic_normalize(form, tower)
     obj = {
         "kind": "frame",
-        "style": "ctsq" if args.ctsq else "hyperbolic",
+        "style": args.style,
         "size": form.size,
         "rank": form.rank(),
         "radicands": tower_to_obj(tower),
         "witness": ser.matrix_to_flat(frame.change.matrix),
         "result": ser.matrix_to_flat(frame.change.pullback(form).matrix),
     }
-    if not args.ctsq:
+    if not ctsq:
         obj["pairs"] = frame.pairs
         obj["has_z"] = frame.has_z
     _emit(args, ser.dumps(obj))
@@ -186,10 +199,8 @@ def _verify_one(ref_kind: str, ref_text: str, cert_text: str, limit: int):
         else:
             form, tower = ser.form_from_obj(ser.loads(ref_text), root)
             report = verify_path(form, ser.path_from_obj(cert_obj, tower))
-    except TowerLimitError as exc:
-        return None, (EXIT_TOWER, str(exc))
     except QuadcylError as exc:
-        return None, (EXIT_INPUT, str(exc))
+        return None, _failure(exc)
     return report.to_obj(), None
 
 
@@ -206,9 +217,14 @@ def cmd_verify(args) -> int:
     # there are certificates and CPUs
     jobs = min(args.jobs, len(payloads), os.cpu_count() or 1)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_verify_one, *p) for p in payloads]
-            outcomes = [_outcome(f) for f in futures]
+        outcomes = _pooled(jobs, payloads)
+        # a dead worker fails every call its pool had not finished, so
+        # each of those runs again alone, in a fresh pool: only the
+        # certificate that kills that pool too is reported
+        for k, payload in enumerate(payloads):
+            if outcomes[k] is None:
+                died = EXIT_INTERNAL, "internal error: worker process died"
+                outcomes[k] = _pooled(1, [payload])[0] or (None, died)
     else:
         outcomes = [_verify_one(*p) for p in payloads]
     results = []
@@ -232,13 +248,31 @@ def cmd_verify(args) -> int:
     return EXIT_VALID if all_valid else EXIT_INVALID
 
 
-def _outcome(future):
-    """A worker's _verify_one result; a dead worker process is reported
-    for the certificates it left unfinished, and the others keep theirs."""
-    try:
-        return future.result()
-    except BrokenProcessPool:
-        return None, (EXIT_INTERNAL, "internal error: worker process died")
+def _pool(workers: int):
+    """A pool of this many worker processes.  The process machinery is
+    imported here, so that a CLI run that needs no pool never loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def _pooled(workers: int, payloads):
+    """_verify_one on each payload in a fresh pool of this many workers:
+    its result, or None where a dead worker broke the pool first."""
+    from concurrent.futures.process import BrokenProcessPool
+    outcomes = [None] * len(payloads)
+    with _pool(workers) as pool:
+        futures = []
+        for payload in payloads:
+            try:
+                futures.append(pool.submit(_verify_one, *payload))
+            except BrokenProcessPool:
+                break
+        for k, future in enumerate(futures):
+            try:
+                outcomes[k] = future.result()
+            except BrokenProcessPool:
+                pass
+    return outcomes
 
 
 def cmd_audit(args) -> int:
@@ -291,8 +325,7 @@ def cmd_eacx_build(args) -> int:
     lambdas = [parse_rational(p.strip()) for p in args.lambdas.split(",")]
     pencil = eacx_build(lambdas)
     report = pencil_smoothness(pencil)
-    _emit(args, ser.dumps(ser.pencil_to_obj(pencil, Tower.rationals(
-        args.tower_limit))))
+    _emit(args, ser.dumps(ser.pencil_to_obj(pencil, Tower.rationals())))
     _note("smooth: %s" % ("true" if report.smooth else "false"))
     return EXIT_VALID
 
@@ -321,15 +354,14 @@ def cmd_find_line(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and then reused; each
     parse starts from the defaults again."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0,
-                        help="seed for every randomized search (default 0)")
-    shared.add_argument("--retry-limit", type=int, default=64,
-                        help="retry budget for randomized searches")
-    shared.add_argument("--tower-limit", type=int, default=16,
-                        help="maximum number of adjoined square roots")
-    shared.add_argument("--out", metavar="FILE",
-                        help="write the result here instead of stdout")
+    shared = {
+        "--seed": dict(type=int, default=0,
+                       help="seed for every randomized search (default 0)"),
+        "--retry-limit": dict(type=int, default=64,
+                              help="retry budget for randomized searches"),
+        "--tower-limit": dict(type=int, default=16,
+                              help="maximum number of adjoined square roots"),
+    }
 
     top = argparse.ArgumentParser(
         prog="quadcyl",
@@ -337,23 +369,32 @@ def _build_parser() -> argparse.ArgumentParser:
                     "quadrics and intersections of two quadrics")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def command(name, summary):
-        p = sub.add_parser(name, parents=[shared], help=summary)
+    def command(name, summary, *options):
+        """A subcommand taking --out and those of the shared options that
+        its handler reads."""
+        p = sub.add_parser(name, help=summary)
         # no option starts with a dash and a digit, so a value such as
         # "-3/2,1,0" after --from is a value, not an unknown flag
         p._negative_number_matcher = re.compile(r"^-\.?\d")
+        for flag in options:
+            p.add_argument(flag, **shared[flag])
+        p.add_argument("--out", metavar="FILE",
+                       help="write the result here instead of stdout")
         return p
 
-    p = command("normalize", "bring a quadratic form to a standard shape")
-    kind = p.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--hyperbolic", action="store_true",
-                      help="split into hyperbolic pairs")
-    kind.add_argument("--ctsq", action="store_true",
-                      help="adapt coordinates to a point of the quadric")
+    p = command("normalize", "bring a quadratic form to a standard shape",
+                "--tower-limit")
+    style = p.add_mutually_exclusive_group(required=True)
+    style.add_argument("--hyperbolic", dest="style", action="store_const",
+                       const="hyperbolic", help="split into hyperbolic pairs")
+    style.add_argument("--ctsq", dest="style", action="store_const",
+                       const="ctsq",
+                       help="adapt coordinates to a point of the quadric")
     p.add_argument("--point", help="base point for --ctsq")
     p.add_argument("form", help="form document")
 
-    p = command("connect", "produce a move certificate between two points")
+    p = command("connect", "produce a move certificate between two points",
+                "--seed", "--retry-limit", "--tower-limit")
     p.add_argument("target", choices=("complement", "quadric", "ci"),
                    help="which space the points live in")
     p.add_argument("--form", help="form document (complement/quadric)")
@@ -365,14 +406,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_point", required=True,
                    help='end point: "1,2,3" or @file')
 
-    p = command("verify", "replay certificates independently")
+    p = command("verify", "replay certificates independently",
+                "--tower-limit")
     p.add_argument("certificate", nargs="+", help="certificate documents")
     p.add_argument("--form", help="the ambient form document")
     p.add_argument("--pencil", help="the ambient pencil document")
     p.add_argument("--jobs", type=int, default=1,
                    help="verify this many certificates in parallel")
 
-    p = command("audit", "check a line chart: rank, degrees, round trips")
+    p = command("audit", "check a line chart: rank, degrees, round trips",
+                "--seed", "--tower-limit")
     p.add_argument("--pencil", required=True, help="pencil document")
     p.add_argument("--line", required=True, help="line document")
     p.add_argument("--samples", type=int, default=25,
@@ -382,7 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", required=True,
                    help='comma-separated values, e.g. "0,1,2,3,4,5"')
 
-    p = command("find-line", "find a line inside the intersection")
+    p = command("find-line", "find a line inside the intersection",
+                "--seed", "--retry-limit", "--tower-limit")
     p.add_argument("--pencil", required=True, help="pencil document")
     p.add_argument("--point", help="require the line to pass through here")
 
@@ -395,22 +439,11 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except SystemExitCode as exc:
-        if str(exc):
-            print("error: %s" % exc, file=sys.stderr)
-        return exc.code
-    except TowerLimitError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_TOWER
-    except RetryLimitError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_SEARCH
-    except (QuadcylError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
     except Exception as exc:
-        print("error: internal error: %r" % (exc,), file=sys.stderr)
-        return EXIT_INTERNAL
+        code, message = _failure(exc)
+        if message:
+            print("error: %s" % message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import (
     DuplicateLambdaError,
@@ -791,14 +791,7 @@ class AuditReport:
     passed: bool
 
     def to_obj(self):
-        return {
-            "hyperplane_degree": self.hyperplane_degree,
-            "cylinder_degree": self.cylinder_degree,
-            "total_degree": self.total_degree,
-            "hyperplane_nonzero": self.hyperplane_nonzero,
-            "quadric_vanishes_on_line": self.quadric_vanishes_on_line,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def polar_degree_audit(chart: LineChart, tower=None) -> AuditReport:

@@ -1,5 +1,6 @@
 """End-to-end command line tests: exit codes and byte-exact outputs."""
 
+import ast
 import hashlib
 import json
 
@@ -330,11 +331,12 @@ class TestVerify:
         assert one.read_bytes() == two.read_bytes()
 
     @staticmethod
-    def fake_pool(monkeypatch, sizes, dies=()):
+    def fake_pool(monkeypatch, sizes, deadly=()):
         """Install a stand-in pool that records its size and runs each
         submitted call at once, so no process is started whatever --jobs
-        asks for; the calls numbered in dies fail as if their worker
-        process had died."""
+        asks for.  A call on a certificate text in deadly breaks the pool
+        as a dead worker would: that call fails, and so does every later
+        submission to the same pool."""
         from concurrent.futures import Future
         from concurrent.futures.process import BrokenProcessPool
         from quadcyl import cli
@@ -342,7 +344,7 @@ class TestVerify:
         class FakePool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
-                self.calls = 0
+                self.broken = False
 
             def __enter__(self):
                 return self
@@ -351,15 +353,17 @@ class TestVerify:
                 return False
 
             def submit(self, fn, *args):
+                if self.broken:
+                    raise BrokenProcessPool("pool is broken")
                 future = Future()
-                if self.calls in dies:
+                if args[2] in deadly:
+                    self.broken = True
                     future.set_exception(BrokenProcessPool("killed"))
                 else:
                     future.set_result(fn(*args))
-                self.calls += 1
                 return future
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli, "_pool", FakePool)
 
     def test_pool_capped_by_certificates_and_cpus(self, docs, tmp_path,
                                                   monkeypatch):
@@ -378,24 +382,42 @@ class TestVerify:
 
     def test_dead_worker_is_internal_error(self, docs, tmp_path, capsys,
                                            monkeypatch):
+        # the certificates behind the one that kills its worker lose their
+        # results with the pool; each runs again alone in a fresh pool,
+        # and only the killer breaks that one too.  Its text is valid JSON
+        # of no certificate, so a rerun in this process would exit 2
         from quadcyl import cli
         sizes = []
-        self.fake_pool(monkeypatch, sizes, dies=(1,))
+        self.fake_pool(monkeypatch, sizes, deadly={"{}"})
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
         cert = self.make_cert(docs, tmp_path)
-        bad = tmp_path / "broken.cert"
+        killer, bad = tmp_path / "killer.cert", tmp_path / "broken.cert"
+        killer.write_text("{}")
         bad.write_text("{nope")
         out = tmp_path / "v.json"
         capsys.readouterr()
-        assert run("verify", cert, cert, bad, "--form", docs / "split.qf",
-                   "--jobs", 3, "--out", out) == 5
-        assert sizes == [3]
+        assert run("verify", cert, killer, cert, bad, "--form",
+                   docs / "split.qf", "--jobs", 3, "--out", out) == 5
+        assert sizes == [3, 1, 1, 1]
         results = loads(out.read_text())["results"]
-        assert [r["valid"] for r in results] == [True, False, False]
+        assert [r["valid"] for r in results] == [True, False, True, False]
         assert results[1]["error"] == "internal error: worker process died"
-        assert results[2]["error"].startswith("not valid JSON")
+        assert results[3]["error"].startswith("not valid JSON")
         assert capsys.readouterr().err == (
-            "error: %s: internal error: worker process died\n" % cert)
+            "error: %s: internal error: worker process died\n" % killer)
+
+    def test_cli_import_loads_no_process_pool(self):
+        import os
+        import subprocess
+        import sys
+        import quadcyl
+        src = os.path.dirname(os.path.dirname(quadcyl.__file__))
+        code = ("import sys, quadcyl.cli; print(sorted(m for m in sys.modules"
+                " if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout == "[]\n"
 
     @pytest.mark.parametrize("ref, target, ends", [
         ("split.qf", "complement", ("1,1,0,0", "0,3,1,5")),
@@ -559,14 +581,83 @@ class TestRepeatedMain:
         assert run("connect", "ci", "--pencil", "p.pf",
                    "--from", "1,0", "--to", "0,1") == 0
         assert run("verify", "c.cert", "--form", "f.qf", "--jobs", 3,
-                   "--seed", 7) == 0
+                   "--tower-limit", 7) == 0
         assert run("verify", "c.cert", "--form", "f.qf") == 0
         first, second, third, fourth = seen
         assert first.line == ["A"] and first.seed == 5
         assert second.line is None and second.seed == 0
-        assert third.jobs == 3 and third.seed == 7
-        assert fourth.jobs == 1 and fourth.seed == 0
+        assert third.jobs == 3 and third.tower_limit == 7
+        assert fourth.jobs == 1 and fourth.tower_limit == 16
         assert cli._build_parser() is cli._build_parser()
+
+
+def args_read(tree):
+    """{function name: the attributes of its args parameter that it
+    reads}, for the module-level functions of the tree, counting those
+    read by a module function it hands args to."""
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+    def reads(name, seen):
+        out = set()
+        for node in ast.walk(funcs[name]):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                out.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in funcs and node.func.id not in seen
+                  and any(isinstance(a, ast.Name) and a.id == "args"
+                          for a in node.args)):
+                out |= reads(node.func.id, seen | {node.func.id})
+        return out
+    return {name: reads(name, {name}) for name in funcs}
+
+
+class TestOptionContract:
+    """Each subcommand declares exactly the options its handler reads."""
+
+    def test_declared_options_are_the_ones_read(self):
+        import argparse
+        import inspect
+        import quadcyl.cli as cli
+        read = args_read(ast.parse(inspect.getsource(cli)))
+        top = cli._build_parser()
+        [sub] = [a for a in top._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == sorted(
+            name[len("cmd_"):].replace("_", "-")
+            for name in read if name.startswith("cmd_"))
+        for name, parser in sub.choices.items():
+            declared = {a.dest for a in parser._actions if a.dest != "help"}
+            handler = read["cmd_" + name.replace("-", "_")]
+            assert declared == handler, name
+
+    def test_contract_check_follows_args_into_helpers(self):
+        tree = ast.parse("def cmd_a(args):\n    helper(args, 1)\n"
+                         "    return args.x\n"
+                         "def helper(args, n):\n    return args.out\n"
+                         "def cmd_b(args):\n    return other(args.y)\n"
+                         "def other(v):\n    return v.z\n")
+        read = args_read(tree)
+        assert read["cmd_a"] == {"x", "out"} and read["cmd_b"] == {"y"}
+
+    @pytest.mark.parametrize("argv, option", [
+        (("normalize", "--hyperbolic", "f.qf"), "--seed"),
+        (("normalize", "--hyperbolic", "f.qf"), "--retry-limit"),
+        (("verify", "c.cert", "--form", "f.qf"), "--seed"),
+        (("verify", "c.cert", "--form", "f.qf"), "--retry-limit"),
+        (("audit", "--pencil", "p.pf", "--line", "l.lf"), "--retry-limit"),
+        (("eacx-build", "--lambdas", "0,1,2,3,4,5"), "--seed"),
+        (("eacx-build", "--lambdas", "0,1,2,3,4,5"), "--retry-limit"),
+        (("eacx-build", "--lambdas", "0,1,2,3,4,5"), "--tower-limit"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_unread_option_is_refused(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s 1" % option \
+            in capsys.readouterr().err
 
 
 class TestRationalHotPath:
@@ -600,7 +691,6 @@ class TestRationalHotPath:
         assert built == []
 
     def test_tower_imports_no_gmpy2(self):
-        import ast
         import inspect
         import quadcyl.tower
         tree = ast.parse(inspect.getsource(quadcyl.tower))

@@ -12,7 +12,8 @@ read such as `mod.name`), in `scripts/` or `bench/`, or in
 Every non-dunder method and every attribute a method sets on `self`, of
 a class in `src/quadcyl/*.py`, must be read as an attribute outside the
 tests: in the package, in `scripts/` or `bench/`, or in the frozen
-`tests/test_acceptance.py`.  Dataclass fields are exempt: `asdict` and
+`tests/test_acceptance.py`.  A read through `self` counts only for the
+class it is written in.  Dataclass fields are exempt: `asdict` and
 `to_obj` read them.
 """
 
@@ -186,15 +187,33 @@ def class_members(cls):
     return list(out)
 
 
+def attribute_reads(tree, reads, owner=None):
+    """Add to the {owner: names} dict reads the attributes read in the
+    tree.  A read of self.name inside a class belongs to that class, and
+    any other read to the owner None.  The package subclasses none of its
+    own classes, so no read is passed on to a base class."""
+    if isinstance(tree, ast.ClassDef):
+        owner = tree.name
+    elif isinstance(tree, ast.Attribute) and isinstance(tree.ctx, ast.Load):
+        by_self = isinstance(tree.value, ast.Name) and tree.value.id == "self"
+        reads.setdefault(owner if by_self else None, set()).add(tree.attr)
+    for child in ast.iter_child_nodes(tree):
+        attribute_reads(child, reads, owner)
+
+
 def unread_members(modules, readers):
     """(module, "Class.member") of each class member of the {module: tree}
-    dict that no tree in readers reads as an attribute."""
-    read = {n.attr for tree in readers for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    dict that no tree in readers reads as an attribute, either through
+    self in that class or through anything else."""
+    reads = {}
+    for tree in readers:
+        attribute_reads(tree, reads)
+    anyone = reads.get(None, set())
     return [(mod, "%s.%s" % (cls.name, name))
             for mod, tree in modules.items()
             for cls in tree.body if isinstance(cls, ast.ClassDef)
-            for name in class_members(cls) if name not in read]
+            for name in class_members(cls)
+            if name not in anyone and name not in reads.get(cls.name, ())]
 
 
 def test_no_class_member_read_only_by_tests():
@@ -224,3 +243,17 @@ def test_check_catches_a_member_read_only_by_tests():
     readers = list(modules.values()) + [ast.parse("K().used()\n")]
     assert unread_members(modules, readers) == [
         ("a.py", "K.spare"), ("a.py", "K.unused"), ("a.py", "D.helper")]
+
+
+def test_check_gives_self_reads_to_their_own_class():
+    modules = {"a.py": ast.parse(
+        "class J:\n"
+        "    def __init__(self):\n"
+        "        self.size = 1\n"
+        "class K:\n"
+        "    def __init__(self):\n"
+        "        self.size = 2\n"
+        "    def grow(self):\n"
+        "        return self.size + 1\n")}
+    readers = list(modules.values()) + [ast.parse("K().grow()\n")]
+    assert unread_members(modules, readers) == [("a.py", "J.size")]
