@@ -58,7 +58,6 @@ from .projective import (
     vec,
     vec_add,
     vec_scale,
-    zero_vec,
 )
 from .tower import (
     ONE,
@@ -134,30 +133,6 @@ def _poly_deriv(p):
     return [as_scalar(i) * c for i, c in enumerate(p)][1:]
 
 
-def _poly_mod(a, b):
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        f = a[-1] / lead
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] = a[shift + i] - f * c
-        a = _poly_trim(a[:-1])
-        if not a:
-            break
-    return a
-
-
-def _poly_gcd(a, b):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_mod(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
 def _interpolate(xs, ys):
     """Newton interpolation; exact coefficients, ascending order."""
     n = len(xs)
@@ -218,8 +193,13 @@ def pencil_smoothness(p: Pencil) -> SmoothnessReport:
     degree = len(disc) - 1 if disc else -1
     squarefree = False
     if not identically_zero and degree >= n - 1:
-        g = _poly_gcd(disc, _poly_deriv(disc))
-        squarefree = len(g) == 1
+        # squarefree iff the resultant of disc and disc', the determinant
+        # of their Sylvester matrix, is nonzero
+        size = 2 * degree - 1
+        rows = [(ZERO,) * i + tuple(f) + (ZERO,) * (size - i - len(f))
+                for f, k in ((disc, degree - 1), (_poly_deriv(disc), degree))
+                for i in range(k)]
+        squarefree = not det(rows).is_zero()
     smooth = squarefree and not forms_proportional and not identically_zero
     return SmoothnessReport(smooth, squarefree, forms_proportional,
                             identically_zero, degree, n, list(disc))
@@ -498,13 +478,10 @@ def find_line_through(pencil: Pencil, p, rng=None, tower=None,
     bq = QuadForm([[pencil.beta.bilinear(a, b) for b in reps] for a in reps])
     gq = QuadForm([[pencil.gamma.bilinear(a, b) for b in reps] for a in reps])
 
+    cols = transpose(reps)
+
     def lift(cand):
-        cand = cand.coords if isinstance(cand, ProjPoint) else cand
-        x = zero_vec(pencil.size)
-        for c, rep in zip(cand, reps):
-            if not c.is_zero():
-                x = vec_add(x, vec_scale(rep, c))
-        return x
+        return mat_vec(cols, cand.coords if isinstance(cand, ProjPoint) else cand)
 
     beta_zero = all(c.is_zero() for row in bq.matrix for c in row)
     gamma_zero = all(c.is_zero() for row in gq.matrix for c in row)

@@ -26,7 +26,7 @@ from .errors import (
     TowerError,
     TowerLimitError,
 )
-from .tower import ONE, ZERO, Tower, as_scalar, sqrt_if_present
+from .tower import ONE, ZERO, Tower, as_scalar, sqrt_if_present, try_sqrt
 
 Vec = tuple
 Mat = tuple
@@ -41,10 +41,6 @@ def mat(rows) -> Mat:
     if m and any(len(r) != len(m[0]) for r in m):
         raise TowerError("ragged matrix")
     return m
-
-
-def zero_vec(n) -> Vec:
-    return (ZERO,) * n
 
 
 def unit_vec(n, i) -> Vec:
@@ -172,10 +168,7 @@ def rref(m):
 
 
 def rank_of(m) -> int:
-    if not m:
-        return 0
-    rows = [list(r) for r in m]
-    return len(_eliminate(rows))
+    return len(rref(m)[1])
 
 
 def nullspace(m) -> tuple:
@@ -251,25 +244,20 @@ class ProjPoint:
     is 1.
     """
 
-    __slots__ = ("coords", "_canon")
+    __slots__ = ("coords",)
 
     def __init__(self, coords):
         cs = vec(coords)
         if is_zero_vec(cs):
             raise TowerError("projective point needs a nonzero coordinate")
         self.coords = cs
-        self._canon = None
 
     def canonical_coords(self) -> Vec:
-        if self._canon is None:
-            i = next(j for j, c in enumerate(self.coords) if not c.is_zero())
-            lead = self.coords[i]
-            if lead == 1:
-                self._canon = self.coords
-            else:
-                inv = 1 / lead
-                self._canon = tuple(c * inv for c in self.coords)
-        return self._canon
+        lead = next(c for c in self.coords if not c.is_zero())
+        if lead == 1:
+            return self.coords
+        inv = 1 / lead
+        return tuple(c * inv for c in self.coords)
 
     def __len__(self):
         return len(self.coords)
@@ -520,15 +508,15 @@ def roots_on_line(form: QuadForm, z, w, tower, extend=True):
             out.append(vec_add(vec_scale(wc, fz), vec_scale(zc, -2 * fzw)))
         return out, tower
     disc = fzw * fzw - fz * fw
-    root = sqrt_if_present(tower, disc)
-    if root is None:
-        if not extend:
-            return [], tower
+    if extend:
         try:
-            tower = tower.extend(disc)
+            root, tower = try_sqrt(tower, disc)
         except TowerLimitError:
             return [], tower
-        root = tower.generator(tower.height)
+    else:
+        root = sqrt_if_present(tower, disc)
+        if root is None:
+            return [], tower
     inv = 1 / fz
     out = []
     for r in (root, -root):

@@ -55,8 +55,9 @@ DEFAULT_TOWER_LIMIT = 16
 
 class Tower:
     """A chain of quadratic extensions of Q, identified by its radicands.
-    scales[j] is E_j and rads[j] the integral radicand d'_j (index 0 is a
-    placeholder for Q)."""
+    ancestors[j] is the tower of floor j < height, so no tower refers to
+    itself; scales[j] is E_j and rads[j] the integral radicand d'_j (index
+    0 is a placeholder for Q)."""
 
     __slots__ = ("radicand", "height", "limit", "ancestors", "scales", "rads")
 
@@ -65,29 +66,46 @@ class Tower:
             self.radicand = None
             self.height = 0
             self.limit = limit
-            self.ancestors = (self,)
+            self.ancestors = ()
             self.scales = (1,)
             self.rads = (None,)
         else:
             self.radicand = _radicand
             self.height = _parent.height + 1
             self.limit = _parent.limit
-            self.ancestors = _parent.ancestors + (self,)
-            t, e = _parts(_radicand)
+            self.ancestors = _parent.ancestors + (_parent,)
+            e = _radicand.den
             self.scales = _parent.scales + (e,)
-            self.rads = _parent.rads + (_tscale(t, e),)
+            self.rads = _parent.rads + (_tscale(_radicand.tree, e),)
 
     @classmethod
     def rationals(cls, limit: int = DEFAULT_TOWER_LIMIT) -> "Tower":
         return cls(limit=limit)
 
+    def floor(self, level: int) -> "Tower":
+        """The tower of floor level <= height: this tower at its own
+        height, else its ancestor there."""
+        return self if level == self.height else self.ancestors[level]
+
     def extend(self, radicand) -> "Tower":
         """Adjoin sqrt(radicand).  The radicand must be a nonzero value of
-        this tower (level <= height)."""
-        d = as_scalar(radicand)
+        this tower (level <= height) that has no square root in it as far
+        as sqrt_if_present sees: a rational square, or a rational-square
+        multiple of an adjoined radicand, is refused."""
+        tw = self._adjoin(as_scalar(radicand))
+        if sqrt_if_present(self, tw.radicand) is not None:
+            raise TowerError("radicand already has a square root in this tower")
+        return tw
+
+    def _adjoin(self, d) -> "Tower":
+        """extend without the square test, for callers that just made it."""
         if d.is_zero():
             raise TowerError("cannot adjoin the square root of zero")
-        if d.level > self.height or (d.level > 0 and not _chain_compatible(self, d.tower)):
+        try:
+            inside = not d.level or deeper_tower(self, d.tower) is self
+        except TowerError:
+            inside = False
+        if not inside:
             raise TowerError("radicand does not live in this tower")
         if self.height + 1 > self.limit:
             raise TowerLimitError(
@@ -96,13 +114,13 @@ class Tower:
 
     def radicands(self) -> tuple:
         """The adjoined radicands, in adjunction order."""
-        return tuple(t.radicand for t in self.ancestors[1:])
+        return tuple(self.floor(k).radicand for k in range(1, self.height + 1))
 
     def generator(self, level: int):
         """sqrt(d_level) as a scalar of this tower (level is 1-based)."""
         if not 1 <= level <= self.height:
             raise TowerError("no generator at level %d" % level)
-        return _node(self.ancestors[level], (level, 0, 1), self.scales[level])
+        return _node(self.floor(level), (level, 0, 1), self.scales[level])
 
     def __repr__(self):
         return "Tower(height=%d, limit=%d)" % (self.height, self.limit)
@@ -252,8 +270,8 @@ def _node(tower, t, den):
     return s
 
 
-_ZERO = _rational(0, 1)
-_ONE = _rational(1, 1)
+ZERO = _rational(0, 1)
+ONE = _rational(1, 1)
 
 
 def _coerce(x):
@@ -369,19 +387,11 @@ def _same_chain(t1: Tower, t2: Tower) -> bool:
         return True
     if t1.height != t2.height:
         return False
-    for u, v in zip(t1.ancestors[1:], t2.ancestors[1:]):
-        if u is v:
-            continue
-        if not _eq(u.radicand, v.radicand):
+    for k in range(1, t1.height + 1):
+        u, v = t1.floor(k), t2.floor(k)
+        if u is not v and not _eq(u.radicand, v.radicand):
             return False
     return True
-
-
-def _chain_compatible(t_high: Tower, t_low: Tower) -> bool:
-    """Is t_low (structurally) a prefix of t_high?"""
-    if t_low.height > t_high.height:
-        return False
-    return _same_chain(t_high.ancestors[t_low.height], t_low)
 
 
 def _eq(x, y) -> bool:
@@ -400,10 +410,7 @@ def _meet(x, y):
         hi, lo = y, x
     if lo.level == 0 or hi.tower is lo.tower:
         return hi.tower
-    anc = hi.tower.ancestors[lo.level]
-    if anc is lo.tower or _same_chain(anc, lo.tower):
-        return hi.tower
-    raise TowerError("scalars belong to unrelated towers")
+    return deeper_tower(hi.tower, lo.tower)
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +519,7 @@ def _make(tower, t, num, den):
     if g != 1 or num != 1:
         t = _rescale(t, num, g)
         den //= g
-    return _node(tower.ancestors[t[0]], t, den)
-
-
-def _parts(x):
-    """(tree, den) of a scalar, rationals included."""
-    return x.tree, x.den
+    return _node(tower.floor(t[0]), t, den)
 
 
 def _add(x, y):
@@ -542,7 +544,7 @@ def _add(x, y):
     g = gcd(dx, dy)
     t = _tadd(_tscale(tx, dy // g), _tscale(ty, dx // g))
     if t.__class__ is int and not t:
-        return _ZERO
+        return ZERO
     return _make(tw, t, 1, dx // g * dy)
 
 
@@ -570,20 +572,20 @@ def _mul(x, y):
                 dx //= g
             return _rational(tx * ty, dx * dy)
         if not tx:
-            return _ZERO
+            return ZERO
         if tx == dx == 1:
             return y
         return _make(y.tower, ty, tx, dy * dx)
     if y.level == 0:
         if not ty:
-            return _ZERO
+            return ZERO
         if ty == dy == 1:
             return x
         return _make(x.tower, tx, ty, dx * dy)
     tw = _meet(x, y)
     t = _tmul(tx, ty, tw.rads)
     if t.__class__ is int and not t:
-        return _ZERO
+        return ZERO
     return _make(tw, t, 1, dx * dy)
 
 
@@ -621,12 +623,8 @@ def _div(x, y):
     s, m = _inv_tree(y.tree, tw.rads)
     t = _tmul(x.tree, s, tw.rads)
     if t.__class__ is int and not t:
-        return _ZERO
+        return ZERO
     return _make(tw, t, y.den, x.den * m)
-
-
-ZERO = _ZERO
-ONE = _ONE
 
 
 def _sqrt_rational(x):
@@ -669,13 +667,13 @@ def sqrt_if_present(tower: Tower, value) -> TowerScalar | None:
     """
     v = as_scalar(value)
     if not v.tree:
-        return _ZERO
+        return ZERO
     if v.level == 0 and v.tree > 0:
         r = _sqrt_rational(v)
         if r is not None:
             return r
     for i in range(1, tower.height + 1):
-        d = tower.ancestors[i].radicand
+        d = tower.floor(i).radicand
         if d.level:
             _meet(v, d)
         if d.level != v.level:
@@ -694,14 +692,14 @@ def try_sqrt(tower: Tower, value):
     s = sqrt_if_present(tower, v)
     if s is not None:
         return s, tower
-    t2 = tower.extend(v)
+    t2 = tower._adjoin(v)
     return t2.generator(t2.height), t2
 
 
 def deeper_tower(t1: Tower, t2: Tower) -> Tower:
     """The deeper of two towers on one chain (t1 on a tie)."""
     high, low = (t1, t2) if t1.height >= t2.height else (t2, t1)
-    if not _chain_compatible(high, low):
+    if not _same_chain(high.floor(low.height), low):
         raise TowerError("scalars belong to unrelated towers")
     return high
 
@@ -766,13 +764,12 @@ def scalar_from_obj(obj, tower: Tower, top=None) -> TowerScalar:
         raise InputFormatError(
             "scalar level %d is outside 1..%d: above the tower, or not "
             "below its parent node" % (level, top))
-    ta, da = _parts(scalar_from_obj(obj["a"], tower, level - 1))
+    a = scalar_from_obj(obj["a"], tower, level - 1)
     b = scalar_from_obj(obj["b"], tower, level - 1)
     if b.is_zero():
         raise InputFormatError("non-canonical scalar: zero radical part")
     # a + b*sqrt(d_j) = a + (b/E_j)*sqrt(d'_j), over one denominator
-    tb, db = _parts(b)
-    db *= tower.scales[level]
+    ta, da, tb, db = a.tree, a.den, b.tree, b.den * tower.scales[level]
     g = gcd(da, db)
     return _make(tower, (level, _tscale(ta, db // g), _tscale(tb, da // g)),
                  1, da // g * db)
@@ -790,8 +787,8 @@ def tower_from_obj(objs, base: Tower | None = None) -> Tower:
     if len(objs) < tw.height:
         raise InputFormatError("radicand list shorter than the base tower")
     for i in range(1, tw.height + 1):
-        d = scalar_from_obj(objs[i - 1], tw.ancestors[i - 1])
-        if not _eq(d, tw.ancestors[i].radicand):
+        d = scalar_from_obj(objs[i - 1], tw.floor(i - 1))
+        if not _eq(d, tw.floor(i).radicand):
             raise InputFormatError(
                 "radicand %d does not match the base tower" % i)
     for obj in objs[tw.height:]:

@@ -224,7 +224,54 @@ class TestPointLength:
         assert not (tmp_path / "out.json").exists()
 
 
+# A one-step `connect complement` certificate on hyperbolic_target(4, 2,
+# False) over the radicand header ["4/1"], from (1 : s-2 : 0 : 0) to
+# (1 : s-3 : 1 : 1) with s = sqrt(4).  It replays as valid over a tower
+# that adjoins sqrt(4), yet with s = 2 its start point (1:0:0:0) lies on
+# the quadric.  Tower.extend refuses that radicand, so the library can no
+# longer build this text; it is frozen here.
+SQRT4_CERT = (
+    '{"form":["0/1","1/2","0/1","0/1","1/2","0/1","0/1","0/1",'
+    '"0/1","0/1","0/1","1/2","0/1","0/1","1/2","0/1"],'
+    '"from":["1/1",{"a":"-2/1","b":"1/1","level":1},"0/1","0/1"],'
+    '"kind":"certificate","problem":"complement",'
+    '"radicands":["4/1"],"size":4,"steps":[{"chart":{"dep":1,'
+    '"dist":0,"matrix":["1/1","0/1","0/1","0/1","0/1","1/1","0/1",'
+    '"0/1","0/1","0/1","1/1","0/1","0/1","0/1","0/1","1/1"]},'
+    '"entry":["1/1",{"a":"-2/1","b":"1/1","level":1},"0/1","0/1"],'
+    '"exit":["1/1",{"a":"-3/1","b":"1/1","level":1},"1/1","1/1"],'
+    '"target":["1/1","1/1"]}],"to":["1/1",{"a":"-3/1","b":"1/1",'
+    '"level":1},"1/1","1/1"],"version":3}'
+)
+
+
 class TestVerify:
+
+    def test_radicand_with_a_root_is_refused(self, tmp_path, capsys):
+        from quadcyl.charts import hyperbolic_target
+        form = tmp_path / "q.qf"
+        form.write_text(dumps(form_to_obj(hyperbolic_target(4, 2, False),
+                                          Tower.rationals())))
+        cert = tmp_path / "sqrt4.cert"
+        cert.write_text(SQRT4_CERT + "\n")
+        assert loads(SQRT4_CERT)["radicands"] == ["4/1"]
+        assert run("verify", cert, "--form", form,
+                   "--out", tmp_path / "v.json") == 2
+        assert "already has a square root" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [["1/4"], ["2/1", "2/1"],
+                                        ["2/1", "8/1"]])
+    def test_point_header_with_a_root_is_refused(self, docs, tmp_path,
+                                                 capsys, header):
+        pt = tmp_path / "p.pt"
+        pt.write_text(dumps({"coords": ["1/1", "1/1", "0/1", "0/1"],
+                             "kind": "point", "radicands": header,
+                             "size": 4}))
+        assert run("connect", "complement", "--form", docs / "split.qf",
+                   "--from", "@%s" % pt, "--to", "0,3,1,5",
+                   "--out", tmp_path / "c.cert") == 2
+        assert "already has a square root" in capsys.readouterr().err
+        assert not (tmp_path / "c.cert").exists()
 
     def make_cert(self, docs, tmp_path):
         cert = tmp_path / "c.cert"

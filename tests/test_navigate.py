@@ -177,7 +177,7 @@ class TestConnectComplement:
         p, r = proj([1, 2, 3]), proj([2, -1, 5])
         deeper = tw.extend(scalar(2))
         path = connect_complement(q, p, r, tower=deeper, bundle=bundle)
-        assert path.tower.ancestors[deeper.height] is deeper
+        assert path.tower.floor(deeper.height) is deeper
         assert verify_path(q, path).valid
         other = Tower.rationals().extend(scalar(3))
         with pytest.raises(TowerError):

@@ -30,7 +30,6 @@ from quadcyl.pencils import (
     _interpolate,
     _is_diagonal,
     _poly_deriv,
-    _poly_gcd,
     chart_from_line,
     connect_on_X,
     eacx_build,
@@ -286,10 +285,50 @@ class TestDiscriminant:
         got = _interpolate(xs, ys)
         assert got == [scalar(5), scalar(-2), scalar(0), scalar(1)]
         assert _poly_deriv(got) == [scalar(-2), scalar(0), scalar(3)]
-        # gcd((x-1)(x-2), (x-1)) is monic x-1
-        a = [scalar(2), scalar(-3), scalar(1)]
-        b = [scalar(-1), scalar(1)]
-        assert _poly_gcd(a, b) == [scalar(-1), scalar(1)]
+
+    def test_squarefree_matches_symbolic_oracle(self):
+        # rep.squarefree against sympy's discriminant of det(sB + C), under
+        # the same degree >= n - 1 guard: random pencils, diagonal ones
+        # whose parameters repeat, and congruent copies of those
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+        s = sympy.Symbol("s")
+        ring = sympy.QQ[s]
+        rng = random.Random(31)
+        verdicts = []
+        for k in range(30):
+            n = 6 + k % 3
+            if k % 3 == 0:
+                b = [[0] * n for _ in range(n)]
+                g = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        b[i][j] = b[j][i] = rng.randint(-3, 3)
+                        g[i][j] = g[j][i] = rng.randint(-3, 3)
+            else:
+                mu = [rng.choice((-2, -1, 0, 1, 1, 2, 3)) for _ in range(n)]
+                lam = [m * rng.randint(-4, 4) or rng.randint(1, 3)
+                       for m in mu]
+                b = [[mu[i] if i == j else 0 for j in range(n)]
+                     for i in range(n)]
+                g = [[lam[i] if i == j else 0 for j in range(n)]
+                     for i in range(n)]
+                if k % 3 == 2:
+                    pm = sympy.Matrix(n, n, lambda i, j: rng.randint(-1, 1)
+                                      if i != j else 1)
+                    b = (pm.T * sympy.Matrix(b) * pm).tolist()
+                    g = (pm.T * sympy.Matrix(g) * pm).tolist()
+            b = [[int(c) for c in row] for row in b]
+            g = [[int(c) for c in row] for row in g]
+            rep = pencil_smoothness(Pencil(QuadForm(b), QuadForm(g)))
+            pm = DomainMatrix.from_Matrix(
+                s * sympy.Matrix(b) + sympy.Matrix(g)).convert_to(ring)
+            poly = sympy.Poly(ring.to_sympy(pm.det()), s)
+            want = (not poly.is_zero and poly.degree() >= n - 1
+                    and sympy.discriminant(poly) != 0)
+            assert rep.squarefree == want, (b, g)
+            verdicts.append(want)
+        assert 8 <= verdicts.count(True) <= 22, verdicts
 
 
 class TestPointSearch:

@@ -43,6 +43,36 @@ def test_output_digest_lines():
         assert line.endswith(" wrong=1")
 
 
+# The output digests of the runs whose reports carry the discriminant
+# test's verdict (the audit's "smoothness", eacx-build's "smooth:" note),
+# as written when the verdict came from a polynomial gcd; the resultant
+# test must leave them as they were.
+TOOL_OUTPUTS = {
+    "eacx-build-0": "44000e52b0bcd670efbaf043c224a2e986d37c03270c481c1b98e39b45c36a82",
+    "eacx-build-1": "4429a4f57972549d51d0be5c94035bac25a57c1f657bacbac6a7afd9c1cc9e67",
+    "eacx-build-2": "b902e4838ea11c66afb66879f697371f3dac534e54e5ab2a958d97d1e914d8af",
+    "eacx-build-3": "-",
+    "audit-hexagonal": "7f748320d4973ea98decf666b5be38f4aa6968d4d99f8be06faf122c62e72010",
+    "audit-eacx": "40dace5eedc4f06ffe059c1e76a9fd56e7ed00e681193b011b976c6ef46542a9",
+}
+
+
+def test_output_digest_tools():
+    done = run_script(["scripts/output_digest.py", "--tools"])
+    assert done.returncode == 0, done.stderr
+    lines = {}
+    for line in done.stdout.splitlines():
+        name, rc, out, err = line.split()
+        assert rc.startswith("exit=") and err.startswith("stderr=")
+        lines[name] = (int(rc[5:]), out[4:])
+    assert sum(name.startswith("normalize-") for name in lines) == 42
+    assert all(lines[name][0] == 0 for name in lines
+               if name.startswith(("normalize-", "find-line-")))
+    # a repeated parameter exits 2; the hexagonal pencil is not smooth
+    assert [lines[name][0] for name in TOOL_OUTPUTS] == [0, 0, 0, 2, 1, 0]
+    assert {name: lines[name][1] for name in TOOL_OUTPUTS} == TOOL_OUTPUTS
+
+
 def test_all_names_resolve():
     missing = [name for name in quadcyl.__all__
                if not hasattr(quadcyl, name)]

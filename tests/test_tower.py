@@ -1,5 +1,6 @@
 """Tower arithmetic: frozen hand-checked values first, then properties."""
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -26,6 +27,11 @@ from quadcyl.tower import (
     tower_to_obj,
     try_sqrt,
 )
+
+
+def parts(x):
+    """(tree, den) of a scalar, rationals included."""
+    return x.tree, x.den
 
 
 def sqrt2_setup():
@@ -134,14 +140,22 @@ class TestTowerStructure:
         assert tw1.generator(1) + tw2.generator(1) == 2 * tw1.generator(1)
 
     def test_zero_divisor_detected(self):
-        # force a redundant generator by hand: adjoin 2, then adjoin 8
-        # directly (bypassing try_sqrt); then sqrt8 - 2*sqrt2 is a nonzero
-        # element of zero norm at the top level
-        _, tw = try_sqrt(Tower.rationals(), 2)
-        tw2 = tw.extend(8)
-        x = tw2.generator(2) - 2 * tw2.generator(1)
+        # adjoin 3 + 2*sqrt2 = (1 + sqrt2)^2, a nested square that the
+        # shallow detection misses; then u - (1 + sqrt2), with u its new
+        # generator, is a nonzero element of zero norm at the top level
+        s, tw = sqrt2_setup()
+        tw2 = tw.extend(3 + 2 * s)
+        x = tw2.generator(2) - (1 + s)
         with pytest.raises(ZeroDivisorError):
             1 / x
+
+    @pytest.mark.parametrize("radicand", [4, Fraction(1, 4), 2, 8,
+                                          Fraction(9, 2)])
+    def test_radicand_with_a_root_refused(self, radicand):
+        # rational squares, and rational-square multiples of sqrt2
+        _, tw = sqrt2_setup()
+        with pytest.raises(TowerError, match="already has a square root"):
+            tw.extend(radicand)
 
     @pytest.mark.xfail(strict=True, reason="square detection is shallow: "
                        "it misses squares that are not rational multiples "
@@ -151,6 +165,27 @@ class TestTowerStructure:
         s, tw = sqrt2_setup()
         root = sqrt_if_present(tw, 3 + 2 * s)
         assert root in (1 + s, -1 - s)
+
+    def test_dropped_towers_are_not_cyclic_garbage(self):
+        # a tower refers to its strict ancestors only, so reference
+        # counting frees a dropped chain and the cycle collector finds none
+        gc.collect()
+        gc.disable()
+        try:
+            s, tw = sqrt2_setup()
+            u, tw = try_sqrt(tw, 3)
+            x = (1 + s + u) * (2 - u) / (3 + s)
+            assert tw.floor(tw.height) is tw and tw.floor(1).height == 1
+            assert tw.radicands() == (2, 3)
+            del s, tw, u, x
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            towers = [o for o in gc.garbage if isinstance(o, Tower)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert towers == []
 
     def test_division_by_zero(self):
         s, _ = sqrt2_setup()
@@ -545,8 +580,8 @@ class TestKernelOracle:
             yield self.nested_tower(min(h, 5), 100 + h)
 
     def check(self, x, y, tw):
-        from quadcyl.tower import _parts, _tmul
-        (tx, dx), (ty, dy) = _parts(x), _parts(y)
+        from quadcyl.tower import _tmul
+        (tx, dx), (ty, dy) = parts(x), parts(y)
         got = _tmul(tx, ty, tw.rads)
         assert got == ref_mul(tx, ty, tw.rads)
         assert x * y == y * x
@@ -676,7 +711,6 @@ class TestRationalOracle:
         return div(t, g), den // g
 
     def test_rational_times_and_into_nodes(self):
-        from quadcyl.tower import _parts
         rng = random.Random(17)
         oracle = TestKernelOracle()
         for tw in oracle.towers():
@@ -686,12 +720,12 @@ class TestRationalOracle:
                              rng.randint(1, 2 ** 70))
                 oracle.check(x, scalar(q), tw)
                 oracle.check(scalar(q), x, tw)
-                tx, dx = _parts(x)
+                tx, dx = parts(x)
                 n, d = q.numerator, q.denominator
-                assert _parts(x * q) == self.canonical(
+                assert parts(x * q) == self.canonical(
                     ref_mul(tx, n, tw.rads), dx * d)
-                assert _parts(q * x) == _parts(x * q)
-                assert _parts(x / q) == self.canonical(
+                assert parts(q * x) == parts(x * q)
+                assert parts(x / q) == self.canonical(
                     ref_mul(tx, d, tw.rads), dx * n)
                 assert (x / q) * q == x
 
