@@ -128,18 +128,12 @@ def cmd_normalize(args) -> int:
         frame = ctsq_normalize(form, point)
     else:
         frame, tower = hyperbolic_normalize(form, tower)
-    obj = {
-        "kind": "frame",
-        "style": args.style,
-        "size": form.size,
-        "rank": form.rank(),
-        "radicands": tower_to_obj(tower),
-        "witness": ser.matrix_to_flat(frame.change.matrix),
-        "result": ser.matrix_to_flat(frame.change.pullback(form).matrix),
-    }
-    if not ctsq:
-        obj["pairs"] = frame.pairs
-        obj["has_z"] = frame.has_z
+    split = {} if ctsq else {"pairs": frame.pairs, "has_z": frame.has_z}
+    obj = ser._envelope(
+        "frame", form.size, tower, style=args.style, rank=form.rank(),
+        witness=ser.matrix_to_flat(frame.change.matrix),
+        result=ser.matrix_to_flat(frame.change.pullback(form).matrix),
+        **split)
     _emit(args, ser.dumps(obj))
     _note(_radicand_note(tower))
     return EXIT_VALID
@@ -187,20 +181,24 @@ def cmd_connect(args) -> int:
 
 
 def _verify_one(ref_kind: str, ref_text: str, cert_text: str, limit: int):
-    """Parse and check one certificate: (report object, None), or (None,
-    (exit code, message)).  Runs in a worker process when --jobs asks for
+    """Parse and check one certificate against the reference document:
+    (report object, None), or (None, (exit code, message, whether the
+    reference is at fault)).  The reference is read first, so a broken one
+    fails every call alike.  Runs in a worker process when --jobs asks for
     it, so everything crosses as plain data."""
-    root = Tower.rationals(limit)
+    parse = ser.pencil_from_obj if ref_kind == "pencil" else ser.form_from_obj
+    try:
+        ref, tower = parse(ser.loads(ref_text), Tower.rationals(limit))
+    except QuadcylError as exc:
+        return None, (*_failure(exc), True)
     try:
         cert_obj = ser.loads(cert_text)
         if ref_kind == "pencil":
-            pencil, tower = ser.pencil_from_obj(ser.loads(ref_text), root)
-            report = verify_on_X(pencil, ser.xpath_from_obj(cert_obj, tower))
+            report = verify_on_X(ref, ser.xpath_from_obj(cert_obj, tower))
         else:
-            form, tower = ser.form_from_obj(ser.loads(ref_text), root)
-            report = verify_path(form, ser.path_from_obj(cert_obj, tower))
+            report = verify_path(ref, ser.path_from_obj(cert_obj, tower))
     except QuadcylError as exc:
-        return None, _failure(exc)
+        return None, (*_failure(exc), False)
     return report.to_obj(), None
 
 
@@ -209,7 +207,8 @@ def cmd_verify(args) -> int:
         raise SystemExitCode(EXIT_INPUT,
                              "verify needs exactly one of --form/--pencil")
     ref_kind = "pencil" if args.pencil else "form"
-    ref_text = _read_text(args.pencil or args.form)
+    ref_path = args.pencil or args.form
+    ref_text = _read_text(ref_path)
     cert_texts = [_read_text(p) for p in args.certificate]
     payloads = [(ref_kind, ref_text, t, args.tower_limit)
                 for t in cert_texts]
@@ -223,7 +222,8 @@ def cmd_verify(args) -> int:
         # certificate that kills that pool too is reported
         for k, payload in enumerate(payloads):
             if outcomes[k] is None:
-                died = EXIT_INTERNAL, "internal error: worker process died"
+                died = (EXIT_INTERNAL, "internal error: worker process died",
+                        False)
                 outcomes[k] = _pooled(1, [payload])[0] or (None, died)
     else:
         outcomes = [_verify_one(*p) for p in payloads]
@@ -232,7 +232,9 @@ def cmd_verify(args) -> int:
     all_valid = True
     for path, (report, err) in zip(args.certificate, outcomes):
         if err is not None:
-            code, message = err
+            code, message, ref_failed = err
+            if ref_failed:
+                raise SystemExitCode(code, "%s: %s" % (ref_path, message))
             # the last unreadable file names the exit code, unless a
             # worker died: that is a defect, so its code stays
             if failure is None or failure[0] != EXIT_INTERNAL:

@@ -7,11 +7,12 @@ verification can replay every move independently: rebuild the chart from
 the descriptor against the ambient form and the problem's domain (on the
 quadric or off it), check the entry is in the chart's domain, move, and
 compare.  Entry and exit are kept as the producer computed them, any
-nonzero representative, and compared projectively, without division;
-the replay itself divides nowhere either (verify_path).  Consecutive
-moves in one chart are recorded as one step.  verify_path never trusts
-producer-side objects and never raises on a bad certificate; it returns
-a report naming the first broken step.
+nonzero representative, and compared projectively, without division.
+The replay (verify_path) only multiplies and adds, except where
+chart_from_descriptor inverts each distinct step matrix by Gauss-Jordan
+elimination.  Consecutive moves in one chart are recorded as one step.
+verify_path never trusts producer-side objects and never raises on a bad
+certificate; it returns a report naming the first broken step.
 
 The complement connector works in the standard cylinders of the form:
 both endpoints are first driven to a canonical point of the first
@@ -209,7 +210,7 @@ def _rescale_axis(bundle: ChartBundle, cp, cq, lam, mu, tower):
     u1, v1 = bundle.u_charts[0], bundle.v_charts[0]
     zpos = 2 * bundle.pairs
     # c^2 = (1 -+ 3 lam/mu) / (9 lam^2) for either sign: a root the tower
-    # already holds, else the minus sign's root, adjoined
+    # already holds, else the minus sign's root, adjoined with no retest
     ratio = 3 * lam / mu
     nine_lam2 = 9 * lam * lam
     minus = (1 - ratio) / nine_lam2
@@ -217,7 +218,8 @@ def _rescale_axis(bundle: ChartBundle, cp, cq, lam, mu, tower):
     if c is None:
         c = sqrt_if_present(tower, (1 + ratio) / nine_lam2)
     if c is None:
-        c, tower = try_sqrt(tower, minus)
+        tower = tower._adjoin(minus)
+        c = tower.generator(tower.height)
     step1 = trail.move(u1, cp, u1.target_from({zpos: 2 * lam}))
     step2 = trail.move(v1, step1, v1.target_from({zpos: c}))
     step3 = trail.move(u1, step2, u1.target_from({zpos: mu}))

@@ -9,16 +9,21 @@ Writers emit canonical compact text (sorted keys) so identical inputs give
 byte-identical files; parsers reject anything that would not round-trip,
 so certificates are auditable by diff (of `python -m json.tool` output).
 
-A certificate (format version 3) is a header {kind, version, problem,
-size, radicands, from, to} plus either {form, steps} or {beta, gamma,
-segments}; a segment is {line: {v1, v2}, steps}, a step is {chart, entry,
-target, exit} and a step chart is {dist, dep, matrix}.  Every one of these
-keys is read and used by the verifier, and the certificate parsers refuse
-any object that has another key or lacks one of them.  Step entries and
-exits are written as computed, any nonzero representative (an exit is
-F u with u_d = 1, which replays without an inverse); from, to and point
-documents are written canonically, first nonzero coordinate 1.  Parsers
-accept any nonzero representative everywhere.
+Every document is the envelope {kind, size, radicands} plus the body of
+its kind: a form adds {matrix}, a point {coords}, a pencil {beta, gamma}
+and a line {v1, v2}.  One writer (_envelope) builds the envelope and one
+reader (_open) checks it.  A parser refuses any object, a whole document
+or one inside a certificate, that lacks one of its keys (radicands
+included) or carries another, so no document keeps a key its reader skips.
+
+A certificate (format version 3) is the envelope plus {version, problem,
+from, to} and either {form, steps} or {beta, gamma, segments}; a segment
+is {line: {v1, v2}, steps}, a step is {chart, entry, target, exit} and a
+step chart is {dist, dep, matrix}.  The verifier uses every one of these
+keys.  Step entries and exits are written as computed, any nonzero
+representative (an exit is F u with u_d = 1, which replays without an
+inverse); from, to and point documents are written canonically, first
+nonzero coordinate 1.  Parsers accept any nonzero representative.
 
 A parser takes an optional base tower (default: Tower.rationals()).  The
 document's radicand list must extend the base's list prefix-exactly, so a
@@ -55,22 +60,8 @@ def loads(text: str):
         raise InputFormatError("document is nested too deeply") from None
 
 
-def _require(obj, key, kind):
-    if not isinstance(obj, dict):
-        raise InputFormatError("%s document must be an object" % kind)
-    if key not in obj:
-        raise InputFormatError("%s document is missing %r" % (kind, key))
-    return obj[key]
-
-
-def _check_kind(obj, kind):
-    got = _require(obj, "kind", kind)
-    if got != kind:
-        raise InputFormatError("expected a %s document, got %r" % (kind, got))
-
-
 def _check_keys(obj, keys, kind):
-    """Refuse an object whose keys are not exactly keys, so a certificate
+    """Refuse an object whose keys are not exactly keys, so a document
     carries no field that the reader skips."""
     if not isinstance(obj, dict):
         raise InputFormatError("%s must be an object" % kind)
@@ -86,18 +77,32 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _size_of(obj, kind) -> int:
-    n = _require(obj, "size", kind)
-    if not _is_int(n) or n < 1:
+_ENVELOPE = frozenset(("kind", "size", "radicands"))
+
+
+def _envelope(kind: str, size: int, tower: Tower, **body) -> dict:
+    """A document of this kind over tower: the envelope, then body."""
+    return {"kind": kind, "size": size, "radicands": tower_to_obj(tower),
+            **body}
+
+
+def _open(obj, kind, keys, base):
+    """(size, tower, read) of a document of this kind whose keys are
+    exactly the envelope's and keys; its radicand list must extend base,
+    and read is its scalar reader."""
+    what = kind + " document"
+    # a missing kind is named by the key check
+    if isinstance(obj, dict) and obj.get("kind", kind) != kind:
+        raise InputFormatError("expected a %s, got %r" % (what, obj["kind"]))
+    _check_keys(obj, _ENVELOPE | keys, what)
+    size = obj["size"]
+    if not _is_int(size) or size < 1:
         raise InputFormatError("%s size must be a positive integer" % kind)
-    return n
-
-
-def _tower_of(obj, kind, base) -> Tower:
-    rads = obj.get("radicands", [])
+    rads = obj["radicands"]
     if not isinstance(rads, list):
         raise InputFormatError("%s radicand header must be a list" % kind)
-    return tower_from_obj(rads, base)
+    tower = tower_from_obj(rads, base)
+    return size, tower, _reader(tower)
 
 
 def _reader(tower):
@@ -124,25 +129,27 @@ def _coords_to_obj(coords) -> list:
     return [scalar_to_obj(c) for c in coords]
 
 
-def _coords_from_obj(objs, read, what):
-    if not isinstance(objs, list) or not objs:
-        raise InputFormatError("%s must be a nonempty list" % what)
-    return vec(read(c) for c in objs)
-
-
 def _point_to_obj(p: ProjPoint) -> list:
     return _coords_to_obj(p.canonical_coords())
 
 
 def _point_from_obj(objs, read, size, what) -> ProjPoint:
-    cs = _coords_from_obj(objs, read, what)
-    if len(cs) != size:
+    if not isinstance(objs, list) or not objs:
+        raise InputFormatError("%s must be a nonempty list" % what)
+    if len(objs) != size:
         raise InputFormatError(
-            "%s has %d coordinates, expected %d" % (what, len(cs), size))
+            "%s has %d coordinates, expected %d" % (what, len(objs), size))
+    cs = vec(read(c) for c in objs)
     try:
         return ProjPoint(cs)
     except TowerError:
         raise InputFormatError("%s is the zero vector" % what) from None
+
+
+def _list_of(items, what) -> list:
+    if not isinstance(items, list):
+        raise InputFormatError("%s must be a list" % what)
+    return items
 
 
 def matrix_to_flat(rows) -> list:
@@ -157,94 +164,78 @@ def _matrix_from_flat(objs, read, size, what):
     return tuple(tuple(cells[i * size:(i + 1) * size]) for i in range(size))
 
 
+def _form_from_flat(objs, read, size, what) -> QuadForm:
+    rows = _matrix_from_flat(objs, read, size, what)
+    try:
+        return QuadForm(rows)
+    except TowerError as exc:
+        raise InputFormatError("bad %s: %s" % (what, exc)) from None
+
+
 # ---------------------------------------------------------------------------
 # forms and points
 
 
 def form_to_obj(form: QuadForm, tower: Tower) -> dict:
-    return {
-        "kind": "form",
-        "size": form.size,
-        "radicands": tower_to_obj(tower),
-        "matrix": matrix_to_flat(form.matrix),
-    }
+    return _envelope("form", form.size, tower,
+                     matrix=matrix_to_flat(form.matrix))
 
 
 def form_from_obj(obj, base: Tower | None = None):
     """Parse a form document into (QuadForm, tower)."""
-    _check_kind(obj, "form")
-    size = _size_of(obj, "form")
-    tower = _tower_of(obj, "form", base)
-    rows = _matrix_from_flat(_require(obj, "matrix", "form"),
-                             _reader(tower), size, "form matrix")
-    try:
-        return QuadForm(rows), tower
-    except TowerError as exc:
-        raise InputFormatError("bad form matrix: %s" % exc) from None
+    size, tower, read = _open(obj, "form", {"matrix"}, base)
+    return _form_from_flat(obj["matrix"], read, size, "form matrix"), tower
 
 
 def point_to_obj(p: ProjPoint, tower: Tower) -> dict:
-    return {
-        "kind": "point",
-        "size": len(p.coords),
-        "radicands": tower_to_obj(tower),
-        "coords": _point_to_obj(p),
-    }
+    return _envelope("point", len(p.coords), tower, coords=_point_to_obj(p))
 
 
 def point_from_obj(obj, base: Tower | None = None):
-    _check_kind(obj, "point")
-    size = _size_of(obj, "point")
-    tower = _tower_of(obj, "point", base)
-    pt = _point_from_obj(_require(obj, "coords", "point"),
-                         _reader(tower), size, "point")
-    return pt, tower
+    size, tower, read = _open(obj, "point", {"coords"}, base)
+    return _point_from_obj(obj["coords"], read, size, "point"), tower
 
 
 # ---------------------------------------------------------------------------
 # pencils and lines
 
 
+def _pencil_body(p: Pencil) -> dict:
+    return {"beta": matrix_to_flat(p.beta.matrix),
+            "gamma": matrix_to_flat(p.gamma.matrix)}
+
+
+def _pencil_from_body(obj, read, size, what) -> Pencil:
+    b = _matrix_from_flat(obj["beta"], read, size, "first pencil matrix")
+    g = _matrix_from_flat(obj["gamma"], read, size, "second pencil matrix")
+    try:
+        return Pencil(QuadForm(b), QuadForm(g))
+    except (TowerError, InputFormatError) as exc:
+        raise InputFormatError("bad %s: %s" % (what, exc)) from None
+
+
 def pencil_to_obj(p: Pencil, tower: Tower) -> dict:
-    return {
-        "kind": "pencil",
-        "size": p.size,
-        "radicands": tower_to_obj(tower),
-        "beta": matrix_to_flat(p.beta.matrix),
-        "gamma": matrix_to_flat(p.gamma.matrix),
-    }
+    return _envelope("pencil", p.size, tower, **_pencil_body(p))
 
 
 def pencil_from_obj(obj, base: Tower | None = None):
-    _check_kind(obj, "pencil")
-    size = _size_of(obj, "pencil")
-    tower = _tower_of(obj, "pencil", base)
-    read = _reader(tower)
-    b = _matrix_from_flat(_require(obj, "beta", "pencil"),
-                          read, size, "first pencil matrix")
-    g = _matrix_from_flat(_require(obj, "gamma", "pencil"),
-                          read, size, "second pencil matrix")
-    try:
-        return Pencil(QuadForm(b), QuadForm(g)), tower
-    except (TowerError, InputFormatError) as exc:
-        raise InputFormatError("bad pencil: %s" % exc) from None
+    size, tower, read = _open(obj, "pencil", {"beta", "gamma"}, base)
+    return _pencil_from_body(obj, read, size, "pencil"), tower
 
 
 def _span_to_obj(line: Line) -> dict:
     return {"v1": _coords_to_obj(line.v1), "v2": _coords_to_obj(line.v2)}
 
 
-def _span_from_obj(obj, read, size, kind) -> Line:
-    v1 = _point_from_obj(_require(obj, "v1", kind), read, size,
-                         "first spanning point")
-    v2 = _point_from_obj(_require(obj, "v2", kind), read, size,
-                         "second spanning point")
+def _span_from_obj(obj, read, size) -> Line:
+    """The line of an object whose keys were checked to hold v1 and v2."""
+    v1 = _point_from_obj(obj["v1"], read, size, "first spanning point")
+    v2 = _point_from_obj(obj["v2"], read, size, "second spanning point")
     return Line(v1.coords, v2.coords)
 
 
 def line_to_obj(line: Line, tower: Tower) -> dict:
-    return {"kind": "line", "size": len(line.v1),
-            "radicands": tower_to_obj(tower), **_span_to_obj(line)}
+    return _envelope("line", len(line.v1), tower, **_span_to_obj(line))
 
 
 def line_from_obj(obj, base: Tower | None = None):
@@ -255,18 +246,15 @@ def line_from_obj(obj, base: Tower | None = None):
     revalidate against the pencil they pair it with, by Line.through or
     by building the line's chart.
     """
-    _check_kind(obj, "line")
-    size = _size_of(obj, "line")
-    tower = _tower_of(obj, "line", base)
-    return _span_from_obj(obj, _reader(tower), size, "line"), tower
+    size, tower, read = _open(obj, "line", _SPAN_KEYS, base)
+    return _span_from_obj(obj, read, size), tower
 
 
 # ---------------------------------------------------------------------------
 # move certificates
 
 _PROBLEMS = ("complement", "quadric")
-_HEADER_KEYS = frozenset(("kind", "version", "problem", "size", "radicands",
-                          "from", "to"))
+_HEADER_KEYS = frozenset(("version", "problem", "from", "to"))
 _PATH_KEYS = _HEADER_KEYS | {"form", "steps"}
 _XPATH_KEYS = _HEADER_KEYS | {"beta", "gamma", "segments"}
 _SEGMENT_KEYS = frozenset(("line", "steps"))
@@ -306,58 +294,43 @@ def _step_from_obj(obj, read, size) -> MoveStep:
     chart = _descriptor_from_obj(obj["chart"], read, size)
     entry = _point_from_obj(obj["entry"], read, size, "step entry")
     exit_p = _point_from_obj(obj["exit"], read, size, "step exit")
-    target = obj["target"]
-    if not isinstance(target, list):
-        raise InputFormatError("step target must be a list")
-    return MoveStep(chart, entry, tuple(read(c) for c in target), exit_p)
+    target = tuple(read(c) for c in _list_of(obj["target"], "step target"))
+    return MoveStep(chart, entry, target, exit_p)
 
 
-def _header_to_obj(path, problem: str, size: int) -> dict:
-    """The fields every certificate shares; path is a MovePath or XPath."""
-    return {
-        "kind": "certificate",
-        "version": FORMAT_VERSION,
-        "problem": problem,
-        "size": size,
-        "radicands": tower_to_obj(path.tower),
-        "from": _point_to_obj(path.start),
-        "to": _point_to_obj(path.end),
-    }
+def _header_to_obj(path, problem: str, size: int, **body) -> dict:
+    """A certificate: the header every one shares, then body; path is a
+    MovePath or XPath."""
+    return _envelope("certificate", size, path.tower,
+                     version=FORMAT_VERSION, problem=problem,
+                     **{"from": _point_to_obj(path.start),
+                        "to": _point_to_obj(path.end)}, **body)
 
 
 def _header_from_obj(obj, problems, keys, base):
     """(problem, size, tower, read, start, end) of a certificate whose keys
-    must be exactly keys; read is the certificate's scalar reader."""
-    _check_kind(obj, "certificate")
-    version = _require(obj, "version", "certificate")
-    if version != FORMAT_VERSION:
-        raise InputFormatError(
-            "unsupported certificate version %r; this reader takes "
-            "version %d" % (version, FORMAT_VERSION))
-    problem = _require(obj, "problem", "certificate")
-    if problem not in problems:
-        raise InputFormatError("unknown problem kind %r" % problem)
-    _check_keys(obj, keys, "certificate")
-    size = _size_of(obj, "certificate")
-    tower = _tower_of(obj, "certificate", base)
-    read = _reader(tower)
+    beyond the envelope must be exactly keys; read is its scalar reader.
+    The version and the problem are checked before the keys (the key
+    check names an absent one), so a certificate of another version or
+    problem is named as such."""
+    if isinstance(obj, dict) and obj.get("kind") == "certificate":
+        version = obj.get("version", FORMAT_VERSION)
+        if version != FORMAT_VERSION:
+            raise InputFormatError(
+                "unsupported certificate version %r; this reader takes "
+                "version %d" % (version, FORMAT_VERSION))
+        if obj.get("problem", problems[0]) not in problems:
+            raise InputFormatError("unknown problem kind %r" % obj["problem"])
+    size, tower, read = _open(obj, "certificate", keys, base)
     start = _point_from_obj(obj["from"], read, size, "start point")
     end = _point_from_obj(obj["to"], read, size, "end point")
-    return problem, size, tower, read, start, end
-
-
-def _list_of(obj, key, kind="certificate"):
-    items = _require(obj, key, kind)
-    if not isinstance(items, list):
-        raise InputFormatError("%s %s must be a list" % (kind, key))
-    return items
+    return obj["problem"], size, tower, read, start, end
 
 
 def path_to_obj(path: MovePath) -> dict:
-    obj = _header_to_obj(path, path.problem, path.form.size)
-    obj["form"] = matrix_to_flat(path.form.matrix)
-    obj["steps"] = [_step_to_obj(s) for s in path.steps]
-    return obj
+    return _header_to_obj(path, path.problem, path.form.size,
+                          form=matrix_to_flat(path.form.matrix),
+                          steps=[_step_to_obj(s) for s in path.steps])
 
 
 def path_from_obj(obj, base: Tower | None = None) -> MovePath:
@@ -367,13 +340,9 @@ def path_from_obj(obj, base: Tower | None = None) -> MovePath:
     job."""
     problem, size, tower, read, start, end = _header_from_obj(
         obj, _PROBLEMS, _PATH_KEYS, base)
-    rows = _matrix_from_flat(obj["form"], read, size, "certificate form")
-    try:
-        form = QuadForm(rows)
-    except TowerError as exc:
-        raise InputFormatError("bad certificate form: %s" % exc) from None
+    form = _form_from_flat(obj["form"], read, size, "certificate form")
     steps = tuple(_step_from_obj(s, read, size)
-                  for s in _list_of(obj, "steps"))
+                  for s in _list_of(obj["steps"], "certificate steps"))
     return MovePath(problem, form, start, end, steps, tower)
 
 
@@ -391,8 +360,8 @@ def _segment_to_obj(seg: XSegment) -> dict:
 def _segment_from_obj(obj, read, size) -> XSegment:
     _check_keys(obj, _SEGMENT_KEYS, "segment")
     _check_keys(obj["line"], _SPAN_KEYS, "segment line")
-    line = _span_from_obj(obj["line"], read, size, "segment line")
-    steps = _list_of(obj, "steps", "segment")
+    line = _span_from_obj(obj["line"], read, size)
+    steps = _list_of(obj["steps"], "segment steps")
     if not steps:
         raise InputFormatError("segment steps must not be empty")
     return XSegment(line,
@@ -400,30 +369,22 @@ def _segment_from_obj(obj, read, size) -> XSegment:
 
 
 def xpath_to_obj(path: XPath) -> dict:
-    obj = _header_to_obj(path, "ci", path.pencil.size)
-    obj["beta"] = matrix_to_flat(path.pencil.beta.matrix)
-    obj["gamma"] = matrix_to_flat(path.pencil.gamma.matrix)
-    obj["segments"] = [_segment_to_obj(s) for s in path.segments]
-    return obj
+    segments = [_segment_to_obj(s) for s in path.segments]
+    return _header_to_obj(path, "ci", path.pencil.size,
+                          **_pencil_body(path.pencil), segments=segments)
 
 
 def xpath_from_obj(obj, base: Tower | None = None) -> XPath:
     _, size, tower, read, start, end = _header_from_obj(
         obj, ("ci",), _XPATH_KEYS, base)
-    b = _matrix_from_flat(obj["beta"], read, size, "first pencil matrix")
-    g = _matrix_from_flat(obj["gamma"], read, size, "second pencil matrix")
-    try:
-        pencil = Pencil(QuadForm(b), QuadForm(g))
-    except (TowerError, InputFormatError) as exc:
-        raise InputFormatError("bad certificate pencil: %s" % exc) from None
-    segments = tuple(_segment_from_obj(s, read, size)
-                     for s in _list_of(obj, "segments"))
+    pencil = _pencil_from_body(obj, read, size, "certificate pencil")
+    objs = _list_of(obj["segments"], "certificate segments")
+    segments = tuple(_segment_from_obj(s, read, size) for s in objs)
     return XPath(pencil, start, end, segments, tower)
 
 
 def certificate_from_obj(obj, base: Tower | None = None):
     """Parse either certificate flavor, dispatching on the problem kind."""
-    problem = _require(obj, "problem", "certificate")
-    if problem == "ci":
+    if isinstance(obj, dict) and obj.get("problem") == "ci":
         return xpath_from_obj(obj, base)
     return path_from_obj(obj, base)

@@ -273,6 +273,52 @@ class TestVerify:
         assert "already has a square root" in capsys.readouterr().err
         assert not (tmp_path / "c.cert").exists()
 
+    @pytest.mark.parametrize("change, named", [
+        (lambda doc: doc.update(junk=1), "unknown key 'junk'"),
+        (lambda doc: doc.pop("radicands"), "missing 'radicands'"),
+    ], ids=["unknown-key", "no-radicands"])
+    def test_form_with_other_keys_is_refused(self, docs, tmp_path, capsys,
+                                             change, named):
+        doc = loads((docs / "split.qf").read_text())
+        change(doc)
+        form = tmp_path / "f.qf"
+        form.write_text(dumps(doc))
+        assert run("connect", "complement", "--form", form, "--from",
+                   "1,1,0,0", "--to", "0,3,1,5") == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("change, code, message", [
+        (lambda doc: doc.update(matrx=doc.pop("matrix")), 2,
+         "form document is missing 'matrix'"),
+        (lambda doc: doc.update(radicands=["2/1", "3/1"]), 4,
+         "tower height limit 1 exceeded"),
+    ], ids=["misspelt-key", "too-deep"])
+    def test_broken_reference_is_named(self, docs, tmp_path, capsys,
+                                       monkeypatch, jobs, change, code,
+                                       message):
+        # a reference that cannot be read fails every certificate alike,
+        # so the error names it, not the certificates, and no report is
+        # written
+        from quadcyl import cli
+        sizes = []
+        self.fake_pool(monkeypatch, sizes)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        cert = self.make_cert(docs, tmp_path)
+        other = tmp_path / "c2.cert"
+        other.write_bytes(cert.read_bytes())
+        doc = loads((docs / "split.qf").read_text())
+        change(doc)
+        bad = tmp_path / "bad.qf"
+        bad.write_text(dumps(doc))
+        out = tmp_path / "v.json"
+        capsys.readouterr()
+        assert run("verify", "--form", bad, cert, other, "--jobs", jobs,
+                   "--tower-limit", 1, "--out", out) == code
+        assert capsys.readouterr().err == "error: %s: %s\n" % (bad, message)
+        assert not out.exists()
+        assert sizes == ([2] if jobs == 2 else [])
+
     def make_cert(self, docs, tmp_path):
         cert = tmp_path / "c.cert"
         run("connect", "complement", "--form", docs / "split.qf",
@@ -679,6 +725,31 @@ class TestOptionContract:
             declared = {a.dest for a in parser._actions if a.dest != "help"}
             handler = read["cmd_" + name.replace("-", "_")]
             assert declared == handler, name
+
+    def test_readme_table_lists_each_parser_option(self):
+        # README's "Command line" table names, for each subcommand, the
+        # flags its parser declares: no more, no fewer
+        import argparse
+        import os
+        import re
+        import quadcyl.cli as cli
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        table = text.split("## Command line", 1)[1].split(
+            "| subcommand | options |", 1)[1].split("\n\n", 1)[0]
+        documented = {}
+        for row in table.splitlines()[2:]:
+            name, options = row.strip("|").split("|")
+            documented[name.strip().strip("`")] = set(
+                re.findall(r"`(--[a-z-]+)`", options))
+        [sub] = [a for a in cli._build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        declared = {name: {flag for a in parser._actions
+                           for flag in a.option_strings
+                           if flag not in ("-h", "--help")}
+                    for name, parser in sub.choices.items()}
+        assert documented == declared
 
     def test_contract_check_follows_args_into_helpers(self):
         tree = ast.parse("def cmd_a(args):\n    helper(args, 1)\n"

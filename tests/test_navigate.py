@@ -85,6 +85,32 @@ class TestRescaleFixtures:
         assert rep.valid, rep.reason
         assert path.tower.height >= 1
 
+    def test_axis_rescale_tests_each_sign_once(self, monkeypatch):
+        # when neither sign of c^2 has a root in the tower, the gadget
+        # makes its two square tests and adjoins the minus sign's root
+        # without testing it again
+        import quadcyl.navigate as nav
+        import quadcyl.tower as tower_mod
+        tests = []
+        for mod in (nav, tower_mod):
+            def counted(tower, value, _real=mod.sqrt_if_present):
+                tests.append(value)
+                return _real(tower, value)
+            monkeypatch.setattr(mod, "sqrt_if_present", counted)
+        gadget, runs = nav._rescale_axis, []
+
+        def axis(*args):
+            del tests[:]
+            trail, tower = gadget(*args)
+            runs.append((len(tests), tower.height - args[-1].height))
+            return trail, tower
+        monkeypatch.setattr(nav, "_rescale_axis", axis)
+        q, bundle, tw = complement_setup(3, 1, True)
+        path = connect_complement(q, proj([1, 0, 1]), proj([1, 2, 1]),
+                                  tower=tw, bundle=bundle)
+        assert runs == [(2, 1)]
+        assert verify_path(q, path).valid
+
 
 class TestConnectComplement:
     def test_same_point_gives_empty_path(self):

@@ -169,6 +169,34 @@ class TestStrictParsing:
         with pytest.raises(InputFormatError, match="unknown key %r" % key):
             path_from_obj(obj)
 
+    @pytest.mark.parametrize("kind", ["form", "point", "pencil", "line",
+                                      "path", "xpath"])
+    def test_every_document_has_exactly_its_keys(self, kind):
+        # each kind of document, as its writer makes it, with one unknown
+        # key added and then with its radicand header removed
+        pen = hexagonal_pencil()
+        made = {
+            "form": lambda: (form_to_obj(pen.beta, Tower.rationals()),
+                             form_from_obj),
+            "point": lambda: (point_to_obj(pt(1, 2), Tower.rationals()),
+                              point_from_obj),
+            "pencil": lambda: (pencil_to_obj(pen, Tower.rationals()),
+                               pencil_from_obj),
+            "line": lambda: (line_to_obj(*find_line(pen)), line_from_obj),
+            "path": lambda: (path_to_obj(sample_complement_path()[1]),
+                             certificate_from_obj),
+            "xpath": lambda: (xpath_to_obj(connect_on_X(
+                pen, pt(1, 0, 0, 0, 0, 0), pt(0, 0, 0, 0, 1, 0),
+                rng=random.Random(3))), certificate_from_obj),
+        }
+        obj, parse = made[kind]()
+        parse(obj)
+        with pytest.raises(InputFormatError, match="unknown key 'junk'"):
+            parse(dict(obj, junk=1))
+        del obj["radicands"]
+        with pytest.raises(InputFormatError, match="missing 'radicands'"):
+            parse(obj)
+
     def test_bool_is_not_an_integer(self):
         obj = point_to_obj(pt(1), Tower.rationals())
         assert point_from_obj(obj)[0] == pt(1)
