@@ -180,15 +180,25 @@ def cmd_connect(args) -> int:
     return EXIT_VALID
 
 
+@functools.lru_cache(maxsize=1)
+def _reference(ref_kind: str, ref_text: str, limit: int):
+    """(form or pencil, tower) of the reference document of a verify.  It
+    has one slot, so a process parses the reference once however many
+    certificates it checks: once per command, or once per --jobs worker.
+    cmd_verify empties the slot first, so no command reuses the parse of
+    an earlier one."""
+    parse = ser.pencil_from_obj if ref_kind == "pencil" else ser.form_from_obj
+    return parse(ser.loads(ref_text), Tower.rationals(limit))
+
+
 def _verify_one(ref_kind: str, ref_text: str, cert_text: str, limit: int):
     """Parse and check one certificate against the reference document:
     (report object, None), or (None, (exit code, message, whether the
     reference is at fault)).  The reference is read first, so a broken one
     fails every call alike.  Runs in a worker process when --jobs asks for
     it, so everything crosses as plain data."""
-    parse = ser.pencil_from_obj if ref_kind == "pencil" else ser.form_from_obj
     try:
-        ref, tower = parse(ser.loads(ref_text), Tower.rationals(limit))
+        ref, tower = _reference(ref_kind, ref_text, limit)
     except QuadcylError as exc:
         return None, (*_failure(exc), True)
     try:
@@ -203,6 +213,7 @@ def _verify_one(ref_kind: str, ref_text: str, cert_text: str, limit: int):
 
 
 def cmd_verify(args) -> int:
+    _reference.cache_clear()
     if (args.form is None) == (args.pencil is None):
         raise SystemExitCode(EXIT_INPUT,
                              "verify needs exactly one of --form/--pencil")

@@ -39,7 +39,7 @@ from .navigate import MovePath, MoveStep
 from .pencils import Line, Pencil, XPath, XSegment
 from .projective import ProjPoint, QuadForm, vec
 from .tower import (
-    Tower, parse_rational, scalar_from_obj, scalar_to_obj, tower_from_obj,
+    Tower, _scalar_from_obj, parse_rational, scalar_to_obj, tower_from_obj,
     tower_to_obj,
 )
 
@@ -107,17 +107,18 @@ def _open(obj, kind, keys, base):
 
 def _reader(tower):
     """The scalar parser of one document, over its tower.  Step matrices
-    repeat a few rational scalars ("0/1", "1/1") thousands of times, so
-    each distinct one is parsed once per document, and the first sight of
-    a literal still validates it; the memo lives as long as the parse that
-    made the reader.  The rational parts inside nodes are not kept: they
-    are only intermediate values, and keeping them would raise the parse's
-    memory peak."""
+    repeat a few rational scalars ("0/1", "1/1") thousands of times, and
+    the leaves of nodes repeat too, so each distinct whole rational is
+    parsed once per document into its scalar, and each distinct leaf
+    literal once into its (num, den); the first sight of a literal still
+    validates it.  Both memos live as long as the parse that made the
+    reader."""
     rationals = {}
+    leaves = {}
 
     def read(obj):
         if obj.__class__ is not str:
-            return scalar_from_obj(obj, tower)
+            return _scalar_from_obj(obj, tower, leaves)
         s = rationals.get(obj)
         if s is None:
             s = rationals[obj] = parse_rational(obj)

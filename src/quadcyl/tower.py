@@ -31,7 +31,10 @@ A node times a node of a lower level multiplies both halves.
 The sqrt(d_j) basis, a + b*sqrt(d_j) with a and b at lower levels (the
 coefficient on sqrt(d'_j) is b/E_j), appears only at the edges: the
 read-only .a and .b, repr, scalar_to_obj and scalar_from_obj.  So does
-Fraction: the read-only .rat of a rational.
+Fraction: the read-only .rat of a rational.  scalar_from_obj reads a
+whole scalar in one pass: each leaf literal becomes its (num, den), each
+node one tree over the least common denominator of its halves, with b
+divided by E_j, and only the finished tree is reduced to canonical form.
 
 Towers are immutable.  extend() returns a child tower sharing the parent
 chain, so scalars built before an extension remain valid in every
@@ -90,8 +93,9 @@ class Tower:
     def extend(self, radicand) -> "Tower":
         """Adjoin sqrt(radicand).  The radicand must be a nonzero value of
         this tower (level <= height) that has no square root in it as far
-        as sqrt_if_present sees: a rational square, or a rational-square
-        multiple of an adjoined radicand, is refused."""
+        as sqrt_if_present sees: a rational-square multiple of an adjoined
+        radicand, or a rational one of a product of adjoined rational
+        radicands (sqrt(6) over sqrt(2), sqrt(3)), is refused."""
         tw = self._adjoin(as_scalar(radicand))
         if sqrt_if_present(self, tw.radicand) is not None:
             raise TowerError("radicand already has a square root in this tower")
@@ -333,6 +337,8 @@ def _int_text(n: int) -> str:
 def _text_int(digits: str) -> int:
     """int(digits), for ASCII digits of any length after an optional
     minus."""
+    if len(digits) <= _PIECE:
+        return int(digits)
     if digits[:1] == "-":
         return -_text_int(digits[1:])
     n = 0
@@ -355,6 +361,12 @@ def parse_rational(text: str) -> TowerScalar:
     minus, no leading zeros, no negative zero, positive denominator, lowest
     terms, at most MAX_LITERAL_DIGITS digits.  Anything accepted is written
     back as the same text (the bare "p" form as "p/1")."""
+    return _rational(*_rational_parts(text))
+
+
+def _rational_parts(text: str):
+    """(num, den) of a literal that parse_rational accepts, with its
+    checks and messages."""
     ns, slash, ds = text.partition("/")
     digits = ns[1:] if ns[:1] == "-" else ns
     if not (text.isascii() and digits.isdigit() and
@@ -379,7 +391,7 @@ def parse_rational(text: str) -> TowerScalar:
     if gcd(num, den) != 1:
         raise InputFormatError(
             "rational not in lowest terms: %s" % _quoted(text))
-    return _rational(num, den)
+    return num, den
 
 
 def _same_chain(t1: Tower, t2: Tower) -> bool:
@@ -655,23 +667,49 @@ def _rational_ratio(x, y):
     return _ratio(num, den) if den > 0 else _ratio(-num, -den)
 
 
+def _rational_root(tower: Tower, v):
+    """A square root of the nonzero rational v over the tower's rational
+    radicands d_i, or None.  By Kummer theory v is a square in
+    Q(sqrt(d_i) : i) exactly when q = v/prod_S d_i is a rational square
+    for some subset S of them, and sqrt(q)*prod_S sqrt(d_i) is then a
+    root.  The subsets are walked in Gray-code order, so each next q is
+    one product or quotient away and none is stored."""
+    levels = [i for i in range(1, tower.height + 1)
+              if not tower.floor(i).radicand.level]
+    q, subset = v, 0
+    for step in range(1 << len(levels)):
+        if step:
+            k = (step & -step).bit_length() - 1
+            subset ^= 1 << k
+            d = tower.floor(levels[k]).radicand
+            q = _div(q, d) if subset >> k & 1 else _mul(q, d)
+        r = _sqrt_rational(q) if q.tree > 0 else None
+        if r is not None:
+            for k, i in enumerate(levels):
+                if subset >> k & 1:
+                    r = _mul(r, tower.generator(i))
+            return r
+    return None
+
+
 def sqrt_if_present(tower: Tower, value) -> TowerScalar | None:
     """A square root of value already expressible in the tower, or None.
 
-    Detection is deliberately shallow: rational perfect squares, and
-    rational-square multiples of an already-adjoined radicand.  No norm
-    equations are solved.  value/d_i can only be rational when value and
-    d_i share a level, and is then found by comparing their integer trees
-    (_rational_ratio), without dividing; value must still lie on the
-    tower's chain (TowerError otherwise).
+    A rational value is decided over the rational radicands
+    (_rational_root), which is exact when every radicand is rational.  A
+    node value is found only as a rational-square multiple of an adjoined
+    radicand; no norm equations are solved, so a nested square such as
+    3 + 2*sqrt(2) = (1 + sqrt(2))^2 is missed, and so is a rational value
+    whose root needs a nested radicand.  value/d_i can only be rational
+    when value and d_i share a level, and is then found by comparing their
+    integer trees (_rational_ratio), without dividing; value must still
+    lie on the tower's chain (TowerError otherwise).
     """
     v = as_scalar(value)
     if not v.tree:
         return ZERO
-    if v.level == 0 and v.tree > 0:
-        r = _sqrt_rational(v)
-        if r is not None:
-            return r
+    if v.level == 0:
+        return _rational_root(tower, v)
     for i in range(1, tower.height + 1):
         d = tower.floor(i).radicand
         if d.level:
@@ -741,15 +779,32 @@ def scalar_to_obj(x):
 _NODE_KEYS = frozenset(("a", "b", "level"))
 
 
-def scalar_from_obj(obj, tower: Tower, top=None) -> TowerScalar:
-    """Parse the scalar_to_obj encoding against a tower, with node levels
-    at most top (default: the tower height).  Rejects non-canonical input
-    (zero radical part, unreduced rationals, a level outside the tower or
-    not above both children) so that serialization round-trips are
-    bit-exact.  Each level is checked before its children are read, so the
-    recursion is no deeper than the tower."""
+def scalar_from_obj(obj, tower: Tower) -> TowerScalar:
+    """Parse the scalar_to_obj encoding against a tower.  Rejects
+    non-canonical input (zero radical part, unreduced rationals, a level
+    outside the tower or not above both children) so that serialization
+    round-trips are bit-exact."""
+    return _scalar_from_obj(obj, tower, {})
+
+
+def _scalar_from_obj(obj, tower, leaves):
+    """scalar_from_obj, with leaves memoizing the (num, den) of each leaf
+    literal (serialize keeps one such memo per document)."""
+    t, den = _node_parts(obj, tower.height, tower.scales, leaves)
+    return _make(tower, t, 1, den)
+
+
+def _node_parts(obj, top, scales, leaves):
+    """(t, den) with value t/den for the encoding of a value whose node
+    levels are at most top: a leaf's (num, den), or a node's tree over the
+    least common denominator of its halves, not reduced any further.  Each
+    level is checked before its children are read, so the recursion is no
+    deeper than the tower."""
     if isinstance(obj, str):
-        return parse_rational(obj)
+        parts = leaves.get(obj)
+        if parts is None:
+            parts = leaves[obj] = _rational_parts(obj)
+        return parts
     if not isinstance(obj, dict):
         raise InputFormatError("scalar must be a string or an object")
     if obj.keys() != _NODE_KEYS:
@@ -758,21 +813,21 @@ def scalar_from_obj(obj, tower: Tower, top=None) -> TowerScalar:
     level = obj["level"]
     if not isinstance(level, int) or isinstance(level, bool):
         raise InputFormatError("scalar level must be an integer")
-    if top is None:
-        top = tower.height
     if not 1 <= level <= top:
         raise InputFormatError(
             "scalar level %d is outside 1..%d: above the tower, or not "
             "below its parent node" % (level, top))
-    a = scalar_from_obj(obj["a"], tower, level - 1)
-    b = scalar_from_obj(obj["b"], tower, level - 1)
-    if b.is_zero():
+    ta, da = _node_parts(obj["a"], level - 1, scales, leaves)
+    tb, db = _node_parts(obj["b"], level - 1, scales, leaves)
+    # a node's tree is never zero, so b is zero only as the leaf 0
+    if not tb:
         raise InputFormatError("non-canonical scalar: zero radical part")
     # a + b*sqrt(d_j) = a + (b/E_j)*sqrt(d'_j), over one denominator
-    ta, da, tb, db = a.tree, a.den, b.tree, b.den * tower.scales[level]
+    db *= scales[level]
+    if da == db:
+        return (level, ta, tb), da
     g = gcd(da, db)
-    return _make(tower, (level, _tscale(ta, db // g), _tscale(tb, da // g)),
-                 1, da // g * db)
+    return (level, _tscale(ta, db // g), _tscale(tb, da // g)), da // g * db
 
 
 def tower_to_obj(tower: Tower) -> list:

@@ -244,6 +244,114 @@ SQRT4_CERT = (
     '"level":1},"1/1","1/1"],"version":3}'
 )
 
+# SQRT4_CERT over the header ["2/1","3/1","6/1"], with z = sqrt6 -
+# sqrt2*sqrt3 in place of s-2 and z-1 in place of s-3.  sqrt(6) already
+# lies in Q(sqrt2, sqrt3), so z is zero in the field although its tree is
+# not, and the start point (1:0:0:0) lies on the quadric; a tower that
+# adjoins sqrt(6) after sqrt(2) and sqrt(3) replays it as valid.
+SQRT6_CERT = (
+    '{"form":["0/1","1/2","0/1","0/1","1/2","0/1","0/1","0/1",'
+    '"0/1","0/1","0/1","1/2","0/1","0/1","1/2","0/1"],'
+    '"from":["1/1",{"a":{"a":"0/1","b":{"a":"0/1","b":"-1/1",'
+    '"level":1},"level":2},"b":"1/1","level":3},"0/1","0/1"],'
+    '"kind":"certificate","problem":"complement",'
+    '"radicands":["2/1","3/1","6/1"],"size":4,"steps":[{"chart":'
+    '{"dep":1,"dist":0,"matrix":["1/1","0/1","0/1","0/1","0/1","1/1",'
+    '"0/1","0/1","0/1","0/1","1/1","0/1","0/1","0/1","0/1","1/1"]},'
+    '"entry":["1/1",{"a":{"a":"0/1","b":{"a":"0/1","b":"-1/1",'
+    '"level":1},"level":2},"b":"1/1","level":3},"0/1","0/1"],'
+    '"exit":["1/1",{"a":{"a":"-1/1","b":{"a":"0/1","b":"-1/1",'
+    '"level":1},"level":2},"b":"1/1","level":3},"1/1","1/1"],'
+    '"target":["1/1","1/1"]}],"to":["1/1",{"a":{"a":"-1/1","b":'
+    '{"a":"0/1","b":"-1/1","level":1},"level":2},"b":"1/1",'
+    '"level":3},"1/1","1/1"],"version":3}'
+)
+
+
+def planted(header, z, z_minus_one):
+    """SQRT4_CERT over another header, with the node z in place of s-2
+    and z_minus_one in place of s-3 (each given as its JSON text)."""
+    text = SQRT4_CERT.replace('["4/1"]', header)
+    text = text.replace('{"a":"-2/1","b":"1/1","level":1}', z)
+    return text.replace('{"a":"-3/1","b":"1/1","level":1}', z_minus_one)
+
+
+# Headers that square detection through rational radicands cannot refuse,
+# each with a planted z that is zero in its field: 9 + 6*sqrt2 =
+# 3*(1 + sqrt2)^2, so z = sqrt(9 + 6*sqrt2) - sqrt3*(1 + sqrt2); and
+# z = sqrt((1 + sqrt2 + sqrt3)^2) - (1 + sqrt2 + sqrt3).
+NESTED_HIDDEN_ZEROS = {
+    "nested-class": planted(
+        '["2/1",{"a":"9/1","b":"6/1","level":1},"3/1"]',
+        '{"a":{"a":"0/1","b":"1/1","level":2},'
+        '"b":{"a":"-1/1","b":"-1/1","level":1},"level":3}',
+        '{"a":{"a":"-1/1","b":"1/1","level":2},'
+        '"b":{"a":"-1/1","b":"-1/1","level":1},"level":3}'),
+    "nested-square": planted(
+        '["2/1","3/1",{"a":{"a":"6/1","b":"2/1","level":1},'
+        '"b":{"a":"2/1","b":"2/1","level":1},"level":2}]',
+        '{"a":{"a":{"a":"-1/1","b":"-1/1","level":1},"b":"-1/1",'
+        '"level":2},"b":"1/1","level":3}',
+        '{"a":{"a":{"a":"-2/1","b":"-1/1","level":1},"b":"-1/1",'
+        '"level":2},"b":"1/1","level":3}'),
+}
+
+
+class TestHiddenZeros:
+    """A header whose tower is not a field lets a coordinate be zero in
+    the field yet structurally nonzero, so a certificate that starts on
+    the quadric replays as valid.  Every such header must exit 2."""
+
+    @pytest.fixture
+    def form(self, tmp_path):
+        from quadcyl.charts import hyperbolic_target
+        path = tmp_path / "q.qf"
+        path.write_text(dumps(form_to_obj(hyperbolic_target(4, 2, False),
+                                          Tower.rationals())))
+        return path
+
+    def verify(self, form, tmp_path, capsys, text):
+        cert = tmp_path / "planted.cert"
+        cert.write_text(text + "\n")
+        capsys.readouterr()
+        code = run("verify", cert, "--form", form,
+                   "--out", tmp_path / "v.json")
+        return code, capsys.readouterr().err
+
+    def test_sqrt6_is_refused(self, form, tmp_path, capsys):
+        code, err = self.verify(form, tmp_path, capsys, SQRT6_CERT)
+        assert code == 2 and "already has a square root" in err
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3 step 2: square "
+                       "detection does not yet find roots through nested "
+                       "radicands")
+    @pytest.mark.parametrize("name", sorted(NESTED_HIDDEN_ZEROS))
+    def test_nested_is_refused(self, form, tmp_path, capsys, name):
+        code, err = self.verify(form, tmp_path, capsys,
+                                NESTED_HIDDEN_ZEROS[name])
+        assert code == 2 and "already has a square root" in err
+
+    @pytest.mark.parametrize(
+        "text", [SQRT6_CERT, *NESTED_HIDDEN_ZEROS.values()],
+        ids=["sqrt6", *NESTED_HIDDEN_ZEROS])
+    def test_planted_coordinate_is_zero(self, text):
+        # an independent oracle: each radicand as a sympy square root, by
+        # its header, and the start point's second coordinate from there
+        sympy = pytest.importorskip("sympy")
+
+        def value(obj):
+            if isinstance(obj, str):
+                return sympy.Rational(obj)
+            return value(obj["a"]) + value(obj["b"]) * roots[obj["level"] - 1]
+        obj = loads(text)
+        roots = []
+        for rad in obj["radicands"]:
+            roots.append(sympy.sqrt(value(rad)))
+        z = obj["from"][1]
+        assert isinstance(z, dict)  # structurally nonzero
+        x = sympy.Symbol("x")
+        assert sympy.minimal_polynomial(value(z), x) == x
+
 
 class TestVerify:
 
@@ -259,8 +367,12 @@ class TestVerify:
                    "--out", tmp_path / "v.json") == 2
         assert "already has a square root" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("header", [["1/4"], ["2/1", "2/1"],
-                                        ["2/1", "8/1"]])
+    @pytest.mark.parametrize("header", [
+        ["1/4"], ["2/1", "2/1"], ["2/1", "8/1"],
+        # products of rational radicands: 6 = 2*3, 24 = 2*3*2^2 and
+        # 10/9 = 2*5/3^2
+        ["2/1", "3/1", "6/1"], ["2/1", "3/1", "24/1"], ["2/1", "5/1", "10/9"],
+    ])
     def test_point_header_with_a_root_is_refused(self, docs, tmp_path,
                                                  capsys, header):
         pt = tmp_path / "p.pt"
@@ -318,6 +430,26 @@ class TestVerify:
         assert capsys.readouterr().err == "error: %s: %s\n" % (bad, message)
         assert not out.exists()
         assert sizes == ([2] if jobs == 2 else [])
+
+    def test_reference_parsed_once_per_command(self, docs, tmp_path,
+                                               monkeypatch):
+        from quadcyl import serialize
+        cert = self.make_cert(docs, tmp_path)
+        others = [tmp_path / "c2.cert", tmp_path / "c3.cert"]
+        for other in others:
+            other.write_bytes(cert.read_bytes())
+        parse, calls = serialize.form_from_obj, []
+
+        def counting(*args):
+            calls.append(args)
+            return parse(*args)
+        monkeypatch.setattr(serialize, "form_from_obj", counting)
+        assert run("verify", "--form", docs / "split.qf", cert, *others,
+                   "--out", tmp_path / "v.json") == 0
+        assert len(calls) == 1
+        assert run("verify", "--form", docs / "split.qf", cert,
+                   "--out", tmp_path / "v.json") == 0
+        assert len(calls) == 2
 
     def make_cert(self, docs, tmp_path):
         cert = tmp_path / "c.cert"

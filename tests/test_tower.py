@@ -730,11 +730,12 @@ class TestRationalOracle:
                 assert (x / q) * q == x
 
 
-def old_sqrt_rule(tower, v):
-    """sqrt_if_present as it was decided before, by dividing: a rational
-    square root of v itself, else of v/d_i for the first radicand d_i
-    with a rational square quotient, skipping a radicand whose inverse
-    hits a zero divisor."""
+def division_sqrt_rule(tower, v):
+    """sqrt_if_present decided by dividing: for a rational v, a rational
+    square root of v/prod_S d_i for a subset S of the rational radicands
+    (Kummer), tried in bit-mask order; else of v/d_i for the first
+    radicand d_i with a rational square quotient, skipping a radicand
+    whose inverse hits a zero divisor."""
     def rational_root(q):
         if q <= 0:
             return None
@@ -744,8 +745,17 @@ def old_sqrt_rule(tower, v):
 
     if v.is_zero():
         return scalar(0)
-    if v.level == 0 and rational_root(v.rat) is not None:
-        return scalar(rational_root(v.rat))
+    if v.level == 0:
+        rational = [(i, d.rat) for i, d in enumerate(tower.radicands(), 1)
+                    if d.level == 0]
+        for mask in range(1 << len(rational)):
+            chosen = [rational[k] for k in range(len(rational))
+                      if mask >> k & 1]
+            root = rational_root(v.rat / math.prod(d for _, d in chosen))
+            if root is not None:
+                return math.prod((tower.generator(i) for i, _ in chosen),
+                                 start=scalar(root))
+        return None
     for i, d in enumerate(tower.radicands(), start=1):
         try:
             ratio = v / d
@@ -769,13 +779,21 @@ def square_queries(draw):
     """(tower of height <= 4, value): r^2 d_i (a hit), r d_i with r not a
     square, -r^2 d_i, zero, r^2 d_i moved one level up or down, r^2 d_i
     with one coefficient changed (the integer tree keeps its shape and
-    its first leaf), or a random element of the tower."""
+    its first leaf), r^2 d_i d_j for two rational radicands (a hit by
+    Kummer, or a miss when their product is not a square class the tower
+    holds), or a random element of the tower."""
     tw = draw(st.sampled_from(SQUARE_TOWERS))
     r = scalar(draw(NONZERO_RATS))
     case = draw(st.sampled_from(("hit", "non-square", "negative", "zero",
-                                 "above", "below", "changed", "random")))
+                                 "above", "below", "changed", "product",
+                                 "random")))
     if case == "zero":
         return tw, scalar(0)
+    rational = [d for d in tw.radicands() if not d.level]
+    if case == "product" and len(rational) >= 2:
+        d, e = draw(st.permutations(rational))[:2]
+        c = draw(st.sampled_from((1, 1, 2, -1)))
+        return tw, c * r * r * d * e
     if case == "random" or not tw.height:
         rng = random.Random(draw(st.integers(0, 10 ** 6)))
         level = draw(st.integers(0, tw.height))
@@ -802,7 +820,7 @@ class TestSquareDetection:
     def test_agrees_with_the_division_rule(self, query):
         tw, v = query
         got = sqrt_if_present(tw, v)
-        assert got == old_sqrt_rule(tw, v)
+        assert got == division_sqrt_rule(tw, v)
         if got is not None:
             assert got * got == v
 
@@ -819,7 +837,22 @@ class TestSquareDetection:
                     misses.append(
                         Fraction(9, 4) * (d + tw.generator(d.level)))
                 for v in misses:
-                    assert sqrt_if_present(tw, v) == old_sqrt_rule(tw, v)
+                    assert sqrt_if_present(tw, v) == division_sqrt_rule(tw, v)
+
+    def test_products_of_rational_radicands(self):
+        # 9/4 times the product of any subset of the rational radicands
+        # has the root 3/2 times the product of their generators; a
+        # non-square multiple of that product has none
+        from itertools import combinations
+        tw = TestKernelOracle.prime_tower(4)
+        for k in range(5):
+            for subset in combinations(range(1, 5), k):
+                gens = math.prod((tw.generator(i) for i in subset),
+                                 start=scalar(1))
+                prod = math.prod(PRIMES[i - 1] for i in subset)
+                root = sqrt_if_present(tw, Fraction(9, 4) * prod)
+                assert root == Fraction(3, 2) * gens
+                assert sqrt_if_present(tw, 11 * prod) is None
 
     def test_value_off_the_chain_refused(self):
         # the radicand at level 2 is a node, so a level-1 value of an
@@ -828,3 +861,107 @@ class TestSquareDetection:
         stranger = Tower.rationals().extend(101).generator(1)
         with pytest.raises(TowerError):
             sqrt_if_present(tw, stranger)
+
+
+def denominated_tower(radicands):
+    """The tower adjoining, in order, each rational radicand, or for a
+    pair (c, e) the nested radicand c + e*sqrt(d_top) of the tower so far,
+    so that every level has E_j != 1 and node b edges are rescaled."""
+    tw = Tower.rationals()
+    for d in radicands:
+        if isinstance(d, tuple):
+            d = d[0] + d[1] * tw.generator(tw.height)
+        tw = tw.extend(d)
+    return tw
+
+
+F = Fraction
+DENOMINATED_TOWERS = [tw.floor(h) for tw in (
+    denominated_tower([F(3, 4), F(-7, 2), F(5, 9), F(11, 6), F(-5, 12)]),
+    denominated_tower([F(3, 4), (F(5, 9), F(2, 3)), F(-7, 2),
+                       (F(1, 6), F(-3, 4)), (F(-2, 5), F(7, 3))]),
+) for h in range(6)]
+COEFFICIENTS = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-60, max_value=60, max_denominator=36))
+
+
+@st.composite
+def denominated_values(draw, count=1):
+    """(tower of height 0-5 from DENOMINATED_TOWERS, count values of it),
+    each built by public arithmetic as a + b*sqrt(d_j) from coefficients
+    that are often zero, so levels are skipped and trees vary in shape."""
+    tw = draw(st.sampled_from(DENOMINATED_TOWERS))
+
+    def value(level):
+        if level == 0:
+            return scalar(draw(COEFFICIENTS))
+        return value(level - 1) + value(level - 1) * tw.generator(level)
+    top = draw(st.integers(0, tw.height))
+    return tw, [value(top) for _ in range(count)]
+
+
+def rebuilt(obj, tw):
+    """The value of a scalar_to_obj encoding by public arithmetic alone:
+    leaves through Fraction, nodes as a + b*generator."""
+    if isinstance(obj, str):
+        return scalar(Fraction(obj))
+    return rebuilt(obj["a"], tw) + \
+        rebuilt(obj["b"], tw) * tw.generator(obj["level"])
+
+
+class TestNodeReader:
+    """scalar_from_obj reads a node in one pass into one integer tree,
+    reduced once; checked against the writer and public arithmetic, over
+    towers whose radicands have non-unit denominators."""
+
+    @given(denominated_values())
+    def test_round_trip_and_rebuild(self, case):
+        from quadcyl.serialize import dumps
+        tw, [x] = case
+        obj = scalar_to_obj(x)
+        back = scalar_from_obj(obj, tw)
+        assert back == x and parts(back) == parts(x)
+        assert dumps(scalar_to_obj(back)) == dumps(obj)
+        assert back == rebuilt(obj, tw)
+
+    @given(denominated_values(count=4))
+    def test_document_reader_shares_leaves(self, case):
+        # a point document reads all its coordinates through one reader,
+        # whose leaf memo sees each repeated literal once
+        from quadcyl.projective import ProjPoint, vec
+        from quadcyl.serialize import dumps, loads, point_from_obj, \
+            point_to_obj
+        tw, xs = case
+        p = ProjPoint(vec([scalar(1), *xs, *xs]))
+        text = dumps(point_to_obj(p, tw))
+        q, back = point_from_obj(loads(text), tw)
+        assert q.coords == p.canonical_coords()
+        assert dumps(point_to_obj(q, back)) == text
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"a": "1/1", "b": "0/1", "level": 1}, "zero radical part"),
+        ({"a": "1/1", "b": "1/1", "level": 2}, r"outside 1\.\.1"),
+        ({"a": "1/1", "b": "1/1", "level": True}, "must be an integer"),
+        ("2/4", "not in lowest terms"),
+        ("03/4", "leading zero"),
+        ("-0/1", "negative zero"),
+        ("1" * 100_001, "above the cap"),
+    ], ids=["zero-b", "level", "bool-level", "unreduced", "leading-zero",
+            "negative-zero", "digit-cap"])
+    def test_rejections_fire_deep_inside(self, bad, message):
+        # the spot obj["b"]["b"] of a level-3 node lies inside a level-2
+        # node, so it is read at depth 2 and holds a level-1 value
+        from quadcyl.serialize import point_from_obj
+        tw = DENOMINATED_TOWERS[3]
+        g1, g2, g3 = (tw.generator(k) for k in (1, 2, 3))
+        x = (F(1, 3) + g1) + (F(2, 5) + (F(-7, 4) + g1) * g2) * g3
+        obj = scalar_to_obj(x)
+        assert isinstance(obj["b"]["b"], dict)
+        obj["b"]["b"] = bad
+        with pytest.raises(InputFormatError, match=message):
+            scalar_from_obj(obj, tw)
+        doc = {"kind": "point", "size": 2, "coords": ["1/1", obj],
+               "radicands": tower_to_obj(tw)}
+        with pytest.raises(InputFormatError, match=message):
+            point_from_obj(doc)
