@@ -17,12 +17,17 @@ still show, by the `content=` fields, that only whitespace changed, or by
 the `radicands=` fields, that every tower is unchanged.  Both are
 computed here with json alone, not with quadcyl's own writer.
 
-With --tools it digests instead the subcommands the benchmark never
-runs: `normalize` in both styles on every grid form, `eacx-build` on a few
-parameter lists (one with a repeated value), and `find-line` and `audit`
-on the hexagonal pencil and on an `eacx-build` pencil.  Each line gives
-the run's name, its exit code and the sha256 of its output file and of
-its stderr ("-" for no output file).
+With --tools it digests instead the subcommands and pencil paths the
+benchmark never runs: `normalize` in both styles on every grid form,
+`eacx-build` on a few parameter lists (one with a repeated value),
+`find-line` and `audit` on the hexagonal pencil and on an `eacx-build`
+pencil, and `find-line`, two `connect ci` and their `verify` on the
+hexagonal pencil under x = M y (no coordinate pair spans a line there, so
+the searches draw random lines), then one `connect ci` and its `verify`
+on the `eacx-build` pencil, whose only cheap line is the split-support
+line.  Each line gives the run's name, its exit code and the sha256 of
+its output file and of its stderr ("-" for no output file), with the
+work directory's path written as "<work>".
 
     PYTHONPATH=src python3 scripts/output_digest.py --workload quadric-grid --seed 1
     PYTHONPATH=src python3 scripts/output_digest.py --workload ci-deep --seed 1 --pairs 3
@@ -44,6 +49,7 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 from quadcyl import cli  # noqa: E402
 from quadcyl import serialize as ser  # noqa: E402
+from quadcyl.pencils import Pencil, point_on_intersection  # noqa: E402
 from quadcyl.tower import Tower  # noqa: E402
 from workloads import (  # noqa: E402
     WORKLOADS, Workload, _inline, grid_quadric_point, grid_shapes,
@@ -65,40 +71,98 @@ def run(argv, err=None):
             return exc.code
 
 
+def hexagonal_under_m():
+    """The hexagonal forms under x = M y, where M has rows e_i + e_(i+1)
+    for i < 5 and 2 e_0 + e_5: no coordinate pair spans a line of X, and
+    neither form is diagonal."""
+    m = [[0] * 6 for _ in range(6)]
+    for i in range(5):
+        m[i][i] = m[i][i + 1] = 1
+    m[5][0], m[5][5] = 2, 1
+    h = hexagonal_pencil()
+    return Pencil(h.beta.transform(m), h.gamma.transform(m))
+
+
+def under_m(x):
+    """y with M y = x, for the M of hexagonal_under_m: y_(i+1) = x_i - y_i
+    for i < 5, and 2 y_0 + y_5 = x_5 fixes y_0."""
+    y = [x[5] - sum((-1) ** i * x[i] for i in range(5))]
+    for i in range(5):
+        y.append(x[i] - y[i])
+    return y
+
+
+def write_doc(path, obj):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(ser.dumps(obj))
+    return path
+
+
+def connect_and_verify(work, name, pencil, start, end):
+    """The runs of `connect ci` between two points and `verify` of its
+    certificate."""
+    cert = os.path.join(work, "connect-%s.json" % name)
+    yield ("connect-%s" % name,
+           ["connect", "ci", "--pencil", pencil, "--from=" + start,
+            "--to=" + end, "--seed", "5"])
+    yield "verify-%s" % name, ["verify", cert, "--pencil", pencil]
+
+
 def tool_runs(work):
     """(name, argv) of every --tools run, in order; each writes
     work/<name>.json.  Later runs read the pencils and lines that earlier
-    ones wrote."""
+    ones wrote, so each run is made only after the one before it has
+    run."""
     grid = Workload("quadric-grid", 1, work)
     grid.setup()
-    runs = []
     for n, r in grid_shapes():
         point = grid_quadric_point(random.Random(100 * n + r), n, r)
         form = grid.docs[(n, r)]
-        runs.append(("normalize-hyperbolic-%d-%d" % (n, r),
-                     ["normalize", "--hyperbolic", form]))
-        runs.append(("normalize-ctsq-%d-%d" % (n, r),
-                     ["normalize", "--ctsq", "--point=" + _inline(point), form]))
+        yield ("normalize-hyperbolic-%d-%d" % (n, r),
+               ["normalize", "--hyperbolic", form])
+        yield ("normalize-ctsq-%d-%d" % (n, r),
+               ["normalize", "--ctsq", "--point=" + _inline(point), form])
     for k, lams in enumerate(LAMBDAS):
-        runs.append(("eacx-build-%d" % k, ["eacx-build", "--lambdas=" + lams]))
-    hexagonal = os.path.join(work, "hexagonal.pf")
-    with open(hexagonal, "w", encoding="utf-8") as fh:
-        fh.write(ser.dumps(ser.pencil_to_obj(hexagonal_pencil(),
-                                             Tower.rationals())))
+        yield "eacx-build-%d" % k, ["eacx-build", "--lambdas=" + lams]
+    hexagonal = write_doc(os.path.join(work, "hexagonal.pf"),
+                          ser.pencil_to_obj(hexagonal_pencil(),
+                                            Tower.rationals()))
+    eacx = os.path.join(work, "eacx-build-0.json")
     through = _inline(rational_pencil_point(random.Random(1)))
     for name, pencil, points in (
             ("hexagonal", hexagonal, ("1,0,0,0,0,0", through)),
-            ("eacx", os.path.join(work, "eacx-build-0.json"), ())):
-        runs.append(("find-line-%s" % name,
-                     ["find-line", "--pencil", pencil]))
+            ("eacx", eacx, ())):
+        yield "find-line-%s" % name, ["find-line", "--pencil", pencil]
         for k, point in enumerate(points):
-            runs.append(("find-line-%s-point%d" % (name, k),
-                         ["find-line", "--pencil", pencil,
-                          "--point=" + point, "--seed", "3"]))
-        runs.append(("audit-%s" % name,
-                     ["audit", "--pencil", pencil, "--line",
-                      os.path.join(work, "find-line-%s.json" % name)]))
-    return runs
+            yield ("find-line-%s-point%d" % (name, k),
+                   ["find-line", "--pencil", pencil, "--point=" + point,
+                    "--seed", "3"])
+        yield ("audit-%s" % name,
+               ["audit", "--pencil", pencil, "--line",
+                os.path.join(work, "find-line-%s.json" % name)])
+    hexagonal_m = write_doc(os.path.join(work, "hexagonal-m.pf"),
+                            ser.pencil_to_obj(hexagonal_under_m(),
+                                              Tower.rationals()))
+    yield "find-line-hexagonal-m", ["find-line", "--pencil", hexagonal_m]
+    # the second pair's first chart misses an endpoint, so a second
+    # random line is drawn
+    for k in (10, 12):
+        rng = random.Random(k)
+        start = _inline(under_m(rational_pencil_point(rng)))
+        end = _inline(under_m(rational_pencil_point(rng)))
+        yield from connect_and_verify(work, "hexagonal-m-%d" % k,
+                                      hexagonal_m, start, end)
+    # two points of the eacx-build pencil over one tower, as point documents
+    with open(eacx, encoding="utf-8") as fh:
+        pencil, tower = ser.pencil_from_obj(ser.loads(fh.read()))
+    rng = random.Random(7)
+    a, tower = point_on_intersection(pencil, rng=rng, tower=tower)
+    b, tower = point_on_intersection(pencil, rng=rng, tower=tower,
+                                     predicate=lambda y: y != a)
+    start, end = ("@" + write_doc(os.path.join(work, "eacx-%s.pt" % name),
+                                  ser.point_to_obj(x, tower))
+                  for name, x in (("start", a), ("end", b)))
+    yield from connect_and_verify(work, "eacx", eacx, start, end)
 
 
 def tool_digests(work):
@@ -110,11 +174,16 @@ def tool_digests(work):
         rc = run(argv + ["--out", out], err)
         digest_out = "-"
         if os.path.exists(out):
-            with open(out, "rb") as fh:
-                digest_out = hashlib.sha256(fh.read()).hexdigest()
+            with open(out, encoding="utf-8") as fh:
+                digest_out = sha256(fh.read(), work)
         yield "%s exit=%s out=%s stderr=%s" % (
-            name, rc, digest_out,
-            hashlib.sha256(err.getvalue().encode()).hexdigest())
+            name, rc, digest_out, sha256(err.getvalue(), work))
+
+
+def sha256(text, work):
+    """The digest of text with the work directory's path replaced, since
+    a verify report names its certificate files."""
+    return hashlib.sha256(text.replace(work, "<work>").encode()).hexdigest()
 
 
 def digest(workload, pair):

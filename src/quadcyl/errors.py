@@ -27,10 +27,11 @@ class ZeroDivisorError(TowerError):
     """Division by a nonzero element of zero conjugate norm.
 
     Happens when a radicand is secretly a perfect square lower in the
-    tower.  The square detection in sqrt_if_present is shallow, so this
-    is not limited to user-supplied radicand lists: over Q(sqrt2),
-    try_sqrt(3 + 2*sqrt2) adjoins a new radicand although 1 + sqrt2 is
-    already a square root of it.
+    tower.  sqrt_if_present decides a rational value exactly over the
+    tower's rational radicands, but it does not look through nested
+    ones, so this is not limited to user-supplied radicand lists: over
+    Q(sqrt2), try_sqrt(3 + 2*sqrt2) adjoins a new radicand although
+    1 + sqrt2 is already a square root of it.
     """
 
 

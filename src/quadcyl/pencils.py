@@ -92,14 +92,11 @@ class Pencil:
     def on_intersection(self, x) -> bool:
         return self.beta(x).is_zero() and self.gamma(x).is_zero()
 
-    def jacobian_rank(self, x) -> int:
-        gb, gg = self.beta.gradient(x), self.gamma.gradient(x)
-        if not proportional(gb, gg):
-            return 2
-        return 0 if is_zero_vec(gb) and is_zero_vec(gg) else 1
-
     def smooth_at(self, x) -> bool:
-        return self.on_intersection(x) and self.jacobian_rank(x) == 2
+        """On X, with the two gradients independent there."""
+        v = x.coords if isinstance(x, ProjPoint) else vec(x)
+        gb, gg = self.beta.gradient(v), self.gamma.gradient(v)
+        return not (dot(v, gb) or dot(v, gg) or proportional(gb, gg))
 
 
 def eacx_build(lambdas) -> Pencil:
@@ -220,7 +217,9 @@ def span_in_X(p: Pencil, points) -> bool:
 
 @dataclass(frozen=True)
 class Line:
-    """A projective line spanned by two points, known to lie inside X."""
+    """A projective line spanned by two points.  Building one checks
+    nothing; `Line.through` and `LineChart` refuse a line that is not
+    inside X."""
     v1: tuple
     v2: tuple
 
@@ -463,22 +462,21 @@ def find_line_through(pencil: Pencil, p, rng=None, tower=None,
     p = p if isinstance(p, ProjPoint) else ProjPoint(p)
     if not pencil.on_intersection(p):
         raise EndpointError("point is not on the intersection")
-    if pencil.jacobian_rank(p) != 2:
+    grads = (pencil.beta.gradient(p), pencil.gamma.gradient(p))
+    if proportional(*grads):
         raise SingularPointError("point is singular on the intersection")
     if rng is None:
         rng = random.Random(0)
     if tower is None:
         tower = Tower.rationals()
     tower = deepest_tower(p.coords, tower)
-    tangent = nullspace((pencil.beta.gradient(p), pencil.gamma.gradient(p)))
+    tangent = nullspace(grads)
     # the tangent vectors independent of p and of those before them
     _, pivots = rref(transpose((p.coords,) + tangent))
     reps = [tangent[c - 1] for c in pivots[1:]]
     m = len(reps)
-    bq = QuadForm([[pencil.beta.bilinear(a, b) for b in reps] for a in reps])
-    gq = QuadForm([[pencil.gamma.bilinear(a, b) for b in reps] for a in reps])
-
     cols = transpose(reps)
+    bq, gq = pencil.beta.transform(cols), pencil.gamma.transform(cols)
 
     def lift(cand):
         return mat_vec(cols, cand.coords if isinstance(cand, ProjPoint) else cand)
@@ -563,20 +561,35 @@ def _diagonal_line(pencil: Pencil, tower):
 
 
 def _cheap_lines(pencil: Pencil, tower):
-    """Deterministic line candidates: spans of standard basis vector
-    pairs, plus the split-support line when both forms are diagonal."""
+    """Deterministic line candidates: the spans of coordinate vector pairs
+    e_i, e_j inside X, which are those where both matrices vanish at
+    (i, i), (j, j) and (i, j), plus the split-support line when both forms
+    are diagonal."""
     out = []
     n = pencil.size
+    b, g = pencil.beta.matrix, pencil.gamma.matrix
     for i in range(n):
         for j in range(i + 1, n):
-            vi, vj = unit_vec(n, i), unit_vec(n, j)
-            if span_in_X(pencil, [vi, vj]):
-                out.append(Line(vi, vj))
+            if not any(m[i][i] or m[j][j] or m[i][j] for m in (b, g)):
+                out.append(Line(unit_vec(n, i), unit_vec(n, j)))
     if _is_diagonal(pencil):
         line, tower = _diagonal_line(pencil, tower)
         if line is not None:
             out.append(line)
     return out, tower
+
+
+def _random_line(pencil: Pencil, rng, tower, predicate=None):
+    """(Line inside X, tower) through a random smooth point of X that
+    passes the predicate, or (None, tower) when either search gives up;
+    the tower then keeps what the point paid."""
+    try:
+        aux, tower = point_on_intersection(pencil, rng=rng, tower=tower,
+                                           predicate=predicate, retry_limit=8)
+        return find_line_through(pencil, aux, rng=rng, tower=tower,
+                                 retry_limit=8)
+    except (RetryLimitError, TowerLimitError):
+        return None, tower
 
 
 def find_line(pencil: Pencil, rng=None, tower=None, retry_limit=64):
@@ -590,13 +603,9 @@ def find_line(pencil: Pencil, rng=None, tower=None, retry_limit=64):
     if rng is None:
         rng = random.Random(0)
     for _ in range(retry_limit):
-        try:
-            aux, tower = point_on_intersection(pencil, rng=rng, tower=tower,
-                                               retry_limit=8)
-            return find_line_through(pencil, aux, rng=rng, tower=tower,
-                                     retry_limit=8)
-        except (RetryLimitError, TowerLimitError):
-            continue
+        line, tower = _random_line(pencil, rng, tower)
+        if line is not None:
+            return line, tower
     raise RetryLimitError("no line inside the intersection found")
 
 
@@ -630,7 +639,7 @@ def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, rng=None,
     for name, pt in (("start", p), ("end", q)):
         if not pencil.on_intersection(pt):
             raise EndpointError("%s point is not on the intersection" % name)
-        if pencil.jacobian_rank(pt) != 2:
+        if proportional(pencil.beta.gradient(pt), pencil.gamma.gradient(pt)):
             raise SingularPointError(
                 "%s point is singular on the intersection" % name)
     tower = deepest_tower(p.coords + q.coords,
@@ -646,7 +655,9 @@ def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, rng=None,
         return XSegment(chart.line, inner.steps), inner.tower
 
     tried = 0
-    half_charts = []  # charts good for exactly one endpoint
+    # the first chart that covers only p, under True, and only q, under
+    # False, each with its degeneracy form
+    covers = {}
     candidates = list(lines) if lines else []
     cheap, tower = _cheap_lines(pencil, tower)
     candidates.extend(cheap)
@@ -657,13 +668,9 @@ def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, rng=None,
         if candidates:
             line = candidates.pop(0)
         else:
-            try:
-                aux, tower = point_on_intersection(
-                    pencil, rng=rng, tower=tower, retry_limit=8,
-                    predicate=lambda y: y != p and y != q)
-                line, tower = find_line_through(
-                    pencil, aux, rng=rng, tower=tower, retry_limit=8)
-            except (RetryLimitError, TowerLimitError):
+            line, tower = _random_line(pencil, rng, tower,
+                                       predicate=lambda y: y != p and y != q)
+            if line is None:
                 continue
         try:
             chart = chart_from_line(pencil, line)
@@ -676,32 +683,20 @@ def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, rng=None,
             seg, t2 = segment(chart, p, q, tower)
             return XPath(pencil, p, q, (seg,), t2)
         if good_p or good_q:
-            half_charts.append((chart, good_p))
-        # two-segment rescue once we hold charts covering each endpoint
-        cover_p = next((c for c, gp in half_charts if gp), None)
-        cover_q = next((c for c, gp in half_charts if not gp), None)
-        if cover_p is not None and cover_q is not None:
-            mid = _midpoint_for(pencil, cover_p, cover_q, p, q, rng)
-            if mid is not None:
-                seg1, t2 = segment(cover_p, p, mid, tower)
-                seg2, t3 = segment(cover_q, mid, q, t2)
-                return XPath(pencil, p, q, (seg1, seg2), t3)
+            covers.setdefault(good_p, (chart, dform))
+        if len(covers) < 2:
+            continue
+        # two segments through a smooth point of X that both covering
+        # charts map, pulled back from random image points of the first
+        (c1, d1), (c2, d2) = covers[True], covers[False]
+        mid = next((z for z in c1.points(rng, 64)
+                    if z != p and z != q and not d1(z).is_zero()
+                    and not d2(z).is_zero() and pencil.smooth_at(z)), None)
+        if mid is not None:
+            seg1, t2 = segment(c1, p, mid, tower)
+            seg2, t3 = segment(c2, mid, q, t2)
+            return XPath(pencil, p, q, (seg1, seg2), t3)
     raise RetryLimitError("no line chart covers the endpoints")
-
-
-def _midpoint_for(pencil, c1, c2, p, q, rng):
-    """A smooth point of X usable by both charts, found by pulling back
-    random image points of the first chart."""
-    d1, d2 = c1.degeneracy_form(), c2.degeneracy_form()
-    for z in c1.points(rng, 64):
-        if z == p or z == q:
-            continue
-        if d1(z).is_zero() or d2(z).is_zero():
-            continue
-        if not pencil.smooth_at(z):
-            continue
-        return z
-    return None
 
 
 def verify_on_X(pencil: Pencil, path: XPath) -> VerifyReport:

@@ -570,9 +570,8 @@ def point_on_quadric(q: QuadForm, basis=None, rng=None, tower=None,
         raise RetryLimitError("empty subspace has no points")
     else:
         # q restricted to the span, in the coordinates c of sum c_k basis_k
-        grads = [q.gradient(b) for b in basis]
-        g = QuadForm([[dot(a, gb) for gb in grads] for a in basis])
         cols = transpose(basis)
+        g = q.transform(cols)
         lift = lambda c: mat_vec(cols, c)
 
     base, tower = _base_point(g, tower)

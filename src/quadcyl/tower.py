@@ -695,12 +695,14 @@ def _rational_root(tower: Tower, v):
 def sqrt_if_present(tower: Tower, value) -> TowerScalar | None:
     """A square root of value already expressible in the tower, or None.
 
-    A rational value is decided over the rational radicands
-    (_rational_root), which is exact when every radicand is rational.  A
-    node value is found only as a rational-square multiple of an adjoined
-    radicand; no norm equations are solved, so a nested square such as
-    3 + 2*sqrt(2) = (1 + sqrt(2))^2 is missed, and so is a rational value
-    whose root needs a nested radicand.  value/d_i can only be rational
+    A rational value is decided over the k rational radicands
+    (_rational_root), which is exact when every radicand is rational; a
+    miss walks 2^k subsets, and only the tower's height limit
+    (`--tower-limit`) bounds k.  A node value is found only as a
+    rational-square multiple of an adjoined radicand; no norm equations
+    are solved, so a nested square such as 3 + 2*sqrt(2) =
+    (1 + sqrt(2))^2 is missed, and so is a rational value whose root
+    needs a nested radicand.  value/d_i can only be rational
     when value and d_i share a level, and is then found by comparing their
     integer trees (_rational_ratio), without dividing; value must still
     lie on the tower's chain (TowerError otherwise).

@@ -1,10 +1,15 @@
 """End-to-end command line tests: exit codes and byte-exact outputs."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quadcyl.cli import main
 from quadcyl.pencils import Line, Pencil
@@ -278,8 +283,9 @@ def planted(header, z, z_minus_one):
 
 # Headers that square detection through rational radicands cannot refuse,
 # each with a planted z that is zero in its field: 9 + 6*sqrt2 =
-# 3*(1 + sqrt2)^2, so z = sqrt(9 + 6*sqrt2) - sqrt3*(1 + sqrt2); and
-# z = sqrt((1 + sqrt2 + sqrt3)^2) - (1 + sqrt2 + sqrt3).
+# 3*(1 + sqrt2)^2, so z = sqrt(9 + 6*sqrt2) - sqrt3*(1 + sqrt2);
+# z = sqrt((1 + sqrt2 + sqrt3)^2) - (1 + sqrt2 + sqrt3); and 3 + 2*sqrt2 =
+# (1 + sqrt2)^2, so z = sqrt(3 + 2*sqrt2) - 1 - sqrt2.
 NESTED_HIDDEN_ZEROS = {
     "nested-class": planted(
         '["2/1",{"a":"9/1","b":"6/1","level":1},"3/1"]',
@@ -294,7 +300,27 @@ NESTED_HIDDEN_ZEROS = {
         '"level":2},"b":"1/1","level":3}',
         '{"a":{"a":{"a":"-2/1","b":"-1/1","level":1},"b":"-1/1",'
         '"level":2},"b":"1/1","level":3}'),
+    "nested-unit": planted(
+        '["2/1",{"a":"3/1","b":"2/1","level":1}]',
+        '{"a":{"a":"-1/1","b":"-1/1","level":1},"b":"1/1","level":2}',
+        '{"a":{"a":"-2/1","b":"-1/1","level":1},"b":"1/1","level":2}'),
 }
+
+
+@st.composite
+def kummer_headers(draw):
+    """2 to 6 distinct rational primes, with the product of two or more of
+    them times a rational square planted among them."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19)),
+                           min_size=2, max_size=6, unique=True))
+    factors = draw(st.lists(st.sampled_from(primes), min_size=2,
+                            unique=True))
+    root = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    product = math.prod(factors) * root * root
+    header = ["%d/1" % p for p in primes]
+    header.insert(draw(st.integers(0, len(primes))),
+                  "%d/%d" % (product.numerator, product.denominator))
+    return header
 
 
 class TestHiddenZeros:
@@ -369,9 +395,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("header", [
         ["1/4"], ["2/1", "2/1"], ["2/1", "8/1"],
-        # products of rational radicands: 6 = 2*3, 24 = 2*3*2^2 and
-        # 10/9 = 2*5/3^2
+        # products of rational radicands: 6 = 2*3, 24 = 2*3*2^2,
+        # 10/9 = 2*5/3^2 and 30 = 2*3*5
         ["2/1", "3/1", "6/1"], ["2/1", "3/1", "24/1"], ["2/1", "5/1", "10/9"],
+        ["2/1", "3/1", "5/1", "30/1"],
     ])
     def test_point_header_with_a_root_is_refused(self, docs, tmp_path,
                                                  capsys, header):
@@ -384,6 +411,19 @@ class TestVerify:
                    "--out", tmp_path / "c.cert") == 2
         assert "already has a square root" in capsys.readouterr().err
         assert not (tmp_path / "c.cert").exists()
+
+    @given(kummer_headers())
+    def test_planted_product_header_is_refused(self, docs, tmp_path_factory,
+                                               header):
+        pt = tmp_path_factory.getbasetemp() / "kummer.pt"
+        pt.write_text(dumps({"coords": ["1/1", "1/1", "0/1", "0/1"],
+                             "kind": "point", "radicands": header,
+                             "size": 4}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run("connect", "complement", "--form", docs / "split.qf",
+                       "--from", "@%s" % pt, "--to", "0,3,1,5")
+        assert code == 2 and "already has a square root" in err.getvalue()
 
     @pytest.mark.parametrize("change, named", [
         (lambda doc: doc.update(junk=1), "unknown key 'junk'"),

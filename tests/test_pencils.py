@@ -46,11 +46,13 @@ from quadcyl.projective import (
     ProjPoint,
     QuadForm,
     det,
+    is_zero_vec,
     mat,
     mat_inverse,
     mat_vec,
     nullspace,
     proj,
+    proportional,
     quadform_from_terms,
     rank_of,
     transpose,
@@ -99,7 +101,8 @@ class TestPencilBasics:
         # both gradients line up at this point, so the jacobian drops rank
         s = proj((1, 0, 1, 0, 1, 0))
         assert p.on_intersection(s)
-        assert p.jacobian_rank(s) == 1
+        gb, gg = p.beta.gradient(s), p.gamma.gradient(s)
+        assert proportional(gb, gg) and not is_zero_vec(gb)
         assert not p.smooth_at(s)
         s2 = proj((0, 1, 0, 1, 0, 1))
         assert p.on_intersection(s2) and not p.smooth_at(s2)
@@ -816,6 +819,64 @@ class TestNoCheapLine:
         x, _ = point_on_intersection(p)
         assert p.smooth_at(x)
         assert calls == [1]
+
+
+class TestCheapLinesOracle:
+    """`_cheap_lines` reads the coordinate lines off six matrix entries;
+    span_in_X on every coordinate pair is its oracle.  Random pencils on
+    6 to 8 coordinates get zeros planted at (i, i), (j, j) and (i, j),
+    sometimes at only some of the three, and some are made diagonal."""
+
+    @staticmethod
+    def planted(rng, n, entry):
+        mats = [[[entry() for _ in range(n)] for _ in range(n)]
+                for _ in range(2)]
+        diagonal = rng.random() < 0.4
+        # a planted zero on the diagonal mostly kills the split-support
+        # line, so diagonal pencils get fewer
+        for _ in range(rng.randint(0 if diagonal else 1, 4)):
+            i, j = sorted(rng.sample(range(n), 2))
+            spots = [(i, i), (j, j), (i, j)]
+            for rows in mats:
+                keep = spots if rng.random() < 0.6 else \
+                    rng.sample(spots, rng.randint(1, 2))
+                for a, b in keep:
+                    rows[a][b] = 0
+        for rows in mats:
+            for a in range(n):
+                for b in range(a + 1, n):
+                    rows[b][a] = 0 if diagonal else rows[a][b]
+                    rows[a][b] = rows[b][a]
+        return Pencil(QuadForm(mats[0]), QuadForm(mats[1]))
+
+    def test_matches_span_oracle(self):
+        rng = random.Random(22)
+        root2 = Tower.rationals().extend(2)
+        s2 = root2.generator(1)
+        fields = (
+            (Tower.rationals(),
+             lambda: F(rng.randint(-3, 3), rng.randint(1, 3))),
+            (root2,
+             lambda: rng.randint(-2, 2) + rng.randint(-2, 2) * s2))
+        found = diagonal_found = 0
+        for k in range(80):
+            tower, entry = fields[k % 2]
+            p = self.planted(rng, rng.randint(6, 8), entry)
+            n = p.size
+            want = [Line(unit_vec(n, i), unit_vec(n, j))
+                    for i in range(n) for j in range(i + 1, n)
+                    if span_in_X(p, [unit_vec(n, i), unit_vec(n, j)])]
+            want_tower = tower
+            if _is_diagonal(p):
+                line, want_tower = pencils._diagonal_line(p, tower)
+                if line is not None:
+                    want.append(line)
+                    diagonal_found += 1
+            got, got_tower = _cheap_lines(p, tower)
+            assert got == want
+            assert got_tower.radicands() == want_tower.radicands()
+            found += len(got)
+        assert found >= 30 and diagonal_found >= 3
 
 
 class TestFindLineThroughQuotientFour:

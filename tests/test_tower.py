@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -853,6 +854,21 @@ class TestSquareDetection:
                 root = sqrt_if_present(tw, Fraction(9, 4) * prod)
                 assert root == Fraction(3, 2) * gens
                 assert sqrt_if_present(tw, 11 * prod) is None
+
+    def test_kummer_walk_at_the_default_limit(self):
+        # a miss walks all 2^k subsets of the k rational radicands, and
+        # the height limit is the only bound on k: at the default limit
+        # the header of the first 16 primes, read with one walk per
+        # radicand, and one miss over it must each stay within seconds
+        primes = [p for p in range(2, 54) if all(p % q for q in range(2, p))]
+        assert len(primes) == Tower.rationals().limit == 16
+        start = time.perf_counter()
+        tw = tower_from_obj(["%d/1" % p for p in primes])
+        built = time.perf_counter()
+        assert tw.height == 16
+        assert sqrt_if_present(tw, 59) is None
+        done = time.perf_counter()
+        assert built - start < 5 and done - built < 5
 
     def test_value_off_the_chain_refused(self):
         # the radicand at level 2 is a node, so a level-1 value of an
