@@ -8,13 +8,17 @@ byte-identical output files.
 Exit codes: 0 everything valid, 1 a verification or audit failure,
 2 unusable input, 3 a search ran out of retries, 4 a tower would grow
 past its height limit, 5 an internal error (a defect of quadcyl, not of
-the input).
+the input): any exception that is not a QuadcylError, ValueError
+included, exits 5 with its repr on one error line and no traceback.
+
+verify reads the reference document and every certificate, parses the
+reference once, and replays the certificates in argument order in this
+process.
 """
 
 import argparse
 import functools
 import json
-import os
 import random
 import re
 import sys
@@ -55,7 +59,7 @@ def _failure(exc: Exception):
         return EXIT_TOWER, str(exc)
     if isinstance(exc, RetryLimitError):
         return EXIT_SEARCH, str(exc)
-    if isinstance(exc, (QuadcylError, ValueError)):
+    if isinstance(exc, QuadcylError):
         return EXIT_INPUT, str(exc)
     return EXIT_INTERNAL, "internal error: %r" % (exc,)
 
@@ -180,112 +184,42 @@ def cmd_connect(args) -> int:
     return EXIT_VALID
 
 
-@functools.lru_cache(maxsize=1)
-def _reference(ref_kind: str, ref_text: str, limit: int):
-    """(form or pencil, tower) of the reference document of a verify.  It
-    has one slot, so a process parses the reference once however many
-    certificates it checks: once per command, or once per --jobs worker.
-    cmd_verify empties the slot first, so no command reuses the parse of
-    an earlier one."""
-    parse = ser.pencil_from_obj if ref_kind == "pencil" else ser.form_from_obj
-    return parse(ser.loads(ref_text), Tower.rationals(limit))
-
-
-def _verify_one(ref_kind: str, ref_text: str, cert_text: str, limit: int):
-    """Parse and check one certificate against the reference document:
-    (report object, None), or (None, (exit code, message, whether the
-    reference is at fault)).  The reference is read first, so a broken one
-    fails every call alike.  Runs in a worker process when --jobs asks for
-    it, so everything crosses as plain data."""
-    try:
-        ref, tower = _reference(ref_kind, ref_text, limit)
-    except QuadcylError as exc:
-        return None, (*_failure(exc), True)
-    try:
-        cert_obj = ser.loads(cert_text)
-        if ref_kind == "pencil":
-            report = verify_on_X(ref, ser.xpath_from_obj(cert_obj, tower))
-        else:
-            report = verify_path(ref, ser.path_from_obj(cert_obj, tower))
-    except QuadcylError as exc:
-        return None, (*_failure(exc), False)
-    return report.to_obj(), None
-
-
 def cmd_verify(args) -> int:
-    _reference.cache_clear()
     if (args.form is None) == (args.pencil is None):
         raise SystemExitCode(EXIT_INPUT,
                              "verify needs exactly one of --form/--pencil")
-    ref_kind = "pencil" if args.pencil else "form"
     ref_path = args.pencil or args.form
     ref_text = _read_text(ref_path)
     cert_texts = [_read_text(p) for p in args.certificate]
-    payloads = [(ref_kind, ref_text, t, args.tower_limit)
-                for t in cert_texts]
-    # the pool starts all its workers at once, so ask for no more than
-    # there are certificates and CPUs
-    jobs = min(args.jobs, len(payloads), os.cpu_count() or 1)
-    if jobs > 1:
-        outcomes = _pooled(jobs, payloads)
-        # a dead worker fails every call its pool had not finished, so
-        # each of those runs again alone, in a fresh pool: only the
-        # certificate that kills that pool too is reported
-        for k, payload in enumerate(payloads):
-            if outcomes[k] is None:
-                died = (EXIT_INTERNAL, "internal error: worker process died",
-                        False)
-                outcomes[k] = _pooled(1, [payload])[0] or (None, died)
-    else:
-        outcomes = [_verify_one(*p) for p in payloads]
+    # the reference is parsed once; a broken one would fail every
+    # certificate alike, so the error names it and no report is written
+    parse = ser.pencil_from_obj if args.pencil else ser.form_from_obj
+    try:
+        ref, tower = parse(ser.loads(ref_text),
+                           Tower.rationals(args.tower_limit))
+    except QuadcylError as exc:
+        code, message = _failure(exc)
+        raise SystemExitCode(code, "%s: %s" % (ref_path, message))
     results = []
     failure = None
-    all_valid = True
-    for path, (report, err) in zip(args.certificate, outcomes):
-        if err is not None:
-            code, message, ref_failed = err
-            if ref_failed:
-                raise SystemExitCode(code, "%s: %s" % (ref_path, message))
-            # the last unreadable file names the exit code, unless a
-            # worker died: that is a defect, so its code stays
-            if failure is None or failure[0] != EXIT_INTERNAL:
-                failure = code, "%s: %s" % (path, message)
+    for path, text in zip(args.certificate, cert_texts):
+        try:
+            cert_obj = ser.loads(text)
+            if args.pencil:
+                report = verify_on_X(ref, ser.xpath_from_obj(cert_obj, tower))
+            else:
+                report = verify_path(ref, ser.path_from_obj(cert_obj, tower))
+        except QuadcylError as exc:
+            # the last unreadable file names the exit code
+            code, message = _failure(exc)
+            failure = code, "%s: %s" % (path, message)
             results.append({"file": path, "valid": False, "error": message})
-            all_valid = False
         else:
-            results.append({"file": path, **report})
-            all_valid = all_valid and report["valid"]
+            results.append({"file": path, **report.to_obj()})
     _emit(args, ser.dumps({"kind": "verify-report", "results": results}))
     if failure is not None:
         raise SystemExitCode(*failure)
-    return EXIT_VALID if all_valid else EXIT_INVALID
-
-
-def _pool(workers: int):
-    """A pool of this many worker processes.  The process machinery is
-    imported here, so that a CLI run that needs no pool never loads it."""
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers)
-
-
-def _pooled(workers: int, payloads):
-    """_verify_one on each payload in a fresh pool of this many workers:
-    its result, or None where a dead worker broke the pool first."""
-    from concurrent.futures.process import BrokenProcessPool
-    outcomes = [None] * len(payloads)
-    with _pool(workers) as pool:
-        futures = []
-        for payload in payloads:
-            try:
-                futures.append(pool.submit(_verify_one, *payload))
-            except BrokenProcessPool:
-                break
-        for k, future in enumerate(futures):
-            try:
-                outcomes[k] = future.result()
-            except BrokenProcessPool:
-                pass
-    return outcomes
+    return EXIT_VALID if all(r["valid"] for r in results) else EXIT_INVALID
 
 
 def cmd_audit(args) -> int:
@@ -423,8 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("certificate", nargs="+", help="certificate documents")
     p.add_argument("--form", help="the ambient form document")
     p.add_argument("--pencil", help="the ambient pencil document")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="verify this many certificates in parallel")
 
     p = command("audit", "check a line chart: rank, degrees, round trips",
                 "--seed", "--tower-limit")

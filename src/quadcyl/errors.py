@@ -31,7 +31,9 @@ class ZeroDivisorError(TowerError):
     tower's rational radicands, but it does not look through nested
     ones, so this is not limited to user-supplied radicand lists: over
     Q(sqrt2), try_sqrt(3 + 2*sqrt2) adjoins a new radicand although
-    1 + sqrt2 is already a square root of it.
+    1 + sqrt2 is already a square root of it.  So `connect ci` can still
+    hit it on valid input, and exits 2, until item 3 step 2 of ROADMAP
+    lands (exact square detection through nested radicands).
     """
 
 

@@ -54,7 +54,9 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal past Python's limit on
+        # digits converted from text
         raise InputFormatError("not valid JSON: %s" % exc) from None
     except RecursionError:
         raise InputFormatError("document is nested too deeply") from None
@@ -107,21 +109,19 @@ def _open(obj, kind, keys, base):
 
 def _reader(tower):
     """The scalar parser of one document, over its tower.  Step matrices
-    repeat a few rational scalars ("0/1", "1/1") thousands of times, and
-    the leaves of nodes repeat too, so each distinct whole rational is
-    parsed once per document into its scalar, and each distinct leaf
-    literal once into its (num, den); the first sight of a literal still
-    validates it.  Both memos live as long as the parse that made the
-    reader."""
-    rationals = {}
-    leaves = {}
+    repeat a few rational literals ("0/1", "1/1") thousands of times, as
+    whole scalars and as the leaves of nodes, so each distinct literal is
+    parsed once per document into its scalar; the first sight of a
+    literal still validates it.  The memo lives as long as the parse that
+    made the reader."""
+    literals = {}
 
     def read(obj):
         if obj.__class__ is not str:
-            return _scalar_from_obj(obj, tower, leaves)
-        s = rationals.get(obj)
+            return _scalar_from_obj(obj, tower, literals)
+        s = literals.get(obj)
         if s is None:
-            s = rationals[obj] = parse_rational(obj)
+            s = literals[obj] = parse_rational(obj)
         return s
     return read
 
@@ -160,7 +160,7 @@ def matrix_to_flat(rows) -> list:
 def _matrix_from_flat(objs, read, size, what):
     if not isinstance(objs, list) or len(objs) != size * size:
         raise InputFormatError(
-            "%s must hold %d row-major entries" % (what, size * size))
+            "%s must hold %d x %d row-major entries" % (what, size, size))
     cells = [read(c) for c in objs]
     return tuple(tuple(cells[i * size:(i + 1) * size]) for i in range(size))
 

@@ -361,12 +361,6 @@ def parse_rational(text: str) -> TowerScalar:
     minus, no leading zeros, no negative zero, positive denominator, lowest
     terms, at most MAX_LITERAL_DIGITS digits.  Anything accepted is written
     back as the same text (the bare "p" form as "p/1")."""
-    return _rational(*_rational_parts(text))
-
-
-def _rational_parts(text: str):
-    """(num, den) of a literal that parse_rational accepts, with its
-    checks and messages."""
     ns, slash, ds = text.partition("/")
     digits = ns[1:] if ns[:1] == "-" else ns
     if not (text.isascii() and digits.isdigit() and
@@ -391,7 +385,7 @@ def _rational_parts(text: str):
     if gcd(num, den) != 1:
         raise InputFormatError(
             "rational not in lowest terms: %s" % _quoted(text))
-    return num, den
+    return _rational(num, den)
 
 
 def _same_chain(t1: Tower, t2: Tower) -> bool:
@@ -789,24 +783,24 @@ def scalar_from_obj(obj, tower: Tower) -> TowerScalar:
     return _scalar_from_obj(obj, tower, {})
 
 
-def _scalar_from_obj(obj, tower, leaves):
-    """scalar_from_obj, with leaves memoizing the (num, den) of each leaf
-    literal (serialize keeps one such memo per document)."""
-    t, den = _node_parts(obj, tower.height, tower.scales, leaves)
+def _scalar_from_obj(obj, tower, literals):
+    """scalar_from_obj, with literals memoizing the parse_rational of each
+    leaf literal (serialize keeps one such memo per document)."""
+    t, den = _node_parts(obj, tower.height, tower.scales, literals)
     return _make(tower, t, 1, den)
 
 
-def _node_parts(obj, top, scales, leaves):
+def _node_parts(obj, top, scales, literals):
     """(t, den) with value t/den for the encoding of a value whose node
     levels are at most top: a leaf's (num, den), or a node's tree over the
     least common denominator of its halves, not reduced any further.  Each
     level is checked before its children are read, so the recursion is no
     deeper than the tower."""
-    if isinstance(obj, str):
-        parts = leaves.get(obj)
-        if parts is None:
-            parts = leaves[obj] = _rational_parts(obj)
-        return parts
+    if obj.__class__ is str:
+        s = literals.get(obj)
+        if s is None:
+            s = literals[obj] = parse_rational(obj)
+        return s.tree, s.den
     if not isinstance(obj, dict):
         raise InputFormatError("scalar must be a string or an object")
     if obj.keys() != _NODE_KEYS:
@@ -819,8 +813,8 @@ def _node_parts(obj, top, scales, leaves):
         raise InputFormatError(
             "scalar level %d is outside 1..%d: above the tower, or not "
             "below its parent node" % (level, top))
-    ta, da = _node_parts(obj["a"], level - 1, scales, leaves)
-    tb, db = _node_parts(obj["b"], level - 1, scales, leaves)
+    ta, da = _node_parts(obj["a"], level - 1, scales, literals)
+    tb, db = _node_parts(obj["b"], level - 1, scales, literals)
     # a node's tree is never zero, so b is zero only as the leaf 0
     if not tb:
         raise InputFormatError("non-canonical scalar: zero radical part")

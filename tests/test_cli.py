@@ -439,23 +439,18 @@ class TestVerify:
                    "1,1,0,0", "--to", "0,3,1,5") == 2
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("change, code, message", [
         (lambda doc: doc.update(matrx=doc.pop("matrix")), 2,
          "form document is missing 'matrix'"),
         (lambda doc: doc.update(radicands=["2/1", "3/1"]), 4,
          "tower height limit 1 exceeded"),
     ], ids=["misspelt-key", "too-deep"])
-    def test_broken_reference_is_named(self, docs, tmp_path, capsys,
-                                       monkeypatch, jobs, change, code,
-                                       message):
+    def test_broken_reference_is_named(self, docs, tmp_path, capsys, count,
+                                       change, code, message):
         # a reference that cannot be read fails every certificate alike,
-        # so the error names it, not the certificates, and no report is
-        # written
-        from quadcyl import cli
-        sizes = []
-        self.fake_pool(monkeypatch, sizes)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        # so the error names it once, not the certificates, and no report
+        # is written
         cert = self.make_cert(docs, tmp_path)
         other = tmp_path / "c2.cert"
         other.write_bytes(cert.read_bytes())
@@ -465,11 +460,10 @@ class TestVerify:
         bad.write_text(dumps(doc))
         out = tmp_path / "v.json"
         capsys.readouterr()
-        assert run("verify", "--form", bad, cert, other, "--jobs", jobs,
+        assert run("verify", "--form", bad, *[cert, other][:count],
                    "--tower-limit", 1, "--out", out) == code
         assert capsys.readouterr().err == "error: %s: %s\n" % (bad, message)
         assert not out.exists()
-        assert sizes == ([2] if jobs == 2 else [])
 
     def test_reference_parsed_once_per_command(self, docs, tmp_path,
                                                monkeypatch):
@@ -586,90 +580,49 @@ class TestVerify:
         assert err == \
             "error: internal error: RuntimeError('simulated\\ndefect')\n"
 
-    def test_parallel_matches_serial(self, docs, tmp_path):
+    def test_over_long_integer_certificate_is_reported(self, docs,
+                                                          tmp_path, capsys):
+        # json refuses an integer literal past Python's limit on digits
+        # converted from text (4300 by default) with a plain ValueError; the
+        # certificate holding one gets its own report entry, as "{nope" does
         cert = self.make_cert(docs, tmp_path)
-        one, two = tmp_path / "one.json", tmp_path / "two.json"
-        assert run("verify", cert, cert, "--form", docs / "split.qf",
-                   "--out", one) == 0
-        assert run("verify", cert, cert, "--form", docs / "split.qf",
-                   "--jobs", 2, "--out", two) == 0
-        assert one.read_bytes() == two.read_bytes()
-
-    @staticmethod
-    def fake_pool(monkeypatch, sizes, deadly=()):
-        """Install a stand-in pool that records its size and runs each
-        submitted call at once, so no process is started whatever --jobs
-        asks for.  A call on a certificate text in deadly breaks the pool
-        as a dead worker would: that call fails, and so does every later
-        submission to the same pool."""
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
-        from quadcyl import cli
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                self.broken = False
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                if self.broken:
-                    raise BrokenProcessPool("pool is broken")
-                future = Future()
-                if args[2] in deadly:
-                    self.broken = True
-                    future.set_exception(BrokenProcessPool("killed"))
-                else:
-                    future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(cli, "_pool", FakePool)
-
-    def test_pool_capped_by_certificates_and_cpus(self, docs, tmp_path,
-                                                  monkeypatch):
-        from quadcyl import cli
-        sizes = []
-        self.fake_pool(monkeypatch, sizes)
-        cert = self.make_cert(docs, tmp_path)
-        cases = [(8, 64, 3, 3), (8, 2, 3, 2), (2, 64, 3, 2),
-                 (None, 64, 3, None), (8, 64, 1, None), (8, 0, 3, None)]
-        for cpus, jobs, count, expected in cases:
-            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-            sizes.clear()
-            assert run("verify", *[cert] * count, "--form",
-                       docs / "split.qf", "--jobs", jobs) == 0
-            assert sizes == ([] if expected is None else [expected])
-
-    def test_dead_worker_is_internal_error(self, docs, tmp_path, capsys,
-                                           monkeypatch):
-        # the certificates behind the one that kills its worker lose their
-        # results with the pool; each runs again alone in a fresh pool,
-        # and only the killer breaks that one too.  Its text is valid JSON
-        # of no certificate, so a rerun in this process would exit 2
-        from quadcyl import cli
-        sizes = []
-        self.fake_pool(monkeypatch, sizes, deadly={"{}"})
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-        cert = self.make_cert(docs, tmp_path)
-        killer, bad = tmp_path / "killer.cert", tmp_path / "broken.cert"
-        killer.write_text("{}")
+        huge, bad = tmp_path / "huge.cert", tmp_path / "broken.cert"
+        huge.write_text('{"kind": "certificate", "size": %s}' % ("7" * 5001))
         bad.write_text("{nope")
         out = tmp_path / "v.json"
         capsys.readouterr()
-        assert run("verify", cert, killer, cert, bad, "--form",
-                   docs / "split.qf", "--jobs", 3, "--out", out) == 5
-        assert sizes == [3, 1, 1, 1]
+        assert run("verify", "--form", docs / "split.qf", cert, huge, bad,
+                   "--out", out) == 2
         results = loads(out.read_text())["results"]
-        assert [r["valid"] for r in results] == [True, False, True, False]
-        assert results[1]["error"] == "internal error: worker process died"
-        assert results[3]["error"].startswith("not valid JSON")
-        assert capsys.readouterr().err == (
-            "error: %s: internal error: worker process died\n" % killer)
+        assert [r["valid"] for r in results] == [True, False, False]
+        assert results[1]["file"] == str(huge)
+        assert results[1]["error"].startswith("not valid JSON: Exceeds")
+        assert results[2]["error"].startswith("not valid JSON")
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: not valid JSON" % bad)
+        assert run("verify", "--form", docs / "split.qf", bad, huge,
+                   "--out", out) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: %s: not valid JSON: Exceeds" % huge)
+
+    @pytest.mark.parametrize("digits, message", [
+        (5001, "not valid JSON: Exceeds the limit (4300 digits)"),
+        # below the limit, but size * size is above it
+        (4000, "form matrix must hold 999"),
+    ], ids=["over-limit", "square-over-limit"])
+    def test_long_size_reference_is_named(self, docs, tmp_path, capsys,
+                                          digits, message):
+        cert = self.make_cert(docs, tmp_path)
+        ref = tmp_path / "huge.qf"
+        ref.write_text((docs / "split.qf").read_text().replace(
+            '"size":4', '"size":%s' % ("9" * digits)))
+        out = tmp_path / "v.json"
+        capsys.readouterr()
+        assert run("verify", "--form", ref, cert, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: %s" % (ref, message))
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_cli_import_loads_no_process_pool(self):
         import os
@@ -845,14 +798,14 @@ class TestRepeatedMain:
                    "--from", "1,0", "--to", "0,1", "--seed", 5) == 0
         assert run("connect", "ci", "--pencil", "p.pf",
                    "--from", "1,0", "--to", "0,1") == 0
-        assert run("verify", "c.cert", "--form", "f.qf", "--jobs", 3,
+        assert run("verify", "c.cert", "--form", "f.qf", "--out", "o.json",
                    "--tower-limit", 7) == 0
         assert run("verify", "c.cert", "--form", "f.qf") == 0
         first, second, third, fourth = seen
         assert first.line == ["A"] and first.seed == 5
         assert second.line is None and second.seed == 0
-        assert third.jobs == 3 and third.tower_limit == 7
-        assert fourth.jobs == 1 and fourth.tower_limit == 16
+        assert third.out == "o.json" and third.tower_limit == 7
+        assert fourth.out is None and fourth.tower_limit == 16
         assert cli._build_parser() is cli._build_parser()
 
 
@@ -937,6 +890,7 @@ class TestOptionContract:
         (("normalize", "--hyperbolic", "f.qf"), "--retry-limit"),
         (("verify", "c.cert", "--form", "f.qf"), "--seed"),
         (("verify", "c.cert", "--form", "f.qf"), "--retry-limit"),
+        (("verify", "c.cert", "--form", "f.qf"), "--jobs"),
         (("audit", "--pencil", "p.pf", "--line", "l.lf"), "--retry-limit"),
         (("eacx-build", "--lambdas", "0,1,2,3,4,5"), "--seed"),
         (("eacx-build", "--lambdas", "0,1,2,3,4,5"), "--retry-limit"),

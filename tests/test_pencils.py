@@ -20,6 +20,7 @@ from quadcyl.errors import (
     RankTooLowError,
     RetryLimitError,
     SingularPointError,
+    ZeroDivisorError,
 )
 from quadcyl import pencils
 from quadcyl.pencils import (
@@ -819,6 +820,22 @@ class TestNoCheapLine:
         x, _ = point_on_intersection(p)
         assert p.smooth_at(x)
         assert calls == [1]
+
+    @pytest.mark.xfail(strict=True, raises=ZeroDivisorError,
+                       reason="ROADMAP item 3 step 2: a random line adjoins "
+                       "a nested radicand that already has a square root "
+                       "one level down, and the connect divides by a hidden "
+                       "zero")
+    def test_connect_between_rational_points(self):
+        # the M^-1 images of two rational points of the hexagonal
+        # intersection, drawn one after the other from Random(12) by
+        # bench/workloads.py's rational_pencil_point
+        p = hexagonal_under_m()
+        a = proj(tuple(F(n, 38) for n in (-7, 235, -165, 127, 139, -63)))
+        b = proj((-27, 22, -31, 34, -43, 45))
+        assert p.on_intersection(a) and p.on_intersection(b)
+        xp = connect_on_X(p, a, b, rng=random.Random(0))
+        assert verify_on_X(p, xp).valid
 
 
 class TestCheapLinesOracle:
