@@ -108,8 +108,8 @@ def _parse_point(text: str, size: int, base: Tower):
     return point, tower
 
 
-def _radicand_note(tower: Tower) -> str:
-    return "radicands: %s" % json.dumps(tower_to_obj(tower), sort_keys=True)
+def _radicand_note(header: list) -> str:
+    return "radicands: %s" % json.dumps(header, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def cmd_normalize(args) -> int:
         result=ser.matrix_to_flat(frame.change.pullback(form).matrix),
         **split)
     _emit(args, ser.dumps(obj))
-    _note(_radicand_note(tower))
+    _note(_radicand_note(tower_to_obj(tower)))
     return EXIT_VALID
 
 
@@ -149,6 +149,7 @@ def cmd_connect(args) -> int:
         if args.pencil is None:
             raise SystemExitCode(EXIT_INPUT, "connect ci needs --pencil")
         pencil, tower = ser.pencil_from_obj(_read_doc(args.pencil), root)
+        floor = tower.height
         p, tower = _parse_point(args.from_point, pencil.size, tower)
         q, tower = _parse_point(args.to_point, pencil.size, tower)
         lines = []
@@ -158,29 +159,32 @@ def cmd_connect(args) -> int:
         xp = connect_on_X(pencil, p, q, lines=lines or None, tower=tower,
                           rng=random.Random(args.seed),
                           retry_limit=args.retry_limit)
-        _emit(args, ser.dumps(ser.xpath_to_obj(xp)))
-        _note("segments: %d, steps: %d" % (
-            len(xp.segments), sum(len(s.steps) for s in xp.segments)))
-        _note(_radicand_note(xp.tower))
-        return EXIT_VALID
-    if args.form is None:
-        raise SystemExitCode(EXIT_INPUT,
-                             "connect %s needs --form" % args.target)
-    if args.pencil or args.line:
-        raise SystemExitCode(EXIT_INPUT,
-                             "--pencil/--line are only for connect ci")
-    form, tower = ser.form_from_obj(_read_doc(args.form), root)
-    p, tower = _parse_point(args.from_point, form.size, tower)
-    q, tower = _parse_point(args.to_point, form.size, tower)
-    if args.target == "complement":
-        path = connect_complement(form, p, q, tower=tower)
+        obj = ser.xpath_to_obj(xp)
+        counts = "segments: %d, steps: %d" % (
+            len(xp.segments), sum(len(s.steps) for s in xp.segments))
     else:
-        path = connect_on_quadric(form, p, q, tower=tower,
-                                  rng=random.Random(args.seed),
-                                  retry_limit=args.retry_limit)
-    _emit(args, ser.dumps(ser.path_to_obj(path)))
-    _note("steps: %d" % len(path.steps))
-    _note(_radicand_note(path.tower))
+        if args.form is None:
+            raise SystemExitCode(EXIT_INPUT,
+                                 "connect %s needs --form" % args.target)
+        if args.pencil or args.line:
+            raise SystemExitCode(EXIT_INPUT,
+                                 "--pencil/--line are only for connect ci")
+        form, tower = ser.form_from_obj(_read_doc(args.form), root)
+        floor = tower.height
+        p, tower = _parse_point(args.from_point, form.size, tower)
+        q, tower = _parse_point(args.to_point, form.size, tower)
+        if args.target == "complement":
+            path = connect_complement(form, p, q, tower=tower)
+        else:
+            path = connect_on_quadric(form, p, q, tower=tower,
+                                      rng=random.Random(args.seed),
+                                      retry_limit=args.retry_limit)
+        obj = ser.path_to_obj(path)
+        counts = "steps: %d" % len(path.steps)
+    obj = ser.used_radicands_only(obj, floor)
+    _emit(args, ser.dumps(obj))
+    _note(counts)
+    _note(_radicand_note(obj["radicands"]))
     return EXIT_VALID
 
 
@@ -288,7 +292,7 @@ def cmd_find_line(args) -> int:
         line, tower = find_line(pencil, rng=rng, tower=tower,
                                 retry_limit=args.retry_limit)
     _emit(args, ser.dumps(ser.line_to_obj(line, tower)))
-    _note(_radicand_note(tower))
+    _note(_radicand_note(tower_to_obj(tower)))
     return EXIT_VALID
 
 

@@ -16,8 +16,8 @@ certificate; it returns a report naming the first broken step.
 
 The complement connector works in the standard cylinders of the form:
 both endpoints are first driven to a canonical point of the first
-hyperbolic pair, and the two canonical points are then joined by a short
-rescale gadget (three moves) when their fiber values differ.
+hyperbolic pair, (1:t:0:...:0), or at rank 3 (1:0:...:0:z) with z^2 = t,
+then joined by a short rescale gadget (three moves) if their fibers differ.
 """
 
 from __future__ import annotations
@@ -128,8 +128,8 @@ def _same_fiber(s1, n1, s2, n2) -> bool:
 
 
 def _canonicalize_complement(bundle: ChartBundle, p: ProjPoint, tower):
-    """Drive p to the canonical point of the first pair: (1:t:0:...:0) when
-    the rank is even, (1:0:...:0:z) with z^2 = t when it is odd.  At most
+    """Drive p to the canonical point of the first pair: (1:0:...:0:z) with
+    z^2 = t at rank 3, else (1:t:0:...:0), which pays no radicand.  At most
     two moves; returns (trail, canonical point, tower)."""
     trail = _Trail()
     cur = p
@@ -173,7 +173,7 @@ def _canonicalize_complement(bundle: ChartBundle, p: ProjPoint, tower):
         assert not u[0].is_zero()
     u1 = bundle.u_charts[0]
     t, _ = u1.forward(cur)
-    if has_z:
+    if has_z and m == 1:
         lam, tower = try_sqrt(tower, t)
         target = u1.target_from({2 * m: lam})
     else:
@@ -189,12 +189,12 @@ def _w_escape_candidates(chart: Chart):
             yield chart.target_from({j: k})
 
 
-def _rescale_pairs(bundle: ChartBundle, cp, cq, t_p, t_q, tower):
-    """Even-rank gadget: (1:t:0:...) to (1:t':0:...) in three moves through
-    the first two pairs.  Needs at least two pairs, which rank >= 3 with
-    even rank guarantees."""
+def _rescale_pairs(bundle: ChartBundle, cp, cq, tower):
+    """Past rank 3: (1:t:0:...) to (1:t':0:...) in three moves through the
+    first two pairs, paying sqrt(t/t') only when the tower lacks it."""
     trail = _Trail()
     u1, u2 = bundle.u_charts[0], bundle.u_charts[1]
+    t_p, t_q = u1.forward(cp)[0], u1.forward(cq)[0]
     lam, tower = try_sqrt(tower, t_p / t_q)
     step1 = trail.move(u1, cp, u1.target_from({2: lam}))
     step2 = trail.move(u2, step1, u2.target_from({0: 1, 1: t_p / lam}))
@@ -203,12 +203,13 @@ def _rescale_pairs(bundle: ChartBundle, cp, cq, t_p, t_q, tower):
     return trail, tower
 
 
-def _rescale_axis(bundle: ChartBundle, cp, cq, lam, mu, tower):
-    """Odd-rank gadget: (1:0:...:lam) to (1:0:...:mu) in three moves using
-    the first pair's two charts and the square coordinate."""
+def _rescale_axis(bundle: ChartBundle, cp, cq, tower):
+    """Rank-3 gadget: (1:0:...:lam) to (1:0:...:mu) in three moves using
+    the one pair's two charts and the square coordinate."""
     trail = _Trail()
     u1, v1 = bundle.u_charts[0], bundle.v_charts[0]
     zpos = 2 * bundle.pairs
+    lam, mu = (u1.transverse_value(u1.forward(x)[1], zpos) for x in (cp, cq))
     # c^2 = (1 -+ 3 lam/mu) / (9 lam^2) for either sign: a root the tower
     # already holds, else the minus sign's root, adjoined with no retest
     ratio = 3 * lam / mu
@@ -272,16 +273,9 @@ def connect_complement(form: QuadForm, p, q, *, tower=None,
     full, cp, tower = _canonicalize_complement(bundle, p, tower)
     trail_q, cq, tower = _canonicalize_complement(bundle, q, tower)
     if cp != cq:
-        u1 = bundle.u_charts[0]
-        t_p, tv_p = u1.forward(cp)
-        t_q, tv_q = u1.forward(cq)
-        if bundle.has_z:
-            zslot = 2 * bundle.pairs
-            lam = u1.transverse_value(tv_p, zslot)
-            mu = u1.transverse_value(tv_q, zslot)
-            gadget, tower = _rescale_axis(bundle, cp, cq, lam, mu, tower)
-        else:
-            gadget, tower = _rescale_pairs(bundle, cp, cq, t_p, t_q, tower)
+        axis = bundle.has_z and bundle.pairs == 1
+        gadget, tower = (_rescale_axis if axis else _rescale_pairs)(
+            bundle, cp, cq, tower)
         full.extend(gadget)
     full.extend_reversed(trail_q)
     return done(full.steps())

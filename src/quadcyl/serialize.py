@@ -384,6 +384,38 @@ def xpath_from_obj(obj, base: Tower | None = None) -> XPath:
     return XPath(pencil, start, end, segments, tower)
 
 
+def _nodes(objs, out):
+    """Append to out every scalar node inside the values objs."""
+    for v in objs:
+        if v.__class__ is dict:
+            if "level" in v:
+                out.append(v)
+            _nodes(v.values(), out)
+        elif v.__class__ is list:
+            _nodes(v, out)
+
+
+def used_radicands_only(doc: dict, floor: int) -> dict:
+    """The certificate doc, in place (no node shared, as the writers build
+    it), over the radicands that its scalars and its kept radicands use,
+    and its reference's first floor ones, renumbered in order."""
+    rads, nodes = doc["radicands"], []
+    _nodes([v for k, v in doc.items() if k != "radicands"], nodes)
+    used = set(range(1, floor + 1)) | {n["level"] for n in nodes}
+    for j in range(len(rads), floor, -1):  # d_j uses levels below j only
+        if j in used:
+            k = len(nodes)
+            _nodes([rads[j - 1]], nodes)
+            used.update(n["level"] for n in nodes[k:])
+    if len(used) < len(rads):
+        keep = sorted(used)
+        new = dict(zip(keep, range(1, len(keep) + 1)))
+        for n in nodes:  # a level up to floor keeps its number
+            n["level"] = new[n["level"]]
+        doc["radicands"] = [rads[j - 1] for j in keep]
+    return doc
+
+
 def certificate_from_obj(obj, base: Tower | None = None):
     """Parse either certificate flavor, dispatching on the problem kind."""
     if isinstance(obj, dict) and obj.get("problem") == "ci":

@@ -117,9 +117,52 @@ class TestConnect:
                    "--from", "0,0,0,0,1,3", "--to", "1,2,0,0,1,0",
                    "--out", cert) == 0
         data = cert.read_bytes()
-        assert len(loads(data.decode())["steps"]) == 4
+        obj = loads(data.decode())
+        # rank 5 joins both canonical points (1:t:0:...) through the first
+        # two pairs, so it pays one radicand: q(p)/q(q) = 1/3 is not a
+        # square, and 1/12 is in its square class
+        assert len(obj["steps"]) == 4
+        assert obj["radicands"] == ["1/12"]
+        assert run("verify", cert, "--form", form,
+                   "--out", tmp_path / "v.json") == 0
         assert hashlib.sha256(data).hexdigest() == (
-            "a72ef89735771d69d0081227933adbe09eca210aeb60befebba51e8d296c061d")
+            "b38a06f6e54d1891becfe8ab2539260c15b90501bdb89f0aa16cd0bfcf75b3ed")
+
+    def test_unused_point_radicand_is_dropped(self, docs, tmp_path, capsys):
+        # rational endpoints read from point documents over Q(sqrt 2): the
+        # certificate, and the note on stderr, name only what it uses
+        tw = Tower.rationals().extend(as_scalar(2))
+        ends = []
+        for name, coords in (("a.pt", (1, 1, 0, 0)), ("b.pt", (0, 3, 1, 5))):
+            (tmp_path / name).write_text(
+                dumps(point_to_obj(ProjPoint(vec(coords)), tw)))
+            ends.append("@%s" % (tmp_path / name))
+        cert = tmp_path / "c.cert"
+        capsys.readouterr()
+        assert run("connect", "complement", "--form", docs / "split.qf",
+                   "--from", ends[0], "--to", ends[1], "--out", cert) == 0
+        header = loads(cert.read_text())["radicands"]
+        err = capsys.readouterr().err
+        assert "2/1" not in header and "2/1" not in err
+        assert "radicands: %s\n" % json.dumps(header) in err
+        assert len(header) == 1  # q(a)/q(b) = 1/5 is not a square
+        assert run("verify", cert, "--form", docs / "split.qf",
+                   "--out", tmp_path / "v.json") == 0
+
+    def test_reference_radicands_stay_as_the_prefix(self, tmp_path):
+        # a form over Q(sqrt 2) with a rational matrix: no scalar of the
+        # certificate uses sqrt 2, but verify reads the certificate
+        # against the form, whose header must be its prefix
+        from quadcyl.charts import hyperbolic_target
+        form, cert = tmp_path / "r2.qf", tmp_path / "c.cert"
+        form.write_text(dumps(form_to_obj(
+            hyperbolic_target(4, 2, False),
+            Tower.rationals().extend(as_scalar(2)))))
+        assert run("connect", "complement", "--form", form,
+                   "--from", "1,1,0,0", "--to", "0,3,1,5", "--out", cert) == 0
+        assert loads(cert.read_text())["radicands"][0] == "2/1"
+        assert run("verify", cert, "--form", form,
+                   "--out", tmp_path / "v.json") == 0
 
     def test_equal_endpoints_zero_steps(self, docs, tmp_path):
         cert = tmp_path / "c.cert"

@@ -8,6 +8,7 @@ The two rescale fixtures are frozen by hand:
 """
 
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
@@ -178,6 +179,34 @@ class TestConnectComplement:
                     assert rep.valid, (n, r, rep.reason)
                     assert len(path.steps) <= 12
 
+
+    def test_grid_forms_pay_the_square_class_bound(self):
+        # a fiber move over K keeps the class of q(x) in K*/K*^2, so p and r
+        # need a radicand exactly when q(p)/q(r) is not a rational square;
+        # past rank 3 the connection pays that bound and no more
+        rng = random.Random(25)
+        paid = set()
+        for size in range(3, 9):
+            for rank in range(3, size + 1):
+                q = hyperbolic_target(size, rank // 2, bool(rank % 2))
+                for _ in range(4):
+                    p, r = _random_off_quadric(q, rng), \
+                        _random_off_quadric(q, rng)
+                    path = connect_complement(q, p, r)
+                    assert verify_path(q, path).valid
+                    h = path.tower.height
+                    if rank == 3:
+                        # the axis route pays sqrt(t_p), sqrt(t_q) and its
+                        # gadget's c (ROADMAP item 1 step 2)
+                        assert h <= 3
+                        continue
+                    ratio = q(p).rat / q(r).rat
+                    square = ratio > 0 and all(
+                        math.isqrt(n) ** 2 == n
+                        for n in (ratio.numerator, ratio.denominator))
+                    assert h == (0 if square else 1), (size, rank, p, r)
+                    paid.add(h)
+        assert paid == {0, 1}
 
     def test_bundle_carries_its_tower(self):
         # the frames of sums of squares need sqrt(-1); a bundle passed

@@ -14,7 +14,8 @@ from quadcyl.projective import ProjPoint, QuadForm, quadform_from_terms, vec
 from quadcyl.serialize import (
     certificate_from_obj, dumps, form_from_obj, form_to_obj, line_from_obj,
     line_to_obj, loads, path_from_obj, path_to_obj, pencil_from_obj,
-    pencil_to_obj, point_from_obj, point_to_obj, xpath_from_obj, xpath_to_obj,
+    pencil_to_obj, point_from_obj, point_to_obj, used_radicands_only,
+    xpath_from_obj, xpath_to_obj,
 )
 from quadcyl.tower import Tower, as_scalar, scalar_from_obj, scalar_to_obj
 
@@ -233,6 +234,32 @@ class TestCertificates:
         back = path_from_obj(loads(text))
         assert dumps(path_to_obj(back)) == text
         assert verify_path(q, back).valid
+
+    def test_unused_radicand_dropped_and_levels_renumbered(self):
+        # sqrt 2 comes with the start tower and no scalar uses it; the
+        # nested radicands above it move down one level, and the
+        # certificate still replays
+        q = quadform_from_terms(3, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
+        tw = Tower.rationals().extend(as_scalar(2))
+        path = connect_complement(q, pt(1, 2, 3), pt(2, -1, 5), tower=tw)
+        doc = loads(dumps(path_to_obj(path)))
+        rads = doc["radicands"]
+        assert rads[0] == "2/1" and any(isinstance(r, dict) for r in rads)
+
+        def down(obj):
+            if isinstance(obj, dict):
+                return {"a": down(obj["a"]), "b": down(obj["b"]),
+                        "level": obj["level"] - 1}
+            return obj
+        expect = [down(r) for r in rads[1:]]
+        assert used_radicands_only(doc, 0)["radicands"] == expect
+        back = path_from_obj(doc)
+        assert back.tower.height == path.tower.height - 1
+        assert verify_path(q, back).valid
+        # the first floor radicands stay, as the reference document's
+        kept = loads(dumps(path_to_obj(path)))
+        header = loads(dumps(kept["radicands"]))
+        assert used_radicands_only(kept, 1)["radicands"] == header
 
     def test_on_quadric_problem_kind(self):
         q = quadform_from_terms(4, {(0, 1): 1, (2, 3): 1})
