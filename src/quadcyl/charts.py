@@ -167,10 +167,6 @@ class Chart:
         t, _ = self.forward(p)
         return self.backward(t, target)
 
-    def transverse_value(self, tv, coord_index):
-        """Read one chart coordinate off a transverse tuple."""
-        return tv[self._tpos[coord_index]]
-
     def target_from(self, assignments: dict) -> tuple:
         """A transverse tuple that is zero except for the given
         {chart coordinate index: value} assignments."""

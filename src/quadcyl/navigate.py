@@ -15,9 +15,11 @@ verify_path never trusts producer-side objects and never raises on a bad
 certificate; it returns a report naming the first broken step.
 
 The complement connector works in the standard cylinders of the form:
-both endpoints are first driven to a canonical point of the first
-hyperbolic pair, (1:t:0:...:0), or at rank 3 (1:0:...:0:z) with z^2 = t,
-then joined by a short rescale gadget (three moves) if their fibers differ.
+both endpoints are first driven, for free, to a canonical point of the
+first hyperbolic pair, (1:t:0:...:0), then joined by a short rescale
+gadget if their fibers differ: three moves through two pairs past rank 3,
+and at rank 3 two moves, or three where the tower already holds both
+sqrt(t).
 """
 
 from __future__ import annotations
@@ -127,10 +129,10 @@ def _same_fiber(s1, n1, s2, n2) -> bool:
     return n1 * s2 * s2 == n2 * s1 * s1
 
 
-def _canonicalize_complement(bundle: ChartBundle, p: ProjPoint, tower):
-    """Drive p to the canonical point of the first pair: (1:0:...:0:z) with
-    z^2 = t at rank 3, else (1:t:0:...:0), which pays no radicand.  At most
-    two moves; returns (trail, canonical point, tower)."""
+def _canonicalize_complement(bundle: ChartBundle, p: ProjPoint):
+    """Drive p to the canonical point of the first pair, (1:t:0:...:0),
+    which pays no radicand at any rank.  At most two moves; returns
+    (trail, canonical point)."""
     trail = _Trail()
     cur = p
     m, has_z = bundle.pairs, bundle.has_z
@@ -172,14 +174,8 @@ def _canonicalize_complement(bundle: ChartBundle, p: ProjPoint, tower):
         u = bundle.read_hyperbolic(cur)
         assert not u[0].is_zero()
     u1 = bundle.u_charts[0]
-    t, _ = u1.forward(cur)
-    if has_z and m == 1:
-        lam, tower = try_sqrt(tower, t)
-        target = u1.target_from({2 * m: lam})
-    else:
-        target = u1.target_from({})
-    cur = trail.move(u1, cur, target)
-    return trail, cur, tower
+    cur = trail.move(u1, cur, u1.target_from({}))
+    return trail, cur
 
 
 def _w_escape_candidates(chart: Chart):
@@ -203,28 +199,72 @@ def _rescale_pairs(bundle: ChartBundle, cp, cq, tower):
     return trail, tower
 
 
+def _either_root(tower, a, r):
+    """A root of a - r, else of a + r, that the tower already holds, or
+    None."""
+    s = sqrt_if_present(tower, a - r)
+    return s if s is not None else sqrt_if_present(tower, a + r)
+
+
 def _rescale_axis(bundle: ChartBundle, cp, cq, tower):
-    """Rank-3 gadget: (1:0:...:lam) to (1:0:...:mu) in three moves using
-    the one pair's two charts and the square coordinate."""
+    """Rank-3 gadget: (1:t_p:0) to (1:t_q:0) with the one pair's two
+    charts, in the coordinates (x:y:z) of x y + z^2.
+
+    Two moves, V_1 then U_1.  In V_1 the point (1:t_p:0) has fiber 1/t_p,
+    so the move to z = s lands on (1/t_p - s^2 : 1 : s), and the U_1 move
+    to the empty target then lands on (1 : t_p/(1 - t_p s^2)^2 : 0).  With
+    k^2 = t_q/t_p that is (1:t_q:0) exactly when s^2 = (1 -+ 1/k)/t_p =
+    1/t_p -+ k/t_q.  Both moves stay in their domains: y = t_p != 0 in
+    V_1, and x = +-1/(k t_p) != 0 in U_1; and k != +-1, since the two
+    canonical points differ.  t_p and t_q are read off the canonical
+    points, whose distinguished coordinate is 1, so forward divides by
+    nothing.  The radicands paid are k and s, at most:
+      - k in the tower: s is a root the tower holds for either sign, else
+        the minus sign's root, adjoined with no retest;
+      - k adjoined now over the floor F: s^2 = a + b k with a = 1/t_p and
+        b = -1/t_q has norm a^2 - k^2 b^2 = (1 - t_p/t_q)/t_p^2, so it is
+        a square in F(k) iff u^2 = 1 - t_p/t_q and x^2 = (1 +- u)/(2 t_p)
+        have roots in F.  Then s = x + (b/2x) k and only k is paid; else
+        s's radicand is adjoined over F(k), with no retest.  This keeps a
+        square of F(k) that sqrt_if_present cannot see through its nested
+        radicand out of the tower, exactly so when F is rational.
+
+    Three moves where the tower holds lam = sqrt(t_p) and mu = sqrt(t_q):
+    U_1 to z = 2 lam, V_1 to z = c, and U_1 to the empty target.  These
+    are the axis route (1:0:lam) -> (1 : -3 t_p : 2 lam) -> ... -> (1:0:mu)
+    with its U_1 legs merged into the U_1 moves from (1:t_p:0) and to
+    (1:t_q:0).  V_1 has fiber 1/(9 t_p) there, so c^2 = (1 -+ 3 lam/mu) /
+    (9 t_p), with the sign rule of s when k is in the tower.  c is often
+    rational where s would pay a radicand."""
     trail = _Trail()
     u1, v1 = bundle.u_charts[0], bundle.v_charts[0]
     zpos = 2 * bundle.pairs
-    lam, mu = (u1.transverse_value(u1.forward(x)[1], zpos) for x in (cp, cq))
-    # c^2 = (1 -+ 3 lam/mu) / (9 lam^2) for either sign: a root the tower
-    # already holds, else the minus sign's root, adjoined with no retest
-    ratio = 3 * lam / mu
-    nine_lam2 = 9 * lam * lam
-    minus = (1 - ratio) / nine_lam2
-    c = sqrt_if_present(tower, minus)
-    if c is None:
-        c = sqrt_if_present(tower, (1 + ratio) / nine_lam2)
-    if c is None:
-        tower = tower._adjoin(minus)
-        c = tower.generator(tower.height)
-    step1 = trail.move(u1, cp, u1.target_from({zpos: 2 * lam}))
-    step2 = trail.move(v1, step1, v1.target_from({zpos: c}))
-    step3 = trail.move(u1, step2, u1.target_from({zpos: mu}))
-    assert step3 == cq
+    t_p, t_q = u1.forward(cp)[0], u1.forward(cq)[0]
+    lam = sqrt_if_present(tower, t_p)
+    mu = None if lam is None else sqrt_if_present(tower, t_q)
+    cur = cp
+    if mu is not None:
+        cur = trail.move(u1, cp, u1.target_from({zpos: 2 * lam}))
+        a, r = 1 / (9 * t_p), lam / (3 * mu * t_p)
+        s = _either_root(tower, a, r)
+    else:
+        a = 1 / t_p
+        k = sqrt_if_present(tower, t_q / t_p)
+        if k is not None:
+            s = _either_root(tower, a, k / t_q)
+        else:
+            u = sqrt_if_present(tower, 1 - t_p / t_q)
+            x = None if u is None else _either_root(tower, a / 2, u * a / 2)
+            tower = tower._adjoin(t_q / t_p)
+            k = tower.generator(tower.height)
+            s = None if x is None else x - k / (2 * x * t_q)
+        r = k / t_q
+    if s is None:
+        tower = tower._adjoin(a - r)
+        s = tower.generator(tower.height)
+    cur = trail.move(v1, cur, v1.target_from({zpos: s}))
+    end = trail.move(u1, cur, u1.target_from({}))
+    assert end == cq
     return trail, tower
 
 
@@ -270,8 +310,8 @@ def connect_complement(form: QuadForm, p, q, *, tower=None,
             assert end == q
             return done(trail.steps())
 
-    full, cp, tower = _canonicalize_complement(bundle, p, tower)
-    trail_q, cq, tower = _canonicalize_complement(bundle, q, tower)
+    full, cp = _canonicalize_complement(bundle, p)
+    trail_q, cq = _canonicalize_complement(bundle, q)
     if cp != cq:
         axis = bundle.has_z and bundle.pairs == 1
         gadget, tower = (_rescale_axis if axis else _rescale_pairs)(

@@ -558,7 +558,7 @@ class TestVerify:
         cert = tmp_path / "deep.cert"
         assert run("connect", "complement", "--form", docs / "definite.qf",
                    "--from", "1,2,3", "--to", "2,-1,5", "--out", cert) == 0
-        assert len(loads(cert.read_text())["radicands"]) == 4
+        assert len(loads(cert.read_text())["radicands"]) == 3
         capsys.readouterr()
         out = tmp_path / "v.json"
         assert run("verify", cert, "--form", docs / "definite.qf",

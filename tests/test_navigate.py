@@ -1,10 +1,15 @@
 """Connectivity and certificate replay.
 
-The two rescale fixtures are frozen by hand:
+The rescale fixtures are frozen by hand:
   four coordinates, start (1:4:0:0), ratio root 2: the gadget must end at
   (1:1:0:0) and its first stop must look like (1:t:root:0);
-  three coordinates, start (1:0:1), target z 4: the first move lands on
-  (1:-3:2) and the middle parameter comes out 1/6.
+  three coordinates, start (1:0:1), target z 4 (both roots of the fibers
+  rational, so the three-move route): the first move lands on (1:-3:2)
+  and the middle parameter comes out 1/6;
+  three coordinates, (1:2:0) to (1:8:0): k = 2 and s = 1/2, two moves at
+  height 0, the first landing on (1:4:2);
+  three coordinates, (1:1:0) to (3:4:0): the guard finds s in Q(k), so
+  the header is exactly ["4/3"].
 """
 
 import dataclasses
@@ -31,6 +36,7 @@ from quadcyl.navigate import (
     verify_path,
 )
 from quadcyl.projective import ProjPoint, QuadForm, proj, quadform_from_terms
+from quadcyl.serialize import dumps, loads, path_from_obj, path_to_obj
 from quadcyl.tower import Tower, scalar, try_sqrt
 
 
@@ -87,9 +93,12 @@ class TestRescaleFixtures:
         assert path.tower.height >= 1
 
     def test_axis_rescale_tests_each_sign_once(self, monkeypatch):
-        # when neither sign of c^2 has a root in the tower, the gadget
-        # makes its two square tests and adjoins the minus sign's root
-        # without testing it again
+        # fibers 1 and 9/8: the gadget tests sqrt(t_p), sqrt(t_q) and k,
+        # all but the first missing, so the guard runs and tests u^2 = 1/9
+        # and both signs of x^2 = (1 -+ 1/3)/2, then k and s's radicand are
+        # adjoined without a retest; fibers 1 and 4 keep the three-move
+        # route, which tests both signs of c^2 = (1 -+ 3/2)/9 and adjoins
+        # the minus sign's root
         import quadcyl.navigate as nav
         import quadcyl.tower as tower_mod
         tests = []
@@ -107,10 +116,40 @@ class TestRescaleFixtures:
             return trail, tower
         monkeypatch.setattr(nav, "_rescale_axis", axis)
         q, bundle, tw = complement_setup(3, 1, True)
-        path = connect_complement(q, proj([1, 0, 1]), proj([1, 2, 1]),
+        for p, r, run in (([1, 1, 0], [8, 9, 0], (6, 2)),
+                          ([1, 0, 1], [1, 0, 2], (4, 1))):
+            del runs[:]
+            path = connect_complement(q, proj(p), proj(r),
+                                      tower=tw, bundle=bundle)
+            assert runs == [run], (p, r)
+            assert verify_path(q, path).valid
+
+    def test_axis_rescale_two_moves_frozen(self):
+        # fibers 2 and 8: k = 2 and s = 1/2, so no radicand is paid, and
+        # the V_1 move lands on (1/2 - 1/4 : 1 : 1/2) = (1:4:2)
+        q, bundle, tw = complement_setup(3, 1, True)
+        p, r = proj([1, 2, 0]), proj([1, 8, 0])
+        path = connect_complement(q, p, r, tower=tw, bundle=bundle)
+        assert len(path.steps) == 2 and path.tower.height == 0
+        assert path.steps[0].exit == proj([1, 4, 2])
+        assert path.steps[-1].exit == r
+        rep = verify_path(q, path)
+        assert rep.valid, rep.reason
+
+    def test_axis_rescale_guard_pays_k_only(self):
+        # fibers 1 and 4/3: s^2 = 1 - (3/4)k with k^2 = 4/3 is the square
+        # of 1/2 - (3/4)k, which the guard finds (u = 1/2, x = 1/2), so the
+        # header holds k's radicand alone
+        q, bundle, tw = complement_setup(3, 1, True)
+        path = connect_complement(q, proj([1, 1, 0]), proj([3, 4, 0]),
                                   tower=tw, bundle=bundle)
-        assert runs == [(2, 1)]
-        assert verify_path(q, path).valid
+        assert len(path.steps) == 2
+        obj = loads(dumps(path_to_obj(path)))
+        assert obj["radicands"] == ["4/3"]
+        back = path_from_obj(obj)
+        rep = verify_path(q, back)
+        assert rep.valid, rep.reason
+        assert rep.radicand_count == 1
 
 
 class TestConnectComplement:
@@ -196,9 +235,9 @@ class TestConnectComplement:
                     assert verify_path(q, path).valid
                     h = path.tower.height
                     if rank == 3:
-                        # the axis route pays sqrt(t_p), sqrt(t_q) and its
-                        # gadget's c (ROADMAP item 1 step 2)
-                        assert h <= 3
+                        # the axis route pays k = sqrt(t_q/t_p) and s at
+                        # most (ROADMAP item 1 step 2)
+                        assert h <= 2
                         continue
                     ratio = q(p).rat / q(r).rat
                     square = ratio > 0 and all(
@@ -207,6 +246,42 @@ class TestConnectComplement:
                     assert h == (0 if square else 1), (size, rank, p, r)
                     paid.add(h)
         assert paid == {0, 1}
+
+    def test_rank3_headers_are_fields(self):
+        # an independent oracle (ROADMAP aim 3): over the seeded grid
+        # sample's rank-3 pairs, each header's field Q(sqrt(d_1), ...,
+        # sqrt(d_h)) has degree 2^h, read off the minimal polynomial of
+        # the primitive element sum i*sqrt(d_i); a radicand that is
+        # already a square there, as s's can be over Q(k), lowers it
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def value(obj, roots):
+            if isinstance(obj, str):
+                return sympy.Rational(obj)
+            return value(obj["a"], roots) \
+                + value(obj["b"], roots) * roots[obj["level"] - 1]
+        rng = random.Random(25)
+        seen = 0
+        for size in range(3, 9):
+            for rank in range(3, size + 1):
+                q = hyperbolic_target(size, rank // 2, bool(rank % 2))
+                for _ in range(15):
+                    p, r = _random_off_quadric(q, rng), \
+                        _random_off_quadric(q, rng)
+                    if rank != 3:
+                        continue
+                    rads = path_to_obj(connect_complement(q, p, r))[
+                        "radicands"]
+                    roots = []
+                    for rad in rads:
+                        roots.append(sympy.sqrt(value(rad, roots)))
+                    prim = sum((i + 1) * w for i, w in enumerate(roots))
+                    poly = sympy.minimal_polynomial(prim, x, compose=False)
+                    assert sympy.degree(poly, x) == 2 ** len(rads), \
+                        (p, r, rads)
+                    seen += 1
+        assert seen == 90
 
     def test_bundle_carries_its_tower(self):
         # the frames of sums of squares need sqrt(-1); a bundle passed
