@@ -25,9 +25,14 @@ pencil, and `find-line`, two `connect ci` and their `verify` on the
 hexagonal pencil under x = M y (no coordinate pair spans a line there, so
 the searches draw random lines), then one `connect ci` and its `verify`
 on the `eacx-build` pencil, whose only cheap line is the split-support
-line.  Each line gives the run's name, its exit code and the sha256 of
-its output file and of its stderr ("-" for no output file), with the
-work directory's path written as "<work>".
+line.  Last come three runs of the certificate header rule, each with its
+`verify`, on x0 x1 + x2 x3: `connect complement` and `connect quadric`
+between point documents over Q(sqrt 2) with rational coordinates (the
+header drops sqrt 2), and `connect complement` on that form written over
+Q(sqrt 2) (the header keeps it, as the form's).  Each line gives the
+run's name, its exit code and the sha256 of its output file and of its
+stderr ("-" for no output file), with the work directory's path written
+as "<work>".
 
     PYTHONPATH=src python3 scripts/output_digest.py --workload quadric-grid --seed 1
     PYTHONPATH=src python3 scripts/output_digest.py --workload ci-deep --seed 1 --pairs 3
@@ -49,8 +54,10 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 from quadcyl import cli  # noqa: E402
 from quadcyl import serialize as ser  # noqa: E402
+from quadcyl.charts import hyperbolic_target  # noqa: E402
 from quadcyl.pencils import Pencil, point_on_intersection  # noqa: E402
-from quadcyl.tower import Tower  # noqa: E402
+from quadcyl.projective import ProjPoint, vec  # noqa: E402
+from quadcyl.tower import Tower, as_scalar  # noqa: E402
 from workloads import (  # noqa: E402
     WORKLOADS, Workload, _inline, grid_quadric_point, grid_shapes,
     hexagonal_pencil, rational_pencil_point,
@@ -98,14 +105,15 @@ def write_doc(path, obj):
     return path
 
 
-def connect_and_verify(work, name, pencil, start, end):
-    """The runs of `connect ci` between two points and `verify` of its
-    certificate."""
+def connect_and_verify(work, name, ref, start, end, target="ci"):
+    """The runs of `connect target` between two points and `verify` of its
+    certificate, both against the reference document ref."""
+    flag = "--pencil" if target == "ci" else "--form"
     cert = os.path.join(work, "connect-%s.json" % name)
     yield ("connect-%s" % name,
-           ["connect", "ci", "--pencil", pencil, "--from=" + start,
+           ["connect", target, flag, ref, "--from=" + start,
             "--to=" + end, "--seed", "5"])
-    yield "verify-%s" % name, ["verify", cert, "--pencil", pencil]
+    yield "verify-%s" % name, ["verify", cert, flag, ref]
 
 
 def tool_runs(work):
@@ -163,6 +171,25 @@ def tool_runs(work):
                                   ser.point_to_obj(x, tower))
                   for name, x in (("start", a), ("end", b)))
     yield from connect_and_verify(work, "eacx", eacx, start, end)
+    # the header rule: rational points and a rational form over Q(sqrt 2)
+    root2 = Tower.rationals().extend(as_scalar(2))
+
+    def root2_point(name, coords):
+        return "@" + write_doc(os.path.join(work, "root2-%s.pt" % name),
+                               ser.point_to_obj(ProjPoint(vec(coords)), root2))
+    split = grid.docs[(4, 4)]
+    yield from connect_and_verify(
+        work, "complement-root2-points", split,
+        root2_point("a", (1, 1, 0, 0)), root2_point("b", (0, 3, 1, 5)),
+        "complement")
+    yield from connect_and_verify(
+        work, "quadric-root2-points", split,
+        root2_point("c", (1, 0, 0, 0)), root2_point("d", (0, 0, 1, 0)),
+        "quadric")
+    root2_form = write_doc(os.path.join(work, "root2.qf"), ser.form_to_obj(
+        hyperbolic_target(4, 2, False), root2))
+    yield from connect_and_verify(work, "complement-root2-form", root2_form,
+                                  "1,1,0,0", "0,3,1,5", "complement")
 
 
 def tool_digests(work):

@@ -134,8 +134,8 @@ def cmd_normalize(args) -> int:
         frame, tower = hyperbolic_normalize(form, tower)
     split = {} if ctsq else {"pairs": frame.pairs, "has_z": frame.has_z}
     obj = ser._envelope(
-        "frame", form.size, tower, style=args.style, rank=form.rank(),
-        witness=ser.matrix_to_flat(frame.change.matrix),
+        "frame", form.size, tower_to_obj(tower), style=args.style,
+        rank=form.rank(), witness=ser.matrix_to_flat(frame.change.matrix),
         result=ser.matrix_to_flat(frame.change.pullback(form).matrix),
         **split)
     _emit(args, ser.dumps(obj))
@@ -148,9 +148,10 @@ def cmd_connect(args) -> int:
     if args.target == "ci":
         if args.pencil is None:
             raise SystemExitCode(EXIT_INPUT, "connect ci needs --pencil")
-        pencil, tower = ser.pencil_from_obj(_read_doc(args.pencil), root)
-        floor = tower.height
-        p, tower = _parse_point(args.from_point, pencil.size, tower)
+        if args.form is not None:
+            raise SystemExitCode(EXIT_INPUT, "--form is not for connect ci")
+        pencil, base = ser.pencil_from_obj(_read_doc(args.pencil), root)
+        p, tower = _parse_point(args.from_point, pencil.size, base)
         q, tower = _parse_point(args.to_point, pencil.size, tower)
         lines = []
         for path in args.line or ():
@@ -159,7 +160,7 @@ def cmd_connect(args) -> int:
         xp = connect_on_X(pencil, p, q, lines=lines or None, tower=tower,
                           rng=random.Random(args.seed),
                           retry_limit=args.retry_limit)
-        obj = ser.xpath_to_obj(xp)
+        obj = ser.xpath_to_obj(xp, base)
         counts = "segments: %d, steps: %d" % (
             len(xp.segments), sum(len(s.steps) for s in xp.segments))
     else:
@@ -169,9 +170,8 @@ def cmd_connect(args) -> int:
         if args.pencil or args.line:
             raise SystemExitCode(EXIT_INPUT,
                                  "--pencil/--line are only for connect ci")
-        form, tower = ser.form_from_obj(_read_doc(args.form), root)
-        floor = tower.height
-        p, tower = _parse_point(args.from_point, form.size, tower)
+        form, base = ser.form_from_obj(_read_doc(args.form), root)
+        p, tower = _parse_point(args.from_point, form.size, base)
         q, tower = _parse_point(args.to_point, form.size, tower)
         if args.target == "complement":
             path = connect_complement(form, p, q, tower=tower)
@@ -179,9 +179,8 @@ def cmd_connect(args) -> int:
             path = connect_on_quadric(form, p, q, tower=tower,
                                       rng=random.Random(args.seed),
                                       retry_limit=args.retry_limit)
-        obj = ser.path_to_obj(path)
+        obj = ser.path_to_obj(path, base)
         counts = "steps: %d" % len(path.steps)
-    obj = ser.used_radicands_only(obj, floor)
     _emit(args, ser.dumps(obj))
     _note(counts)
     _note(_radicand_note(obj["radicands"]))

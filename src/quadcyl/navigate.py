@@ -67,7 +67,9 @@ class MovePath:
 class VerifyReport:
     """The outcome of replaying one certificate.  index names the first
     broken step (segment, for problem "ci") and count is the number of
-    steps (segments) in the certificate."""
+    steps (segments) in the certificate.  radicand_count is the height of
+    the replayed path's tower: for a path in memory it can exceed that of
+    the header its writer prunes (ROADMAP item 15)."""
     valid: bool
     reason: str | None
     index: int | None

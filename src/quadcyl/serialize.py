@@ -29,18 +29,22 @@ A parser takes an optional base tower (default: Tower.rationals()).  The
 document's radicand list must extend the base's list prefix-exactly, so a
 point or a certificate is always interpreted in a field compatible with
 the form or pencil file it accompanies, and the base's height limit bounds
-the document's tower.
+the document's tower.  The certificate writers take the same base, which
+must lie on the path tower's chain: a header is base's radicands, then
+those of the path's tower that a written scalar or a kept radicand uses,
+renumbered in order.
 """
 
 import json
+from functools import partial
 
 from .errors import InputFormatError, TowerError
 from .navigate import MovePath, MoveStep
 from .pencils import Line, Pencil, XPath, XSegment
 from .projective import ProjPoint, QuadForm, vec
 from .tower import (
-    Tower, _scalar_from_obj, parse_rational, scalar_to_obj, tower_from_obj,
-    tower_to_obj,
+    Tower, _scalar_from_obj, _scalar_to_obj, deeper_tower, parse_rational,
+    scalar_to_obj, tower_from_obj, tower_to_obj,
 )
 
 FORMAT_VERSION = 3
@@ -82,10 +86,9 @@ def _is_int(x) -> bool:
 _ENVELOPE = frozenset(("kind", "size", "radicands"))
 
 
-def _envelope(kind: str, size: int, tower: Tower, **body) -> dict:
-    """A document of this kind over tower: the envelope, then body."""
-    return {"kind": kind, "size": size, "radicands": tower_to_obj(tower),
-            **body}
+def _envelope(kind: str, size: int, radicands: list, **body) -> dict:
+    """A document of this kind: the envelope over radicands, then body."""
+    return {"kind": kind, "size": size, "radicands": radicands, **body}
 
 
 def _open(obj, kind, keys, base):
@@ -126,12 +129,12 @@ def _reader(tower):
     return read
 
 
-def _coords_to_obj(coords) -> list:
-    return [scalar_to_obj(c) for c in coords]
+def _coords_to_obj(coords, write=scalar_to_obj) -> list:
+    return [write(c) for c in coords]
 
 
-def _point_to_obj(p: ProjPoint) -> list:
-    return _coords_to_obj(p.canonical_coords())
+def _point_to_obj(p: ProjPoint, write=scalar_to_obj) -> list:
+    return _coords_to_obj(p.canonical_coords(), write)
 
 
 def _point_from_obj(objs, read, size, what) -> ProjPoint:
@@ -153,8 +156,8 @@ def _list_of(items, what) -> list:
     return items
 
 
-def matrix_to_flat(rows) -> list:
-    return [scalar_to_obj(c) for row in rows for c in row]
+def matrix_to_flat(rows, write=scalar_to_obj) -> list:
+    return [write(c) for row in rows for c in row]
 
 
 def _matrix_from_flat(objs, read, size, what):
@@ -178,7 +181,7 @@ def _form_from_flat(objs, read, size, what) -> QuadForm:
 
 
 def form_to_obj(form: QuadForm, tower: Tower) -> dict:
-    return _envelope("form", form.size, tower,
+    return _envelope("form", form.size, tower_to_obj(tower),
                      matrix=matrix_to_flat(form.matrix))
 
 
@@ -189,7 +192,8 @@ def form_from_obj(obj, base: Tower | None = None):
 
 
 def point_to_obj(p: ProjPoint, tower: Tower) -> dict:
-    return _envelope("point", len(p.coords), tower, coords=_point_to_obj(p))
+    return _envelope("point", len(p.coords), tower_to_obj(tower),
+                     coords=_point_to_obj(p))
 
 
 def point_from_obj(obj, base: Tower | None = None):
@@ -201,9 +205,9 @@ def point_from_obj(obj, base: Tower | None = None):
 # pencils and lines
 
 
-def _pencil_body(p: Pencil) -> dict:
-    return {"beta": matrix_to_flat(p.beta.matrix),
-            "gamma": matrix_to_flat(p.gamma.matrix)}
+def _pencil_body(p: Pencil, write=scalar_to_obj) -> dict:
+    return {"beta": matrix_to_flat(p.beta.matrix, write),
+            "gamma": matrix_to_flat(p.gamma.matrix, write)}
 
 
 def _pencil_from_body(obj, read, size, what) -> Pencil:
@@ -216,7 +220,7 @@ def _pencil_from_body(obj, read, size, what) -> Pencil:
 
 
 def pencil_to_obj(p: Pencil, tower: Tower) -> dict:
-    return _envelope("pencil", p.size, tower, **_pencil_body(p))
+    return _envelope("pencil", p.size, tower_to_obj(tower), **_pencil_body(p))
 
 
 def pencil_from_obj(obj, base: Tower | None = None):
@@ -224,8 +228,9 @@ def pencil_from_obj(obj, base: Tower | None = None):
     return _pencil_from_body(obj, read, size, "pencil"), tower
 
 
-def _span_to_obj(line: Line) -> dict:
-    return {"v1": _coords_to_obj(line.v1), "v2": _coords_to_obj(line.v2)}
+def _span_to_obj(line: Line, write=scalar_to_obj) -> dict:
+    return {"v1": _coords_to_obj(line.v1, write),
+            "v2": _coords_to_obj(line.v2, write)}
 
 
 def _span_from_obj(obj, read, size) -> Line:
@@ -236,7 +241,8 @@ def _span_from_obj(obj, read, size) -> Line:
 
 
 def line_to_obj(line: Line, tower: Tower) -> dict:
-    return _envelope("line", len(line.v1), tower, **_span_to_obj(line))
+    return _envelope("line", len(line.v1), tower_to_obj(tower),
+                     **_span_to_obj(line))
 
 
 def line_from_obj(obj, base: Tower | None = None):
@@ -264,9 +270,9 @@ _STEP_KEYS = frozenset(("chart", "entry", "target", "exit"))
 _CHART_KEYS = frozenset(("dist", "dep", "matrix"))
 
 
-def _descriptor_to_obj(desc: dict) -> dict:
+def _descriptor_to_obj(desc: dict, write) -> dict:
     return {"dist": desc["dist"], "dep": desc["dep"],
-            "matrix": matrix_to_flat(desc["matrix"])}
+            "matrix": matrix_to_flat(desc["matrix"], write)}
 
 
 def _descriptor_from_obj(obj, read, size) -> dict:
@@ -281,12 +287,12 @@ def _descriptor_from_obj(obj, read, size) -> dict:
             "matrix": [list(row) for row in rows]}
 
 
-def _step_to_obj(step: MoveStep) -> dict:
+def _step_to_obj(step: MoveStep, write) -> dict:
     return {
-        "chart": _descriptor_to_obj(step.chart),
-        "entry": _coords_to_obj(step.entry.coords),
-        "target": _coords_to_obj(step.target),
-        "exit": _coords_to_obj(step.exit.coords),
+        "chart": _descriptor_to_obj(step.chart, write),
+        "entry": _coords_to_obj(step.entry.coords, write),
+        "target": _coords_to_obj(step.target, write),
+        "exit": _coords_to_obj(step.exit.coords, write),
     }
 
 
@@ -299,13 +305,27 @@ def _step_from_obj(obj, read, size) -> MoveStep:
     return MoveStep(chart, entry, target, exit_p)
 
 
-def _header_to_obj(path, problem: str, size: int, **body) -> dict:
-    """A certificate: the header every one shares, then body; path is a
-    MovePath or XPath."""
-    return _envelope("certificate", size, path.tower,
-                     version=FORMAT_VERSION, problem=problem,
-                     **{"from": _point_to_obj(path.start),
-                        "to": _point_to_obj(path.end)}, **body)
+def _header_to_obj(path, base, problem: str, size: int, body) -> dict:
+    """The certificate of path (a MovePath or XPath) over base: the header
+    every one shares, then body(write), whose scalars write writes."""
+    base = Tower.rationals() if base is None else base
+    tower, nodes = deeper_tower(path.tower, base), []
+    write = partial(_scalar_to_obj, nodes=nodes)
+    doc = {"version": FORMAT_VERSION, "problem": problem,
+           "from": _point_to_obj(path.start, write),
+           "to": _point_to_obj(path.end, write), **body(write)}
+    used = set(range(1, base.height + 1)).union(n["level"] for n in nodes)
+    rads = []
+    for j in range(tower.height, 0, -1):  # d_j uses levels below j only
+        if j in used:
+            k = len(nodes)
+            rads.append(write(tower.floor(j).radicand))
+            used.update(n["level"] for n in nodes[k:])
+    if len(rads) < tower.height:  # a level of base keeps its number
+        new = dict(zip(sorted(used), range(1, len(rads) + 1)))
+        for n in nodes:
+            n["level"] = new[n["level"]]
+    return _envelope("certificate", size, rads[::-1], **doc)
 
 
 def _header_from_obj(obj, problems, keys, base):
@@ -316,7 +336,7 @@ def _header_from_obj(obj, problems, keys, base):
     problem is named as such."""
     if isinstance(obj, dict) and obj.get("kind") == "certificate":
         version = obj.get("version", FORMAT_VERSION)
-        if version != FORMAT_VERSION:
+        if not _is_int(version) or version != FORMAT_VERSION:
             raise InputFormatError(
                 "unsupported certificate version %r; this reader takes "
                 "version %d" % (version, FORMAT_VERSION))
@@ -328,10 +348,12 @@ def _header_from_obj(obj, problems, keys, base):
     return obj["problem"], size, tower, read, start, end
 
 
-def path_to_obj(path: MovePath) -> dict:
-    return _header_to_obj(path, path.problem, path.form.size,
-                          form=matrix_to_flat(path.form.matrix),
-                          steps=[_step_to_obj(s) for s in path.steps])
+def path_to_obj(path: MovePath, base: Tower | None = None) -> dict:
+    """The fiber-move certificate of path over base, for path_from_obj."""
+    def body(write):
+        return {"form": matrix_to_flat(path.form.matrix, write),
+                "steps": [_step_to_obj(s, write) for s in path.steps]}
+    return _header_to_obj(path, base, path.problem, path.form.size, body)
 
 
 def path_from_obj(obj, base: Tower | None = None) -> MovePath:
@@ -353,9 +375,9 @@ def path_from_obj(obj, base: Tower | None = None) -> MovePath:
 # the one tower of the certificate
 
 
-def _segment_to_obj(seg: XSegment) -> dict:
-    return {"line": _span_to_obj(seg.line),
-            "steps": [_step_to_obj(s) for s in seg.steps]}
+def _segment_to_obj(seg: XSegment, write) -> dict:
+    return {"line": _span_to_obj(seg.line, write),
+            "steps": [_step_to_obj(s, write) for s in seg.steps]}
 
 
 def _segment_from_obj(obj, read, size) -> XSegment:
@@ -369,10 +391,11 @@ def _segment_from_obj(obj, read, size) -> XSegment:
                     tuple(_step_from_obj(s, read, size - 2) for s in steps))
 
 
-def xpath_to_obj(path: XPath) -> dict:
-    segments = [_segment_to_obj(s) for s in path.segments]
-    return _header_to_obj(path, "ci", path.pencil.size,
-                          **_pencil_body(path.pencil), segments=segments)
+def xpath_to_obj(path: XPath, base: Tower | None = None) -> dict:
+    def body(write):
+        return {**_pencil_body(path.pencil, write),
+                "segments": [_segment_to_obj(s, write) for s in path.segments]}
+    return _header_to_obj(path, base, "ci", path.pencil.size, body)
 
 
 def xpath_from_obj(obj, base: Tower | None = None) -> XPath:
@@ -382,38 +405,6 @@ def xpath_from_obj(obj, base: Tower | None = None) -> XPath:
     objs = _list_of(obj["segments"], "certificate segments")
     segments = tuple(_segment_from_obj(s, read, size) for s in objs)
     return XPath(pencil, start, end, segments, tower)
-
-
-def _nodes(objs, out):
-    """Append to out every scalar node inside the values objs."""
-    for v in objs:
-        if v.__class__ is dict:
-            if "level" in v:
-                out.append(v)
-            _nodes(v.values(), out)
-        elif v.__class__ is list:
-            _nodes(v, out)
-
-
-def used_radicands_only(doc: dict, floor: int) -> dict:
-    """The certificate doc, in place (no node shared, as the writers build
-    it), over the radicands that its scalars and its kept radicands use,
-    and its reference's first floor ones, renumbered in order."""
-    rads, nodes = doc["radicands"], []
-    _nodes([v for k, v in doc.items() if k != "radicands"], nodes)
-    used = set(range(1, floor + 1)) | {n["level"] for n in nodes}
-    for j in range(len(rads), floor, -1):  # d_j uses levels below j only
-        if j in used:
-            k = len(nodes)
-            _nodes([rads[j - 1]], nodes)
-            used.update(n["level"] for n in nodes[k:])
-    if len(used) < len(rads):
-        keep = sorted(used)
-        new = dict(zip(keep, range(1, len(keep) + 1)))
-        for n in nodes:  # a level up to floor keeps its number
-            n["level"] = new[n["level"]]
-        doc["radicands"] = [rads[j - 1] for j in keep]
-    return doc
 
 
 def certificate_from_obj(obj, base: Tower | None = None):

@@ -754,22 +754,29 @@ def rational_string(num, den) -> str:
     return _int_text(num // g) + "/" + _int_text(den // g)
 
 
-def _tree_to_obj(t, num, den, scales):
-    """The sqrt(d_j)-basis encoding of t*num/den."""
+def _tree_to_obj(t, num, den, scales, nodes):
+    """The sqrt(d_j)-basis encoding of t*num/den; its nodes go to nodes."""
     if t.__class__ is int:
         return rational_string(t * num, den)
     j = t[0]
-    return {"a": _tree_to_obj(t[1], num, den, scales),
-            "b": _tree_to_obj(t[2], num * scales[j], den, scales),
-            "level": j}
+    nodes.append({"a": _tree_to_obj(t[1], num, den, scales, nodes),
+                  "b": _tree_to_obj(t[2], num * scales[j], den, scales, nodes),
+                  "level": j})
+    return nodes[-1]  # appended after its children
 
 
 def scalar_to_obj(x):
     """Serialize: rationals as "p/q" strings, a + b*sqrt(d_k) as
     {"a": a, "b": b, "level": k}.  The radicand d_k itself is spelled out
     once, in the radicand header of the document."""
+    return _scalar_to_obj(x, [])
+
+
+def _scalar_to_obj(x, nodes):
+    """scalar_to_obj, appending each node dict it builds to nodes."""
     s = as_scalar(x)
-    return _tree_to_obj(s.tree, 1, s.den, s.tower.scales if s.level else None)
+    scales = s.tower.scales if s.level else None
+    return _tree_to_obj(s.tree, 1, s.den, scales, nodes)
 
 
 _NODE_KEYS = frozenset(("a", "b", "level"))

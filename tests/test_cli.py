@@ -204,6 +204,31 @@ class TestConnect:
         assert run("connect", "quadric", "--form", docs / "split.qf",
                    "--from", "1,1,0,0", "--to", "0,0,1,0") == 2
 
+    @pytest.mark.parametrize("target, options, message", [
+        ("ci", ["--pencil", "hex.pf", "--form", "garbage"],
+         "--form is not for connect ci"),
+        ("ci", [], "connect ci needs --pencil"),
+        ("complement", ["--form", "split.qf", "--pencil", "hex.pf"],
+         "--pencil/--line are only for connect ci"),
+        ("quadric", ["--form", "split.qf", "--line", "garbage"],
+         "--pencil/--line are only for connect ci"),
+        ("complement", [], "connect complement needs --form"),
+    ])
+    def test_option_for_another_target_refused(self, docs, tmp_path, capsys,
+                                               target, options, message):
+        # "garbage" is a file that holds no document: the refusal comes
+        # before any reference file is read
+        files = {"hex.pf": docs / "hex.pf", "split.qf": docs / "split.qf",
+                 "garbage": tmp_path / "garbage"}
+        files["garbage"].write_text("garbage")
+        cert = tmp_path / "c.cert"
+        capsys.readouterr()
+        assert run("connect", target, *[files.get(o, o) for o in options],
+                   "--from", "1,0,0,0", "--to", "0,0,1,0",
+                   "--out", cert) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not cert.exists()
+
     def test_search_exhaustion_exit(self, docs, tmp_path):
         assert run("connect", "quadric", "--form", docs / "split.qf",
                    "--from", "1,0,0,0", "--to", "0,0,1,0",

@@ -6,16 +6,15 @@ import re
 
 import pytest
 
-from quadcyl.errors import InputFormatError, TowerLimitError
-from quadcyl.navigate import connect_complement, connect_on_quadric, \
-    verify_path
+from quadcyl.errors import InputFormatError, TowerError, TowerLimitError
+from quadcyl.navigate import MovePath, connect_complement, \
+    connect_on_quadric, verify_path
 from quadcyl.pencils import Pencil, connect_on_X, find_line, verify_on_X
 from quadcyl.projective import ProjPoint, QuadForm, quadform_from_terms, vec
 from quadcyl.serialize import (
     certificate_from_obj, dumps, form_from_obj, form_to_obj, line_from_obj,
     line_to_obj, loads, path_from_obj, path_to_obj, pencil_from_obj,
-    pencil_to_obj, point_from_obj, point_to_obj, used_radicands_only,
-    xpath_from_obj, xpath_to_obj,
+    pencil_to_obj, point_from_obj, point_to_obj, xpath_from_obj, xpath_to_obj,
 )
 from quadcyl.tower import Tower, as_scalar, scalar_from_obj, scalar_to_obj
 
@@ -33,6 +32,23 @@ def pt(*cs):
 def sample_complement_path():
     q = quadform_from_terms(4, {(0, 1): 1, (2, 3): 1})
     return q, connect_complement(q, pt(1, 1, 0, 0), pt(0, 3, 1, 5))
+
+
+def without_first_radicand(doc):
+    """The certificate doc as it reads with its first radicand dropped:
+    every node one level down, the header one entry shorter."""
+    def down(obj):
+        if isinstance(obj, list):
+            return [down(v) for v in obj]
+        if not isinstance(obj, dict):
+            return obj
+        out = {k: down(v) for k, v in obj.items()}
+        if "level" in obj:
+            out["level"] -= 1
+        return out
+    out = down(doc)
+    out["radicands"] = out["radicands"][1:]
+    return out
 
 
 class TestScalarDocuments:
@@ -236,30 +252,54 @@ class TestCertificates:
         assert verify_path(q, back).valid
 
     def test_unused_radicand_dropped_and_levels_renumbered(self):
-        # sqrt 2 comes with the start tower and no scalar uses it; the
-        # nested radicands above it move down one level, and the
-        # certificate still replays
+        # sqrt 2 comes with the start tower and no scalar uses it: the
+        # writer over Q drops it and moves every node above it down one
+        # level; the writer over the start tower keeps it as the prefix,
+        # as it would a reference document's; both replay
         q = quadform_from_terms(3, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
         tw = Tower.rationals().extend(as_scalar(2))
         path = connect_complement(q, pt(1, 2, 3), pt(2, -1, 5), tower=tw)
-        doc = loads(dumps(path_to_obj(path)))
-        rads = doc["radicands"]
+        kept, doc = path_to_obj(path, tw), path_to_obj(path)
+        rads = kept["radicands"]
+        assert len(rads) == path.tower.height
         assert rads[0] == "2/1" and any(isinstance(r, dict) for r in rads)
+        assert doc == without_first_radicand(kept)
+        for obj, base in ((doc, None), (kept, tw)):
+            back = path_from_obj(loads(dumps(obj)), base)
+            assert back.tower.height == len(obj["radicands"])
+            assert verify_path(q, back).valid
+            assert dumps(path_to_obj(back, base)) == dumps(obj)
 
-        def down(obj):
-            if isinstance(obj, dict):
-                return {"a": down(obj["a"]), "b": down(obj["b"]),
-                        "level": obj["level"] - 1}
-            return obj
-        expect = [down(r) for r in rads[1:]]
-        assert used_radicands_only(doc, 0)["radicands"] == expect
-        back = path_from_obj(doc)
-        assert back.tower.height == path.tower.height - 1
+    def test_radicand_a_kept_radicand_uses_is_kept(self):
+        # over Q(sqrt 3, sqrt 2, sqrt(1 + sqrt 2)) the one scalar node is
+        # sqrt(1 + sqrt 2): sqrt 3 goes, and sqrt 2 stays only because the
+        # kept radicand 1 + sqrt 2 uses it; both move down one level
+        tw = Tower.rationals().extend(as_scalar(3)).extend(as_scalar(2))
+        tw = tw.extend(1 + tw.generator(2))
+        q = quadform_from_terms(3, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
+        p = pt(1, tw.generator(3), 0)
+        obj = path_to_obj(MovePath("complement", q, p, p, (), tw))
+        assert obj["radicands"] == [
+            "2/1", {"a": "1/1", "b": "1/1", "level": 1}]
+        assert obj["from"][1] == {"a": "0/1", "b": "1/1", "level": 2}
+        back = path_from_obj(loads(dumps(obj)))
+        assert back.start.coords[1] * back.start.coords[1] == \
+            1 + back.tower.generator(1)
         assert verify_path(q, back).valid
-        # the first floor radicands stay, as the reference document's
-        kept = loads(dumps(path_to_obj(path)))
-        header = loads(dumps(kept["radicands"]))
-        assert used_radicands_only(kept, 1)["radicands"] == header
+
+    def test_base_off_the_chain_refused(self):
+        _, path = self.sample_path()
+        _, xp = TestIntersectionCertificates().sample()
+        other = Tower.rationals().extend(as_scalar(7))
+        deeper = path.tower.extend(as_scalar(7))
+        with pytest.raises(TowerError):
+            path_to_obj(path, other)
+        with pytest.raises(TowerError):
+            xpath_to_obj(xp, other)
+        # a base the path's tower lies under is on the chain; its
+        # radicands all stay
+        assert path_to_obj(path, deeper)["radicands"] == \
+            path_to_obj(path)["radicands"] + ["7/1"]
 
     def test_on_quadric_problem_kind(self):
         q = quadform_from_terms(4, {(0, 1): 1, (2, 3): 1})
@@ -298,10 +338,11 @@ class TestCertificates:
         _, path = self.sample_path()
         obj = path_to_obj(path)
         assert obj["version"] == 3
-        for version in (1, 2, 99):
+        # 3.0 equals 3 but is not an integer, so it would not round-trip
+        for version in (1, 2, 99, 3.0, "3", True):
             obj["version"] = version
             with pytest.raises(InputFormatError,
-                               match="version %d;" % version):
+                               match=re.escape("version %r;" % (version,))):
                 path_from_obj(obj)
 
     def test_unknown_problem(self):
@@ -347,6 +388,24 @@ class TestIntersectionCertificates:
         pen, xp = self.sample()
         back = certificate_from_obj(xpath_to_obj(xp))
         assert verify_on_X(pen, back).valid
+
+    def test_unused_radicand_dropped_and_levels_renumbered(self):
+        # the endpoints come over Q(sqrt 2), which no scalar uses; the
+        # segment's nested radicand moves down one level
+        pen = hexagonal_pencil()
+        tw = Tower.rationals().extend(as_scalar(2))
+        xp = connect_on_X(pen, pt(1, 0, 0, 0, 0, 0), pt(0, 0, 0, 0, 1, 0),
+                          tower=tw, rng=random.Random(3))
+        kept, doc = xpath_to_obj(xp, tw), xpath_to_obj(xp)
+        rads = kept["radicands"]
+        assert len(rads) == xp.tower.height
+        assert rads[0] == "2/1" and any(isinstance(r, dict) for r in rads)
+        assert doc == without_first_radicand(kept)
+        for obj, base in ((doc, None), (kept, tw)):
+            back = xpath_from_obj(loads(dumps(obj)), base)
+            assert back.tower.height == len(obj["radicands"])
+            assert verify_on_X(pen, back).valid
+            assert dumps(xpath_to_obj(back, base)) == dumps(obj)
 
     def test_empty_segment_steps_rejected(self):
         _, xp = self.sample()
