@@ -124,9 +124,10 @@ class Chart:
 
     def lift(self, p: ProjPoint):
         """(s, n, w) of a point in the domain, without dividing: s = u_d,
-        w = u_transverse and n = s*u_e + sigma(w), so that the fiber value
-        is t = n/s^2 and the transverse tuple tv = w/s.  The domain is
-        s != 0, and n = 0 on a quadric chart, n != 0 on the others."""
+        w = u_transverse and n = s*u_e + sigma(w), which is the form's
+        value q(x) by the shape of F^T A F, so that the fiber value is
+        t = n/s^2 and the transverse tuple tv = w/s.  The domain is s != 0,
+        and n = 0 on a quadric chart, n != 0 on the others."""
         u = self.change.from_ambient(p.coords)
         s = u[self.dist]
         if s.is_zero():

@@ -12,14 +12,19 @@ The replay (verify_path) only multiplies and adds, except where
 chart_from_descriptor inverts each distinct step matrix by Gauss-Jordan
 elimination.  Consecutive moves in one chart are recorded as one step.
 verify_path never trusts producer-side objects and never raises on a bad
-certificate; it returns a report naming the first broken step.
+certificate; it returns a report naming the first broken step.  Each fact
+is decided once: a replay that succeeds has already decided the endpoint
+facts, since a chart's lift computes the form's value, so the explicit
+endpoint checks run only on an empty path or a failed replay.
 
-The complement connector works in the standard cylinders of the form:
-both endpoints are first driven, for free, to a canonical point of the
-first hyperbolic pair, (1:t:0:...:0), then joined by a short rescale
-gadget if their fibers differ: three moves through two pairs past rank 3,
-and at rank 3 two moves, or three where the tower already holds both
-sqrt(t).
+The complement connector works in the standard cylinders of the form.
+It first tries one move in one chart; since a lift's n is q(x), that test
+reads only each chart's distinguished coordinate, against the endpoint
+values it has already computed.  Otherwise both endpoints are driven, for
+free, to a canonical point of the first hyperbolic pair, (1:t:0:...:0),
+then joined by a short rescale gadget if their fibers differ: three moves
+through two pairs past rank 3, and at rank 3 two moves, or three where
+the tower already holds both sqrt(t).
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .errors import (
 )
 from .charts import Chart, ChartBundle, build_complement_charts, \
     chart_from_descriptor, quadric_chart
-from .projective import ProjPoint, QuadForm, mat_eq, point_on_quadric
+from .projective import ProjPoint, QuadForm, dot, mat_eq, point_on_quadric
 from .tower import Tower, as_scalar, deeper_tower, deepest_tower, \
     sqrt_if_present, try_sqrt
 
@@ -124,8 +129,11 @@ class _Trail:
 
 
 def _same_fiber(s1, n1, s2, n2) -> bool:
-    """Do two lifted points (Chart.lift) have one fiber value,
-    n1/s1^2 == n2/s2^2?  Compared by cross-multiplying."""
+    """Do two points with distinguished coordinates s1, s2 and form
+    values n1, n2 have one fiber value, n1/s1^2 == n2/s2^2?  Compared by
+    cross-multiplying.  The pairs come from Chart.lift, or, where the form
+    values are known, from the distinguished coordinate alone, since a
+    lift's n is the form's value q(x)."""
     if s1 == s2:
         return n1 == n2
     return n1 * s2 * s2 == n2 * s1 * s1
@@ -285,7 +293,8 @@ def connect_complement(form: QuadForm, p, q, *, tower=None,
             else deeper_tower(tower, bundle.tower)
     tower = deepest_tower(p.coords + q.coords,
                           tower if tower is not None else Tower.rationals())
-    if form(p).is_zero() or form(q).is_zero():
+    n_p, n_q = form(p), form(q)
+    if n_p.is_zero() or n_q.is_zero():
         raise EndpointError("endpoint lies on the quadric")
     if bundle is None:
         bundle, tower = build_complement_charts(form, tower)
@@ -298,12 +307,13 @@ def connect_complement(form: QuadForm, p, q, *, tower=None,
     if p == q:
         return done(())
 
-    # single-move shortcut when both points share a chart and a fiber
+    # single-move shortcut when both points share a chart and a fiber.
+    # A lift's n is q(x) in every chart, so each chart reads only s, the
+    # point's distinguished coordinate: one row of F^-1 times x
     for chart in bundle.all_charts():
-        try:
-            s_p, n_p, _ = chart.lift(p)
-            s_q, n_q, _ = chart.lift(q)
-        except OutOfDomainError:
+        row = chart.change.inverse_matrix()[chart.dist]
+        s_p, s_q = dot(row, p.coords), dot(row, q.coords)
+        if s_p.is_zero() or s_q.is_zero():
             continue
         if _same_fiber(s_p, n_p, s_q, n_q):
             _, tvq = chart.forward(q)
@@ -376,31 +386,55 @@ def verify_path(form: QuadForm, path: MovePath, cache=None) -> VerifyReport:
     n_in * s_out^2 == n_out * s_in^2, and the target is met when
     w_out == s_out * target.
 
+    A replay that succeeds proves the endpoint facts, so they are not
+    decided again.  A rebuilt chart has checked that F^T A F has its
+    shape, so a lift's n = s u_e + sigma(w) is the form's value q(x), and
+    the lift refuses n = 0 off the quadric and n != 0 on it.  Step 0's
+    entry is proportional to start (the chain check) and the last exit is
+    proportional to end, so their lifts decide q(start) and q(end).  The
+    explicit endpoint checks (length, then the form's value, start before
+    end) run when the path is empty or an endpoint has the wrong length,
+    and before any replay failure is reported, so a bad certificate gets
+    the same first reason and index as when they ran first.
+
     cache maps descriptors to rebuilt charts and may be shared by calls
     with the same form.  Its key holds the matrix scalars themselves;
     scalar equality compares the radicands of their towers, so a matrix
     read over another radicand list is another key."""
     rc = path.tower.height if path.tower is not None else 0
 
-    def bad(reason, k=None):
+    def fail(reason, k=None):
         return VerifyReport(False, reason, k, len(path.steps), path.problem, rc)
 
     if path.problem not in ("complement", "quadric"):
-        return bad("unknown problem kind %r" % path.problem)
+        return fail("unknown problem kind %r" % path.problem)
     on_q = path.problem == "quadric"
     if not mat_eq(path.form.matrix, form.matrix):
-        return bad("ambient form mismatch")
-    for name, pt in (("start", path.start), ("end", path.end)):
-        if len(pt.coords) != form.size:
-            return bad("%s point has the wrong length" % name)
-        fv = form(pt)
-        if on_q and not fv.is_zero():
-            return bad("%s point is off the quadric" % name)
-        if not on_q and fv.is_zero():
-            return bad("%s point lies on the quadric" % name)
-    if not path.steps:
+        return fail("ambient form mismatch")
+
+    def endpoint_fault():
+        for name, pt in (("start", path.start), ("end", path.end)):
+            if len(pt.coords) != form.size:
+                return fail("%s point has the wrong length" % name)
+            fv = form(pt)
+            if on_q and not fv.is_zero():
+                return fail("%s point is off the quadric" % name)
+            if not on_q and fv.is_zero():
+                return fail("%s point lies on the quadric" % name)
+        return None
+
+    def bad(reason, k):
+        # a failed replay proved nothing about the endpoints, so their own
+        # checks come first, as if they had run before it
+        return endpoint_fault() or fail(reason, k)
+
+    if not path.steps or len(path.start.coords) != form.size or \
+            len(path.end.coords) != form.size:
+        fault = endpoint_fault()
+        if fault is not None:
+            return fault
         if path.start != path.end:
-            return bad("endpoints differ but the path is empty")
+            return fail("endpoints differ but the path is empty")
         return VerifyReport(True, None, None, 0, path.problem, rc)
     if cache is None:
         cache = {}

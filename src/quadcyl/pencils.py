@@ -703,24 +703,48 @@ def verify_on_X(pencil: Pencil, path: XPath) -> VerifyReport:
     """Replay an intersection certificate.  Each segment rebuilds its line
     chart from the pencil and the stored line alone, projects the current
     point, replays the moves against the recomputed image quadric, and
-    lifts the last exit back to X, where the next segment starts."""
+    lifts the last exit back to X, where the next segment starts.
+
+    A replay that succeeds proves that both endpoints lie on X, so
+    Pencil.on_intersection is not asked again.  LineChart.inverse always
+    lands on X: the line lies in X (span_in_X, checked when the chart is
+    built), and the cross product of the two residual rows kills both.
+    Segment 0 checks inverse(forward(start)) == start, and the last
+    segment's inverse(exit) == end.  The explicit endpoint checks (length,
+    then on_intersection, start before end) run when the path has no
+    segment or an endpoint has the wrong length, and before any replay
+    failure is reported, so a bad certificate gets the same first reason
+    and index as when they ran first."""
 
     rc = path.tower.height
 
-    def bad(reason, k=None):
+    def fail(reason, k=None):
         return VerifyReport(False, reason, k, len(path.segments), "ci", rc)
 
     if not mat_eq(path.pencil.beta.matrix, pencil.beta.matrix) or \
             not mat_eq(path.pencil.gamma.matrix, pencil.gamma.matrix):
-        return bad("pencil mismatch")
-    for name, pt in (("start", path.start), ("end", path.end)):
-        if len(pt.coords) != pencil.size:
-            return bad("%s point has the wrong length" % name)
-        if not pencil.on_intersection(pt):
-            return bad("%s point is not on the intersection" % name)
-    if not path.segments:
+        return fail("pencil mismatch")
+
+    def endpoint_fault():
+        for name, pt in (("start", path.start), ("end", path.end)):
+            if len(pt.coords) != pencil.size:
+                return fail("%s point has the wrong length" % name)
+            if not pencil.on_intersection(pt):
+                return fail("%s point is not on the intersection" % name)
+        return None
+
+    def bad(reason, k):
+        # a failed replay proved nothing about the endpoints, so their own
+        # checks come first, as if they had run before it
+        return endpoint_fault() or fail(reason, k)
+
+    if not path.segments or len(path.start.coords) != pencil.size or \
+            len(path.end.coords) != pencil.size:
+        fault = endpoint_fault()
+        if fault is not None:
+            return fault
         if path.start != path.end:
-            return bad("endpoints differ but the path is empty")
+            return fail("endpoints differ but the path is empty")
         return VerifyReport(True, None, None, 0, "ci", rc)
     cur = path.start
     for k, seg in enumerate(path.segments):

@@ -377,14 +377,18 @@ class CoordChange:
 
     pullback(form) is the form in chart coordinates, M^T A M.  The change
     keeps the last one it computed, with the form it belongs to, so every
-    chart built on this change over that form shares one product."""
+    chart built on this change over that form shares one product.  It
+    keeps its last from_ambient (x, M^-1 x) the same way, so the charts
+    sharing a change (the U and V charts of a bundle, the steps of a
+    replay on one matrix) read one point's chart coordinates once."""
 
-    __slots__ = ("matrix", "_inverse", "_pulled")
+    __slots__ = ("matrix", "_inverse", "_pulled", "_image")
 
     def __init__(self, matrix, inverse=None):
         self.matrix = mat(matrix)
         self._inverse = mat(inverse) if inverse is not None else None
         self._pulled = None
+        self._image = None
 
     @property
     def size(self):
@@ -405,7 +409,15 @@ class CoordChange:
         return mat_vec(self.matrix, u)
 
     def from_ambient(self, x) -> Vec:
-        return mat_vec(self.inverse_matrix(), x)
+        """M^-1 x for a coordinate tuple x.  The last x is matched by
+        identity, then by structural equality of its scalars, which is
+        cheap beside the product."""
+        last = self._image
+        if last is not None and (last[0] is x or last[0] == x):
+            return last[1]
+        u = mat_vec(self.inverse_matrix(), x)
+        self._image = (x, u)
+        return u
 
     def __eq__(self, other):
         if not isinstance(other, CoordChange):

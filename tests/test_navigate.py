@@ -169,6 +169,34 @@ class TestConnectComplement:
         assert len(path.steps) == 1
         assert verify_path(q, path).valid
 
+    def test_shortcut_lifts_nothing(self, monkeypatch):
+        # the single-move shortcut reads each chart's distinguished
+        # coordinate and the endpoints' form values: no Chart.lift runs
+        # before canonicalization, whose moves lift as before
+        import quadcyl.navigate as navigate
+        from quadcyl.charts import Chart
+        lifts, at_canon = [], []
+        real_lift, real_canon = Chart.lift, navigate._canonicalize_complement
+
+        def counting_lift(chart, p):
+            lifts.append(p)
+            return real_lift(chart, p)
+
+        def canon(bundle, p):
+            at_canon.append(len(lifts))
+            return real_canon(bundle, p)
+        monkeypatch.setattr(Chart, "lift", counting_lift)
+        monkeypatch.setattr(navigate, "_canonicalize_complement", canon)
+        rng = random.Random(28)
+        for n, pairs, z in ((3, 1, True), (4, 2, False), (5, 2, True)):
+            q, bundle, tw = complement_setup(n, pairs, z)
+            for _ in range(3):
+                p, r = _random_off_quadric(q, rng), _random_off_quadric(q, rng)
+                del lifts[:], at_canon[:]
+                path = connect_complement(q, p, r, tower=tw, bundle=bundle)
+                assert at_canon[:1] == [0] and lifts
+                assert verify_path(q, path).valid
+
     def test_endpoint_on_quadric_rejected(self):
         q, bundle, tw = complement_setup(4, 2, False)
         with pytest.raises(EndpointError):
@@ -555,6 +583,51 @@ class TestVerifyRejections:
         rep = verify_path(q, bad)
         assert not rep.valid
 
+    def test_start_on_the_quadric_with_steps(self):
+        # the replay breaks at step 0, and the start's own check, which
+        # a successful replay makes redundant, still comes first
+        q, path = self._path()
+        bad = MovePath(path.problem, path.form, proj([1, 0, 0, 0]),
+                       path.end, path.steps, path.tower)
+        rep = verify_path(q, bad)
+        assert (rep.valid, rep.reason, rep.index) == \
+            (False, "start point lies on the quadric", None)
+
+    def test_end_off_the_quadric_with_steps(self):
+        q = hyperbolic_target(4, 2, False)
+        path = connect_on_quadric(q, proj([1, 0, 0, 0]), proj([0, 0, 1, 0]),
+                                  rng=random.Random(1))
+        assert path.steps and verify_path(q, path).valid
+        bad = MovePath(path.problem, path.form, path.start,
+                       proj([1, 1, 0, 0]), path.steps, path.tower)
+        rep = verify_path(q, bad)
+        assert (rep.valid, rep.reason, rep.index) == \
+            (False, "end point is off the quadric", None)
+
+    def test_empty_path_on_the_quadric(self):
+        # no replay proves anything about a zero-step path's point
+        q, path = self._path()
+        pt = proj([0, 1, 0, 0])
+        bad = MovePath("complement", q, pt, pt, (), path.tower)
+        rep = verify_path(q, bad)
+        assert (rep.valid, rep.reason, rep.index) == \
+            (False, "start point lies on the quadric", None)
+
+    def test_valid_replay_skips_endpoint_forms(self, monkeypatch):
+        # step 0's entry lift decides q(start) and the last exit's lift
+        # q(end), so a valid replay never evaluates the form at either
+        q, path = self._path()
+        evaluated = []
+        real = QuadForm.__call__
+
+        def counting(form, x):
+            evaluated.append(x)
+            return real(form, x)
+        monkeypatch.setattr(QuadForm, "__call__", counting)
+        assert verify_path(q, path).valid
+        assert not any(proj(getattr(x, "coords", x)) == pt
+                       for x in evaluated for pt in (path.start, path.end))
+
 
 class TestChartCache:
     def test_one_inverse_per_matrix(self, monkeypatch):
@@ -574,6 +647,26 @@ class TestChartCache:
         monkeypatch.setattr(projective, "mat_inverse", counting)
         assert verify_path(q, path).valid
         assert len(inverted) == 1
+
+    def test_one_product_per_point_and_matrix(self, monkeypatch):
+        # the u1, v1, u1 steps share one matrix, and each step's exit is
+        # the next step's entry: four distinct points, so four products
+        # of F^-1 for six lifts
+        import sys
+        import quadcyl.projective as projective
+        q = hyperbolic_target(3, 1, True)
+        path = connect_complement(q, proj([1, 0, 1]), proj([1, 0, 4]))
+        assert len(path.steps) == 3
+        products = []
+        real = projective.mat_vec
+
+        def counting(m, v):
+            if sys._getframe(1).f_code.co_name == "from_ambient":
+                products.append(v)
+            return real(m, v)
+        monkeypatch.setattr(projective, "mat_vec", counting)
+        assert verify_path(q, path).valid
+        assert len(products) == 4
 
     def test_shared_cache_tells_radicands_apart(self):
         # x^2 + y^2 + z^2 needs sqrt(-1) in its chart matrices; reading the

@@ -561,6 +561,52 @@ class TestVerifyOnX:
         assert not rep.valid
         assert rep.reason == "start point is not on the intersection"
 
+    def test_end_off_intersection(self):
+        p, path = self.make_path()
+        broken = XPath(p, path.start, proj((1, 1, 1, 1, 1, 1)),
+                       path.segments, path.tower)
+        rep = verify_on_X(p, broken)
+        assert (rep.valid, rep.reason, rep.index) == \
+            (False, "end point is not on the intersection", None)
+
+    def test_start_reported_before_broken_segment(self):
+        # segment 0's line is corrupt too, but the start's check, which a
+        # successful replay makes redundant, still comes first
+        import dataclasses
+        p, path = self.make_path()
+        seg = path.segments[0]
+        bad_line = Line(seg.line.v1, tuple(scalar(c) for c in e(1)))
+        bad_seg = dataclasses.replace(seg, line=bad_line)
+        broken = XPath(p, path.start, path.end, (bad_seg,), path.tower)
+        assert verify_on_X(p, broken).reason.startswith(
+            "bad line at segment 0")
+        broken = XPath(p, proj((1, 1, 1, 1, 1, 1)), path.end, (bad_seg,),
+                       path.tower)
+        rep = verify_on_X(p, broken)
+        assert (rep.valid, rep.reason, rep.index) == \
+            (False, "start point is not on the intersection", None)
+
+    def test_empty_path_off_intersection(self):
+        p, path = self.make_path()
+        off = proj((1, 1, 1, 1, 1, 1))
+        rep = verify_on_X(p, XPath(p, off, off, (), path.tower))
+        assert (rep.valid, rep.reason, rep.index) == \
+            (False, "start point is not on the intersection", None)
+
+    def test_valid_replay_skips_on_intersection(self, monkeypatch):
+        # segment 0's inverse(forward(start)) == start and the last
+        # segment's inverse(exit) == end prove both endpoints lie on X
+        pencil, path = TestConnectOnX().connect_pair(1)
+        calls = []
+        real = Pencil.on_intersection
+
+        def counting(self, x):
+            calls.append(x)
+            return real(self, x)
+        monkeypatch.setattr(Pencil, "on_intersection", counting)
+        assert verify_on_X(pencil, path).valid
+        assert calls == []
+
 
 class TestAudit:
     def test_fixture_audit_passes(self):
