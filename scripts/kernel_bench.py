@@ -10,14 +10,16 @@ x+y and an inverse 1/x, each the best of --repeat timings of a batch of
 and checks x*(1/x) == 1.
 
 The L1 rows time, for each height in L1_HEIGHTS, size n in L1_SIZES and
-zero share z in L1_ZEROS, one mat_inverse(M) and one QuadForm(A).transform(M)
-(M^T A M), each the best of --repeat.  M and the symmetric A are n x n and
-seeded per (height, n, z): round(z*n*n) entries of M are zero, never on a
-random permutation that keeps M invertible, and each entry of A's upper
-triangle is zero with probability z.  A nonzero entry is r + s*sqrt(p_k)
-for seeded integers r, s in [-9, 9], s != 0, and a seeded level k, like
-the entries of chart matrices; at height 0 it is p/q with 0 < |p|, q <= 9.
-It checks M * M^-1 == I.
+zero share z in L1_ZEROS, one mat_inverse(M), one QuadForm(A).transform(M)
+(M^T A M) and one value QuadForm(A)(x), each the best of --repeat.  M and
+the symmetric A are n x n and seeded per (height, n, z): round(z*n*n)
+entries of M are zero, never on a random permutation that keeps M
+invertible, and each entry of A's upper triangle is zero with probability
+z.  A nonzero entry is r + s*sqrt(p_k) for seeded integers r, s in
+[-9, 9], s != 0, and a seeded level k, like the entries of chart
+matrices; at height 0 it is p/q with 0 < |p|, q <= 9.  x is a dense
+point of the row's height, every coordinate drawn as the L0 operands
+are.  It checks M * M^-1 == I and A(x) == dot(x, A x).
 
 The SQ rows time sqrt_if_present, for each height h >= 1 of --heights, in
 the tower of height h - 1 above extended by a dense radicand d_h of level
@@ -44,7 +46,7 @@ import time
 from fractions import Fraction
 
 from quadcyl.projective import (
-    ProjPoint, QuadForm, identity_mat, mat_inverse, mat_mul,
+    ProjPoint, QuadForm, dot, identity_mat, mat_inverse, mat_mul, mat_vec,
 )
 from quadcyl.serialize import dumps, loads, point_from_obj, point_to_obj
 from quadcyl.tower import ONE, ZERO, Tower, as_scalar, sqrt_if_present
@@ -118,21 +120,28 @@ def best_of(fn, repeat):
 
 
 def l1_rows(repeat, seed):
-    print("L1 height  size  zeros  mat_inverse_s  transform_s")
+    print("L1 height  size  zeros  mat_inverse_s  transform_s  form_s")
     for h in L1_HEIGHTS:
         tower = tower_of(h)
         for n in L1_SIZES:
             for z in L1_ZEROS:
                 rng = random.Random("%d-%d-%d-%g" % (seed, h, n, z))
                 m, a = sparse_pair(tower, n, z, rng)
+                x = tuple(dense(tower, rng) for _ in range(n))
                 inv_s, inv = best_of(lambda: mat_inverse(m), repeat)
                 tr_s, _ = best_of(lambda: a.transform(m), repeat)
                 if mat_mul(m, inv) != identity_mat(n):
                     print("error: M * M^-1 != I at height %d, size %d"
                           % (h, n), file=sys.stderr)
                     return 1
-                print("L1 %-7d %-5d %-6g %-14.3g %.3g"
-                      % (h, n, z, inv_s, tr_s))
+                # the first value builds the form's rows; time the others
+                if a(x) != dot(x, mat_vec(a.matrix, x)):
+                    print("error: A(x) != dot(x, A x) at height %d, size %d"
+                          % (h, n), file=sys.stderr)
+                    return 1
+                form_s, _ = best_of(lambda: a(x), repeat)
+                print("L1 %-7d %-5d %-6g %-14.3g %-12.3g %.3g"
+                      % (h, n, z, inv_s, tr_s, form_s))
     return 0
 
 

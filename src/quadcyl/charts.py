@@ -48,6 +48,8 @@ from .projective import (
     quadform_from_terms,
     rref,
     transpose,
+    upper_rows,
+    upper_value,
     vec_add,
     vec_scale,
 )
@@ -68,7 +70,7 @@ class Chart:
     """One cylinder chart.  See the module docstring for the shape rules."""
 
     __slots__ = ("kind", "form", "change", "dist", "dep", "on_quadric",
-                 "trans", "_tpos", "_sigma_terms")
+                 "trans", "_tpos", "_sigma")
 
     def __init__(self, kind, form: QuadForm, change: CoordChange,
                  dist: int, dep: int):
@@ -97,14 +99,7 @@ class Chart:
                     "distinguished rows of the chart form must vanish")
         self.trans = tuple(j for j in range(n) if j not in (d, e))
         self._tpos = {j: k for k, j in enumerate(self.trans)}
-        terms = []
-        for k, i in enumerate(self.trans):
-            for l in range(k, len(self.trans)):
-                j = self.trans[l]
-                c = b[i][j]
-                if not c.is_zero():
-                    terms.append((k, l, c if k == l else 2 * c))
-        self._sigma_terms = tuple(terms)
+        self._sigma = upper_rows(b, self.trans)
 
     @property
     def size(self):
@@ -117,10 +112,7 @@ class Chart:
 
     def sigma(self, tv):
         """The residual form on a transverse value tuple."""
-        acc = ZERO
-        for k, l, c in self._sigma_terms:
-            acc = acc + c * tv[k] * tv[l]
-        return acc
+        return upper_value(self._sigma, tv)
 
     def lift(self, p: ProjPoint):
         """(s, n, w) of a point in the domain, without dividing: s = u_d,

@@ -24,7 +24,9 @@ values it has already computed.  Otherwise both endpoints are driven, for
 free, to a canonical point of the first hyperbolic pair, (1:t:0:...:0),
 then joined by a short rescale gadget if their fibers differ: three moves
 through two pairs past rank 3, and at rank 3 two moves, or three where
-the tower already holds both sqrt(t).
+the tower already holds both sqrt(t).  The two rank-3 moves are recorded
+from their closed form, which the gadget already holds, so no chart
+inverts a scalar at the level of the root it adjoined.
 """
 
 from __future__ import annotations
@@ -200,7 +202,8 @@ def _rescale_pairs(bundle: ChartBundle, cp, cq, tower):
     first two pairs, paying sqrt(t/t') only when the tower lacks it."""
     trail = _Trail()
     u1, u2 = bundle.u_charts[0], bundle.u_charts[1]
-    t_p, t_q = u1.forward(cp)[0], u1.forward(cq)[0]
+    # cp read last, so the first move finds it in from_ambient's memo
+    t_q, t_p = u1.forward(cq)[0], u1.forward(cp)[0]
     lam, tower = try_sqrt(tower, t_p / t_q)
     step1 = trail.move(u1, cp, u1.target_from({2: lam}))
     step2 = trail.move(u2, step1, u2.target_from({0: 1, 1: t_p / lam}))
@@ -210,10 +213,14 @@ def _rescale_pairs(bundle: ChartBundle, cp, cq, tower):
 
 
 def _either_root(tower, a, r):
-    """A root of a - r, else of a + r, that the tower already holds, or
-    None."""
+    """(s, e) with s^2 = a - e r: a root of a - r (e = 1), else of a + r
+    (e = -1), that the tower already holds; (None, 1) when it holds
+    neither."""
     s = sqrt_if_present(tower, a - r)
-    return s if s is not None else sqrt_if_present(tower, a + r)
+    if s is not None:
+        return s, 1
+    s = sqrt_if_present(tower, a + r)
+    return (s, -1) if s is not None else (None, 1)
 
 
 def _rescale_axis(bundle: ChartBundle, cp, cq, tower):
@@ -228,7 +235,12 @@ def _rescale_axis(bundle: ChartBundle, cp, cq, tower):
     V_1, and x = +-1/(k t_p) != 0 in U_1; and k != +-1, since the two
     canonical points differ.  t_p and t_q are read off the canonical
     points, whose distinguished coordinate is 1, so forward divides by
-    nothing.  The radicands paid are k and s, at most:
+    nothing.  Both steps are recorded from these values, with no further
+    forward and so no inverse at s's level: the V_1 step runs from
+    (1:t_p:0), fiber a = 1/t_p and an empty block, to backward(a, (s));
+    the U_1 step enters with the block s/(a - s^2) = e s k t_p, since
+    a - s^2 = e k/t_q for the sign e of s^2 = a - e k/t_q, and exits at
+    backward(t_q, ()).  The radicands paid are k and s, at most:
       - k in the tower: s is a root the tower holds for either sign, else
         the minus sign's root, adjoined with no retest;
       - k adjoined now over the floor F: s^2 = a + b k with a = 1/t_p and
@@ -245,26 +257,29 @@ def _rescale_axis(bundle: ChartBundle, cp, cq, tower):
     with its U_1 legs merged into the U_1 moves from (1:t_p:0) and to
     (1:t_q:0).  V_1 has fiber 1/(9 t_p) there, so c^2 = (1 -+ 3 lam/mu) /
     (9 t_p), with the sign rule of s when k is in the tower.  c is often
-    rational where s would pay a radicand."""
+    rational where s would pay a radicand.  This route moves through
+    _Trail.move, forward included."""
     trail = _Trail()
     u1, v1 = bundle.u_charts[0], bundle.v_charts[0]
     zpos = 2 * bundle.pairs
-    t_p, t_q = u1.forward(cp)[0], u1.forward(cq)[0]
+    # cp read last, so a first move from it finds it in from_ambient's memo
+    t_q, t_p = u1.forward(cq)[0], u1.forward(cp)[0]
     lam = sqrt_if_present(tower, t_p)
     mu = None if lam is None else sqrt_if_present(tower, t_q)
-    cur = cp
+    e = 1
     if mu is not None:
         cur = trail.move(u1, cp, u1.target_from({zpos: 2 * lam}))
         a, r = 1 / (9 * t_p), lam / (3 * mu * t_p)
-        s = _either_root(tower, a, r)
+        s, e = _either_root(tower, a, r)
     else:
         a = 1 / t_p
         k = sqrt_if_present(tower, t_q / t_p)
         if k is not None:
-            s = _either_root(tower, a, k / t_q)
+            s, e = _either_root(tower, a, k / t_q)
         else:
             u = sqrt_if_present(tower, 1 - t_p / t_q)
-            x = None if u is None else _either_root(tower, a / 2, u * a / 2)
+            x = None if u is None else \
+                _either_root(tower, a / 2, u * a / 2)[0]
             tower = tower._adjoin(t_q / t_p)
             k = tower.generator(tower.height)
             s = None if x is None else x - k / (2 * x * t_q)
@@ -272,8 +287,17 @@ def _rescale_axis(bundle: ChartBundle, cp, cq, tower):
     if s is None:
         tower = tower._adjoin(a - r)
         s = tower.generator(tower.height)
-    cur = trail.move(v1, cur, v1.target_from({zpos: s}))
-    end = trail.move(u1, cur, u1.target_from({}))
+    zero, target = u1.target_from({}), v1.target_from({zpos: s})
+    if mu is not None:
+        cur = trail.move(v1, cur, target)
+        end = trail.move(u1, cur, zero)
+    else:
+        cur = v1.backward(a, target)
+        trail._append(v1, cp, zero, target, cur)
+        w = s * k * t_p
+        end = u1.backward(t_q, zero)
+        trail._append(u1, cur, u1.target_from({zpos: w if e > 0 else -w}),
+                      zero, end)
     assert end == cq
     return trail, tower
 

@@ -67,6 +67,44 @@ def dot(u, v):
     return acc
 
 
+def upper_rows(m, idx=None):
+    """The rows of x^T m x over m's upper triangle, on the coordinates
+    idx (default all) renumbered 0, 1, ... in idx's order: (k, terms) for
+    each row with a nonzero entry, terms the (l, c) with l >= k and
+    c != 0, c = m[i][i] on the diagonal and 2*m[i][j] off it."""
+    idx = range(len(m)) if idx is None else idx
+    rows = []
+    for k, i in enumerate(idx):
+        terms = []
+        for l in range(k, len(idx)):
+            c = m[i][idx[l]]
+            if c:
+                terms.append((l, c if l == k else 2 * c))
+        if terms:
+            rows.append((k, tuple(terms)))
+    return tuple(rows)
+
+
+def upper_value(rows, x):
+    """x^T m x for rows = upper_rows(m): the sum over the rows of x_k
+    times (the sum of c * x_l), skipping zero coordinates.  It never
+    takes more products than dot(x, m x), and fewer where a row vanishes
+    on and right of the diagonal: x_0 x_1 + x_2 x_3 takes two products
+    of coordinates, not four."""
+    acc = ZERO
+    for k, terms in rows:
+        xk = x[k]
+        if xk:
+            inner = ZERO
+            for l, c in terms:
+                y = x[l]
+                if y:
+                    inner = inner + c * y
+            if inner:
+                acc = acc + xk * inner
+    return acc
+
+
 def _support(v):
     """The (index, entry) pairs of the nonzero entries of v."""
     return [(i, x) for i, x in enumerate(v) if x]
@@ -287,7 +325,7 @@ def proj(coords) -> ProjPoint:
 class QuadForm:
     """A quadratic form given by its symmetric matrix."""
 
-    __slots__ = ("matrix", "_rank")
+    __slots__ = ("matrix", "_rank", "_upper")
 
     def __init__(self, matrix):
         m = mat(matrix)
@@ -300,6 +338,7 @@ class QuadForm:
                     raise TowerError("quadratic form matrix must be symmetric")
         self.matrix = m
         self._rank = None
+        self._upper = None
 
     @property
     def size(self) -> int:
@@ -310,8 +349,10 @@ class QuadForm:
         return x.coords if isinstance(x, ProjPoint) else vec(x)
 
     def __call__(self, x):
-        v = self._coords(x)
-        return dot(v, mat_vec(self.matrix, v))
+        """q(x), over the upper triangle (upper_value)."""
+        if self._upper is None:
+            self._upper = upper_rows(self.matrix)
+        return upper_value(self._upper, self._coords(x))
 
     def bilinear(self, u, v):
         return dot(self._coords(u), mat_vec(self.matrix, self._coords(v)))

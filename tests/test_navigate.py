@@ -13,7 +13,9 @@ The rescale fixtures are frozen by hand:
 """
 
 import dataclasses
+import json
 import math
+import os
 import random
 from fractions import Fraction as F
 
@@ -25,8 +27,12 @@ from quadcyl.errors import (
     SingularPointError,
     TowerError,
 )
-from quadcyl.charts import build_complement_charts, chart_from_descriptor, \
-    hyperbolic_target
+from quadcyl.charts import (
+    Chart,
+    build_complement_charts,
+    chart_from_descriptor,
+    hyperbolic_target,
+)
 from quadcyl.navigate import (
     MovePath,
     MoveStep,
@@ -150,6 +156,111 @@ class TestRescaleFixtures:
         rep = verify_path(q, back)
         assert rep.valid, rep.reason
         assert rep.radicand_count == 1
+
+
+DEEP_FIXTURES = os.path.join(os.path.dirname(__file__), "..", "bench",
+                             "fixtures", "ci_deep.json")
+
+
+def _frozen_deep_pair(ident):
+    """(start, end) of a frozen ci-deep pair, on the hexagonal pencil, over
+    its own tower: "p/q" is a rational, [k, a, b] is a + b*sqrt(d_k)."""
+    with open(DEEP_FIXTURES, encoding="utf-8") as fh:
+        pair = next(p for p in json.load(fh)["pairs"] if p["id"] == ident)
+
+    def decode(obj, tower):
+        if isinstance(obj, str):
+            return scalar(F(obj))
+        level, a, b = obj
+        return decode(a, tower) + decode(b, tower) * tower.generator(level)
+    tower = Tower.rationals()
+    for r in pair["radicands"]:
+        tower = tower.extend(decode(r, tower))
+    return [ProjPoint([decode(c, tower) for c in pair[end]])
+            for end in ("from", "to")]
+
+
+class TestRescaleClosedForm:
+    """The rank-3 gadget records its two-move route from the closed form;
+    _Trail.move, replayed on each recorded step, must record the same."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The (bundle, cp, cq, trail, points read by Chart.forward) of
+        every _rescale_axis run from now on."""
+        import quadcyl.navigate as nav
+        runs = []
+        gadget, forward = nav._rescale_axis, Chart.forward
+
+        def spied(bundle, cp, cq, tower):
+            read = []
+
+            def counting(chart, p):
+                read.append(p)
+                return forward(chart, p)
+            monkeypatch.setattr(Chart, "forward", counting)
+            trail, tower = gadget(bundle, cp, cq, tower)
+            monkeypatch.setattr(Chart, "forward", forward)
+            runs.append((bundle, cp, cq, trail, read))
+            return trail, tower
+        monkeypatch.setattr(nav, "_rescale_axis", spied)
+        return runs
+
+    def check(self, runs):
+        """Check every run; returns how many took the two-move route."""
+        two = 0
+        for bundle, cp, cq, trail, read in runs:
+            for chart, step, entry_tv in trail.recs:
+                fresh = _Trail()
+                fresh.move(chart, step.entry, step.target)
+                (chart2, step2, entry_tv2), = fresh.recs
+                assert chart2 is chart
+                assert step2.entry.coords == step.entry.coords
+                assert step2.target == step.target
+                assert step2.exit.coords == step.exit.coords
+                assert entry_tv2 == entry_tv
+            if trail.recs[0][0] is bundle.v_charts[0]:
+                # forward reads the two fibers and nothing else
+                two += 1
+                assert len(trail.recs) == 2
+                assert len(read) == 2 and read[0] is cq and read[1] is cp
+        return two
+
+    def test_grid_rank3_sample(self, monkeypatch):
+        # the seeded grid sample's rank-3 pairs, cones included, all on
+        # the two-move route; fibers 6 and 24, where k = 2 and of s^2 =
+        # 1/6 -+ 1/12 only the plus sign's is a square, so the U_1 entry
+        # block takes e = -1; then the frozen three-move fixtures: each
+        # step as _Trail.move records it
+        runs = self.spy(monkeypatch)
+        rng = random.Random(25)
+        pairs = []
+        for size in range(3, 9):
+            q = hyperbolic_target(size, 1, True)
+            pairs += [(q, _random_off_quadric(q, rng),
+                       _random_off_quadric(q, rng)) for _ in range(15)]
+        q = hyperbolic_target(3, 1, True)
+        pairs.append((q, proj([1, 6, 0]), proj([1, 24, 0])))
+        pairs += [(q, proj([1, 0, 1]), proj(r)) for r in ([1, 0, 4],
+                                                          [1, 0, 2])]
+        for q, p, r in pairs:
+            assert verify_path(q, connect_complement(q, p, r)).valid
+        assert len(runs) == len(pairs)
+        assert self.check(runs) == len(runs) - 2
+
+    @pytest.mark.parametrize("ident", ["s910-p0", "s910-p7", "s911-p9"])
+    def test_frozen_deep_pairs(self, monkeypatch, ident):
+        # a frozen ci-deep pair, over its nested tower: the image quadric
+        # has rank 3 and the gadget takes the two-move route
+        from quadcyl.pencils import Pencil, connect_on_X, verify_on_X
+        pencil = Pencil(
+            quadform_from_terms(6, {(0, 1): 1, (2, 3): 1, (4, 5): 1}),
+            quadform_from_terms(6, {(0, 5): 1, (1, 2): 1, (3, 4): 1}))
+        runs = self.spy(monkeypatch)
+        p, r = _frozen_deep_pair(ident)
+        path = connect_on_X(pencil, p, r, rng=random.Random(0))
+        assert verify_on_X(pencil, path).valid
+        assert self.check(runs) == len(runs) >= 1
 
 
 class TestConnectComplement:
@@ -667,6 +778,36 @@ class TestChartCache:
         monkeypatch.setattr(projective, "mat_vec", counting)
         assert verify_path(q, path).valid
         assert len(products) == 4
+
+    @pytest.mark.parametrize("n, pairs, z, p, r, count", [
+        # rank 3, two moves: p, r and their canonical points, one product
+        # each; the closed-form steps read no point
+        (3, 1, True, [1, 1, 1], [2, 1, 3], 4),
+        # rank 3, three moves: the four points above and two exits
+        (3, 1, True, [1, 0, 1], [1, 0, 4], 6),
+        # two pairs: p and r are canonical, so p is read again when the
+        # gadget reads its fiber after r's; then the two exits
+        (4, 2, False, [1, 4, 0, 0], [1, 1, 0, 0], 5),
+    ])
+    def test_connect_reads_each_point_once(self, monkeypatch, n, pairs, z,
+                                           p, r, count):
+        # the gadgets read the start's fiber last, so their first move
+        # from it finds it in from_ambient's one-slot memo
+        import sys
+        import quadcyl.projective as projective
+        q = hyperbolic_target(n, pairs, z)
+        bundle, _ = build_complement_charts(q, Tower.rationals())
+        products = []
+        real = projective.mat_vec
+
+        def counting(m, v):
+            if sys._getframe(1).f_code.co_name == "from_ambient":
+                products.append(v)
+            return real(m, v)
+        monkeypatch.setattr(projective, "mat_vec", counting)
+        path = connect_complement(q, proj(p), proj(r), bundle=bundle)
+        assert len(products) == count
+        assert verify_path(q, path).valid
 
     def test_shared_cache_tells_radicands_apart(self):
         # x^2 + y^2 + z^2 needs sqrt(-1) in its chart matrices; reading the

@@ -16,6 +16,7 @@ from quadcyl.projective import (
     QuadForm,
     congruent_diagonalize,
     det,
+    dot,
     identity_mat,
     mat_inverse,
     mat_mul,
@@ -194,6 +195,80 @@ class TestQuadForm:
         for _ in range(5):
             u = vec([rng.randint(-5, 5) for _ in range(3)])
             assert qt(u) == q(mat_vec(m, u))
+
+
+def _symmetric(rng, n, entry, zero_rows):
+    """A seeded symmetric n x n form, about half of its upper triangle
+    zero, whose rows (and columns) in zero_rows vanish: a cone when any
+    do."""
+    a = [[scalar(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i not in zero_rows and j not in zero_rows and rng.random() < .5:
+                a[i][j] = a[j][i] = entry(rng)
+    return QuadForm(a)
+
+
+class TestFormValue:
+    def fields(self):
+        """(name, seeded entry) over Q, Q(sqrt2, sqrt3), and the nested
+        Q(sqrt2, sqrt(1 + sqrt2))."""
+        tw = Tower.rationals().extend(2).extend(3)
+        nested = Tower.rationals().extend(2)
+        nested = nested.extend(1 + nested.generator(1))
+        r, s = nested.generator(1), nested.generator(2)
+
+        def nested_entry(rng):
+            a, b, c, d = (scalar(F(rng.randint(-4, 4), rng.randint(1, 3)))
+                          for _ in range(4))
+            x = a + b * r + c * s + d * r * s
+            return x if not x.is_zero() else s
+        return (("Q", _rational_entry),
+                ("Q(sqrt2,sqrt3)", lambda rng: _height_two_entry(tw, rng)),
+                ("nested", nested_entry)), s
+
+    def test_upper_triangle_equals_dot(self, monkeypatch):
+        # q(x) sums x_k (sum over l >= k of c_kl x_l), c_kk = A_kk and
+        # c_kl = 2 A_kl, skipping zero rows: the value of dot(x, A x), in
+        # no more products, on forms of size 1 to 6, cones included
+        import quadcyl.tower as tower_mod
+        products = []
+        real = tower_mod._mul
+
+        def counting(x, y):
+            products.append(x.level >= 1 and y.level >= 1)
+            return real(x, y)
+        monkeypatch.setattr(tower_mod, "_mul", counting)
+        fields, deep = self.fields()
+        rng = random.Random(29)
+        for name, entry in fields:
+            for n in (1, 2, 3, 4, 6):
+                for zero_rows in ((), (0,), (n - 1,), tuple(range(0, n, 2))):
+                    q = _symmetric(rng, n, entry, zero_rows)
+                    # the first call builds the rows, with their 2 A_kl
+                    q(tuple(scalar(0) for _ in range(n)))
+                    for _ in range(3):
+                        x = tuple(scalar(0) if rng.random() < .3
+                                  else entry(rng) for _ in range(n))
+                        del products[:]
+                        got = q(x)
+                        taken = len(products)
+                        del products[:]
+                        assert got == dot(x, mat_vec(q.matrix, x)), \
+                            (name, n, zero_rows)
+                        assert taken <= len(products), (name, n, zero_rows)
+        # x0 x1 + x2 x3 + x4 x5 at a point of level 2 in every coordinate:
+        # one product of two coordinates per pair, where dot(x, A x) takes
+        # one per coordinate
+        q = hyperbolic_form(6, 3)
+        x = tuple(deep + k for k in range(6))
+        q(x)  # builds the rows
+        del products[:]
+        got = q(x)
+        assert sum(products) == 3
+        del products[:]
+        assert got == dot(x, mat_vec(q.matrix, x))
+        assert sum(products) == 6
 
 
 class TestLinearAlgebra:

@@ -99,7 +99,8 @@ def test_kernel_bench_l1_rows(bench_0_2):
     assert [(r[1], r[2], r[3]) for r in rows] == [
         (h, n, z) for h in ("0", "4") for n in ("6", "8")
         for z in ("0", "0.5", "0.8")]
-    assert all(float(r[4]) > 0 and float(r[5]) > 0 for r in rows)
+    assert all(float(r[4]) > 0 and float(r[5]) > 0 and float(r[6]) > 0
+               for r in rows)
 
 
 def test_kernel_bench_sqrt_rows(bench_0_2):
