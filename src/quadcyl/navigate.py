@@ -291,14 +291,15 @@ def _rescale_axis(bundle: ChartBundle, cp, cq, tower):
     if mu is not None:
         cur = trail.move(v1, cur, target)
         end = trail.move(u1, cur, zero)
+        assert end == cq
     else:
+        # the closed form's identity, by products only: a - s^2 = e/(k t_p)
+        assert (a - s * s) * k * t_p == e
         cur = v1.backward(a, target)
         trail._append(v1, cp, zero, target, cur)
         w = s * k * t_p
-        end = u1.backward(t_q, zero)
         trail._append(u1, cur, u1.target_from({zpos: w if e > 0 else -w}),
-                      zero, end)
-    assert end == cq
+                      zero, u1.backward(t_q, zero))
     return trail, tower
 
 

@@ -341,8 +341,7 @@ class LineChart:
     def degeneracy_form(self) -> QuadForm:
         """The quadratic form on the ambient space cutting out the locus
         where the projection fails to be an isomorphism: the pullback of
-        the image quadric along the projection.  It vanishes on the line.
-        connect_on_X reads the same locus in the image (_chart_image)."""
+        the image quadric along the projection.  It vanishes on the line."""
         return self.image.transform(self.proj)
 
 
@@ -629,22 +628,12 @@ class XPath:
     tower: Tower
 
 
-def _chart_image(chart: LineChart, x: ProjPoint):
-    """x's projection where the chart maps x isomorphically, else None.
-    The degeneracy form is the image quadric pulled back along the
-    projection, so it is nonzero at x exactly when the image quadric is
-    nonzero at proj x, and proj x is then nonzero too."""
-    u = mat_vec(chart.proj, x.coords)
-    return None if chart.image(u).is_zero() else ProjPoint(u)
-
-
 def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, rng=None,
                  retry_limit=64) -> XPath:
     """Connect two smooth points of the intersection X.  Searches for a
-    line chart whose degeneracy quadric misses both endpoints, read in
-    the image (_chart_image), then runs the complement connector there;
-    falls back to two segments through a midpoint when no single line
-    works."""
+    line chart whose degeneracy quadric misses both endpoints, then runs
+    the complement connector in the image; falls back to two segments
+    through a midpoint when no single line works."""
     p = p if isinstance(p, ProjPoint) else ProjPoint(p)
     q = q if isinstance(q, ProjPoint) else ProjPoint(q)
     for name, pt in (("start", p), ("end", q)):
@@ -661,12 +650,13 @@ def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, rng=None,
         return XPath(pencil, p, q, (), tower)
 
     def segment(chart, a, b, tw):
-        inner = connect_complement(chart.image, a, b, tower=tw)
+        inner = connect_complement(chart.image, chart.forward(a),
+                                   chart.forward(b), tower=tw)
         return XSegment(chart.line, inner.steps), inner.tower
 
     tried = 0
     # the first chart that covers only p, under True, and only q, under
-    # False, each with the image of the point it covers
+    # False, each with its degeneracy form
     covers = {}
     candidates = list(lines) if lines else []
     cheap, tower = _cheap_lines(pencil, tower)
@@ -686,26 +676,26 @@ def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, rng=None,
             chart = chart_from_line(pencil, line)
         except (RankTooLowError, LineNotInXError):
             continue
-        fp, fq = _chart_image(chart, p), _chart_image(chart, q)
-        if fp is not None and fq is not None:
-            seg, t2 = segment(chart, fp, fq, tower)
+        dform = chart.degeneracy_form()
+        good_p = not dform(p).is_zero()
+        good_q = not dform(q).is_zero()
+        if good_p and good_q:
+            seg, t2 = segment(chart, p, q, tower)
             return XPath(pencil, p, q, (seg,), t2)
-        if fp is not None or fq is not None:
-            covers.setdefault(fp is not None,
-                              (chart, fq if fp is None else fp))
+        if good_p or good_q:
+            covers.setdefault(good_p, (chart, dform))
         if len(covers) < 2:
             continue
         # two segments through a smooth point of X that both covering
         # charts map, pulled back from random image points of the first
-        (c1, f1), (c2, f2) = covers[True], covers[False]
-        for z in c1.points(rng, 64):
-            if z == p or z == q:
-                continue
-            m1, m2 = _chart_image(c1, z), _chart_image(c2, z)
-            if m1 is not None and m2 is not None and pencil.smooth_at(z):
-                seg1, t2 = segment(c1, f1, m1, tower)
-                seg2, t3 = segment(c2, m2, f2, t2)
-                return XPath(pencil, p, q, (seg1, seg2), t3)
+        (c1, d1), (c2, d2) = covers[True], covers[False]
+        mid = next((z for z in c1.points(rng, 64)
+                    if z != p and z != q and not d1(z).is_zero()
+                    and not d2(z).is_zero() and pencil.smooth_at(z)), None)
+        if mid is not None:
+            seg1, t2 = segment(c1, p, mid, tower)
+            seg2, t3 = segment(c2, mid, q, t2)
+            return XPath(pencil, p, q, (seg1, seg2), t3)
     raise RetryLimitError("no line chart covers the endpoints")
 
 

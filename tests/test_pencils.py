@@ -59,7 +59,6 @@ from quadcyl.projective import (
     transpose,
     unit_vec,
     vec,
-    vec_add,
 )
 from quadcyl.tower import Tower, as_scalar, scalar
 
@@ -225,30 +224,6 @@ class TestDegeneracyForm:
         assert d(e(2)).is_zero()
         assert d((1, 0, 1, 0, 0, 0)).is_zero()
         assert d((3, -1, -1, -2, -1, -1)) == scalar(F(-1, 4))
-
-    def test_coverage_read_in_the_image(self):
-        # connect_on_X decides coverage as proj x != 0 and image(proj x)
-        # != 0, which is degeneracy_form()(x) != 0: on each cheap line of
-        # the hexagonal pencil, at random points of X and at the three
-        # points v1, v2, v1 + v2 of every cheap line, its own included
-        pencil = hexagonal_pencil()
-        lines, _ = _cheap_lines(pencil, Tower.rationals())
-        rng = random.Random(8)
-        points = [point_on_intersection(pencil, rng=rng)[0] for _ in range(4)]
-        points += [ProjPoint(v) for line in lines
-                   for v in (line.v1, line.v2, vec_add(line.v1, line.v2))]
-        seen = set()
-        for line in lines:
-            chart = chart_from_line(pencil, line)
-            dform = chart.degeneracy_form()
-            for x in points:
-                image = pencils._chart_image(chart, x)
-                covered = not dform(x).is_zero()
-                assert (image is not None) == covered, (line, x)
-                if covered:
-                    assert image.coords == chart.forward(x).coords
-                seen.add((covered, on_line(line, x)))
-        assert seen == {(True, False), (False, False), (False, True)}
 
 
 class TestDiscriminant:
