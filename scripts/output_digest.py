@@ -8,14 +8,20 @@ in-process through `quadcyl.cli.main` and prints: the pair index, the
 connect and verify exit codes, the certificate's sha256 and byte count,
 the sha256 of its content (the parsed JSON re-written compactly with
 sorted keys, so the same keys and values in any layout), the sha256 of
-its `radicands` header, the verify report without its `file` key, and
-the exit code of verifying the certificate against the workload's wrong
-reference (a sound verifier exits 1).  Run it on both commits and diff:
-no difference means every certificate, report and exit code is
-byte-identical.  A change that alters certificate bytes on purpose can
-still show, by the `content=` fields, that only whitespace changed, or by
-the `radicands=` fields, that every tower is unchanged.  Both are
-computed here with json alone, not with quadcyl's own writer.
+its `radicands` header, the `refusals=` of its corruptions, the verify
+report without its `file` key, and the exit code of verifying the
+certificate against the workload's wrong reference (a sound verifier
+exits 1).  The refusals come from one `quadcyl verify` of seeded
+corruptions of the certificate (see `corruptions`), as {name: {valid,
+reason, index}}, or {valid, error} where the parser refuses the
+corruption, so a change to the verifiers shows on its refusals too.  A
+bump can leave a point projectively the same (one with a single nonzero
+coordinate), and then the corruption is still valid.  Run it on both
+commits and diff: no difference means every certificate, report, refusal
+and exit code is byte-identical.  A change that alters certificate bytes
+on purpose can still show, by the `content=` fields, that only whitespace
+changed, or by the `radicands=` fields, that every tower is unchanged.
+Both are computed here with json alone, not with quadcyl's own writer.
 
 With --tools it digests instead the subcommands and pencil paths the
 benchmark never runs: `normalize` in both styles on every grid form,
@@ -213,9 +219,74 @@ def sha256(text, work):
     return hashlib.sha256(text.replace(work, "<work>").encode()).hexdigest()
 
 
+def bump(coords, rng):
+    """Add 1 to a seeded coordinate of a written point or block: to its
+    rational, or to the rational part a of a nested a + b*sqrt(d)."""
+    node, key = coords, rng.randrange(len(coords))
+    while isinstance(node[key], dict):
+        node, key = node[key], "a"
+    p, q = node[key].split("/")
+    node[key] = "%d/%s" % (int(p) + int(q), q)
+
+
+def runs_of(obj):
+    """The step lists of a certificate object: one per segment of a ci
+    certificate, else its one list of steps."""
+    if "segments" in obj:
+        return [seg["steps"] for seg in obj["segments"]]
+    return [obj["steps"]]
+
+
+def corruptions(obj, rng):
+    """(name, corrupted copy) of a certificate object: a bumped `from` or
+    `to` coordinate; a bumped entry, exit or target coordinate in the first
+    and in the last step (of the first and the last segment, for a ci
+    certificate); the last step dropped; and an empty path.  Those that
+    need a step, or a nonempty target, are left out where there is none."""
+    def copy():
+        return json.loads(json.dumps(obj))
+
+    for name in ("from", "to"):
+        c = copy()
+        bump(c[name], rng)
+        yield name, c
+    if any(runs_of(obj)):
+        for end, k in (("first", 0), ("last", -1)):
+            for key in ("entry", "exit", "target"):
+                c = copy()
+                step = runs_of(c)[k][k]
+                if step[key]:
+                    bump(step[key], rng)
+                    yield "%s-%s" % (end, key), c
+        c = copy()
+        runs_of(c)[-1].pop()
+        yield "drop-last", c
+    c = copy()
+    c["segments" if "segments" in c else "steps"] = []
+    yield "empty", c
+
+
+def refusals(pair, obj):
+    """{name: verify result} for the seeded corruptions of a pair's
+    certificate, verified together in one run against its reference."""
+    names, files = [], []
+    for name, copy in corruptions(obj, random.Random(pair.index)):
+        names.append(name)
+        files.append(write_doc("%s.%s" % (pair.cert, name), copy))
+    out = pair.cert + ".refusals"
+    run(["verify", pair.verify[1]] + files + ["--out", out])
+    with open(out) as fh:
+        results = json.load(fh)["results"]
+    for path in files + [out]:
+        os.remove(path)
+    keys = ("valid", "reason", "index", "error")
+    return {name: {k: r[k] for k in keys if k in r}
+            for name, r in zip(names, results)}
+
+
 def digest(workload, pair):
     connect_rc = run(pair.connect)
-    verify_rc = wrong_rc = report = None
+    verify_rc = wrong_rc = report = refused = None
     sha, size, content, rads = "-", 0, "-", "-"
     if os.path.exists(pair.cert):
         with open(pair.cert, "rb") as fh:
@@ -234,10 +305,12 @@ def digest(workload, pair):
         wrong = list(pair.verify)
         wrong[1] = workload.wrong_reference(pair)
         wrong_rc = run(wrong)
+        refused = refusals(pair, obj)
         os.remove(pair.cert)
     return ("%d connect=%s verify=%s sha256=%s bytes=%d content=%s "
-            "radicands=%s report=%s wrong=%s") % (
+            "radicands=%s refusals=%s report=%s wrong=%s") % (
         pair.index, connect_rc, verify_rc, sha, size, content, rads,
+        json.dumps(refused, sort_keys=True),
         json.dumps(report, sort_keys=True), wrong_rc)
 
 

@@ -299,6 +299,15 @@ def cmd_find_line(args) -> int:
 # wiring
 
 
+def _at_least(low):
+    """An argparse type: an integer of at least low, else exit 2."""
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError("must be at least %d" % low)
+        return int(text)
+    return integer
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and then reused; each
@@ -306,9 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = {
         "--seed": dict(type=int, default=0,
                        help="seed for every randomized search (default 0)"),
-        "--retry-limit": dict(type=int, default=64,
+        "--retry-limit": dict(type=_at_least(0), default=64,
                               help="retry budget for randomized searches"),
-        "--tower-limit": dict(type=int, default=16,
+        "--tower-limit": dict(type=_at_least(0), default=16,
                               help="maximum number of adjoined square roots"),
     }
 
@@ -365,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--seed", "--tower-limit")
     p.add_argument("--pencil", required=True, help="pencil document")
     p.add_argument("--line", required=True, help="line document")
-    p.add_argument("--samples", type=int, default=25,
+    p.add_argument("--samples", type=_at_least(1), default=25,
                    help="round-trip sample count (default 25)")
 
     p = command("eacx-build", "build the diagonal pencil for given parameters")

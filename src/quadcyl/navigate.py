@@ -13,9 +13,9 @@ chart_from_descriptor inverts each distinct step matrix by Gauss-Jordan
 elimination.  Consecutive moves in one chart are recorded as one step.
 verify_path never trusts producer-side objects and never raises on a bad
 certificate; it returns a report naming the first broken step.  Each fact
-is decided once: a replay that succeeds has already decided the endpoint
-facts, since a chart's lift computes the form's value, so the explicit
-endpoint checks run only on an empty path or a failed replay.
+is decided once: verdict, which builds every report of both verifiers
+(this one and pencils.verify_on_X), checks the endpoint facts only where
+no successful replay has decided them.
 
 The complement connector works in the standard cylinders of the form.
 It first tries one move in one chart; since a lift's n is q(x), that test
@@ -402,6 +402,39 @@ def connect_on_quadric(form: QuadForm, p, q, *, tower=None, rng=None,
     return done(trail.steps())
 
 
+def verdict(problem, count, rc, start, end, size, member_fault,
+            replay) -> VerifyReport:
+    """The report of either verifier on a certificate of count steps
+    (segments, for problem "ci") from start to end, whose tower has height
+    rc.  replay() returns the first broken step as (reason, index), or
+    None; member_fault(point) says how a point of size coordinates fails
+    to lie where the problem puts it, or returns None.
+
+    The endpoint rule: the explicit endpoint checks (length, then
+    member_fault, start before end) run only on an empty path or an
+    endpoint of the wrong length, and before a failed replay's reason is
+    reported.  A replay that succeeds has decided the endpoint facts; one
+    that fails has not, so a bad certificate keeps the first reason and
+    index it had when these checks ran first.  An empty path is valid when
+    its endpoints are equal."""
+    def report(reason=None, index=None):
+        return VerifyReport(reason is None, reason, index, count, problem, rc)
+
+    if count and len(start.coords) == size == len(end.coords):
+        broken = replay()
+        if broken is None:
+            return report()
+    else:
+        broken = ("endpoints differ but the path is empty", None) \
+            if start != end else (None, None)
+    for name, pt in (("start", start), ("end", end)):
+        fault = "has the wrong length" if len(pt.coords) != size \
+            else member_fault(pt)
+        if fault is not None:
+            return report("%s point %s" % (name, fault))
+    return report(*broken)
+
+
 def verify_path(form: QuadForm, path: MovePath, cache=None) -> VerifyReport:
     """Replay a certificate against the given ambient form.  Trusts only
     the descriptors, entries, and targets; every exit is checked.
@@ -409,65 +442,41 @@ def verify_path(form: QuadForm, path: MovePath, cache=None) -> VerifyReport:
     Each step lifts its entry and exit (Chart.lift) and compares by
     cross-multiplying, with no inverse of a scalar: the fiber holds when
     n_in * s_out^2 == n_out * s_in^2, and the target is met when
-    w_out == s_out * target.
-
-    A replay that succeeds proves the endpoint facts, so they are not
-    decided again.  A rebuilt chart has checked that F^T A F has its
+    w_out == s_out * target.  A replay that succeeds decides the endpoint
+    facts for verdict: a rebuilt chart has checked that F^T A F has its
     shape, so a lift's n = s u_e + sigma(w) is the form's value q(x), and
-    the lift refuses n = 0 off the quadric and n != 0 on it.  Step 0's
-    entry is proportional to start (the chain check) and the last exit is
-    proportional to end, so their lifts decide q(start) and q(end).  The
-    explicit endpoint checks (length, then the form's value, start before
-    end) run when the path is empty or an endpoint has the wrong length,
-    and before any replay failure is reported, so a bad certificate gets
-    the same first reason and index as when they ran first.
+    the lift refuses n = 0 off the quadric and n != 0 on it; step 0's
+    entry is proportional to start (the chain check) and the last exit to
+    end.
 
     cache maps descriptors to rebuilt charts and may be shared by calls
     with the same form.  Its key holds the matrix scalars themselves;
     scalar equality compares the radicands of their towers, so a matrix
     read over another radicand list is another key."""
-    rc = path.tower.height if path.tower is not None else 0
-
-    def fail(reason, k=None):
-        return VerifyReport(False, reason, k, len(path.steps), path.problem, rc)
-
+    rc = path.tower.height
     if path.problem not in ("complement", "quadric"):
-        return fail("unknown problem kind %r" % path.problem)
-    on_q = path.problem == "quadric"
+        return VerifyReport(False, "unknown problem kind %r" % path.problem,
+                            None, len(path.steps), path.problem, rc)
     if not mat_eq(path.form.matrix, form.matrix):
-        return fail("ambient form mismatch")
+        return VerifyReport(False, "ambient form mismatch", None,
+                            len(path.steps), path.problem, rc)
+    on_q = path.problem == "quadric"
+    off = "is off the quadric" if on_q else "lies on the quadric"
+    return verdict(path.problem, len(path.steps), rc, path.start, path.end,
+                   form.size,
+                   lambda pt: None if form(pt).is_zero() == on_q else off,
+                   lambda: _replay(form, path, on_q,
+                                   {} if cache is None else cache))
 
-    def endpoint_fault():
-        for name, pt in (("start", path.start), ("end", path.end)):
-            if len(pt.coords) != form.size:
-                return fail("%s point has the wrong length" % name)
-            fv = form(pt)
-            if on_q and not fv.is_zero():
-                return fail("%s point is off the quadric" % name)
-            if not on_q and fv.is_zero():
-                return fail("%s point lies on the quadric" % name)
-        return None
 
-    def bad(reason, k):
-        # a failed replay proved nothing about the endpoints, so their own
-        # checks come first, as if they had run before it
-        return endpoint_fault() or fail(reason, k)
-
-    if not path.steps or len(path.start.coords) != form.size or \
-            len(path.end.coords) != form.size:
-        fault = endpoint_fault()
-        if fault is not None:
-            return fault
-        if path.start != path.end:
-            return fail("endpoints differ but the path is empty")
-        return VerifyReport(True, None, None, 0, path.problem, rc)
-    if cache is None:
-        cache = {}
+def _replay(form, path, on_q, cache):
+    """verify_path's replay: its first broken step as (reason, index), or
+    None when every step holds and the last exit is the end."""
     changes = {}
     cur = path.start
     for k, step in enumerate(path.steps):
         if step.entry != cur:
-            return bad("chain break at step %d" % k, k)
+            return "chain break at step %d" % k, k
         desc = step.chart
         key = (on_q, desc["dist"], desc["dep"],
                tuple(map(tuple, desc["matrix"])))
@@ -476,25 +485,23 @@ def verify_path(form: QuadForm, path: MovePath, cache=None) -> VerifyReport:
             try:
                 chart = chart_from_descriptor(form, desc, on_q, changes)
             except InputFormatError as exc:
-                return bad("invalid chart descriptor at step %d: %s"
-                           % (k, exc), k)
+                return "invalid chart descriptor at step %d: %s" % (k, exc), k
             cache[key] = chart
         if len(step.target) != len(chart.trans):
-            return bad("transverse target has the wrong length at step %d" % k, k)
+            return "transverse target has the wrong length at step %d" % k, k
         try:
             s_in, n_in, _ = chart.lift(step.entry)
         except OutOfDomainError as exc:
-            return bad("entry outside the chart domain at step %d: %s" % (k, exc), k)
+            return "entry outside the chart domain at step %d: %s" % (k, exc), k
         try:
             s_out, n_out, w_out = chart.lift(step.exit)
         except OutOfDomainError as exc:
-            return bad("exit outside the chart domain at step %d: %s" % (k, exc), k)
+            return "exit outside the chart domain at step %d: %s" % (k, exc), k
         if not _same_fiber(s_in, n_in, s_out, n_out):
-            return bad("fiber parameter changed at step %d" % k, k)
+            return "fiber parameter changed at step %d" % k, k
         if any(w != s_out * x for w, x in zip(w_out, step.target)):
-            return bad("transverse target missed at step %d" % k, k)
+            return "transverse target missed at step %d" % k, k
         cur = step.exit
     if cur != path.end:
-        return bad("path does not reach the stated endpoint",
-                   len(path.steps) - 1)
-    return VerifyReport(True, None, None, len(path.steps), path.problem, rc)
+        return "path does not reach the stated endpoint", len(path.steps) - 1
+    return None

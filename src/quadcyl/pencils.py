@@ -16,7 +16,8 @@ the pencil file alone, and lifts each segment's last move back to X.  A
 line chart projects and lifts with products only; it divides only to
 find its image quadric's rank, by elimination.  The segment's fiber
 moves replay as any complement certificate does (navigate.verify_path),
-which inverts each distinct step matrix once.
+which inverts each distinct step matrix once.  The report, and when the
+endpoints are checked, are navigate.verdict's, as for verify_path.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .errors import (
     TowerLimitError,
 )
 from .charts import complement_cylinder
-from .navigate import MovePath, VerifyReport, connect_complement, verify_path
+from .navigate import MovePath, VerifyReport, connect_complement, \
+    verdict, verify_path
 from .projective import (
     ProjPoint,
     QuadForm,
@@ -705,76 +707,55 @@ def verify_on_X(pencil: Pencil, path: XPath) -> VerifyReport:
     point, replays the moves against the recomputed image quadric, and
     lifts the last exit back to X, where the next segment starts.
 
-    A replay that succeeds proves that both endpoints lie on X, so
-    Pencil.on_intersection is not asked again.  LineChart.inverse always
-    lands on X: the line lies in X (span_in_X, checked when the chart is
-    built), and the cross product of the two residual rows kills both.
-    Segment 0 checks inverse(forward(start)) == start, and the last
-    segment's inverse(exit) == end.  The explicit endpoint checks (length,
-    then on_intersection, start before end) run when the path has no
-    segment or an endpoint has the wrong length, and before any replay
-    failure is reported, so a bad certificate gets the same first reason
-    and index as when they ran first."""
-
+    A replay that succeeds decides that both endpoints lie on X, for
+    navigate.verdict: LineChart.inverse always lands on X, since the line
+    lies in X (span_in_X, checked when the chart is built) and the cross
+    product of the two residual rows kills both; segment 0 checks
+    inverse(forward(start)) == start, and the last segment's
+    inverse(exit) == end."""
     rc = path.tower.height
-
-    def fail(reason, k=None):
-        return VerifyReport(False, reason, k, len(path.segments), "ci", rc)
-
     if not mat_eq(path.pencil.beta.matrix, pencil.beta.matrix) or \
             not mat_eq(path.pencil.gamma.matrix, pencil.gamma.matrix):
-        return fail("pencil mismatch")
+        return VerifyReport(False, "pencil mismatch", None,
+                            len(path.segments), "ci", rc)
+    return verdict(
+        "ci", len(path.segments), rc, path.start, path.end, pencil.size,
+        lambda pt: None if pencil.on_intersection(pt)
+        else "is not on the intersection",
+        lambda: _replay_on_X(pencil, path))
 
-    def endpoint_fault():
-        for name, pt in (("start", path.start), ("end", path.end)):
-            if len(pt.coords) != pencil.size:
-                return fail("%s point has the wrong length" % name)
-            if not pencil.on_intersection(pt):
-                return fail("%s point is not on the intersection" % name)
-        return None
 
-    def bad(reason, k):
-        # a failed replay proved nothing about the endpoints, so their own
-        # checks come first, as if they had run before it
-        return endpoint_fault() or fail(reason, k)
-
-    if not path.segments or len(path.start.coords) != pencil.size or \
-            len(path.end.coords) != pencil.size:
-        fault = endpoint_fault()
-        if fault is not None:
-            return fault
-        if path.start != path.end:
-            return fail("endpoints differ but the path is empty")
-        return VerifyReport(True, None, None, 0, "ci", rc)
+def _replay_on_X(pencil: Pencil, path: XPath):
+    """verify_on_X's replay: its first broken segment as (reason, index),
+    or None when every segment holds and the last one ends at the end."""
     cur = path.start
     for k, seg in enumerate(path.segments):
         try:
             chart = chart_from_line(pencil, seg.line)
         except (InputFormatError, LineNotInXError) as exc:
-            return bad("bad line at segment %d: %s" % (k, exc), k)
+            return "bad line at segment %d: %s" % (k, exc), k
         except RankTooLowError as exc:
-            return bad("bad chart at segment %d: %s" % (k, exc), k)
+            return "bad chart at segment %d: %s" % (k, exc), k
         if not seg.steps:
-            return bad("segment %d has no steps" % k, k)
+            return "segment %d has no steps" % k, k
         exit_p = seg.steps[-1].exit
         try:
             fs = chart.forward(cur)
             lifts_back = chart.inverse(fs) == cur
             cur = chart.inverse(exit_p)
         except OutOfDomainError as exc:
-            return bad("segment %d leaves the line chart: %s" % (k, exc), k)
+            return "segment %d leaves the line chart: %s" % (k, exc), k
         if not lifts_back:
-            return bad("segment %d start does not lift back" % k, k)
+            return "segment %d start does not lift back" % k, k
         inner = MovePath("complement", chart.image, fs, exit_p, seg.steps,
                          path.tower)
         inner_rep = verify_path(chart.image, inner)
         if not inner_rep.valid:
-            return bad("segment %d inner certificate: %s"
-                       % (k, inner_rep.reason), k)
+            return ("segment %d inner certificate: %s"
+                    % (k, inner_rep.reason), k)
     if cur != path.end:
-        return bad("path does not reach the stated endpoint",
-                   len(path.segments) - 1)
-    return VerifyReport(True, None, None, len(path.segments), "ci", rc)
+        return "path does not reach the stated endpoint", len(path.segments) - 1
+    return None
 
 
 @dataclass

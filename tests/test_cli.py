@@ -239,6 +239,47 @@ class TestConnect:
                    "--tower-limit", 0) == 4
 
 
+class TestCountRanges:
+    """The parser refuses --samples below 1 and --retry-limit or
+    --tower-limit below 0 (exit 2), before any document is read.  Each
+    command here, given a legal count, reads valid documents; 0 stays
+    legal for the two limits (test_search_exhaustion_exit,
+    test_tower_limit_exit)."""
+
+    @pytest.fixture
+    def audit_docs(self, tmp_path):
+        pf, line = tmp_path / "diag.pf", tmp_path / "diag.lf"
+        assert run("eacx-build", "--lambdas", "0,1,2,3,4,5", "--out", pf) == 0
+        assert run("find-line", "--pencil", pf, "--out", line) == 0
+        assert run("audit", "--pencil", pf, "--line", line,
+                   "--samples", 1, "--out", tmp_path / "a.json") == 0
+        return pf, line
+
+    @pytest.mark.parametrize("flag, value, low", [
+        ("--samples", -4, 1), ("--samples", 0, 1), ("--tower-limit", -1, 0)])
+    def test_audit(self, audit_docs, capsys, flag, value, low):
+        pf, line = audit_docs
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run("audit", "--pencil", pf, "--line", line, flag, value)
+        assert exc.value.code == 2
+        assert "argument %s: must be at least %d" % (flag, low) in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("connect", "quadric", "--form", "split.qf", "--from", "1,0,0,0",
+         "--to", "0,0,1,0", "--retry-limit", -3),
+        ("find-line", "--pencil", "hex.pf", "--retry-limit", -1),
+        ("normalize", "--hyperbolic", "definite.qf", "--tower-limit", -1)])
+    def test_limits(self, docs, capsys, argv):
+        argv = [docs / a if str(a).endswith((".qf", ".pf")) else a
+                for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
+
+
 class TestDashLeadingValues:
     """Values such as "-3/2,1,0,1" may follow their flag as a separate
     argument, not only as --flag=value."""

@@ -24,6 +24,7 @@ import pytest
 from quadcyl.errors import (
     EndpointError,
     InputFormatError,
+    OutOfDomainError,
     SingularPointError,
     TowerError,
 )
@@ -279,6 +280,29 @@ class TestConnectComplement:
         path = connect_complement(q, p, r, tower=tw, bundle=bundle)
         assert len(path.steps) == 1
         assert verify_path(q, path).valid
+
+    @pytest.mark.parametrize("which", ["v1", "w"])
+    def test_shortcut_joins_rank3_fibers(self, which):
+        # seeded pairs on one fiber of V_1 or of W at rank 3 take one step
+        # and no radicand; canonicalization and the rank-3 gadget would
+        # take about three steps and pay radicands on many of them
+        q, bundle, tw = complement_setup(3, 1, True)
+        chart = bundle.v_charts[0] if which == "v1" else bundle.w_chart
+        rng = random.Random(30)
+        joined = 0
+        while joined < 10:
+            p = _random_off_quadric(q, rng)
+            try:
+                t, _ = chart.forward(p)
+            except OutOfDomainError:
+                continue
+            r = chart.backward(t, [rng.randint(-9, 9) for _ in chart.trans])
+            if r == p:
+                continue
+            path = connect_complement(q, p, r, tower=tw, bundle=bundle)
+            assert (len(path.steps), path.tower.height) == (1, 0)
+            assert verify_path(q, path).valid
+            joined += 1
 
     def test_shortcut_lifts_nothing(self, monkeypatch):
         # the single-move shortcut reads each chart's distinguished
