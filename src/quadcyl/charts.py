@@ -292,10 +292,38 @@ def hyperbolic_target(n: int, pairs: int, has_z: bool) -> QuadForm:
     return quadform_from_terms(n, terms)
 
 
+def _pair_frame(q: QuadForm):
+    """hyperbolic_normalize's rational frame of a sum of 2c x_i x_j over
+    disjoint coordinate pairs, which q is exactly when every nonzero row
+    has one entry, off the diagonal: column 2k is e_i and column 2k+1 is
+    e_j / (2c) for the k-th pair (i, j, c), i < j, the unpaired
+    coordinates follow in order, and the inverse is read off the same
+    places.  None for any other form."""
+    n = q.size
+    cols, rest = [], []
+    for i, row in enumerate(q.matrix):
+        support = [j for j, c in enumerate(row) if c]
+        if len(support) > 1 or support == [i]:
+            return None
+        if not support:
+            rest.append((i, ONE, ONE))
+        elif i < support[0]:
+            c2 = 2 * row[support[0]]
+            cols += [(i, ONE, ONE), (support[0], 1 / c2, c2)]
+    fwd = [[ZERO] * n for _ in range(n)]
+    inv = [[ZERO] * n for _ in range(n)]
+    for u, (x, e, inv_e) in enumerate(cols + rest):
+        fwd[x][u], inv[u][x] = e, inv_e
+    return CoordChange(fwd, inv)
+
+
 def hyperbolic_normalize(q: QuadForm, tower):
     """(HyperbolicFrame, tower): exact coordinates in which q becomes the
     standard sum of hyperbolic pairs (plus z^2 for odd rank), the radical
-    last.  Adjoins at most two square roots per pair, one for the tail."""
+    last.  A sum of 2c x_i x_j over disjoint coordinate pairs takes the
+    rational frame x_i = u_2k, x_j = u_2k+1 / (2c), k counting the pairs
+    by i (_pair_frame).  Any other form is diagonalized first, and the
+    frame adjoins at most two square roots per pair, one for the tail."""
     n = q.size
     r = q.rank()
     m, has_z = r // 2, bool(r % 2)
@@ -304,25 +332,29 @@ def hyperbolic_normalize(q: QuadForm, tower):
         frame = HyperbolicFrame(CoordChange(identity_mat(n), identity_mat(n)),
                                 m, has_z)
         return frame, tower
-    change, diag = congruent_diagonalize(q)
-    cols = list(transpose(change.matrix))
-    new_cols = []
-    i = 0
-    while i + 1 < r:
-        a, b = diag[i], diag[i + 1]
-        sa, tower = try_sqrt(tower, a)
-        sb, tower = try_sqrt(tower, -b)
-        ia, ib = 1 / (2 * sa), 1 / (2 * sb)
-        new_cols.append(vec_add(vec_scale(cols[i], ia), vec_scale(cols[i + 1], ib)))
-        new_cols.append(vec_add(vec_scale(cols[i], ia), vec_scale(cols[i + 1], -ib)))
-        i += 2
-    if i < r:
-        a = diag[i]
-        sa, tower = try_sqrt(tower, a)
-        new_cols.append(vec_scale(cols[i], 1 / sa))
-        i += 1
-    new_cols.extend(cols[r:])
-    change = CoordChange(transpose(new_cols))
+    change = _pair_frame(q)
+    if change is None:
+        change, diag = congruent_diagonalize(q)
+        cols = list(transpose(change.matrix))
+        new_cols = []
+        i = 0
+        while i + 1 < r:
+            a, b = diag[i], diag[i + 1]
+            sa, tower = try_sqrt(tower, a)
+            sb, tower = try_sqrt(tower, -b)
+            ia, ib = 1 / (2 * sa), 1 / (2 * sb)
+            new_cols.append(vec_add(vec_scale(cols[i], ia),
+                                    vec_scale(cols[i + 1], ib)))
+            new_cols.append(vec_add(vec_scale(cols[i], ia),
+                                    vec_scale(cols[i + 1], -ib)))
+            i += 2
+        if i < r:
+            a = diag[i]
+            sa, tower = try_sqrt(tower, a)
+            new_cols.append(vec_scale(cols[i], 1 / sa))
+            i += 1
+        new_cols.extend(cols[r:])
+        change = CoordChange(transpose(new_cols))
     assert mat_eq(change.pullback(q).matrix, target.matrix)
     return HyperbolicFrame(change, m, has_z), tower
 

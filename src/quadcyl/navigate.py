@@ -24,9 +24,10 @@ values it has already computed.  Otherwise both endpoints are driven, for
 free, to a canonical point of the first hyperbolic pair, (1:t:0:...:0),
 then joined by a short rescale gadget if their fibers differ: three moves
 through two pairs past rank 3, and at rank 3 two moves, or three where
-the tower already holds both sqrt(t).  The two rank-3 moves are recorded
-from their closed form, which the gadget already holds, so no chart
-inverts a scalar at the level of the root it adjoined.
+the tower already holds both sqrt(t).  The three moves through two pairs
+and the two rank-3 moves are recorded from their closed form, which the
+gadget already holds, so no chart inverts a scalar at the level of the
+root it adjoined.
 """
 
 from __future__ import annotations
@@ -198,17 +199,33 @@ def _w_escape_candidates(chart: Chart):
 
 
 def _rescale_pairs(bundle: ChartBundle, cp, cq, tower):
-    """Past rank 3: (1:t:0:...) to (1:t':0:...) in three moves through the
-    first two pairs, paying sqrt(t/t') only when the tower lacks it."""
+    """Past rank 3: (1:t_p:0:...) to (1:t_q:0:...) in three moves through
+    the first two pairs, in the frame coordinates (x_1, y_1, x_2, y_2,
+    ...), paying lam = sqrt(r), r = t_p/t_q, only when the tower lacks it.
+
+    U_1 moves (1:t_p:0:...) to the block (lam, 0, ...) and lands on
+    e1 = (1, t_p, lam, 0, ...).  In U_2, e1 has distinguished coordinate
+    lam, so fiber t_p/lam^2 = t_q and block (1/lam, t_p/lam, 0, ...);
+    the move to (1, c), c = t_p/lam, lands on e2 = (1, c, 1, t_q - c).
+    In U_1, e2 has fiber t_q and block (1, t_q - c, 0, ...), and the move
+    to the empty block lands on (1:t_q:0:...).  The steps are recorded
+    from these values, with 1/lam = lam/r and c = lam t_q, so no forward
+    runs past the fibers and nothing is inverted at lam's level."""
     trail = _Trail()
     u1, u2 = bundle.u_charts[0], bundle.u_charts[1]
-    # cp read last, so the first move finds it in from_ambient's memo
     t_q, t_p = u1.forward(cq)[0], u1.forward(cp)[0]
-    lam, tower = try_sqrt(tower, t_p / t_q)
-    step1 = trail.move(u1, cp, u1.target_from({2: lam}))
-    step2 = trail.move(u2, step1, u2.target_from({0: 1, 1: t_p / lam}))
-    step3 = trail.move(u1, step2, u1.target_from({}))
-    assert step3 == cq
+    r = t_p / t_q
+    lam, tower = try_sqrt(tower, r)
+    # the closed form's identity, by products only: e1's U_2 fiber is t_q
+    assert lam * lam * t_q == t_p
+    c = lam * t_q
+    zero, to_e1, to_e2 = (u1.target_from({}), u1.target_from({2: lam}),
+                          u2.target_from({0: 1, 1: c}))
+    e1, e2 = u1.backward(t_p, to_e1), u2.backward(t_q, to_e2)
+    trail._append(u1, cp, zero, to_e1, e1)
+    trail._append(u2, e1, u2.target_from({0: lam / r, 1: c}), to_e2, e2)
+    trail._append(u1, e2, u1.target_from({2: 1, 3: t_q - c}), zero,
+                  u1.backward(t_q, zero))
     return trail, tower
 
 

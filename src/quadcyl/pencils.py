@@ -22,6 +22,7 @@ endpoints are checked, are navigate.verdict's, as for verify_path.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import asdict, dataclass
@@ -236,6 +237,40 @@ class Line:
         return cls(va, vb)
 
 
+def _det2(a, b, c, d):
+    """a b - c d, skipping each product with a zero factor."""
+    x = a * b if a and b else ZERO
+    return x - c * d if c and d else x
+
+
+def _pairing_form(a, b, c, d) -> QuadForm:
+    """The form (a.x)(d.x) - (b.x)(c.x), summed over the nonzero entries
+    of the four vectors only."""
+    acc = {}
+    for x, ys in ((a, [(t, w) for t, w in enumerate(d) if w]),
+                  (b, [(t, -w) for t, w in enumerate(c) if w])):
+        for s, v in enumerate(x):
+            for t, w in ys if v else ():
+                key = (s, t) if s <= t else (t, s)
+                acc[key] = acc[key] + v * w if key in acc else v * w
+    n = len(a)
+    rows = [[ZERO] * n for _ in range(n)]
+    for (s, t), v in acc.items():
+        if s == t:
+            rows[s][s] = v
+        elif v:
+            rows[s][t] = rows[t][s] = v / 2
+    return QuadForm(rows)
+
+
+def _gradient(form: QuadForm, v):
+    """A v, read off as row i of the symmetric A where v is e_i."""
+    support = [k for k, x in enumerate(v) if x]
+    if len(support) == 1 and v[support[0]] == 1:
+        return form.matrix[support[0]]
+    return form.gradient(v)
+
+
 class LineChart:
     """The birational projection of X away from a line inside it.
 
@@ -248,7 +283,7 @@ class LineChart:
     coordinate in that basis.  The image quadric has rank 3 or 4; its
     complement is exactly where the projection is an isomorphism."""
 
-    __slots__ = ("pencil", "line", "kept", "proj", "image")
+    __slots__ = ("pencil", "line", "kept", "proj", "image", "_pairings")
 
     def __init__(self, pencil: Pencil, line: Line):
         v1, v2 = line.v1, line.v2
@@ -257,11 +292,16 @@ class LineChart:
             raise InputFormatError("line and pencil sizes differ")
         j = next((k for k in reversed(range(n)) if v1[k] or v2[k]), 0)
         i = next((h for h in reversed(range(j))
-                  if v1[h] * v2[j] != v1[j] * v2[h]), None)
+                  if _det2(v1[h], v2[j], v1[j], v2[h])), None)
         if i is None:
             raise InputFormatError("the two points do not span a line")
-        minor = v1[i] * v2[j] - v1[j] * v2[i]
-        if not span_in_X(pencil, [v1, v2]):
+        minor = _det2(v1[i], v2[j], v1[j], v2[i])
+        gb1, gb2, gg1, gg2 = (_gradient(form, v)
+                              for form in (pencil.beta, pencil.gamma)
+                              for v in (v1, v2))
+        # both forms vanish on the line: at v1, at v2 and on (v1, v2)
+        if any(dot(u, g) for u, g in ((v1, gb1), (v2, gb2), (v1, gb2),
+                                      (v1, gg1), (v2, gg2), (v1, gg2))):
             raise LineNotInXError("the line is not inside the intersection")
         self.pencil = pencil
         self.line = line
@@ -270,18 +310,14 @@ class LineChart:
         for k in self.kept:
             row = [ZERO] * n
             row[k] = minor
-            row[i] = v1[j] * v2[k] - v2[j] * v1[k]
-            row[j] = v2[i] * v1[k] - v1[i] * v2[k]
+            row[i] = _det2(v1[j], v2[k], v2[j], v1[k])
+            row[j] = _det2(v2[i], v1[k], v1[i], v2[k])
             rows.append(tuple(row))
         self.proj = tuple(rows)
         # the pairings of the line's vectors with the kept e_k
-        a, b, c, d = ([g[k] for k in self.kept] for g in (
-            pencil.beta.gradient(v1), pencil.beta.gradient(v2),
-            pencil.gamma.gradient(v1), pencil.gamma.gradient(v2)))
-        m = n - 2
-        rows = [[(a[s] * d[t] + a[t] * d[s] - b[s] * c[t] - b[t] * c[s]) / 2
-                 for t in range(m)] for s in range(m)]
-        self.image = QuadForm(rows)
+        self._pairings = tuple(tuple(g[k] for k in self.kept)
+                               for g in (gb1, gb2, gg1, gg2))
+        self.image = _pairing_form(*self._pairings)
         r = self.image.rank()
         if r < 3:
             raise RankTooLowError(
@@ -344,7 +380,8 @@ class LineChart:
         """The quadratic form on the ambient space cutting out the locus
         where the projection fails to be an isomorphism: the pullback of
         the image quadric along the projection.  It vanishes on the line."""
-        return self.image.transform(self.proj)
+        pt = transpose(self.proj)
+        return _pairing_form(*(mat_vec(pt, v) for v in self._pairings))
 
 
 def chart_from_line(pencil: Pencil, line: Line) -> LineChart:
@@ -630,12 +667,34 @@ class XPath:
     tower: Tower
 
 
+def _line_charts(pencil: Pencil, given, cheap):
+    """The charts of the given lines, in order, then those of the cheap
+    lines whose image quadric has rank 4, then the cheap rank-3 ones: each
+    is built when it is passed over and held until then.  A line that
+    gives no chart is skipped."""
+    held = []
+    for line, hold in itertools.chain(((ln, False) for ln in given),
+                                      ((ln, True) for ln in cheap)):
+        try:
+            chart = chart_from_line(pencil, line)
+        except (RankTooLowError, LineNotInXError):
+            continue
+        if hold and chart.image.rank() == 3:
+            held.append(chart)
+        else:
+            yield chart
+    yield from held
+
+
 def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, rng=None,
                  retry_limit=64) -> XPath:
     """Connect two smooth points of the intersection X.  Searches for a
     line chart whose degeneracy quadric misses both endpoints, then runs
     the complement connector in the image; falls back to two segments
-    through a midpoint when no single line works."""
+    through a midpoint when no single line works.  The given lines come
+    first, then the cheap lines whose image quadric has rank 4, where
+    the rescale gadget pays at most one radicand and a rank-3 one can
+    pay two, then the cheap rank-3 ones, then random lines."""
     p = p if isinstance(p, ProjPoint) else ProjPoint(p)
     q = q if isinstance(q, ProjPoint) else ProjPoint(q)
     for name, pt in (("start", p), ("end", q)):
@@ -660,27 +719,27 @@ def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, rng=None,
     # the first chart that covers only p, under True, and only q, under
     # False, each with its degeneracy form
     covers = {}
-    candidates = list(lines) if lines else []
     cheap, tower = _cheap_lines(pencil, tower)
-    candidates.extend(cheap)
+    charts = _line_charts(pencil, lines or (), cheap)
     # one growing tower chain across every attempt, so charts found on
     # different attempts can share arithmetic later
     while tried < retry_limit:
         tried += 1
-        if candidates:
-            line = candidates.pop(0)
-        else:
+        chart = next(charts, None)
+        if chart is None:
             line, tower = _random_line(pencil, rng, tower,
                                        predicate=lambda y: y != p and y != q)
             if line is None:
                 continue
-        try:
-            chart = chart_from_line(pencil, line)
-        except (RankTooLowError, LineNotInXError):
-            continue
+            try:
+                chart = chart_from_line(pencil, line)
+            except (RankTooLowError, LineNotInXError):
+                continue
         dform = chart.degeneracy_form()
         good_p = not dform(p).is_zero()
-        good_q = not dform(q).is_zero()
+        # q's value counts only where it can end the search or record the
+        # first chart that covers only q
+        good_q = (good_p or False not in covers) and not dform(q).is_zero()
         if good_p and good_q:
             seg, t2 = segment(chart, p, q, tower)
             return XPath(pencil, p, q, (seg,), t2)
@@ -709,7 +768,7 @@ def verify_on_X(pencil: Pencil, path: XPath) -> VerifyReport:
 
     A replay that succeeds decides that both endpoints lie on X, for
     navigate.verdict: LineChart.inverse always lands on X, since the line
-    lies in X (span_in_X, checked when the chart is built) and the cross
+    lies in X (checked when the chart is built) and the cross
     product of the two residual rows kills both; segment 0 checks
     inverse(forward(start)) == start, and the last segment's
     inverse(exit) == end."""

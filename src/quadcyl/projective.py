@@ -334,7 +334,7 @@ class QuadForm:
             raise TowerError("quadratic form matrix must be square")
         for i in range(n):
             for j in range(i + 1, n):
-                if m[i][j] != m[j][i]:
+                if m[i][j] is not m[j][i] and m[i][j] != m[j][i]:
                     raise TowerError("quadratic form matrix must be symmetric")
         self.matrix = m
         self._rank = None

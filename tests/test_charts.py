@@ -32,6 +32,7 @@ from quadcyl.projective import (
     identity_mat,
     mat,
     mat_eq,
+    mat_inverse,
     point_on_quadric,
     proj,
     quadform_from_terms,
@@ -117,6 +118,55 @@ class TestHyperbolic:
         got = q.transform(frame.change.matrix)
         assert mat_eq(got.matrix, hyperbolic_target(2, 1, False).matrix)
         assert tw.height >= 1
+
+    @pytest.mark.parametrize("n, terms", [
+        # (x0 x2 - x1 x3)/4, the rank-4 image of three hexagonal lines
+        (4, {(0, 2): F(1, 4), (1, 3): F(-1, 4)}),
+        # the same pairs around a radical coordinate, x2
+        (5, {(0, 3): F(1, 4), (1, 4): F(-1, 4)}),
+    ])
+    def test_coordinate_pairs_take_a_rational_frame(self, monkeypatch, n,
+                                                    terms):
+        import quadcyl.charts as charts
+        diagonalized = []
+        real = charts.congruent_diagonalize
+        monkeypatch.setattr(charts, "congruent_diagonalize",
+                            lambda q: diagonalized.append(q) or real(q))
+        q = quadform_from_terms(n, terms)
+        tower = Tower.rationals().extend(scalar(2))
+        frame, tw = hyperbolic_normalize(q, tower)
+        assert diagonalized == []
+        assert tw.height == tower.height == 1
+        change = frame.change
+        assert all(c.level == 0 for row in change.matrix for c in row)
+        assert (frame.pairs, frame.has_z) == (2, False)
+        assert mat_eq(q.transform(change.matrix).matrix,
+                      hyperbolic_target(n, 2, False).matrix)
+        assert mat_eq(mat_inverse(change.matrix), change.inverse_matrix())
+        # the frame columns past the pairs span the radical
+        assert all(not any(q.gradient(col))
+                   for col in transpose(change.matrix)[4:])
+
+    @pytest.mark.parametrize("n, terms", [
+        # a diagonal entry, at even rank
+        (4, {(0, 1): 1, (2, 2): 1, (3, 3): -1}),
+        # a row with two entries
+        (5, {(0, 1): 1, (0, 2): 1, (3, 4): 1}),
+        # odd rank
+        (3, {(0, 1): 1, (2, 2): 2}),
+    ])
+    def test_other_forms_are_diagonalized(self, monkeypatch, n, terms):
+        import quadcyl.charts as charts
+        diagonalized = []
+        real = charts.congruent_diagonalize
+        monkeypatch.setattr(charts, "congruent_diagonalize",
+                            lambda q: diagonalized.append(q) or real(q))
+        q = quadform_from_terms(n, terms)
+        frame, _ = hyperbolic_normalize(q, Tower.rationals())
+        assert diagonalized == [q]
+        r = q.rank()
+        assert mat_eq(q.transform(frame.change.matrix).matrix,
+                      hyperbolic_target(n, r // 2, bool(r % 2)).matrix)
 
     def test_random_forms_hit_target_exactly(self):
         rng = random.Random(4)

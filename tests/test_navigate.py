@@ -182,16 +182,17 @@ def _frozen_deep_pair(ident):
 
 
 class TestRescaleClosedForm:
-    """The rank-3 gadget records its two-move route from the closed form;
-    _Trail.move, replayed on each recorded step, must record the same."""
+    """The rank-3 gadget records its two-move route, and the pair gadget
+    its three moves, from their closed form; _Trail.move, replayed on each
+    recorded step, must record the same."""
 
     @staticmethod
-    def spy(monkeypatch):
+    def spy(monkeypatch, name="_rescale_axis"):
         """The (bundle, cp, cq, trail, points read by Chart.forward) of
-        every _rescale_axis run from now on."""
+        every run of the named gadget from now on."""
         import quadcyl.navigate as nav
         runs = []
-        gadget, forward = nav._rescale_axis, Chart.forward
+        gadget, forward = getattr(nav, name), Chart.forward
 
         def spied(bundle, cp, cq, tower):
             read = []
@@ -204,7 +205,7 @@ class TestRescaleClosedForm:
             monkeypatch.setattr(Chart, "forward", forward)
             runs.append((bundle, cp, cq, trail, read))
             return trail, tower
-        monkeypatch.setattr(nav, "_rescale_axis", spied)
+        monkeypatch.setattr(nav, name, spied)
         return runs
 
     def check(self, runs):
@@ -220,7 +221,7 @@ class TestRescaleClosedForm:
                 assert step2.target == step.target
                 assert step2.exit.coords == step.exit.coords
                 assert entry_tv2 == entry_tv
-            if trail.recs[0][0] is bundle.v_charts[0]:
+            if bundle.v_charts and trail.recs[0][0] is bundle.v_charts[0]:
                 # forward reads the two fibers and nothing else
                 two += 1
                 assert len(trail.recs) == 2
@@ -262,6 +263,36 @@ class TestRescaleClosedForm:
         path = connect_on_X(pencil, p, r, rng=random.Random(0))
         assert verify_on_X(pencil, path).valid
         assert self.check(runs) == len(runs) >= 1
+
+    def test_pair_rescale(self, monkeypatch):
+        # every grid shape past rank 3, then the frozen ci-deep pairs
+        # s909-p3 and s910-p8, whose segments take a rank-4 line: three
+        # steps, each as _Trail.move records it, and forward reads the
+        # two fibers and nothing else
+        from quadcyl.pencils import Pencil, connect_on_X, verify_on_X
+        runs = self.spy(monkeypatch, "_rescale_pairs")
+        rng = random.Random(31)
+        for size in range(4, 9):
+            for rank in range(4, size + 1):
+                q = hyperbolic_target(size, rank // 2, bool(rank % 2))
+                for _ in range(3):
+                    p, r = _random_off_quadric(q, rng), \
+                        _random_off_quadric(q, rng)
+                    assert verify_path(q, connect_complement(q, p, r)).valid
+        pencil = Pencil(
+            quadform_from_terms(6, {(0, 1): 1, (2, 3): 1, (4, 5): 1}),
+            quadform_from_terms(6, {(0, 5): 1, (1, 2): 1, (3, 4): 1}))
+        for ident in ("s909-p3", "s910-p8"):
+            count = len(runs)
+            path = connect_on_X(pencil, *_frozen_deep_pair(ident),
+                                rng=random.Random(0))
+            assert verify_on_X(pencil, path).valid
+            assert len(runs) == count + 1
+        assert self.check(runs) == 0 and len(runs) > 30
+        for bundle, cp, cq, trail, read in runs:
+            assert [chart for chart, _, _ in trail.recs] == \
+                [bundle.u_charts[0], bundle.u_charts[1], bundle.u_charts[0]]
+            assert len(read) == 2 and read[0] is cq and read[1] is cp
 
 
 class TestConnectComplement:
@@ -669,6 +700,21 @@ class TestVerifyRejections:
         assert "fiber parameter changed" in rep.reason or \
             "transverse target missed" in rep.reason
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_target_of_wrong_length(self, k):
+        # the target keeps its true prefix and gains a zero: a comparison
+        # over zip alone would take the step as met
+        q, path = self._path()
+        steps = list(path.steps)
+        k %= len(steps)
+        steps[k] = dataclasses.replace(
+            steps[k], target=steps[k].target + (scalar(0),))
+        bad = MovePath(path.problem, path.form, path.start, path.end,
+                       tuple(steps), path.tower)
+        rep = verify_path(q, bad)
+        assert (rep.valid, rep.reason, rep.index) == (
+            False, "transverse target has the wrong length at step %d" % k, k)
+
     def test_exit_on_another_fiber_with_matching_target(self):
         # the exit keeps the target but moves to fiber 2t, and carries
         # the scale 3 on its transverse block, so only the fiber test
@@ -810,8 +856,9 @@ class TestChartCache:
         # rank 3, three moves: the four points above and two exits
         (3, 1, True, [1, 0, 1], [1, 0, 4], 6),
         # two pairs: p and r are canonical, so p is read again when the
-        # gadget reads its fiber after r's; then the two exits
-        (4, 2, False, [1, 4, 0, 0], [1, 1, 0, 0], 5),
+        # gadget reads its fiber after r's; the closed-form steps read no
+        # point
+        (4, 2, False, [1, 4, 0, 0], [1, 1, 0, 0], 3),
     ])
     def test_connect_reads_each_point_once(self, monkeypatch, n, pairs, z,
                                            p, r, count):

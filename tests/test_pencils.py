@@ -474,6 +474,47 @@ class TestConnectOnX:
         assert path.segments[0].line.v1 == line.v1
         assert verify_on_X(p, path).valid
 
+    def rank_four_misses(self, p, a, b):
+        """Does every cheap line with a rank-4 image miss a or b?"""
+        charts = [chart_from_line(p, line)
+                  for line in _cheap_lines(p, Tower.rationals())[0]]
+        return all(c.degeneracy_form()(a).is_zero()
+                   or c.degeneracy_form()(b).is_zero()
+                   for c in charts if c.image.rank() == 4)
+
+    def test_rank4_line_preferred(self, monkeypatch):
+        # the first cheap line, e0 e2, has a rank-3 image; the segment
+        # takes a rank-4 one, whose image (u0 u2 - u1 u3)/4 gets the
+        # rational pair frame, so no frame radicand is paid
+        from quadcyl import charts
+        p = hexagonal_pencil()
+        roots = []
+        real = charts.try_sqrt
+        monkeypatch.setattr(charts, "try_sqrt",
+                            lambda tw, x: roots.append(x) or real(tw, x))
+        for a, b in [((1, -1, 2, 3, -1, 5), (2, -7, 1, -1, 3, 5)),
+                     ((2, -7, 1, -1, 3, 5), (1, F(-1, 2), 1, 1, 1, F(-1, 2)))]:
+            a, b = proj(a), proj(b)
+            assert not self.rank_four_misses(p, a, b)
+            path = connect_on_X(p, a, b)
+            (seg,) = path.segments
+            assert chart_from_line(p, seg.line).image.rank() == 4
+            assert path.tower.height <= 1
+            assert verify_on_X(p, path).valid
+        assert roots == []
+
+    def test_rank3_fallback(self):
+        # every rank-4 coordinate line meets the start's degeneracy locus
+        # (the frozen ci-deep pair s910-p7), so a rank-3 line is taken
+        p = hexagonal_pencil()
+        a = proj((0, 1, 0, F(-10, 3), 0, 0))
+        b = proj((0, 1, 0, F(3, 4), 0, F(-7, 4)))
+        assert self.rank_four_misses(p, a, b)
+        path = connect_on_X(p, a, b)
+        (seg,) = path.segments
+        assert chart_from_line(p, seg.line).image.rank() == 3
+        assert verify_on_X(p, path).valid
+
 
 class TestVerifyOnX:
     def make_path(self):
@@ -488,6 +529,31 @@ class TestVerifyOnX:
         other = eacx_build([0, 1, 2, 3, 4, 5])
         rep = verify_on_X(other, path)
         assert not rep.valid and rep.reason == "pencil mismatch"
+
+    def test_pencil_mismatch_in_gamma_only(self):
+        # the reference (beta, gamma + beta) cuts out the same X, and its
+        # line charts have the same images, since the pairings c and d
+        # gain a and b, and a d - b c gains a b - b a, whose symmetric
+        # part is zero: the certificate replays on it, so only the
+        # comparison of gamma refuses it
+        p, path = self.make_path()
+        other = Pencil(p.beta, QuadForm(tuple(
+            tuple(g + b for g, b in zip(rg, rb))
+            for rg, rb in zip(p.gamma.matrix, p.beta.matrix))))
+        rep = verify_on_X(other, path)
+        assert (rep.valid, rep.reason, rep.index) == \
+            (False, "pencil mismatch", None)
+
+    def test_segment_without_steps_refused(self):
+        # the parser refuses an empty steps list, so only a path built in
+        # memory reaches this check
+        import dataclasses
+        p, path = self.make_path()
+        bare = dataclasses.replace(path.segments[0], steps=())
+        broken = XPath(p, path.start, path.end, (bare,), path.tower)
+        rep = verify_on_X(p, broken)
+        assert (rep.valid, rep.reason, rep.index) == \
+            (False, "segment 0 has no steps", 0)
 
     def test_empty_path_with_distinct_endpoints(self):
         p, path = self.make_path()
