@@ -219,14 +219,21 @@ def sha256(text, work):
     return hashlib.sha256(text.replace(work, "<work>").encode()).hexdigest()
 
 
-def bump(coords, rng):
-    """Add 1 to a seeded coordinate of a written point or block: to its
+def bump(coords, key):
+    """Add 1 to coordinate key of a written point or block: to its
     rational, or to the rational part a of a nested a + b*sqrt(d)."""
-    node, key = coords, rng.randrange(len(coords))
+    node = coords
     while isinstance(node[key], dict):
         node, key = node[key], "a"
     p, q = node[key].split("/")
     node[key] = "%d/%s" % (int(p) + int(q), q)
+
+
+def unit_index(coords):
+    """i where written coordinates are a multiple of e_i, else None."""
+    support = [k for k, c in enumerate(coords)
+               if not (isinstance(c, str) and c.startswith("0/"))]
+    return support[0] if len(support) == 1 else None
 
 
 def runs_of(obj):
@@ -239,24 +246,35 @@ def runs_of(obj):
 
 def corruptions(obj, rng):
     """(name, corrupted copy) of a certificate object: a bumped `from` or
-    `to` coordinate; a bumped entry, exit or target coordinate in the first
-    and in the last step (of the first and the last segment, for a ci
-    certificate); the last step dropped; and an empty path.  Those that
-    need a step, or a nonempty target, are left out where there is none."""
+    `to` coordinate; for a ci certificate whose first (last) segment lies
+    on a coordinate line (e_i, e_j), `from` (`to`) plus e_i, which has
+    the same projection but lies off X (from-along-line, to-along-line);
+    a bumped entry, exit or target coordinate in the first and in the
+    last step (of the first and the last segment, for a ci certificate);
+    the last step dropped; and an empty path.  Those that need a step, a
+    coordinate line, or a nonempty target, are left out where there is
+    none."""
     def copy():
         return json.loads(json.dumps(obj))
 
     for name in ("from", "to"):
         c = copy()
-        bump(c[name], rng)
+        bump(c[name], rng.randrange(len(c[name])))
         yield name, c
+    for name, k in (("from", 0), ("to", -1)) if obj.get("segments") else ():
+        line = obj["segments"][k]["line"]
+        i, j = unit_index(line["v1"]), unit_index(line["v2"])
+        if i is not None and j is not None:
+            c = copy()
+            bump(c[name], i)
+            yield "%s-along-line" % name, c
     if any(runs_of(obj)):
         for end, k in (("first", 0), ("last", -1)):
             for key in ("entry", "exit", "target"):
                 c = copy()
                 step = runs_of(c)[k][k]
                 if step[key]:
-                    bump(step[key], rng)
+                    bump(step[key], rng.randrange(len(step[key])))
                     yield "%s-%s" % (end, key), c
         c = copy()
         runs_of(c)[-1].pop()

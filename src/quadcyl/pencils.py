@@ -12,12 +12,14 @@ lets the complement connector run inside X.
 A certificate produced here holds, per segment, the line and the fiber
 moves made in the complement of its image quadric.  Verification rebuilds
 the chart, the image quadric and the projected endpoints from the line and
-the pencil file alone, and lifts each segment's last move back to X.  A
-line chart projects and lifts with products only; it divides only to
-find its image quadric's rank, by elimination.  The segment's fiber
-moves replay as any complement certificate does (navigate.verify_path),
-which inverts each distinct step matrix once.  The report, and when the
-endpoints are checked, are navigate.verdict's, as for verify_path.
+the pencil file alone, lifts a segment's last move back to X only where
+another segment starts there, and decides the two ends from the
+endpoints themselves (verify_on_X).  A line chart projects and lifts
+with products only; it divides only to find its image quadric's rank,
+by elimination.  The segment's fiber moves replay as any complement
+certificate does (navigate.verify_path), which inverts each distinct
+step matrix once.  The report, and when the endpoints are checked, are
+navigate.verdict's, as for verify_path.
 """
 
 from __future__ import annotations
@@ -763,15 +765,22 @@ def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, rng=None,
 def verify_on_X(pencil: Pencil, path: XPath) -> VerifyReport:
     """Replay an intersection certificate.  Each segment rebuilds its line
     chart from the pencil and the stored line alone, projects the current
-    point, replays the moves against the recomputed image quadric, and
-    lifts the last exit back to X, where the next segment starts.
+    point, replays the moves against the recomputed image quadric, and,
+    where another segment follows, lifts the last exit back to X
+    (LineChart.inverse), where the next segment starts.
 
-    A replay that succeeds decides that both endpoints lie on X, for
-    navigate.verdict: LineChart.inverse always lands on X, since the line
-    lies in X (checked when the chart is built) and the cross
-    product of the two residual rows kills both; segment 0 checks
-    inverse(forward(start)) == start, and the last segment's
-    inverse(exit) == end."""
+    The two ends are decided from the endpoints, with no lift.  proj has
+    kernel exactly the line, so the points over an image point u are
+    a v1 + b v2 + c u with c != 0, and those on X have (a, b, c) in the
+    kernel of inverse's two residual rows, whose cross[2] is 4 image(u).
+    Over a field, then, a point of X off the line whose image value is
+    nonzero is the one point of X over its projection that inverse
+    returns.  Segment 0 checks image(forward(start)) != 0 and that start
+    lies on X, which is inverse(forward(start)) == start; the last segment
+    checks image(exit) != 0, proj end != 0, proj end proportional to the
+    exit, and that end lies on X, which is inverse(exit) == end.  A replay
+    that succeeds has so decided that both endpoints lie on X, for
+    navigate.verdict."""
     rc = path.tower.height
     if not mat_eq(path.pencil.beta.matrix, pencil.beta.matrix) or \
             not mat_eq(path.pencil.gamma.matrix, pencil.gamma.matrix):
@@ -788,6 +797,7 @@ def _replay_on_X(pencil: Pencil, path: XPath):
     """verify_on_X's replay: its first broken segment as (reason, index),
     or None when every segment holds and the last one ends at the end."""
     cur = path.start
+    last = len(path.segments) - 1
     for k, seg in enumerate(path.segments):
         try:
             chart = chart_from_line(pencil, seg.line)
@@ -800,11 +810,16 @@ def _replay_on_X(pencil: Pencil, path: XPath):
         exit_p = seg.steps[-1].exit
         try:
             fs = chart.forward(cur)
-            lifts_back = chart.inverse(fs) == cur
-            cur = chart.inverse(exit_p)
+            # an exit of the wrong length is the inner replay's to refuse
+            if chart.image(fs).is_zero() or k == last and \
+                    len(exit_p) == len(fs) and chart.image(exit_p).is_zero():
+                raise OutOfDomainError(
+                    "image point is on the degeneracy quadric")
+            if k < last:
+                cur = chart.inverse(exit_p)
         except OutOfDomainError as exc:
             return "segment %d leaves the line chart: %s" % (k, exc), k
-        if not lifts_back:
+        if k == 0 and not pencil.on_intersection(path.start):
             return "segment %d start does not lift back" % k, k
         inner = MovePath("complement", chart.image, fs, exit_p, seg.steps,
                          path.tower)
@@ -812,8 +827,10 @@ def _replay_on_X(pencil: Pencil, path: XPath):
         if not inner_rep.valid:
             return ("segment %d inner certificate: %s"
                     % (k, inner_rep.reason), k)
-    if cur != path.end:
-        return "path does not reach the stated endpoint", len(path.segments) - 1
+    u = mat_vec(chart.proj, path.end.coords)
+    if is_zero_vec(u) or not proportional(u, exit_p.coords) or \
+            not pencil.on_intersection(path.end):
+        return "path does not reach the stated endpoint", last
     return None
 
 

@@ -659,19 +659,104 @@ class TestVerifyOnX:
         assert (rep.valid, rep.reason, rep.index) == \
             (False, "start point is not on the intersection", None)
 
-    def test_valid_replay_skips_on_intersection(self, monkeypatch):
-        # segment 0's inverse(forward(start)) == start and the last
-        # segment's inverse(exit) == end prove both endpoints lie on X
-        pencil, path = TestConnectOnX().connect_pair(1)
+    @staticmethod
+    def count_calls(monkeypatch):
+        """The points LineChart.inverse and Pencil.on_intersection are
+        called with, in order, under their names."""
         calls = []
-        real = Pencil.on_intersection
+        for cls, name in ((pencils.LineChart, "inverse"),
+                          (Pencil, "on_intersection")):
+            def counting(self, x, real=getattr(cls, name), name=name):
+                calls.append((name, x))
+                return real(self, x)
+            monkeypatch.setattr(cls, name, counting)
+        return calls
 
-        def counting(self, x):
-            calls.append(x)
-            return real(self, x)
-        monkeypatch.setattr(Pencil, "on_intersection", counting)
+    def test_one_segment_replay_lifts_nothing(self, monkeypatch):
+        # the ends are decided from the endpoints: start and end each take
+        # one membership test, and no point is lifted back to X
+        pencil, path = TestConnectOnX().connect_pair(1)
+        assert len(path.segments) == 1
+        calls = self.count_calls(monkeypatch)
         assert verify_on_X(pencil, path).valid
-        assert calls == []
+        assert calls == [("on_intersection", path.start),
+                         ("on_intersection", path.end)]
+
+    def test_two_segment_replay_lifts_once(self, monkeypatch):
+        # the frozen ci-deep pair s910-p2, whose certificate has two
+        # segments: only the point at their boundary is lifted
+        p = hexagonal_pencil()
+        path = connect_on_X(p, proj((1, 0, -2, 0, F(-1, 2), 0)),
+                            proj((1, F(-51, 505), 1, 0, 1, F(51, 505))))
+        assert len(path.segments) == 2
+        calls = self.count_calls(monkeypatch)
+        assert verify_on_X(p, path).valid
+        assert [name for name, _ in calls] == \
+            ["inverse", "on_intersection", "on_intersection"]
+        assert [x for _, x in calls[1:]] == [path.start, path.end]
+
+    @staticmethod
+    def moved(point, i):
+        """point + e_i, in its stored coordinates."""
+        return proj(tuple(c + d for c, d in zip(point.coords, e(i))))
+
+    def test_start_moved_along_line(self):
+        # start + e0 has the start's projection, but lies off X
+        p, path = self.make_path()
+        broken = XPath(p, self.moved(path.start, 0), path.end, path.segments,
+                       path.tower)
+        rep = verify_on_X(p, broken)
+        assert (rep.valid, rep.reason, rep.index) == \
+            (False, "start point is not on the intersection", None)
+
+    def test_end_moved_along_line(self):
+        p, path = self.make_path()
+        broken = XPath(p, path.start, self.moved(path.end, 0), path.segments,
+                       path.tower)
+        rep = verify_on_X(p, broken)
+        assert (rep.valid, rep.reason, rep.index) == \
+            (False, "end point is not on the intersection", None)
+
+    @pytest.mark.parametrize("end", [e(0), e(1)])
+    def test_end_elsewhere_on_X(self, end):
+        # e0 lies on the line, where the projection is zero; e1 is the
+        # start, on X, over another image point than the last exit
+        p, path = self.make_path()
+        broken = XPath(p, path.start, proj(end), path.segments, path.tower)
+        rep = verify_on_X(p, broken)
+        assert (rep.valid, rep.reason, rep.index) == \
+            (False, "path does not reach the stated endpoint", 0)
+
+    def test_start_on_degeneracy_quadric(self):
+        # e4 lies on X, off the line, but the image quadric
+        # (u1^2 - u3 u5)/4 vanishes at its projection
+        p, path = self.make_path()
+        broken = XPath(p, proj(e(4)), path.end, path.segments, path.tower)
+        rep = verify_on_X(p, broken)
+        assert (rep.valid, rep.reason, rep.index) == (
+            False, "segment 0 leaves the line chart: image point is on the "
+            "degeneracy quadric", 0)
+
+    @pytest.mark.parametrize("exit_p, reason", [
+        # on the image quadric (u1^2 - u3 u5)/4
+        ((0, 0, 1, 0), "segment 0 leaves the line chart: image point is on "
+         "the degeneracy quadric"),
+        # of the wrong length: the parser refuses such an exit, so only a
+        # path built in memory reaches the inner replay's length check
+        ((1, 2, 3), "segment 0 inner certificate: end point has the wrong "
+         "length"),
+        ((1, 2, 3, 4, 5), "segment 0 inner certificate: end point has the "
+         "wrong length"),
+    ], ids=["image-quadric", "short", "long"])
+    def test_last_exit_refused(self, exit_p, reason):
+        import dataclasses
+        p, path = self.make_path()
+        seg = path.segments[0]
+        bad_step = dataclasses.replace(seg.steps[-1], exit=proj(exit_p))
+        bad_seg = dataclasses.replace(seg, steps=seg.steps[:-1] + (bad_step,))
+        broken = XPath(p, path.start, path.end, (bad_seg,), path.tower)
+        rep = verify_on_X(p, broken)
+        assert (rep.valid, rep.reason, rep.index) == (False, reason, 0)
 
 
 class TestAudit:

@@ -1,5 +1,6 @@
 """The demo scripts and the package's export list still work."""
 
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +42,26 @@ def test_output_digest_lines():
         assert " radicands=" in line and " radicands=- " not in line
         assert '"valid": true' in line and "file" not in line
         assert line.endswith(" wrong=1")
+
+
+def test_output_digest_ci_lines():
+    # each certificate's first and last segment lie on coordinate lines,
+    # so both along-line corruptions are made, and refused
+    done = run_script(["scripts/output_digest.py", "--workload",
+                       "ci-rational", "--seed", "1", "--pairs", "2"])
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["0", "1"]
+    for line in lines:
+        assert " connect=0 verify=0 sha256=" in line
+        assert line.endswith(" wrong=1")
+        refused = json.loads(line.split(" refusals=")[1].split(" report=")[0])
+        assert {name: refused[name] for name in ("from-along-line",
+                                                 "to-along-line")} == {
+            "%s-along-line" % key: {
+                "valid": False, "index": None,
+                "reason": "%s point is not on the intersection" % end}
+            for key, end in (("from", "start"), ("to", "end"))}
 
 
 # The output digests of the runs whose reports carry the discriminant
