@@ -67,9 +67,6 @@ class MovePath:
     steps: tuple
     tower: Tower
 
-    def __len__(self):
-        return len(self.steps)
-
 
 @dataclass
 class VerifyReport:
@@ -506,6 +503,8 @@ def _replay(form, path, on_q, cache):
             cache[key] = chart
         if len(step.target) != len(chart.trans):
             return "transverse target has the wrong length at step %d" % k, k
+        if len(step.exit) != form.size:
+            return "exit has the wrong length at step %d" % k, k
         try:
             s_in, n_in, _ = chart.lift(step.entry)
         except OutOfDomainError as exc:

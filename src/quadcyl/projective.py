@@ -460,11 +460,6 @@ class CoordChange:
         self._image = (x, u)
         return u
 
-    def __eq__(self, other):
-        if not isinstance(other, CoordChange):
-            return NotImplemented
-        return mat_eq(self.matrix, other.matrix)
-
 
 def congruent_diagonalize(q: QuadForm):
     """(CoordChange M, diagonal entries) with M^T A M diagonal, nonzero

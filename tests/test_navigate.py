@@ -715,6 +715,65 @@ class TestVerifyRejections:
         assert (rep.valid, rep.reason, rep.index) == (
             False, "transverse target has the wrong length at step %d" % k, k)
 
+    @staticmethod
+    def _replaced(path, k, **fields):
+        """path with fields of step k replaced, and nothing else."""
+        steps = list(path.steps)
+        steps[k] = dataclasses.replace(steps[k], **fields)
+        return MovePath(path.problem, path.form, path.start, path.end,
+                        tuple(steps), path.tower)
+
+    @staticmethod
+    def _hyperbolic_path():
+        # three steps on x0 x1 + x2 x3, each with the identity matrix:
+        # U_1 (dist 0), U_2 (dist 2), U_1
+        q = quadform_from_terms(4, {(0, 1): 1, (2, 3): 1})
+        path = connect_complement(q, proj([1, 2, 0, 0]), proj([1, 5, 1, 0]))
+        assert [s.chart["dist"] for s in path.steps] == [0, 2, 0]
+        return q, path
+
+    @pytest.mark.parametrize("long", [True, False], ids=["long", "short"])
+    def test_exit_of_wrong_length(self, long):
+        # the parser refuses such an exit, so only a path built in memory
+        # reaches this check; without it a long exit overruns the lift
+        q, path = self._hyperbolic_path()
+        coords = path.steps[0].exit.coords
+        coords = coords + (scalar(1),) if long else coords[:-1]
+        bad = self._replaced(path, 0, exit=proj(coords))
+        rep = verify_path(q, bad)
+        assert (rep.valid, rep.reason, rep.index) == (
+            False, "exit has the wrong length at step 0", 0)
+
+    def test_middle_exit_on_the_quadric(self):
+        # (1:0:1:0) lies on the quadric and has U_2's distinguished
+        # coordinate, x2, nonzero: only the exit's lift refuses it
+        q, path = self._hyperbolic_path()
+        bad = self._replaced(path, 1, exit=proj([1, 0, 1, 0]))
+        rep = verify_path(q, bad)
+        assert (rep.valid, rep.reason, rep.index) == (
+            False, "exit outside the chart domain at step 1: point lies on "
+            "the quadric", 1)
+
+    def test_distinguished_rows_must_vanish(self):
+        # columns e0, e1, e1 + e2, e3: the u_d u_e block of x0 x1 is kept,
+        # but b[0][2] = 1/2, so a lift's n would not be the form's value
+        # and the step would be refused on its fiber instead
+        q, path = self._hyperbolic_path()
+        desc = dict(path.steps[0].chart, matrix=[
+            [1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        rep = verify_path(q, self._replaced(path, 0, chart=desc))
+        assert (rep.valid, rep.reason, rep.index) == (
+            False, "invalid chart descriptor at step 0: distinguished rows "
+            "of the chart form must vanish", 0)
+
+    def test_unknown_problem_kind(self):
+        q, path = self._path()
+        bad = MovePath("ci", path.form, path.start, path.end, path.steps,
+                       path.tower)
+        rep = verify_path(q, bad)
+        assert (rep.valid, rep.reason, rep.index, rep.problem) == (
+            False, "unknown problem kind 'ci'", None, "ci")
+
     def test_exit_on_another_fiber_with_matching_target(self):
         # the exit keeps the target but moves to fiber 2t, and carries
         # the scale 3 on its transverse block, so only the fiber test

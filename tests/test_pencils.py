@@ -27,6 +27,7 @@ from quadcyl.pencils import (
     Line,
     Pencil,
     XPath,
+    XSegment,
     _cheap_lines,
     _interpolate,
     _is_diagonal,
@@ -662,7 +663,8 @@ class TestVerifyOnX:
     @staticmethod
     def count_calls(monkeypatch):
         """The points LineChart.inverse and Pencil.on_intersection are
-        called with, in order, under their names."""
+        called with, in order, under their names, and those a line chart's
+        image form is evaluated at, under "image"."""
         calls = []
         for cls, name in ((pencils.LineChart, "inverse"),
                           (Pencil, "on_intersection")):
@@ -670,11 +672,26 @@ class TestVerifyOnX:
                 calls.append((name, x))
                 return real(self, x)
             monkeypatch.setattr(cls, name, counting)
+        images = []
+        real_init, real_call = pencils.LineChart.__init__, QuadForm.__call__
+
+        def init(chart, *args):
+            real_init(chart, *args)
+            images.append(chart.image)
+
+        def call(form, x):
+            if any(form is im for im in images):
+                calls.append(("image", x))
+            return real_call(form, x)
+        monkeypatch.setattr(pencils.LineChart, "__init__", init)
+        monkeypatch.setattr(QuadForm, "__call__", call)
         return calls
 
     def test_one_segment_replay_lifts_nothing(self, monkeypatch):
         # the ends are decided from the endpoints: start and end each take
-        # one membership test, and no point is lifted back to X
+        # one membership test, and no point is lifted back to X; the inner
+        # replay's lifts decide the image values, so the image form is
+        # never evaluated
         pencil, path = TestConnectOnX().connect_pair(1)
         assert len(path.segments) == 1
         calls = self.count_calls(monkeypatch)
@@ -682,13 +699,20 @@ class TestVerifyOnX:
         assert calls == [("on_intersection", path.start),
                          ("on_intersection", path.end)]
 
-    def test_two_segment_replay_lifts_once(self, monkeypatch):
+    @staticmethod
+    def two_segment_path():
         # the frozen ci-deep pair s910-p2, whose certificate has two
-        # segments: only the point at their boundary is lifted
+        # segments
         p = hexagonal_pencil()
         path = connect_on_X(p, proj((1, 0, -2, 0, F(-1, 2), 0)),
                             proj((1, F(-51, 505), 1, 0, 1, F(51, 505))))
         assert len(path.segments) == 2
+        return p, path
+
+    def test_two_segment_replay_lifts_once(self, monkeypatch):
+        # only the point at the boundary is lifted, and no image form is
+        # evaluated
+        p, path = self.two_segment_path()
         calls = self.count_calls(monkeypatch)
         assert verify_on_X(p, path).valid
         assert [name for name, _ in calls] == \
@@ -729,18 +753,19 @@ class TestVerifyOnX:
 
     def test_start_on_degeneracy_quadric(self):
         # e4 lies on X, off the line, but the image quadric
-        # (u1^2 - u3 u5)/4 vanishes at its projection
+        # (u1^2 - u3 u5)/4 vanishes at its projection, which the inner
+        # replay refuses as its start
         p, path = self.make_path()
         broken = XPath(p, proj(e(4)), path.end, path.segments, path.tower)
         rep = verify_on_X(p, broken)
         assert (rep.valid, rep.reason, rep.index) == (
-            False, "segment 0 leaves the line chart: image point is on the "
-            "degeneracy quadric", 0)
+            False, "segment 0 inner certificate: start point lies on the "
+            "quadric", 0)
 
     @pytest.mark.parametrize("exit_p, reason", [
         # on the image quadric (u1^2 - u3 u5)/4
-        ((0, 0, 1, 0), "segment 0 leaves the line chart: image point is on "
-         "the degeneracy quadric"),
+        ((0, 0, 1, 0), "segment 0 inner certificate: end point lies on the "
+         "quadric"),
         # of the wrong length: the parser refuses such an exit, so only a
         # path built in memory reaches the inner replay's length check
         ((1, 2, 3), "segment 0 inner certificate: end point has the wrong "
@@ -757,6 +782,38 @@ class TestVerifyOnX:
         broken = XPath(p, path.start, path.end, (bad_seg,), path.tower)
         rep = verify_on_X(p, broken)
         assert (rep.valid, rep.reason, rep.index) == (False, reason, 0)
+
+    def test_boundary_exit_of_wrong_length(self):
+        # the first of two segments ends at an exit of the wrong length:
+        # the inner replay refuses it before the boundary lift (the parser
+        # refuses such exits)
+        import dataclasses
+        p, path = self.two_segment_path()
+        seg = path.segments[0]
+        exit_p = seg.steps[-1].exit
+        bad_step = dataclasses.replace(
+            seg.steps[-1], exit=proj(exit_p.coords + (scalar(1),)))
+        bad_seg = dataclasses.replace(seg, steps=seg.steps[:-1] + (bad_step,))
+        broken = XPath(p, path.start, path.end,
+                       (bad_seg,) + path.segments[1:], path.tower)
+        rep = verify_on_X(p, broken)
+        assert (rep.valid, rep.reason, rep.index) == (
+            False, "segment 0 inner certificate: end point has the wrong "
+            "length", 0)
+
+    def test_image_of_rank_zero_refused(self):
+        # on (x0 x1, x0 x2) both pairings of <e3, e4> with every kept e_k
+        # vanish, so the image quadric is zero
+        b = quadform_from_terms(6, {(0, 1): 1})
+        g = quadform_from_terms(6, {(0, 2): 1})
+        p = Pencil(b, g)
+        line = Line.through(p, e(3), e(4))
+        path = XPath(p, proj(e(3)), proj(e(4)),
+                     (XSegment(line, ()),), Tower.rationals())
+        rep = verify_on_X(p, path)
+        assert (rep.valid, rep.reason, rep.index) == (
+            False, "bad chart at segment 0: image quadric has rank 0, need "
+            "3 or 4", 0)
 
 
 class TestAudit:
