@@ -4,10 +4,10 @@ A pencil is a pair of quadratic forms (beta, gamma) on at least six
 coordinates; X is the intersection of the two quadrics.  A line l inside
 X gives a birational projection to a projective space of dimension two
 lower: one matrix of the 2x2 minors of l's spanning vectors maps X away
-from l (LineChart), and the failure locus is cut out by one quadratic
-form (the degeneracy form).  Off that locus the projection restricts to
-an exact isomorphism onto the complement of the image quadric, which
-lets the complement connector run inside X.
+from l (LineChart).  It is an exact isomorphism from the points of X
+whose projection u has image(u) != 0 onto the complement of the image
+quadric, so a chart covers x exactly where image(proj x) != 0, and the
+complement connector runs inside X.
 
 A certificate produced here holds, per segment, the line and the fiber
 moves made in the complement of its image quadric.  Verification rebuilds
@@ -98,11 +98,22 @@ class Pencil:
     def on_intersection(self, x) -> bool:
         return self.beta(x).is_zero() and self.gamma(x).is_zero()
 
+    def smooth_gradients(self, x, name="point"):
+        """(A x, A' x) for beta = A, gamma = A', at a smooth point x of X."""
+        if not self.on_intersection(x):
+            raise EndpointError(name + " is not on the intersection")
+        grads = (self.beta.gradient(x), self.gamma.gradient(x))
+        if proportional(*grads):
+            raise SingularPointError(name + " is singular on the intersection")
+        return grads
+
     def smooth_at(self, x) -> bool:
         """On X, with the two gradients independent there."""
-        v = x.coords if isinstance(x, ProjPoint) else vec(x)
-        gb, gg = self.beta.gradient(v), self.gamma.gradient(v)
-        return not (dot(v, gb) or dot(v, gg) or proportional(gb, gg))
+        try:
+            self.smooth_gradients(x)
+        except (EndpointError, SingularPointError):
+            return False
+        return True
 
 
 def eacx_build(lambdas) -> Pencil:
@@ -233,6 +244,8 @@ class Line:
     def through(cls, pencil: Pencil, a, b) -> "Line":
         va = a.coords if isinstance(a, ProjPoint) else vec(a)
         vb = b.coords if isinstance(b, ProjPoint) else vec(b)
+        if len(va) != pencil.size or len(vb) != pencil.size:
+            raise InputFormatError("line and pencil sizes differ")
         if proportional(va, vb):
             raise InputFormatError("the two points do not span a line")
         if not span_in_X(pencil, [va, vb]):
@@ -286,7 +299,7 @@ class LineChart:
     coordinate in that basis.  The image quadric has rank 3 or 4; its
     complement is exactly where the projection is an isomorphism."""
 
-    __slots__ = ("pencil", "line", "kept", "proj", "image", "_pairings")
+    __slots__ = ("pencil", "line", "kept", "proj", "image")
 
     def __init__(self, pencil: Pencil, line: Line):
         v1, v2 = line.v1, line.v2
@@ -318,9 +331,8 @@ class LineChart:
             rows.append(tuple(row))
         self.proj = tuple(rows)
         # the pairings of the line's vectors with the kept e_k
-        self._pairings = tuple(tuple(g[k] for k in self.kept)
-                               for g in (gb1, gb2, gg1, gg2))
-        self.image = _pairing_form(*self._pairings)
+        self.image = _pairing_form(*(tuple(g[k] for k in self.kept)
+                                     for g in (gb1, gb2, gg1, gg2)))
         r = self.image.rank()
         if r < 3:
             raise RankTooLowError(
@@ -362,7 +374,7 @@ class LineChart:
                  rb[2] * rg[0] - rb[0] * rg[2],
                  rb[0] * rg[1] - rb[1] * rg[0])
         if cross[2].is_zero():
-            raise OutOfDomainError("image point is on the degeneracy quadric")
+            raise OutOfDomainError("image point is on the image quadric")
         coords = vec_add(vec_add(vec_scale(self.line.v1, cross[0]),
                                  vec_scale(self.line.v2, cross[1])),
                          vec_scale(uvec, cross[2]))
@@ -378,13 +390,6 @@ class LineChart:
             if is_zero_vec(u) or self.image(u).is_zero():
                 continue
             yield self.inverse(u)
-
-    def degeneracy_form(self) -> QuadForm:
-        """The quadratic form on the ambient space cutting out the locus
-        where the projection fails to be an isomorphism: the pullback of
-        the image quadric along the projection.  It vanishes on the line."""
-        pt = transpose(self.proj)
-        return _pairing_form(*(mat_vec(pt, v) for v in self._pairings))
 
 
 def chart_from_line(pencil: Pencil, line: Line) -> LineChart:
@@ -502,11 +507,7 @@ def find_line_through(pencil: Pencil, p, rng=None, tower=None,
     every configuration yields to them: on failure this raises cleanly
     and the caller may supply lines instead."""
     p = p if isinstance(p, ProjPoint) else ProjPoint(p)
-    if not pencil.on_intersection(p):
-        raise EndpointError("point is not on the intersection")
-    grads = (pencil.beta.gradient(p), pencil.gamma.gradient(p))
-    if proportional(*grads):
-        raise SingularPointError("point is singular on the intersection")
+    grads = pencil.smooth_gradients(p)
     if rng is None:
         rng = random.Random(0)
     if tower is None:
@@ -692,20 +693,16 @@ def _line_charts(pencil: Pencil, given, cheap):
 def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, rng=None,
                  retry_limit=64) -> XPath:
     """Connect two smooth points of the intersection X.  Searches for a
-    line chart whose degeneracy quadric misses both endpoints, then runs
-    the complement connector in the image; falls back to two segments
-    through a midpoint when no single line works.  The given lines come
-    first, then the cheap lines whose image quadric has rank 4, where
-    the rescale gadget pays at most one radicand and a rank-3 one can
-    pay two, then the cheap rank-3 ones, then random lines."""
+    line chart that covers both endpoints, then runs the complement
+    connector in the image; falls back to two segments through a midpoint
+    when no single line works.  The given lines come first, then the
+    cheap lines whose image quadric has rank 4, where the rescale gadget
+    pays at most one radicand and a rank-3 one can pay two, then the
+    cheap rank-3 ones, then random lines."""
     p = p if isinstance(p, ProjPoint) else ProjPoint(p)
     q = q if isinstance(q, ProjPoint) else ProjPoint(q)
-    for name, pt in (("start", p), ("end", q)):
-        if not pencil.on_intersection(pt):
-            raise EndpointError("%s point is not on the intersection" % name)
-        if proportional(pencil.beta.gradient(pt), pencil.gamma.gradient(pt)):
-            raise SingularPointError(
-                "%s point is singular on the intersection" % name)
+    pencil.smooth_gradients(p, "start point")
+    pencil.smooth_gradients(q, "end point")
     tower = deepest_tower(p.coords + q.coords,
                           tower if tower is not None else Tower.rationals())
     if rng is None:
@@ -718,9 +715,12 @@ def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, rng=None,
                                    chart.forward(b), tower=tw)
         return XSegment(chart.line, inner.steps), inner.tower
 
+    def covered(chart, x):
+        return not chart.image(mat_vec(chart.proj, x.coords)).is_zero()
+
     tried = 0
     # the first chart that covers only p, under True, and only q, under
-    # False, each with its degeneracy form
+    # False (a chart refuses x on its line too: proj x = 0)
     covers = {}
     cheap, tower = _cheap_lines(pencil, tower)
     charts = _line_charts(pencil, lines or (), cheap)
@@ -738,24 +738,23 @@ def connect_on_X(pencil: Pencil, p, q, *, lines=None, tower=None, rng=None,
                 chart = chart_from_line(pencil, line)
             except (RankTooLowError, LineNotInXError):
                 continue
-        dform = chart.degeneracy_form()
-        good_p = not dform(p).is_zero()
+        good_p = covered(chart, p)
         # q's value counts only where it can end the search or record the
         # first chart that covers only q
-        good_q = (good_p or False not in covers) and not dform(q).is_zero()
+        good_q = (good_p or False not in covers) and covered(chart, q)
         if good_p and good_q:
             seg, t2 = segment(chart, p, q, tower)
             return XPath(pencil, p, q, (seg,), t2)
         if good_p or good_q:
-            covers.setdefault(good_p, (chart, dform))
+            covers.setdefault(good_p, chart)
         if len(covers) < 2:
             continue
-        # two segments through a smooth point of X that both covering
-        # charts map, pulled back from random image points of the first
-        (c1, d1), (c2, d2) = covers[True], covers[False]
+        # a smooth midpoint that both charts cover.  c1 covers each z by
+        # construction: z = inverse(u), image(u) != 0, projects to c u, c != 0
+        c1, c2 = covers[True], covers[False]
         mid = next((z for z in c1.points(rng, 64)
-                    if z != p and z != q and not d1(z).is_zero()
-                    and not d2(z).is_zero() and pencil.smooth_at(z)), None)
+                    if z != p and z != q and covered(c2, z)
+                    and pencil.smooth_at(z)), None)
         if mid is not None:
             seg1, t2 = segment(c1, p, mid, tower)
             seg2, t3 = segment(c2, mid, q, t2)
@@ -865,7 +864,7 @@ def polar_degree_audit(chart: LineChart, tower=None) -> AuditReport:
     h = img.gradient(dep_col)
     pulled = mat_vec(transpose(chart.proj), h)
     hyper_ok = not is_zero_vec(pulled)
-    dform = chart.degeneracy_form()
+    dform = img.transform(chart.proj)
     v1, v2 = chart.line.v1, chart.line.v2
     vanishes = dform(v1).is_zero() and dform(v2).is_zero() and \
         dform(vec_add(v1, v2)).is_zero()

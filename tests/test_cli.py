@@ -848,6 +848,23 @@ class TestAuditAndBuilders:
             assert run("audit", "--pencil", docs / "hex.pf",
                        "--line", line) == 2
 
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_connect_line_of_wrong_size_is_input_error(self, docs, tmp_path,
+                                                       capsys, size):
+        line = tmp_path / "hex.lf"
+        assert run("find-line", "--pencil", docs / "hex.pf",
+                   "--out", line) == 0
+        obj = loads(line.read_text())
+        pad = [obj["v1"][0]] * max(size - 6, 0)
+        line.write_text(dumps(dict(obj, size=size, v1=(obj["v1"] + pad)[:size],
+                                   v2=(obj["v2"] + pad)[:size])))
+        capsys.readouterr()
+        assert run("connect", "ci", "--pencil", docs / "hex.pf",
+                   "--line", line, "--from", "1,0,0,0,0,0",
+                   "--to", "0,1,0,0,0,0") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: line and pencil sizes differ"]
+
     def test_eacx_duplicate_is_input_error(self, tmp_path, capsys):
         assert run("eacx-build", "--lambdas", "0,1,1,3,4,5") == 2
 

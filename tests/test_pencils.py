@@ -84,6 +84,20 @@ def fixture_chart():
     return p, chart_from_line(p, Line.through(p, e(0), e(2)))
 
 
+def covers(chart, x):
+    """connect_on_X's coverage rule: image(proj x) != 0."""
+    v = x.coords if isinstance(x, ProjPoint) else vec(x)
+    return not chart.image(mat_vec(chart.proj, v)).is_zero()
+
+
+def round_trips(chart, x):
+    """inverse(forward(x)) == x, False where either is undefined."""
+    try:
+        return chart.inverse(chart.forward(x)) == proj(x)
+    except OutOfDomainError:
+        return False
+
+
 class TestPencilBasics:
     def test_size_mismatch_rejected(self):
         b = quadform_from_terms(6, {(0, 1): 1})
@@ -212,15 +226,18 @@ class TestLineChart:
 
 
 class TestDegeneracyForm:
+    """The image quadric pulled back along the projection, as
+    polar_degree_audit reads it."""
+
     def test_frozen_matrix(self):
         _, chart = fixture_chart()
-        d = chart.degeneracy_form()
+        d = chart.image.transform(chart.proj)
         expected = quadform_from_terms(6, {(1, 1): F(1, 4), (3, 5): F(-1, 4)})
         assert d == expected
 
     def test_vanishes_on_line(self):
         _, chart = fixture_chart()
-        d = chart.degeneracy_form()
+        d = chart.image.transform(chart.proj)
         assert d(e(0)).is_zero()
         assert d(e(2)).is_zero()
         assert d((1, 0, 1, 0, 0, 0)).is_zero()
@@ -479,8 +496,7 @@ class TestConnectOnX:
         """Does every cheap line with a rank-4 image miss a or b?"""
         charts = [chart_from_line(p, line)
                   for line in _cheap_lines(p, Tower.rationals())[0]]
-        return all(c.degeneracy_form()(a).is_zero()
-                   or c.degeneracy_form()(b).is_zero()
+        return all(not covers(c, a) or not covers(c, b)
                    for c in charts if c.image.rank() == 4)
 
     def test_rank4_line_preferred(self, monkeypatch):
@@ -505,7 +521,7 @@ class TestConnectOnX:
         assert roots == []
 
     def test_rank3_fallback(self):
-        # every rank-4 coordinate line meets the start's degeneracy locus
+        # no rank-4 coordinate line covers the start
         # (the frozen ci-deep pair s910-p7), so a rank-3 line is taken
         p = hexagonal_pencil()
         a = proj((0, 1, 0, F(-10, 3), 0, 0))
@@ -901,11 +917,23 @@ class TestLineChartPoints:
             seen.add(refused)
         assert seen == {False, True}
 
-    def test_degeneracy_form_is_pulled_back_image_quadric(self):
+    def test_coverage_is_the_round_trip(self):
+        # e0 and e2 span the line, where proj x = 0; e3, e4 and e5 are off
+        # it with image(proj x) = 0, where inverse refuses the projection
+        p, chart = fixture_chart()
+        pts = [e(k) for k in range(6)] + [(3, -1, -1, -2, -1, -1)]
+        assert all(p.on_intersection(x) for x in pts)
+        assert [covers(chart, x) for x in pts] == \
+            [round_trips(chart, x) for x in pts] == \
+            [False, True, False, False, False, False, True]
+        with pytest.raises(OutOfDomainError, match="on the image quadric"):
+            chart.inverse(chart.forward(e(5)))
+
+    def test_pulled_back_image_quadric(self):
         # the split-support line lives over Q(sqrt(-2))
         p = eacx_build([0, 1, 2, 3, 4, 5])
         chart = chart_from_line(p, find_line(p)[0])
-        d = chart.degeneracy_form()
+        d = chart.image.transform(chart.proj)
         rng = random.Random(6)
         for _ in range(20):
             x = vec(tuple(rng.randint(-5, 5) for _ in range(6)))
@@ -979,7 +1007,7 @@ class TestGeneralLines:
         assert sum(1 for d in minors if d != 1) >= 4
         assert any(d != 1 and d.level > 0 for d in minors)
         for pencil, chart, pts in charts:
-            dform = chart.degeneracy_form()
+            dform = chart.image.transform(chart.proj)
             xs = [z.coords for z in pts]
             xs += [vec(rng.randint(-5, 5) for _ in range(pencil.size))
                    for _ in range(10)]
@@ -989,16 +1017,14 @@ class TestGeneralLines:
                 assert dform(x) == chart.image(chart.forward(x))
 
     def test_inverse_undoes_forward_on_X(self):
+        # on X, a chart covers x exactly where it maps x there and back
         for pencil, chart, pts in general_line_charts():
             pts = pts + list(chart.points(random.Random(2), 8))
-            dform = chart.degeneracy_form()
             checked = 0
             for x in pts:
                 assert pencil.on_intersection(x)
-                if dform(x).is_zero():
-                    continue
-                assert chart.inverse(chart.forward(x)) == x
-                checked += 1
+                assert covers(chart, x) == round_trips(chart, x)
+                checked += covers(chart, x)
             assert checked >= 6
 
     def test_segments_on_general_lines_verify(self):

@@ -94,6 +94,24 @@ def test_output_digest_tools():
     assert {name: lines[name][1] for name in TOOL_OUTPUTS} == TOOL_OUTPUTS
 
 
+COVERAGE_CHECK = """
+import json, os, sys
+sys.path.insert(0, os.path.join(os.getcwd(), "bench"))
+import run
+run.import_quadcyl()
+print(json.dumps(run.coverage_check(sys.argv[1], run.Sink())))
+"""
+
+
+def test_tracer_coverage_check(tmp_path):
+    # the traced run's check that every traced name the package defines
+    # records a call; its own process keeps the tracer's rebinding out
+    # of this one, and -B keeps bytecode out of bench/
+    done = run_script(["-B", "-c", COVERAGE_CHECK, str(tmp_path)])
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
 def test_all_names_resolve():
     missing = [name for name in quadcyl.__all__
                if not hasattr(quadcyl, name)]
