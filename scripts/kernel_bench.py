@@ -1,5 +1,6 @@
 """Time tower products, sums and inverses on dense elements, by height,
-then matrix inverses and form pullbacks on sparse matrices.
+then matrix inverses and form pullbacks on sparse matrices and tangent
+frames on the acceptance grid.
 
 The tower of height h adjoins the square roots of the first h primes; each
 operand has all 2**h coefficients nonzero (seeded integers in [-9, 9]).  At
@@ -20,6 +21,12 @@ z.  A nonzero entry is r + s*sqrt(p_k) for seeded integers r, s in
 matrices; at height 0 it is p/q with 0 < |p|, q <= 9.  x is a dense
 point of the row's height, every coordinate drawn as the L0 operands
 are.  It checks M * M^-1 == I and A(x) == dot(x, A x).
+
+The L2 rows time one charts.ctsq_normalize, the best of --repeat, for
+each form hyperbolic_target of size n in L2_SIZES and rank 3..n (the
+acceptance grid), at a seeded rational smooth point: coordinates are
+seeded integers in [-9, 9], x_0 != 0, and x_1 solves the equation.  They
+check F * F^-1 == I for the frame's F and the inverse it comes with.
 
 The SQ rows time sqrt_if_present, for each height h >= 1 of --heights, in
 the tower of height h - 1 above extended by a dense radicand d_h of level
@@ -45,8 +52,10 @@ import sys
 import time
 from fractions import Fraction
 
+from quadcyl.charts import ctsq_normalize, hyperbolic_target
 from quadcyl.projective import (
     ProjPoint, QuadForm, dot, identity_mat, mat_inverse, mat_mul, mat_vec,
+    vec,
 )
 from quadcyl.serialize import dumps, loads, point_from_obj, point_to_obj
 from quadcyl.tower import ONE, ZERO, Tower, as_scalar, sqrt_if_present
@@ -55,6 +64,7 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 L1_HEIGHTS = (0, 4)
 L1_SIZES = (6, 8)
 L1_ZEROS = (0.0, 0.5, 0.8)
+L2_SIZES = range(3, 9)
 L5_SIZE = 6
 
 
@@ -145,6 +155,27 @@ def l1_rows(repeat, seed):
     return 0
 
 
+def l2_rows(repeat, seed):
+    print("L2 size  rank  ctsq_s")
+    for n in L2_SIZES:
+        for r in range(3, n + 1):
+            rng = random.Random("%d-%d-%d" % (seed, n, r))
+            q = hyperbolic_target(n, r // 2, bool(r % 2))
+            x = [rng.randint(-9, 9) for _ in range(n)]
+            x[0], x[1] = rng.choice((-1, 1)) * rng.randint(1, 9), 0
+            x[1] = -q(vec(x)) / x[0]
+            x = vec(x)
+            ctsq_s, frame = best_of(lambda: ctsq_normalize(q, x), repeat)
+            change = frame.change
+            if mat_mul(change.matrix, change.inverse_matrix()) != \
+                    identity_mat(n):
+                print("error: F * F^-1 != I at size %d, rank %d" % (n, r),
+                      file=sys.stderr)
+                return 1
+            print("L2 %-5d %-5d %.3g" % (n, r, ctsq_s))
+    return 0
+
+
 def per_op(fn, pairs, repeat):
     """Seconds per call of fn over the operand pairs, fastest of `repeat`
     timed batches."""
@@ -228,7 +259,8 @@ def main(argv=None) -> int:
         print("%-7d %-10.3g %-10.3g %.3g" % (h, mul_s, add_s, inv_s))
     return sqrt_rows(heights, args.repeat, rng) or \
         l5_rows(heights, args.repeat, rng) or \
-        l1_rows(args.repeat, args.seed)
+        l1_rows(args.repeat, args.seed) or \
+        l2_rows(args.repeat, args.seed)
 
 
 if __name__ == "__main__":

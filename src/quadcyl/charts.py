@@ -44,10 +44,9 @@ from .projective import (
     is_zero_vec,
     mat,
     mat_eq,
-    nullspace,
     quadform_from_terms,
-    rref,
     transpose,
+    unit_vec,
     upper_rows,
     upper_value,
     vec_add,
@@ -220,23 +219,21 @@ class HyperbolicFrame:
     has_z: bool
 
 
-def _complete_basis(cols, candidates):
-    """Extend the independent column list to a basis using candidates, in
-    order: a candidate is kept when it is independent of the columns kept
-    so far, which makes the kept vectors the pivot columns of one row
-    reduction."""
-    vecs = list(cols) + list(candidates)
-    _, pivots = rref(transpose(vecs))
-    if pivots[:len(cols)] != list(range(len(cols))):
-        raise InputFormatError("starting columns are dependent")
-    if len(pivots) != len(cols[0]):
-        raise InputFormatError("could not complete to a basis")
-    return [tuple(vecs[c]) for c in pivots]
-
-
 def ctsq_normalize(q: QuadForm, x) -> CtsqFrame:
     """Adapted coordinates at a smooth point x of V(q); see CtsqFrame.
-    Works for any rank >= 3 and never extends a tower."""
+    Works for any rank >= 3 and never extends a tower.
+
+    With w = A x, i0 the first index where w is nonzero and k the last
+    index other than i0 where x is nonzero (one exists: x = c e_i0 would
+    make w_i0 = A[i0][i0] c = 0, as q(x) = 0), the columns of C are
+    b0 = e_i0 / (2 w_i0), x, and t_j = e_j - (w_j / w_i0) e_i0 for the
+    other j in order.  The t_j for j != i0 span the tangent hyperplane
+    w^T u = 0, and x = sum over j != i0 of x_j t_j, so t_k is the one a
+    greedy completion of (b0, x) by the t_j drops.  C^-1 is read off the
+    same places: its rows are 2 w^T, e_k^T / x_k and
+    e_j^T - (x_j / x_k) e_k^T.  A shear F = C (I - e_1 f^T) then clears
+    the u_0 u_j cross terms, and as f_1 = 0, F^-1 = (I + e_1 f^T) C^-1:
+    row 1 of C^-1 gains f_j times row j."""
     if q.rank() < 3:
         raise RankTooLowError("form has rank %d, need at least 3" % q.rank())
     p = x if isinstance(x, ProjPoint) else ProjPoint(x)
@@ -247,10 +244,23 @@ def ctsq_normalize(q: QuadForm, x) -> CtsqFrame:
     if is_zero_vec(w):
         raise SingularPointError("base point is singular on the quadric")
     n = q.size
-    i0 = next(i for i, c in enumerate(w) if not c.is_zero())
-    b0 = tuple((1 / (2 * w[i0])) if j == i0 else ZERO for j in range(n))
-    tangent = nullspace((w,))
-    cols = _complete_basis([b0, p.coords], tangent)
+    x = p.coords
+    i0 = next(i for i, c in enumerate(w) if c)
+    k = next(j for j in reversed(range(n)) if j != i0 and x[j])
+    iw, ixk = 1 / w[i0], 1 / x[k]
+    cols = [tuple(iw * HALF if j == i0 else ZERO for j in range(n)), x]
+    inv = [tuple(2 * c for c in w),
+           tuple(ixk if j == k else ZERO for j in range(n))]
+    for j in range(n):
+        if j == i0 or j == k:
+            continue
+        t, r = list(unit_vec(n, j)), list(unit_vec(n, j))
+        if w[j]:
+            t[i0] = -(w[j] * iw)
+        if x[j]:
+            r[k] = -(x[j] * ixk)
+        cols.append(tuple(t))
+        inv.append(tuple(r))
     # shear u_1 to absorb the linear-in-u_0 part, which only row 0 of the
     # form in these columns holds: b0j = beta(c_0, c_j).  Column 0 loses
     # b00 * x, column j >= 2 loses 2 b0j * x
@@ -260,8 +270,9 @@ def ctsq_normalize(q: QuadForm, x) -> CtsqFrame:
         b0j = dot(g0, cols[j]) if j != 1 else ZERO
         if b0j:
             f = b0j if j == 0 else 2 * b0j
-            new_cols[j] = vec_add(cols[j], vec_scale(p.coords, -f))
-    change = CoordChange(transpose(new_cols))
+            new_cols[j] = vec_add(cols[j], vec_scale(x, -f))
+            inv[1] = vec_add(inv[1], vec_scale(inv[j], f))
+    change = CoordChange(transpose(new_cols), inv)
     b2 = change.pullback(q).matrix
     assert b2[0][0].is_zero() and b2[1][1].is_zero() and b2[0][1] == HALF
     assert all(b2[0][j].is_zero() and b2[1][j].is_zero() for j in range(2, n))
@@ -329,9 +340,9 @@ def hyperbolic_normalize(q: QuadForm, tower):
     m, has_z = r // 2, bool(r % 2)
     target = hyperbolic_target(n, m, has_z)
     if mat_eq(q.matrix, target.matrix):
-        frame = HyperbolicFrame(CoordChange(identity_mat(n), identity_mat(n)),
-                                m, has_z)
-        return frame, tower
+        change = CoordChange(identity_mat(n), identity_mat(n))
+        change._pulled = (q, q)  # I^T A I is A: no product to take
+        return HyperbolicFrame(change, m, has_z), tower
     change = _pair_frame(q)
     if change is None:
         change, diag = congruent_diagonalize(q)

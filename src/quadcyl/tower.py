@@ -775,8 +775,9 @@ def scalar_to_obj(x):
 def _scalar_to_obj(x, nodes):
     """scalar_to_obj, appending each node dict it builds to nodes."""
     s = as_scalar(x)
-    scales = s.tower.scales if s.level else None
-    return _tree_to_obj(s.tree, 1, s.den, scales, nodes)
+    if not s.level:  # in lowest terms already
+        return _int_text(s.tree) + "/" + _int_text(s.den)
+    return _tree_to_obj(s.tree, 1, s.den, s.tower.scales, nodes)
 
 
 _NODE_KEYS = frozenset(("a", "b", "level"))

@@ -15,7 +15,6 @@ from quadcyl.errors import (
 )
 from quadcyl.charts import (
     Chart,
-    _complete_basis,
     build_complement_charts,
     chart_from_descriptor,
     complement_cylinder,
@@ -29,16 +28,21 @@ from quadcyl.projective import (
     CoordChange,
     ProjPoint,
     QuadForm,
+    dot,
     identity_mat,
     mat,
     mat_eq,
     mat_inverse,
+    nullspace,
     point_on_quadric,
     proj,
     quadform_from_terms,
     transpose,
+    vec,
+    vec_add,
+    vec_scale,
 )
-from quadcyl.tower import Tower, scalar
+from quadcyl.tower import Tower, TowerScalar, scalar
 
 
 def form_xy_z2():
@@ -452,8 +456,10 @@ def test_fiber_moves_random_charts(seed):
 
 
 def frac_rank(vectors):
-    """Rank of rational vectors, by Fraction elimination from scratch."""
-    rows = [[F(x) for x in v] for v in vectors]
+    """Rank of rational vectors, by Fraction elimination from scratch;
+    vectors of tower scalars are eliminated as they are."""
+    rows = [[x if isinstance(x, TowerScalar) else F(x) for x in v]
+            for v in vectors]
     rank = 0
     for c in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
@@ -488,60 +494,131 @@ def as_fractions(v):
     return [x.rat for x in v]
 
 
-class TestCompleteBasis:
-    """charts._complete_basis against a from-scratch rank check."""
+def kernel_frame(q, p):
+    """The tangent frame at p the long way: b0 = e_i0 / (2 w_i0) and p,
+    completed by the kernel basis of w = A p that reference_completion
+    keeps, then the shear that ctsq_normalize applies."""
+    x, w = p.coords, q.gradient(p)
+    i0 = next(i for i, c in enumerate(w) if c)
+    b0 = tuple(1 / (2 * w[i0]) if j == i0 else scalar(0)
+               for j in range(q.size))
+    cols = reference_completion([b0, x], list(nullspace((w,))))
+    g0 = q.gradient(cols[0])
+    out = list(cols)
+    for j in range(q.size):
+        if j != 1:
+            b0j = dot(g0, cols[j])
+            out[j] = vec_add(cols[j], vec_scale(x, -(b0j if j == 0
+                                                      else 2 * b0j)))
+    return transpose(out)
+
+
+def grid_quadric_points(rng, q, pairs, count):
+    """Smooth rational points of hyperbolic_target(n, pairs, .): seeded
+    coordinates in [-2, 2], each zero half the time, then the partner of
+    the first nonzero x_2i solves the equation."""
+    out = []
+    while len(out) < count:
+        x = [rng.choice((0, rng.randint(-2, 2))) for _ in range(q.size)]
+        i = next((i for i in range(pairs) if x[2 * i]), None)
+        if i is None:
+            continue
+        x[2 * i + 1] = 0
+        x[2 * i + 1] = -q(vec(x)) / x[2 * i]
+        if q.is_smooth_at(vec(x)):
+            out.append(proj(x))
+    return out
+
+
+GRID_SHAPES = [(n, r) for n in range(3, 9) for r in range(3, n + 1)]
+
+
+class TestClosedFormFrame:
+    """ctsq_normalize's columns against the kernel-and-completion
+    construction, and its inverse, read off the columns, against
+    Gauss-Jordan."""
 
     @staticmethod
-    def draw(rng, n):
-        """Independent starting columns and a candidate list with zero,
-        repeated and dependent vectors, ending in the standard basis."""
-        while True:
-            cols = [[F(rng.randint(-4, 4), rng.randint(1, 3))
-                     for _ in range(n)] for _ in range(rng.randint(1, 2))]
-            if frac_rank(cols) == len(cols):
-                break
-        cands = []
-        for _ in range(2 * n):
-            kind = rng.random()
-            pool = cols + cands
-            if kind < 0.15:
-                cands.append([F(0)] * n)
-            elif kind < 0.5:
-                u, w = rng.choice(pool), rng.choice(pool)
-                a, b = rng.randint(-3, 3), F(rng.randint(-3, 3), 2)
-                cands.append([a * x + b * y for x, y in zip(u, w)])
-            else:
-                cands.append([F(rng.randint(-2, 2)) for _ in range(n)])
-        cands += [[F(int(i == j)) for j in range(n)] for i in range(n)]
-        return cols, cands
+    def check(q, p):
+        frame = ctsq_normalize(q, p)
+        assert mat_eq(frame.change.matrix, kernel_frame(q, p))
+        assert mat_eq(frame.change.inverse_matrix(),
+                      mat_inverse(frame.change.matrix))
+        w, x = q.gradient(p), p.coords
+        i0 = next(i for i, c in enumerate(w) if c)
+        k = max(j for j in range(q.size) if j != i0 and x[j])
+        return i0, k
 
-    def test_matches_rank_check(self):
-        rng = random.Random(5)
-        for trial in range(60):
-            n = 3 + trial % 5
-            cols, cands = self.draw(rng, n)
-            got = _complete_basis([svec(c) for c in cols],
-                                  [svec(c) for c in cands])
-            want = reference_completion(cols, cands)
-            assert [as_fractions(c) for c in got] == want
-            assert frac_rank(want) == n
+    def test_grid_shapes(self):
+        rng = random.Random(35)
+        seen = set()
+        for n, r in GRID_SHAPES:
+            q = hyperbolic_target(n, r // 2, bool(r % 2))
+            for p in grid_quadric_points(rng, q, r // 2, 6):
+                i0, k = self.check(q, p)
+                seen.add((i0 > 0, k < n - 1))
+        assert seen == {(a, b) for a in (False, True) for b in (False, True)}
 
-    def test_span_too_small(self):
-        v, w = [1, 2, 0], [0, 1, 1]
-        cands = [[0, 0, 0], [2, 4, 0], [1, 3, 1]]
-        with pytest.raises(InputFormatError, match="complete"):
-            _complete_basis([svec(v), svec(w)], [svec(c) for c in cands])
+    def test_random_forms_and_cones(self):
+        rng = random.Random(20)
+        forms = [random_symmetric(rng, rng.randint(3, 6)) for _ in range(10)]
+        forms += [tilted_cone(random.Random(1000 * n + r), n, r)
+                  for n, r in TILTED]
+        for q in forms:
+            for _ in range(2):
+                p, _ = point_on_quadric(q, rng=rng, predicate=q.is_smooth_at)
+                self.check(q, p)
 
-    @pytest.mark.parametrize("cols", [
-        [[1, 2, 3], [2, 4, 6]],
-        [[1, 0, 0], [0, 0, 0]],
-        [[1, 0, 0], [0, 1, 0], [1, -1, 0]],
-    ], ids=["multiple", "zero", "full-count"])
-    def test_dependent_starting_columns(self, cols):
-        with pytest.raises(InputFormatError, match="dependent"):
-            _complete_basis([svec(c) for c in cols],
-                            [svec([int(i == j) for j in range(3)])
-                             for i in range(3)])
+    def test_point_over_sqrt2(self):
+        # x0 x1 + x2^2 - 2 x3^2 at (0, 1, sqrt 2, 1): w = (1/2, 0, sqrt 2,
+        # -2), so i0 = 0 and k = 3, with sqrt 2 in the shear
+        s = Tower.rationals().extend(2).generator(1)
+        q = quadform_from_terms(4, {(0, 1): 1, (2, 2): 1, (3, 3): -2})
+        p = ProjPoint((scalar(0), scalar(1), s, scalar(1)))
+        assert q(p).is_zero()
+        assert self.check(q, p) == (0, 3)
+        assert any(c.level for row in ctsq_normalize(q, p).change.matrix
+                   for c in row)
+
+
+def count_calls(monkeypatch, name):
+    """Calls of projective's function name, through every quadcyl module
+    that binds it."""
+    import sys
+    import quadcyl.projective as projective
+    real, calls = getattr(projective, name), []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "quadcyl" and \
+                getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+class TestConnectInvertsNothing:
+    """A tangent frame comes with its inverse and a target-shaped form's
+    hyperbolic frame is the identity, so connect on a grid form inverts
+    no matrix and takes no kernel."""
+
+    @pytest.mark.parametrize("target, rank, a, b", [
+        ("quadric", 5, "2,-2,1,3,1,0", "1/3,-21,-1,2,3,4"),
+        ("complement", 5, "1/2,2,3,-1,2,5", "-3,1,0,4,1,-2"),
+        ("complement", 3, "1,2,3,4,5,6", "1,0,4,0,0,0"),
+    ])
+    def test_grid_connect(self, tmp_path, monkeypatch, target, rank, a, b):
+        from quadcyl.cli import main
+        from quadcyl.serialize import dumps, form_to_obj
+        form = tmp_path / "grid.qf"
+        q = hyperbolic_target(6, rank // 2, bool(rank % 2))
+        form.write_text(dumps(form_to_obj(q, Tower.rationals())))
+        inverses = count_calls(monkeypatch, "mat_inverse")
+        kernels = count_calls(monkeypatch, "nullspace")
+        assert main(["connect", target, "--form", str(form), "--from", a,
+                     "--to", b, "--out", str(tmp_path / "c.cert")]) == 0
+        assert inverses == [] and kernels == []
 
 
 class TestOnePullback:
@@ -559,16 +636,18 @@ class TestOnePullback:
         monkeypatch.setattr(QuadForm, "transform", counted)
         return calls
 
-    @pytest.mark.parametrize("q", [
-        hyperbolic_target(5, 2, True),        # standard: identity frame
-        quadform_from_terms(3, {(0, 0): 1, (1, 1): 2, (2, 2): 3}),
-        hyperbolic_target(6, 2, True),        # a cone
-    ])
-    def test_odd_rank_bundle_pulls_back_twice(self, q, transforms):
+    @pytest.mark.parametrize("q, pullbacks", [
+        (hyperbolic_target(5, 2, True), 1),   # standard: identity frame
+        (quadform_from_terms(3, {(0, 0): 1, (1, 1): 2, (2, 2): 3}), 2),
+        (hyperbolic_target(6, 2, True), 1),   # a cone, identity frame
+    ], ids=["identity", "diagonal", "identity-cone"])
+    def test_odd_rank_bundle_pulls_back_per_frame(self, q, pullbacks,
+                                                  transforms):
         bundle, _ = build_complement_charts(q, Tower.rationals())
         assert bundle.has_z and len(bundle.all_charts()) == 2 * bundle.pairs + 1
-        # once for the U/V frame, once for the W frame
-        assert len(transforms) == 2
+        # once for the W frame, and once for the U/V frame unless it is
+        # the identity, whose pullback of q is q itself
+        assert len(transforms) == pullbacks
 
     def test_verify_pulls_back_once_per_matrix(self, transforms):
         from quadcyl.serialize import dumps, loads, path_from_obj, path_to_obj

@@ -43,7 +43,6 @@ from quadcyl.pencils import (
     span_in_X,
     verify_on_X,
 )
-from quadcyl.charts import _complete_basis
 from quadcyl.projective import (
     ProjPoint,
     QuadForm,
@@ -57,6 +56,7 @@ from quadcyl.projective import (
     proportional,
     quadform_from_terms,
     rank_of,
+    rref,
     transpose,
     unit_vec,
     vec,
@@ -994,11 +994,15 @@ class TestGeneralLines:
     through an inverted completed basis."""
 
     def test_kept_indices_match_greedy_completion(self):
+        # greedy completion of (v1, v2) by e_0, e_1, ...: the pivot
+        # columns of one row reduction of the columns in that order
         for pencil, chart, _ in general_line_charts():
             n = pencil.size
-            std = [unit_vec(n, k) for k in range(n)]
-            cols = _complete_basis([chart.line.v1, chart.line.v2], std)
-            assert [std.index(c) for c in cols[2:]] == list(chart.kept)
+            vecs = [chart.line.v1, chart.line.v2] + \
+                [unit_vec(n, k) for k in range(n)]
+            _, pivots = rref(transpose(vecs))
+            assert pivots[:2] == [0, 1] and len(pivots) == n
+            assert [c - 2 for c in pivots[2:]] == list(chart.kept)
 
     def test_forward_matches_completed_basis(self):
         rng = random.Random(4)

@@ -120,8 +120,8 @@ def test_all_names_resolve():
 
 @pytest.fixture(scope="module")
 def bench_0_2():
-    """One kernel_bench run at heights 0 and 2, shared by the L1, SQ and
-    L5 row tests."""
+    """One kernel_bench run at heights 0 and 2, shared by the L1, L2, SQ
+    and L5 row tests."""
     done = run_script(["scripts/kernel_bench.py", "--heights", "0,2",
                        "--repeat", "1"])
     assert done.returncode == 0, done.stderr
@@ -129,8 +129,9 @@ def bench_0_2():
 
 
 def rows_of(stdout, tag):
+    """The rows of a tag, without its header line."""
     return [line.split() for line in stdout.splitlines()
-            if line.startswith(tag + " ") and "height" not in line]
+            if line.startswith(tag + " ") and line.split()[1].isdigit()]
 
 
 def test_kernel_bench_l1_rows(bench_0_2):
@@ -140,6 +141,13 @@ def test_kernel_bench_l1_rows(bench_0_2):
         for z in ("0", "0.5", "0.8")]
     assert all(float(r[4]) > 0 and float(r[5]) > 0 and float(r[6]) > 0
                for r in rows)
+
+
+def test_kernel_bench_l2_rows(bench_0_2):
+    rows = rows_of(bench_0_2, "L2")
+    assert [(r[1], r[2]) for r in rows] == [
+        (str(n), str(r)) for n in range(3, 9) for r in range(3, n + 1)]
+    assert all(float(r[3]) > 0 for r in rows)
 
 
 def test_kernel_bench_sqrt_rows(bench_0_2):

@@ -20,6 +20,7 @@ from quadcyl.tower import (
     Tower,
     as_scalar,
     parse_rational,
+    rational_string,
     scalar,
     scalar_from_obj,
     scalar_to_obj,
@@ -228,6 +229,24 @@ class TestSerialization:
         v = scalar(Fraction(-22, 7))
         assert scalar_to_obj(v) == "-22/7"
         assert scalar_from_obj("-22/7", Tower.rationals()) == v
+
+    def test_rational_text_matches_rational_string(self):
+        # a rational is kept in lowest terms, so its text needs no gcd;
+        # long numbers cross the writer's 600-digit pieces
+        rng = random.Random(35)
+        pairs = [(0, 1), (1, 1), (-1, 1), (-22, 7), (6, 4), (-10 ** 600, 3),
+                 (7, 10 ** 601 + 1), (-(10 ** 1300) - 9, 10 ** 700 - 3)]
+        for _ in range(40):
+            num, den = (rng.randint(1, 10 ** rng.randint(1, 1500))
+                        for _ in range(2))
+            pairs.append((rng.choice((-1, 1)) * num, den))
+        for num, den in pairs:
+            text = scalar_to_obj(Fraction(num, den))
+            assert text == rational_string(num, den)
+            back = parse_rational(text)
+            assert back == scalar(Fraction(num, den))
+            assert scalar_to_obj(back) == text
+        assert max(len(rational_string(n, d)) for n, d in pairs) > 1200
 
     def test_nested_round_trip(self):
         s, tw = sqrt2_setup()
